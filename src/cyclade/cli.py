@@ -107,6 +107,19 @@ def _family(args, parser) -> GraphFamily:
     return GraphFamily(tag, param)
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclade",
@@ -122,41 +135,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("graph-loops", "closed walk counts at the root of an ADE graph")
     p.add_argument("--family", required=True)
     p.add_argument("--param", type=int)
-    p.add_argument("--order", type=int, default=64)
+    p.add_argument("--order", type=_int_at_least(0), default=64)
 
     p = add("graph-tseries", "T series of an ADE graph via the loop pipeline")
     p.add_argument("--family", required=True)
     p.add_argument("--param", type=int)
-    p.add_argument("--order", type=int, default=64)
+    p.add_argument("--order", type=_int_at_least(0), default=64)
 
     p = add("xi-expand", "series expansion of a xi expression")
     p.add_argument("--expr", required=True)
-    p.add_argument("--order", type=int, default=64)
+    p.add_argument("--order", type=_int_at_least(0), default=64)
 
     p = add("measure-show", "atoms and weights of a measure expression")
     p.add_argument("--expr", required=True)
 
     p = add("measure-moments", "moments 0..count of a measure expression")
     p.add_argument("--expr", required=True)
-    p.add_argument("--count", type=int, default=8)
+    p.add_argument("--count", type=_int_at_least(0), default=8)
 
     p = add("measure-tseries", "T series of a measure expression")
     p.add_argument("--expr", required=True)
-    p.add_argument("--order", type=int, default=64)
+    p.add_argument("--order", type=_int_at_least(0), default=64)
 
     p = add("measure-pushforward", "real pushforward atoms of a measure")
     p.add_argument("--expr", required=True)
 
     p = add("expand", "coefficients of a measure over the density basis")
     p.add_argument("--expr", required=True)
-    p.add_argument("--support", type=int,
+    p.add_argument("--support", type=_int_at_least(1),
                    help="support parameter n (default: smallest admissible)")
 
     p = add("level", "smallest density degree expressing the measure")
     p.add_argument("--expr", required=True)
 
     p = add("verify", "run the verification registry")
-    p.add_argument("--order", type=int, default=64)
+    p.add_argument("--order", type=_int_at_least(0), default=64)
     p.add_argument("--only", metavar="GLOB", help="run only matching check ids")
 
     return parser

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import mpmath
 
@@ -201,27 +201,39 @@ def euler_phi(order: int) -> int:
 def _reduction_rows(order: int):
     """Canonical coordinates of each power of the primitive root.
 
-    Row e is the coordinate vector of the e-th power in the power basis,
-    for e up to max(order - 1, 2*phi - 2), which covers products of two
-    reduced elements as well as exponent wrap-around.
+    Row e lists the nonzero coordinates (i, c) of the e-th power in the
+    power basis, for e up to max(order - 1, 2*phi - 2), which covers
+    products of two reduced elements as well as exponent wrap-around.  The
+    cyclotomic polynomial is monic with integer coefficients, so every c is
+    an int.
     """
     phi = euler_phi(order)
-    tail = cyclotomic_poly(order).coeffs[:phi]
+    tail = [int(c) for c in cyclotomic_poly(order).coeffs[:phi]]
     top = max(order - 1, 2 * phi - 2)
-    rows = []
+    dense = []
     for e in range(phi):
-        row = [Fraction(0)] * phi
-        row[e] = Fraction(1)
-        rows.append(tuple(row))
+        row = [0] * phi
+        row[e] = 1
+        dense.append(row)
     for e in range(phi, top + 1):
-        prev = rows[e - 1]
-        row = [Fraction(0)] + list(prev[: phi - 1])
+        prev = dense[e - 1]
+        row = [0] + prev[: phi - 1]
         over = prev[phi - 1]
         if over:
             for i in range(phi):
                 row[i] -= over * tail[i]
-        rows.append(tuple(row))
-    return tuple(rows)
+        dense.append(row)
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in dense)
+
+
+_ZERO = Fraction(0)
+
+
+def _integral(coeffs: Sequence[Fraction]):
+    """A common denominator D of coeffs and the pairs (i, D * c_i) for the
+    nonzero c_i."""
+    den = math.lcm(*[c.denominator for c in coeffs if c])
+    return den, [(i, c.numerator * (den // c.denominator)) for i, c in enumerate(coeffs) if c]
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +251,8 @@ class CyclotomicNumber:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Sequence):
+        """Public constructor: coerces every coordinate to Fraction and checks
+        the length; arithmetic inside this module uses _trusted_cyclo."""
         phi = euler_phi(order)
         cs = tuple(Fraction(c) for c in coeffs)
         if len(cs) != phi:
@@ -248,8 +262,7 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CyclotomicNumber":
-        phi = euler_phi(order)
-        return cls(order, (Fraction(value),) + (Fraction(0),) * (phi - 1))
+        return _trusted_cyclo(order, (Fraction(value),) + (_ZERO,) * (euler_phi(order) - 1))
 
     @classmethod
     def zero(cls, order: int = 1) -> "CyclotomicNumber":
@@ -260,10 +273,10 @@ class CyclotomicNumber:
         return cls.from_rational(1, order)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def is_real(self) -> bool:
         return self == cyclo_conj(self)
@@ -279,14 +292,15 @@ class CyclotomicNumber:
     __hash__ = None  # equality lifts across orders; use .coeffs at a fixed order as a key
 
     def __neg__(self) -> "CyclotomicNumber":
-        return CyclotomicNumber(self.order, tuple(-c for c in self.coeffs))
+        return _trusted_cyclo(self.order, tuple([-c for c in self.coeffs]))
 
     def __add__(self, other) -> "CyclotomicNumber":
         other = _as_cyclo(other)
         if other is None:
             return NotImplemented
         a, b = _common_order(self, other)
-        return CyclotomicNumber(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return _trusted_cyclo(a.order, tuple([x + y if y else x
+                                              for x, y in zip(a.coeffs, b.coeffs)]))
 
     __radd__ = __add__
 
@@ -305,29 +319,17 @@ class CyclotomicNumber:
     def __mul__(self, other) -> "CyclotomicNumber":
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            return CyclotomicNumber(self.order, tuple(c * f for c in self.coeffs))
+            return _trusted_cyclo(self.order, tuple([c * f if c else c for c in self.coeffs]))
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = _common_order(self, other)
-        phi = euler_phi(a.order)
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    conv[i + j] += x * y
-        rows = _reduction_rows(a.order)
-        out = list(conv[:phi])
-        for e in range(phi, len(conv)):
-            v = conv[e]
-            if v == 0:
-                continue
-            row = rows[e]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += v * row[i]
-        return CyclotomicNumber(a.order, out)
+        da, xs = _integral(a.coeffs)
+        db, ys = _integral(b.coeffs)
+        conv = [0] * (2 * euler_phi(a.order) - 1)
+        for i, x in xs:
+            for j, y in ys:
+                conv[i + j] += x * y
+        return cyclo_from_integers(a.order, enumerate(conv), da * db)
 
     __rmul__ = __mul__
 
@@ -342,6 +344,16 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return f"CyclotomicNumber(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"
+
+
+def _trusted_cyclo(order: int, coeffs: tuple) -> CyclotomicNumber:
+    """Internal constructor for arithmetic results: coeffs must already be a
+    reduced tuple of phi(order) Fractions, so neither coercion nor the
+    length check is repeated."""
+    z = object.__new__(CyclotomicNumber)
+    z.order = order
+    z.coeffs = coeffs
+    return z
 
 
 def _as_cyclo(x) -> Optional[CyclotomicNumber]:
@@ -363,18 +375,24 @@ def cyclo_make(order: int, exponent_weights: Mapping[int, object]) -> Cyclotomic
     """Weighted sum of powers of the primitive order-th root, reduced."""
     if order < 1:
         raise ValueError("order must be positive")
-    phi = euler_phi(order)
+    ws = [(j, w if type(w) is Fraction else Fraction(w)) for j, w in exponent_weights.items()]
+    den = math.lcm(*[w.denominator for _, w in ws])
+    return cyclo_from_integers(order, [(j, w.numerator * (den // w.denominator)) for j, w in ws],
+                               den)
+
+
+def cyclo_from_integers(order: int, terms: Iterable[Tuple[int, int]],
+                        denominator: int) -> CyclotomicNumber:
+    """The sum of v/denominator times the e-th power of the primitive root
+    over the pairs (e, v), reduced in integer arithmetic: the exact core
+    under cyclo_make, products and moments."""
     rows = _reduction_rows(order)
-    out = [Fraction(0)] * phi
-    for j, w in exponent_weights.items():
-        w = Fraction(w)
-        if w == 0:
-            continue
-        row = rows[j % order]
-        for i in range(phi):
-            if row[i]:
-                out[i] += w * row[i]
-    return CyclotomicNumber(order, out)
+    out = [0] * euler_phi(order)
+    for e, v in terms:
+        if v:
+            for i, c in rows[e % order]:
+                out[i] += v * c
+    return _trusted_cyclo(order, tuple([Fraction(v, denominator) if v else _ZERO for v in out]))
 
 
 def root_of_unity(order: int, exponent: int = 1) -> CyclotomicNumber:
@@ -458,6 +476,8 @@ class PowerSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable):
+        """Public constructor: coerces and checks the length; arithmetic
+        inside this module uses _trusted_series."""
         cs = tuple(Fraction(c) for c in coeffs)
         if order < 0 or len(cs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients for order {order}")
@@ -474,7 +494,7 @@ class PowerSeries:
 
     @classmethod
     def zero(cls, order: int) -> "PowerSeries":
-        return cls(order, [Fraction(0)] * (order + 1))
+        return _trusted_series(order, (_ZERO,) * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
@@ -490,7 +510,7 @@ class PowerSeries:
     def truncate(self, order: int) -> "PowerSeries":
         if order > self.order:
             raise OrderMismatch(f"cannot extend order {self.order} to {order}")
-        return PowerSeries(order, self.coeffs[: order + 1])
+        return _trusted_series(order, self.coeffs[: order + 1])
 
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i]
@@ -505,7 +525,7 @@ class PowerSeries:
     __hash__ = None
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries(self.order, tuple(-c for c in self.coeffs))
+        return _trusted_series(self.order, tuple([-c for c in self.coeffs]))
 
     def _binop(self, other, fn) -> "PowerSeries":
         if isinstance(other, (int, Fraction)):
@@ -513,7 +533,7 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         k = min(self.order, other.order)
-        return PowerSeries(k, tuple(fn(self.coeffs[i], other.coeffs[i]) for i in range(k + 1)))
+        return _trusted_series(k, tuple(map(fn, self.coeffs[: k + 1], other.coeffs[: k + 1])))
 
     def __add__(self, other):
         return self._binop(other, lambda a, b: a + b)
@@ -529,11 +549,11 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            return PowerSeries(self.order, tuple(c * f for c in self.coeffs))
+            return _trusted_series(self.order, tuple([c * f for c in self.coeffs]))
         if not isinstance(other, PowerSeries):
             return NotImplemented
         k = min(self.order, other.order)
-        out = [Fraction(0)] * (k + 1)
+        out = [_ZERO] * (k + 1)
         for i, a in enumerate(self.coeffs[: k + 1]):
             if a == 0:
                 continue
@@ -541,14 +561,14 @@ class PowerSeries:
                 b = other.coeffs[j]
                 if b:
                     out[i + j] += a * b
-        return PowerSeries(k, out)
+        return _trusted_series(k, tuple(out))
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "PowerSeries":
         """Multiply by q**k, truncating at the same order."""
-        cs = (Fraction(0),) * k + self.coeffs
-        return PowerSeries(self.order, cs[: self.order + 1])
+        cs = (_ZERO,) * k + self.coeffs
+        return _trusted_series(self.order, cs[: self.order + 1])
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])
@@ -556,24 +576,33 @@ class PowerSeries:
         return f"PowerSeries(order={self.order}, [{head}{tail}])"
 
 
+def _trusted_series(order: int, coeffs: tuple) -> PowerSeries:
+    """Internal constructor for arithmetic results: coeffs must already be a
+    tuple of order + 1 Fractions."""
+    s = object.__new__(PowerSeries)
+    s.order = order
+    s.coeffs = coeffs
+    return s
+
+
 def series_invert(s: PowerSeries) -> PowerSeries:
     """The multiplicative inverse up to the order of s."""
     if s.coeffs[0] == 0:
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
     inv0 = 1 / s.coeffs[0]
-    out = [inv0] + [Fraction(0)] * s.order
+    out = [inv0] + [_ZERO] * s.order
     for i in range(1, s.order + 1):
         acc = Fraction(0)
         for j in range(1, i + 1):
             if s.coeffs[j]:
                 acc += s.coeffs[j] * out[i - j]
         out[i] = -acc * inv0
-    return PowerSeries(s.order, out)
+    return _trusted_series(s.order, tuple(out))
 
 
 @lru_cache(maxsize=8)
 def _inner_powers(coeffs: tuple, order: int):
-    g = PowerSeries(order, coeffs)
+    g = _trusted_series(order, coeffs)
     powers = [PowerSeries.one(order)]
     for _ in range(order):
         powers.append(powers[-1] * g)
@@ -586,7 +615,7 @@ def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
         raise NonzeroConstantTerm("inner series must have zero constant term")
     k = min(f.order, g.order)
     powers = _inner_powers(g.coeffs[: k + 1], k)
-    out = [Fraction(0)] * (k + 1)
+    out = [_ZERO] * (k + 1)
     for i, c in enumerate(f.coeffs[: k + 1]):
         if c == 0:
             continue
@@ -595,7 +624,7 @@ def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
         for j in range(i, k + 1):
             if pc[j]:
                 out[j] += c * pc[j]
-    return PowerSeries(k, out)
+    return _trusted_series(k, tuple(out))
 
 
 # ---------------------------------------------------------------------------

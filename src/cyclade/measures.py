@@ -1,10 +1,13 @@
 """Atomic measures on roots of unity with cyclotomic weights.
 
-A measure lives on the 2n-th roots of unity and is stored densely: weight j
-belongs to the atom at the j-th power of the primitive root.  All
-constructors enforce the four-fold symmetry (equal weight at an atom, its
-inverse, and their negatives) and real weights; signed and sub-probability
-measures are first-class, is_probability is a predicate.
+A measure lives on the N-th roots of unity, N even, and is stored by orbit:
+an atom u, its inverse and their negatives share one real weight, so only
+the weights at the powers r = 0 .. N/4 of the primitive root are kept, and
+the four-fold symmetry holds by construction.  The one place that validates
+symmetry and realness is the public constructor CyclotomicMeasure(N,
+weights), which takes the full list of N weights; every constructor in this
+module builds the orbit representatives directly.  Signed and
+sub-probability measures are first-class, is_probability is a predicate.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
@@ -20,10 +24,9 @@ from .exact import (
     QPolynomial,
     cyclo_as_rational,
     cyclo_embed,
+    cyclo_from_integers,
     cyclo_make,
     euler_phi,
-    real_part,
-    root_of_unity,
     sign_of_real,
     solve_linear_system,
 )
@@ -50,17 +53,30 @@ DENSITY_POLYS = {
     "gamma": QPolynomial([1, 0, 0, -1]),
 }
 
+# memo size for basic_measure and density_measure; a registry run uses about
+# 310 distinct atoms
+ATOM_CACHE_SIZE = 512
+
 # the constant in the level-1 affine-E formula; the printed /3 variant fails
 # the series check (see the discrepancy check in the verify registry)
 ETILDE_THM87_CONSTANT = Fraction(1, 2)
 
 
 class CyclotomicMeasure:
-    """Finitely supported measure on the support_order-th roots of unity."""
+    """Finitely supported measure on the support_order-th roots of unity.
 
-    __slots__ = ("order", "weights")
+    reps[r] is the weight shared by the atoms at the powers r, -r, r + N/2
+    and N/2 - r of the primitive N-th root, for 0 <= r <= N/4; every weight
+    is a real element of the N-th cyclotomic field, stored at order N.
+    Instances are immutable; _moment_terms is the integer form of reps that
+    moment() derives on first use.
+    """
+
+    __slots__ = ("order", "reps", "_moment_terms")
 
     def __init__(self, order: int, weights: Sequence):
+        """Build from the full list of N weights, checking that they are real
+        and equal on each orbit."""
         if order < 2 or order % 2:
             raise ValueError("support order must be even and at least 2")
         if len(weights) != order:
@@ -77,28 +93,37 @@ class CyclotomicMeasure:
             if w != ws[(-j) % order] or w != ws[(j + half) % order]:
                 raise SymmetryViolation(f"orbit of position {j} has unequal weights")
         self.order = order
-        self.weights = tuple(ws)
+        self.reps = tuple(ws[: order // 4 + 1])
+        self._moment_terms = None
 
     @property
     def support_order(self) -> int:
         return self.order
 
+    @property
+    def weights(self) -> Tuple[CyclotomicNumber, ...]:
+        """All N weights, position j holding the atom at the j-th power."""
+        return tuple(self.weight(j) for j in range(self.order))
+
     def weight(self, j: int) -> CyclotomicNumber:
-        return self.weights[j % self.order]
+        half = self.order // 2
+        r = j % half
+        return self.reps[min(r, half - r)]
+
+    def orbit_size(self, r: int) -> int:
+        """Number of atoms sharing the weight reps[r]."""
+        return 2 if r == 0 or 4 * r == self.order else 4
 
     def mass(self) -> Fraction:
-        total = CyclotomicNumber.zero(self.order)
-        for w in self.weights:
-            total = total + w
-        return cyclo_as_rational(total)
+        return cyclo_as_rational(moment(self, 0))
 
     def is_zero(self) -> bool:
-        return all(w.is_zero() for w in self.weights)
+        return all(w.is_zero() for w in self.reps)
 
     def is_probability(self) -> bool:
         if self.mass() != 1:
             return False
-        return all(sign_of_real(w) >= 0 for w in self.weights)
+        return all(sign_of_real(w) >= 0 for w in self.reps)
 
     def embed(self, order: int) -> "CyclotomicMeasure":
         if order % self.order:
@@ -106,21 +131,25 @@ class CyclotomicMeasure:
         if order == self.order:
             return self
         step = order // self.order
-        ws = [Fraction(0)] * order
-        for j, w in enumerate(self.weights):
-            ws[j * step] = w
-        return CyclotomicMeasure(order, ws)
+        reps = [CyclotomicNumber.zero(order)] * (order // 4 + 1)
+        for r, w in enumerate(self.reps):
+            if not w.is_zero():
+                reps[r * step] = cyclo_embed(w, order)
+        return _from_reps(order, reps)
 
     def minimal_support_order(self) -> Optional[int]:
-        """Smallest even N such that every atom is an N-th root; None if zero."""
+        """Smallest even N such that every atom is an N-th root; None if zero.
+
+        An orbit holds u and -u, and one of their orders is even, so the
+        least common multiple of the atom orders is already even."""
+        order, half = self.order, self.order // 2
         acc, found = 1, False
-        for j, w in enumerate(self.weights):
+        for r, w in enumerate(self.reps):
             if not w.is_zero():
                 found = True
-                acc = math.lcm(acc, self.order // math.gcd(self.order, j))
-        if not found:
-            return None
-        return acc if acc % 2 == 0 else 2 * acc
+                for j in (r, r + half):
+                    acc = math.lcm(acc, order // math.gcd(order, j))
+        return acc if found else None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclotomicMeasure):
@@ -130,8 +159,18 @@ class CyclotomicMeasure:
     __hash__ = None
 
     def __repr__(self):
-        nz = sum(1 for w in self.weights if not w.is_zero())
+        nz = sum(self.orbit_size(r) for r, w in enumerate(self.reps) if not w.is_zero())
         return f"CyclotomicMeasure(order={self.order}, atoms={nz})"
+
+
+def _from_reps(order: int, reps: Sequence[CyclotomicNumber]) -> CyclotomicMeasure:
+    """Internal constructor from the order // 4 + 1 orbit weights, each real
+    and already at the given order."""
+    e = object.__new__(CyclotomicMeasure)
+    e.order = order
+    e.reps = tuple(reps)
+    e._moment_terms = None
+    return e
 
 
 @dataclass(frozen=True)
@@ -177,17 +216,21 @@ class ExpansionResult:
 # Constructors
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=ATOM_CACHE_SIZE)
 def basic_measure(kind: str, n: int) -> CyclotomicMeasure:
     """The four uniform families: on the 2n-th roots, the odd 4n-th roots,
-    and the two ternary variants obtained from the order-3n refinements."""
+    and the two ternary variants obtained from the order-3n refinements.
+
+    Memoized: the result is shared and must not be mutated."""
     if n < 1:
         raise ValueError("parameter must be positive")
     if kind == "d":
-        w = Fraction(1, 2 * n)
-        return CyclotomicMeasure(2 * n, [w] * (2 * n))
+        w = CyclotomicNumber.from_rational(Fraction(1, 2 * n), 2 * n)
+        return _from_reps(2 * n, [w] * (n // 2 + 1))
     if kind == "dprime":
-        w = Fraction(1, 2 * n)
-        return CyclotomicMeasure(4 * n, [w if j % 2 else Fraction(0) for j in range(4 * n)])
+        w = CyclotomicNumber.from_rational(Fraction(1, 2 * n), 4 * n)
+        zero = CyclotomicNumber.zero(4 * n)
+        return _from_reps(4 * n, [w if r % 2 else zero for r in range(n + 1)])
     if kind == "ddoubleprime":
         return lincomb([(Fraction(3, 2), basic_measure("dprime", 3 * n)),
                         (Fraction(-1, 2), basic_measure("dprime", n))])
@@ -197,25 +240,32 @@ def basic_measure(kind: str, n: int) -> CyclotomicMeasure:
     raise ValueError(f"unknown base kind {kind!r}")
 
 
+@lru_cache(maxsize=ATOM_CACHE_SIZE)
 def density_measure(poly: QPolynomial, kind: str, n: int) -> CyclotomicMeasure:
     """Multiply a base uniform measure by the density Re(P(u^2)) atom by atom.
 
-    Signed, null and sub-probability results are allowed (these arise for
-    n <= deg P, where the density vanishes or folds onto smaller supports).
+    At the atom u = z^r, z the primitive root, the weight is w/2 times the
+    sum of c_i (z^(2ir) + z^(-2ir)) over the coefficients c_i of P, built by
+    one cyclo_make.  Signed, null and sub-probability results are allowed
+    (these arise for n <= deg P, where the density vanishes or folds onto
+    smaller supports).  Memoized: the result is shared and must not be
+    mutated.
     """
     base = basic_measure(kind, n)
     order = base.order
-    ws = []
-    for j, w in enumerate(base.weights):
+    reps = []
+    for r, w in enumerate(base.reps):
         if w.is_zero():
-            ws.append(w)
-        else:
-            value = poly.evaluate(root_of_unity(order, (2 * j) % order))
-            if isinstance(value, Fraction):
-                ws.append(w * value)
-            else:
-                ws.append(w * real_part(value))
-    return CyclotomicMeasure(order, ws)
+            reps.append(w)
+            continue
+        half_w = cyclo_as_rational(w) / 2
+        exps: Dict[int, Fraction] = {}
+        for i, c in enumerate(poly.coeffs):
+            if c:
+                for e in ((2 * i * r) % order, (-2 * i * r) % order):
+                    exps[e] = exps.get(e, 0) + c * half_w
+        reps.append(cyclo_make(order, exps))
+    return _from_reps(order, reps)
 
 
 def lincomb(terms: Sequence[Tuple[Fraction, CyclotomicMeasure]]) -> CyclotomicMeasure:
@@ -225,14 +275,14 @@ def lincomb(terms: Sequence[Tuple[Fraction, CyclotomicMeasure]]) -> CyclotomicMe
     order = 1
     for _, m in terms:
         order = math.lcm(order, m.order)
-    ws = [CyclotomicNumber.zero(order) for _ in range(order)]
+    reps = [CyclotomicNumber.zero(order)] * (order // 4 + 1)
     for scalar, m in terms:
         scalar = Fraction(scalar)
-        lifted = m.embed(order)
-        for j, w in enumerate(lifted.weights):
+        step = order // m.order
+        for r, w in enumerate(m.reps):
             if not w.is_zero():
-                ws[j] = ws[j] + w * scalar
-    return CyclotomicMeasure(order, ws)
+                reps[r * step] = reps[r * step] + cyclo_embed(w, order) * scalar
+    return _from_reps(order, reps)
 
 
 def measure_equal(a: CyclotomicMeasure, b: CyclotomicMeasure) -> bool:
@@ -242,12 +292,14 @@ def measure_equal(a: CyclotomicMeasure, b: CyclotomicMeasure) -> bool:
 
 def first_atom_difference(a: CyclotomicMeasure, b: CyclotomicMeasure):
     """None when equal; otherwise (position, weight_a, weight_b) at the
-    common support order."""
+    common support order.  Each representative r is the least position of
+    its orbit, so the first differing representative is the first
+    differing position."""
     order = math.lcm(a.order, b.order)
     a, b = a.embed(order), b.embed(order)
-    for j, (x, y) in enumerate(zip(a.weights, b.weights)):
+    for r, (x, y) in enumerate(zip(a.reps, b.reps)):
         if x != y:
-            return j, x, y
+            return r, x, y
     return None
 
 
@@ -256,18 +308,33 @@ def first_atom_difference(a: CyclotomicMeasure, b: CyclotomicMeasure):
 # ---------------------------------------------------------------------------
 
 def moment(e: CyclotomicMeasure, k: int) -> CyclotomicNumber:
-    """The k-th moment: the weighted sum of k-th powers of the atoms."""
+    """The k-th moment: the weighted sum of k-th powers of the atoms.
+
+    Each orbit holds u and -u, so an odd moment is exactly zero.  For even k
+    the orbit of r contributes orbit_size/2 * w_r * (z^(rk) + z^(-rk)).
+    """
     order = e.order
-    acc: Dict[int, Fraction] = {}
-    for j, w in enumerate(e.weights):
-        if w.is_zero():
-            continue
-        shift = (j * k) % order
-        for i, c in enumerate(w.coeffs):
-            if c:
+    if k % 2:
+        return CyclotomicNumber.zero(order)
+    if e._moment_terms is None:
+        # integer coordinates over one denominator, computed once per measure
+        den = math.lcm(*[c.denominator for w in e.reps for c in w.coeffs if c])
+        orbits = []
+        for r, w in enumerate(e.reps):
+            mult = e.orbit_size(r) // 2
+            terms = [(i, mult * c.numerator * (den // c.denominator))
+                     for i, c in enumerate(w.coeffs) if c]
+            if terms:
+                orbits.append((r, terms))
+        e._moment_terms = den, orbits
+    den, orbits = e._moment_terms
+    acc: Dict[int, int] = {}
+    for r, terms in orbits:
+        for shift in ((r * k) % order, (-r * k) % order):
+            for i, v in terms:
                 key = (i + shift) % order
-                acc[key] = acc.get(key, Fraction(0)) + c
-    return cyclo_make(order, acc)
+                acc[key] = acc.get(key, 0) + v
+    return cyclo_from_integers(order, acc.items(), den)
 
 
 def t_series_of_measure(e: CyclotomicMeasure, order: int) -> PowerSeries:
@@ -275,7 +342,7 @@ def t_series_of_measure(e: CyclotomicMeasure, order: int) -> PowerSeries:
 
     Coefficient r of 1 + T(q)(1-q) is twice the 2r-th moment; the moments
     are periodic in r with period half the support order, and every one must
-    be rational (NotRational signals a non-symmetric input).
+    be rational (NotRational otherwise).
     """
     period = e.order // 2
     block = [2 * cyclo_as_rational(moment(e, 2 * k)) for k in range(min(order, period - 1) + 1)]
@@ -289,23 +356,20 @@ def t_series_of_measure(e: CyclotomicMeasure, order: int) -> PowerSeries:
 
 
 def pushforward_real(e: CyclotomicMeasure) -> RealMeasure:
-    """Group atoms u by the exact real number (u + 1/u)^2 and add weights."""
+    """Map atoms u to the exact real number (u + 1/u)^2 and add weights.
+
+    (u + 1/u)^2 = 2 + u^2 + u^-2 is constant on an orbit and tells orbits
+    apart, so each nonzero orbit gives one atom carrying its total weight.
+    """
     order = e.order
-    half = order // 2
-    for j, w in enumerate(e.weights):
-        if w != e.weights[(-j) % order] or w != e.weights[(j + half) % order]:
-            raise SymmetryViolation(f"orbit of position {j} has unequal weights")
-    groups: Dict[tuple, list] = {}
-    for j, w in enumerate(e.weights):
+    atoms = []
+    for r, w in enumerate(e.reps):
         if w.is_zero():
             continue
-        exps = {0: Fraction(2)}
-        for exp in ((2 * j) % order, (-2 * j) % order):
-            exps[exp] = exps.get(exp, Fraction(0)) + 1
-        x = cyclo_make(order, exps)
-        entry = groups.setdefault(x.coeffs, [x, CyclotomicNumber.zero(order)])
-        entry[1] = entry[1] + w
-    atoms = [(x, w) for x, w in groups.values() if not w.is_zero()]
+        exps = {0: 2}
+        for exp in ((2 * r) % order, (-2 * r) % order):
+            exps[exp] = exps.get(exp, 0) + 1
+        atoms.append((cyclo_make(order, exps), w * e.orbit_size(r)))
     atoms.sort(key=lambda xw: float(xw[0].numeric(dps=20).real))
     return RealMeasure(tuple(atoms))
 
@@ -473,13 +537,14 @@ def expand_over_level(e: CyclotomicMeasure, limit: int) -> Optional[dict]:
         else:
             poly = QPolynomial([1] + [0] * (l - 1) + [-1])
             basis.append(density_measure(poly, "d", m).embed(order))
-    positions = [t * (order // support) for t in range(support // 2 + 1)]
+    # orbit representatives of the support-th roots, at the measure's order
+    positions = [t * (order // support) for t in range(support // 4 + 1)]
     phi = euler_phi(order)
     rows, rhs = [], []
     for j in positions:
         for i in range(phi):
-            row = [b.weights[j].coeffs[i] for b in basis]
-            value = e.weights[j].coeffs[i]
+            row = [b.reps[j].coeffs[i] for b in basis]
+            value = e.reps[j].coeffs[i]
             if any(row) or value:
                 rows.append(row)
                 rhs.append(value)

@@ -115,6 +115,25 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["xi-expand", "--expr", "xi(2:3)", "--order", "-1"],
+    ["measure-tseries", "--expr", "d_1", "--order", "-1"],
+    ["expand", "--expr", "alpha_5", "--support", "0"],
+    ["graph-loops", "--family", "A", "--param", "3", "--order", "-2"],
+    ["measure-moments", "--expr", "d_1", "--count", "-3"],
+])
+def test_out_of_range_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert f"argument {argv[-2]}: must be at least" in errors[0]
+
+
 def test_expression_error_exit(capsys):
     code, _, err = run_cli(capsys, "xi-expand", "--expr", "xi(1:2")
     assert code == 2

@@ -129,6 +129,32 @@ def test_sign_of_real():
         sign_of_real(root_of_unity(4))
 
 
+def test_arithmetic_coordinates_are_fractions():
+    a = cyclo_make(12, {0: 3, 1: 2, 5: -1})  # int weights
+    b = cyclo_make(8, {0: Fraction(1, 2), 3: 1})
+    for z in (a, b, a + b, a - b, -a, a * b, a * 3, 2 * b, a + 1, 1 - b,
+              cyclo_embed(a, 36), cyclo_conj(a), real_part(b)):
+        assert all(type(c) is Fraction for c in z.coeffs)
+    s = PowerSeries.from_list([1, 2, 3], 5)
+    t = PowerSeries(5, [0, 1, 0, 0, 0, 1])
+    for series in (s + t, s - t, -s, s * t, s * 2, 3 - s, s + 1, s.shift(2),
+                   s.truncate(3), series_invert(s), series_compose(s, t),
+                   PowerSeries.zero(4)):
+        assert all(type(c) is Fraction for c in series.coeffs)
+
+
+def test_public_constructors_coerce_and_check_length():
+    z = CyclotomicNumber(4, [1, 2])
+    assert z.coeffs == (Fraction(1), Fraction(2))
+    assert all(type(c) is Fraction for c in z.coeffs)
+    with pytest.raises(ValueError):
+        CyclotomicNumber(4, [1, 2, 3])
+    s = PowerSeries(2, [1, 0, 2])
+    assert all(type(c) is Fraction for c in s.coeffs)
+    with pytest.raises(ValueError):
+        PowerSeries(2, [1, 0])
+
+
 _orders = st.sampled_from([1, 2, 3, 4, 6, 8, 12])
 
 

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclade.exact import CyclotomicNumber, cyclo_make, root_of_unity
+from cyclade.exact import CyclotomicNumber, QPolynomial, cyclo_make, real_part, root_of_unity
 from cyclade.exprs import parse_measure_expr, parse_xi_expr
 from cyclade.graphs import GraphFamily, build_ade, loop_counts
 from cyclade.measures import (
+    BASE_KINDS,
     DENSITY_POLYS,
     CyclotomicMeasure,
     SupportTooLarge,
@@ -106,6 +107,50 @@ def test_measure_equal_examples():
     assert measure_equal(lincomb([(Fraction(2), density_measure(DENSITY_POLYS["beta"], "dprime", 3))]),
                          parse_measure_expr("3*d'_3 - d'_1"))
     assert not measure_equal(basic_measure("d", 1), basic_measure("d", 2))
+
+
+def _density_by_horner(poly, kind, n):
+    """The former route to density weights, kept as an oracle: Horner
+    evaluation of P at u^2 in the cyclotomic field, its real part, times the
+    base weight, at every position."""
+    base = basic_measure(kind, n)
+    out = []
+    for j, w in enumerate(base.weights):
+        if w.is_zero():
+            out.append(w)
+            continue
+        value = poly.evaluate(root_of_unity(base.order, (2 * j) % base.order))
+        out.append(w * (value if isinstance(value, Fraction) else real_part(value)))
+    return out
+
+
+@pytest.mark.parametrize("kind", BASE_KINDS)
+def test_density_matches_horner_oracle(kind):
+    # alpha, beta, gamma are 1 - u^2, 1 - u^4, 1 - u^6; add higher 1 - u^(2l)
+    polys = list(DENSITY_POLYS.values()) + [QPolynomial([1] + [0] * (l - 1) + [-1])
+                                            for l in (5, 8)]
+    for poly in polys:
+        for n in range(1, 21):
+            e = density_measure(poly, kind, n)
+            expected = _density_by_horner(poly, kind, n)
+            assert len(expected) == e.order
+            for j, value in enumerate(expected):
+                assert e.weight(j) == value, (poly, kind, n, j)
+
+
+def test_memoized_atoms_are_shared_and_unchanged():
+    a = density_measure(DENSITY_POLYS["alpha"], "d", 6)
+    d = basic_measure("dprime", 3)
+    assert density_measure(DENSITY_POLYS["alpha"], "d", 6) is a
+    assert basic_measure("dprime", 3) is d
+    assert parse_measure_expr("alpha_6") is a
+    before = [(m.order, m.reps, [w.coeffs for w in m.reps]) for m in (a, d)]
+    lincomb([(Fraction(-2), a), (Fraction(3), d)])
+    a.embed(36)
+    d.embed(24)
+    parse_measure_expr("2*alpha_6 - d'_3 + alpha_6/5")
+    moment(a, 4)
+    assert [(m.order, m.reps, [w.coeffs for w in m.reps]) for m in (a, d)] == before
 
 
 def test_symmetry_enforced():
@@ -318,6 +363,20 @@ def test_lincomb_properties(terms):
         for s, e in built[1:]:
             expected = expected + t_series_of_measure(e, 16) * s
         assert t_series_of_measure(combo, 16) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                          _atoms), min_size=1, max_size=3))
+def test_moment_matches_dense_sum(terms):
+    combo = lincomb([(s, _build_atom(a)) for s, a in terms])
+    n = combo.order
+    weights = combo.weights
+    for k in range(n):
+        dense = CyclotomicNumber.zero(n)
+        for j, w in enumerate(weights):
+            dense = dense + w * root_of_unity(n, j * k)
+        assert moment(combo, k) == dense
 
 
 @settings(max_examples=25, deadline=None)
