@@ -230,15 +230,29 @@ def format_measure_expr(node) -> str:
     raise ValueError(f"bad node {node!r}")
 
 
+# Largest support order (the order of the roots of unity carrying the atoms)
+# of one parsed atom; beyond it a single atom takes seconds and then runs away.
+MAX_ATOM_SUPPORT = 1000
+
+# support order of an atom over its parameter n, by number of primes
+_SUPPORT_FACTOR = (2, 4, 12, 6)
+
+
 def _eval_atom(name: str, primes: int, n: int):
     if n < 1:
         raise EvaluationError(f"atom parameter must be positive: {name}_{n}")
-    if name == "d":
-        if primes > 3:
-            raise EvaluationError(f"'d' takes at most three primes, got {primes}")
-        return basic_measure(BASE_KINDS[primes], n)
-    if primes > 2:
+    if name == "d" and primes > 3:
+        raise EvaluationError(f"'d' takes at most three primes, got {primes}")
+    if name != "d" and primes > 2:
         raise EvaluationError(f"{name!r} takes at most two primes, got {primes}")
+    support = _SUPPORT_FACTOR[primes] * n
+    if support > MAX_ATOM_SUPPORT:
+        marks = "'" * primes
+        raise EvaluationError(
+            f"atom {name}{marks}_{n} has support order {support}, "
+            f"above the limit {MAX_ATOM_SUPPORT}")
+    if name == "d":
+        return basic_measure(BASE_KINDS[primes], n)
     return density_measure(DENSITY_POLYS[name], BASE_KINDS[primes], n)
 
 

@@ -137,16 +137,16 @@ def build_ade(family: GraphFamily) -> RootedBipartiteGraph:
 def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:
     """Numbers of closed walks of even length based at the root.
 
-    Entry k counts the 2k-walks; computed by iterated exact matrix-vector
-    products of the adjacency with the root indicator.
+    Entry k counts the 2k-walks; computed by iterated exact products of the
+    adjacency with the root indicator, each vertex summing over its
+    neighbour list.
     """
-    n = graph.vertex_count
-    adj = graph.adjacency
-    vec = [0] * n
+    neighbours = [[(v, m) for v, m in enumerate(row) if m] for row in graph.adjacency]
+    vec = [0] * graph.vertex_count
     vec[graph.root] = 1
     out = [1]
     for _ in range(count):
         for _ in range(2):
-            vec = [sum(adj[u][v] * vec[v] for v in range(n) if vec[v]) for u in range(n)]
+            vec = [sum(m * vec[v] for v, m in nbrs) for nbrs in neighbours]
         out.append(vec[graph.root])
     return out

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
+from math import lcm
 from typing import NamedTuple, Tuple
 
-from .exact import PowerSeries, QPolynomial, series_compose, series_invert
+from .exact import PowerSeries, QPolynomial
 from .graphs import GraphFamily, UnsupportedFamily
 
 
@@ -99,42 +100,73 @@ def xi_expand(expr: XiExpression, order: int) -> PowerSeries:
 # Poincare series -> theta series -> T series
 # ---------------------------------------------------------------------------
 
+def _scaled_counts(counts: PowerSeries, order: int) -> Tuple[list, int]:
+    """Validate the loop counts and return (c, D): the counts up to the order
+    as integers c_i = D * counts_i over their common denominator D, which is
+    1 for genuine loop counts."""
+    if counts.order < order:
+        raise ValueError("need loop counts up to the requested order")
+    if counts.coeffs[0] != 1:
+        raise ValueError("loop count sequence must start at 1")
+    cs = counts.coeffs[: order + 1]
+    d = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _unscaled(numerators: list, d: int) -> PowerSeries:
+    return PowerSeries(len(numerators) - 1, [Fraction(p, d) for p in numerators])
+
+
 def theta_from_poincare_formula(counts: PowerSeries, order: int) -> PowerSeries:
     """Theta coefficients from the loop counts via the alternating binomial
-    sum.
+    sum, theta_r = sum_k (-1)^(r-k) 2r/(r+k) C(r+k, r-k) c_k.
 
     The variable change behind theta contributes a standalone linear term on
     top of the sum, and the sum's r = 0 term is indeterminate; both boundary
     values are fixed so that this path agrees with the substitution path.
+    The sum runs in integers over the common denominator of the counts.
     """
-    if counts.order < order:
-        raise ValueError("need loop counts up to the requested order")
-    if counts.coeffs[0] != 1:
-        raise ValueError("loop count sequence must start at 1")
-    out = [counts.coeffs[0]]
+    c, d = _scaled_counts(counts, order)
+    signed = [x if k % 2 == 0 else -x for k, x in enumerate(c)]
+    out = [c[0]]
     for r in range(1, order + 1):
-        acc = Fraction(0)
+        acc = 0
+        binom = 1  # C(r+k, r-k) along the row
         for k in range(r + 1):
-            term = Fraction(2 * r, r + k) * comb(r + k, r - k) * counts.coeffs[k]
-            acc += term if (r - k) % 2 == 0 else -term
-        if r == 1:
-            acc += 1
-        out.append(acc)
-    return PowerSeries(order, out)
+            # 2r/(r+k) C(r+k, r-k) = C(r+k, 2k) + C(r+k-1, 2k), an integer
+            acc += 2 * r * binom // (r + k) * signed[k]
+            binom = binom * (r + k + 1) * (r - k) // ((2 * k + 1) * (2 * k + 2))
+        out.append(acc if r % 2 == 0 else -acc)
+    if order >= 1:
+        out[1] += d
+    return _unscaled(out, d)
+
+
+def _over_one_plus_q(a: list) -> list:
+    """Division by (1 + q) at the same length: a running alternating sum."""
+    return list(accumulate(a, lambda s, x: x - s))
 
 
 def theta_from_poincare_subst(counts: PowerSeries, order: int) -> PowerSeries:
     """Theta series computed literally: q plus (1-q)/(1+q) times the loop
-    generating function evaluated at q/(1+q)^2."""
-    if counts.order < order:
-        raise ValueError("need loop counts up to the requested order")
-    if counts.coeffs[0] != 1:
-        raise ValueError("loop count sequence must start at 1")
-    one_plus_q = PowerSeries.from_list([1, 1], order)
-    inner = series_invert(one_plus_q * one_plus_q).shift(1)
-    composed = series_compose(PowerSeries.from_list(counts.coeffs, order), inner)
-    prefactor = PowerSeries.from_list([1, -1], order) * series_invert(one_plus_q)
-    return prefactor * composed + PowerSeries.monomial(1, order)
+    generating function F evaluated at g = q/(1+q)^2.
+
+    F(g) is evaluated by Horner's rule in g, h <- c_i + g*h, so no power of g
+    is formed.  Multiplying by g is a shift followed by two divisions by
+    (1+q), each a running alternating sum; the prefactor is one difference
+    and one more division.  All of it runs in integers over the common
+    denominator of the counts, in O(order^2) operations.
+    """
+    c, d = _scaled_counts(counts, order)
+    h = []
+    for i in range(order, -1, -1):
+        # h will still be multiplied by g^i, so only its first
+        # order - i + 1 terms can reach the result
+        h = [c[i]] + _over_one_plus_q(_over_one_plus_q(h))
+    out = _over_one_plus_q([x - y for x, y in zip(h, [0] + h)])
+    if order >= 1:
+        out[1] += d
+    return _unscaled(out, d)
 
 
 def t_from_theta(theta: PowerSeries) -> PowerSeries:

@@ -134,6 +134,22 @@ def test_out_of_range_arguments(capsys, argv):
     assert f"argument {argv[-2]}: must be at least" in errors[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure-tseries", "--expr", "d_2000"],
+    ["measure-show", "--expr", "gamma_2000"],
+    ["measure-moments", "--expr", "alpha_12 + d''_84"],
+    ["level", "--expr", "beta'_251"],
+])
+def test_atom_support_limit(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: atom ") and "above the limit 1000" in lines[0]
+
+
 def test_expression_error_exit(capsys):
     code, _, err = run_cli(capsys, "xi-expand", "--expr", "xi(1:2")
     assert code == 2

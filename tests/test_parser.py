@@ -1,6 +1,7 @@
 import pytest
 
 from cyclade.exprs import (
+    MAX_ATOM_SUPPORT,
     EvaluationError,
     ParseError,
     format_measure_expr,
@@ -78,6 +79,10 @@ def test_parse_measure_scalars():
     assert measure_equal(a, b)
 
 
+def test_atom_support_limit_is_inclusive():
+    assert parse_measure_expr("d'_250").order == MAX_ATOM_SUPPORT == 1000
+
+
 def test_parse_measure_errors():
     with pytest.raises(EvaluationError):
         parse_measure_expr("d''''_2")
@@ -89,6 +94,8 @@ def test_parse_measure_errors():
         parse_measure_expr("3/2")
     with pytest.raises(EvaluationError):
         parse_measure_expr("d_1 + 2")
+    with pytest.raises(EvaluationError, match="support order 1002"):
+        parse_measure_expr("d'''_167")
     with pytest.raises(ParseError):
         parse_measure_expr("delta_1")
     with pytest.raises(ParseError):

@@ -1,8 +1,12 @@
-import pytest
+from fractions import Fraction
+from math import comb
 
-from cyclade.exact import PowerSeries, QPolynomial
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cyclade.exact import PowerSeries, QPolynomial, series_compose, series_invert
 from cyclade.exprs import parse_xi_expr
-from cyclade.graphs import GraphFamily, build_ade, loop_counts
+from cyclade.graphs import FAMILY_TAGS, GraphFamily, build_ade, loop_counts
 from cyclade.transforms import (
     DegreeTooLarge,
     UnsupportedFamily,
@@ -84,6 +88,69 @@ def test_theta_integrality_and_head():
         assert theta.coeffs[0] == 1
         assert all(c.denominator == 1 for c in theta.coeffs)
         assert theta == theta_from_poincare_subst(counts, 24)
+
+
+# Fraction implementations of both routes, used as oracles: the rational
+# binomial sum, and series composition with the inner series q/(1+q)^2.
+
+def _oracle_formula(counts, order):
+    out = [counts.coeffs[0]]
+    for r in range(1, order + 1):
+        acc = Fraction(0)
+        for k in range(r + 1):
+            term = Fraction(2 * r, r + k) * comb(r + k, r - k) * counts.coeffs[k]
+            acc += term if (r - k) % 2 == 0 else -term
+        if r == 1:
+            acc += 1
+        out.append(acc)
+    return PowerSeries(order, out)
+
+
+def _oracle_subst(counts, order):
+    one_plus_q = PowerSeries.from_list([1, 1], order)
+    inner = series_invert(one_plus_q * one_plus_q).shift(1)
+    composed = series_compose(PowerSeries.from_list(counts.coeffs, order), inner)
+    prefactor = PowerSeries.from_list([1, -1], order) * series_invert(one_plus_q)
+    return prefactor * composed + PowerSeries.monomial(1, order)
+
+
+def _assert_matches_oracles(counts, order):
+    for route, oracle in ((theta_from_poincare_formula, _oracle_formula),
+                          (theta_from_poincare_subst, _oracle_subst)):
+        got = route(counts, order)
+        assert got == oracle(counts, order)
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=40).flatmap(lambda order: st.tuples(
+    st.just(order),
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12),
+             min_size=order, max_size=order + 3))))
+def test_theta_routes_match_fraction_oracles(case):
+    order, tail = case
+    _assert_matches_oracles(PowerSeries.from_list([1] + tail), order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_theta_routes_boundary_orders(order):
+    # non-integer counts, so the common denominator is 6
+    counts = PowerSeries.from_list([1, Fraction(1, 2), Fraction(-2, 3), 5])
+    _assert_matches_oracles(counts, order)
+    theta = theta_from_poincare_subst(counts, order)
+    assert theta == theta_from_poincare_formula(counts, order)
+    assert theta.order == order and theta.coeffs[0] == 1
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_theta_routes_give_the_table_at_order_160(tag):
+    fam = GraphFamily(tag, {"A": 9, "Atilde": 10, "D": 9, "Dtilde": 9}.get(tag, 0))
+    counts = PowerSeries.from_list(loop_counts(build_ade(fam), 160))
+    expected = xi_expand(theorem_2_5_lookup(fam), 160)
+    for route in (theta_from_poincare_formula, theta_from_poincare_subst):
+        theta = route(counts, 160)
+        assert all(c.denominator == 1 for c in theta.coeffs)
+        assert t_from_theta(theta) == expected
 
 
 def test_t_from_theta_degenerate():
