@@ -631,38 +631,65 @@ def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
 # Exact linear algebra
 # ---------------------------------------------------------------------------
 
+class _ColumnElimination:
+    """Gaussian elimination of A x = b fed one column of A at a time, so a
+    caller can ask for a solution after any prefix of the columns.
+
+    Columns and b map row keys to values.  A column is reduced against the
+    pivot vectors kept so far, each stored with its combination of the
+    columns; a nonzero remainder becomes a new pivot, and b is reduced
+    against it at once, keeping b = A x + residual.
+    """
+
+    def __init__(self, rhs: Mapping):
+        self._ncols = 0
+        self._pivots: list = []  # (pivot row, vector, its combination of the columns)
+        self._residual = {k: v for k, v in rhs.items() if v}
+        self._x: dict = {}
+
+    def add_column(self, col: Mapping) -> None:
+        vec = {k: v for k, v in col.items() if v}
+        combo = {self._ncols: Fraction(1)}
+        self._ncols += 1
+        for row, pvec, pcombo in self._pivots:
+            if row in vec:
+                f = vec[row] / pvec[row]
+                _subtract_multiple(vec, f, pvec)
+                _subtract_multiple(combo, f, pcombo)
+        if vec:
+            row = next(iter(vec))
+            coord = self._residual.get(row, _ZERO) / vec[row]
+            _subtract_multiple(self._residual, coord, vec)
+            _subtract_multiple(self._x, -coord, combo)
+            self._pivots.append((row, vec, combo))
+
+    def solution(self) -> Optional[list]:
+        """The canonical solution over the columns added so far, free
+        variables zero, or None while the system is inconsistent."""
+        if self._residual:
+            return None
+        return [self._x.get(j, _ZERO) for j in range(self._ncols)]
+
+
+def _subtract_multiple(vec: dict, f, other: Mapping) -> None:
+    """vec -= f * other in place, dropping the entries that become zero."""
+    for k, v in other.items():
+        w = vec.get(k, _ZERO) - f * v
+        if w:
+            vec[k] = w
+        else:
+            vec.pop(k, None)
+
+
 def solve_linear_system(rows: Sequence[Sequence[Fraction]],
                         rhs: Sequence[Fraction]) -> Optional[list]:
-    """Solve A x = b over the rationals by reduced row echelon form.
+    """Solve A x = b over the rationals by column-at-a-time elimination.
 
-    Returns the canonical solution with free variables set to zero, or None
-    when the system is inconsistent.
+    Returns the canonical solution, Fractions with the free variables zero
+    and the greedy pivot columns carrying the coefficients, or None when the
+    system is inconsistent; no rows give [].
     """
-    m = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    if not m:
-        return []
-    ncols = len(m[0]) - 1
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][ncols]
-    return sol
+    elim = _ColumnElimination({i: Fraction(rhs[i]) for i in range(len(rows))})
+    for j in range(len(rows[0]) if rows else 0):
+        elim.add_column({i: Fraction(row[j]) for i, row in enumerate(rows)})
+    return elim.solution()

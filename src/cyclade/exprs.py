@@ -8,6 +8,7 @@ to a CyclotomicMeasure on demand.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List
 
@@ -231,7 +232,8 @@ def format_measure_expr(node) -> str:
 
 
 # Largest support order (the order of the roots of unity carrying the atoms)
-# of one parsed atom; beyond it a single atom takes seconds and then runs away.
+# of one parsed atom, and of a sum, which lives on the lcm of its terms'
+# supports; beyond it one measure takes seconds and then runs away.
 MAX_ATOM_SUPPORT = 1000
 
 # support order of an atom over its parameter n, by number of primes
@@ -298,6 +300,10 @@ def _add(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
     if isinstance(a, CyclotomicMeasure) and isinstance(b, CyclotomicMeasure):
+        support = math.lcm(a.order, b.order)
+        if support > MAX_ATOM_SUPPORT:
+            raise EvaluationError(
+                f"sum has support order {support}, above the limit {MAX_ATOM_SUPPORT}")
         return lincomb([(Fraction(1), a), (Fraction(1), b)])
     raise EvaluationError("cannot add a scalar and a measure")
 

@@ -26,9 +26,9 @@ from .exact import (
     cyclo_embed,
     cyclo_from_integers,
     cyclo_make,
-    euler_phi,
     sign_of_real,
     solve_linear_system,
+    _ColumnElimination,
 )
 from .graphs import GraphFamily, UnsupportedFamily
 
@@ -63,7 +63,7 @@ ETILDE_THM87_CONSTANT = Fraction(1, 2)
 
 
 class CyclotomicMeasure:
-    """Finitely supported measure on the support_order-th roots of unity.
+    """Finitely supported measure on the N-th roots of unity, N = order.
 
     reps[r] is the weight shared by the atoms at the powers r, -r, r + N/2
     and N/2 - r of the primitive N-th root, for 0 <= r <= N/4; every weight
@@ -95,10 +95,6 @@ class CyclotomicMeasure:
         self.order = order
         self.reps = tuple(ws[: order // 4 + 1])
         self._moment_terms = None
-
-    @property
-    def support_order(self) -> int:
-        return self.order
 
     @property
     def weights(self) -> Tuple[CyclotomicNumber, ...]:
@@ -179,9 +175,6 @@ class RealMeasure:
     cyclotomic reals, listed in increasing numeric order."""
 
     atoms: Tuple[Tuple[CyclotomicNumber, CyclotomicNumber], ...]
-
-    def locations(self) -> list:
-        return [x for x, _ in self.atoms]
 
     def total_mass(self) -> CyclotomicNumber:
         total = CyclotomicNumber.zero(1)
@@ -378,16 +371,8 @@ def pushforward_real(e: CyclotomicMeasure) -> RealMeasure:
 # The measure table for the ten graph families
 # ---------------------------------------------------------------------------
 
-def _alpha(kind: str, n: int) -> CyclotomicMeasure:
-    return density_measure(DENSITY_POLYS["alpha"], kind, n)
-
-
-def _beta(kind: str, n: int) -> CyclotomicMeasure:
-    return density_measure(DENSITY_POLYS["beta"], kind, n)
-
-
-def _gamma(kind: str, n: int) -> CyclotomicMeasure:
-    return density_measure(DENSITY_POLYS["gamma"], kind, n)
+def _density(name: str, kind: str, n: int) -> CyclotomicMeasure:
+    return density_measure(DENSITY_POLYS[name], kind, n)
 
 
 def candidate_measure(family: GraphFamily, variant: str) -> CyclotomicMeasure:
@@ -400,7 +385,7 @@ def candidate_measure(family: GraphFamily, variant: str) -> CyclotomicMeasure:
     if tag == "A":
         if m < 2:
             raise UnsupportedFamily("A measure table needs at least 2 vertices")
-        return _alpha("d", m + 1)
+        return _density("alpha", "d", m + 1)
     if tag == "Atilde":
         if m < 2 or m % 2:
             raise UnsupportedFamily("Atilde measure table needs an even vertex count")
@@ -408,7 +393,7 @@ def candidate_measure(family: GraphFamily, variant: str) -> CyclotomicMeasure:
     if tag == "D":
         if m < 3:
             raise UnsupportedFamily("D measure table needs at least 3 vertices")
-        return _alpha("dprime", m - 1)
+        return _density("alpha", "dprime", m - 1)
     if tag == "Dtilde":
         if m < 4:
             raise UnsupportedFamily("Dtilde measure table needs parameter >= 4")
@@ -423,34 +408,34 @@ def candidate_measure(family: GraphFamily, variant: str) -> CyclotomicMeasure:
                             (half, basic_measure("d", 2)),
                             (-half, basic_measure("d", 1))])
         c = ETILDE_THM87_CONSTANT
-        return lincomb([(Fraction(1), _alpha("d", ell + 1)),
+        return lincomb([(Fraction(1), _density("alpha", "d", ell + 1)),
                         (c, basic_measure("d", ell)),
                         (-c, basic_measure("d", ell + 1))])
     if tag == "E6":
         if variant == "thm71":
-            return lincomb([(Fraction(1), _alpha("d", 12)),
+            return lincomb([(Fraction(1), _density("alpha", "d", 12)),
                             (half, basic_measure("d", 12)),
                             (-half, basic_measure("d", 6)),
                             (-half, basic_measure("d", 4)),
                             (half, basic_measure("d", 3))])
         return lincomb([(Fraction(1, 6), basic_measure("ddoubleprime", 2)),
-                        (Fraction(2, 6), _alpha("ddoubleprime", 2)),
+                        (Fraction(2, 6), _density("alpha", "ddoubleprime", 2)),
                         (Fraction(3, 6), basic_measure("dtripleprime", 1))])
     if tag == "E7":
         if variant == "thm71":
-            return lincomb([(Fraction(1), _beta("dprime", 9)),
+            return lincomb([(Fraction(1), _density("beta", "dprime", 9)),
                             (half, basic_measure("dprime", 1)),
                             (-half, basic_measure("dprime", 3))])
-        return lincomb([(Fraction(2, 3), _beta("ddoubleprime", 3)),
+        return lincomb([(Fraction(2, 3), _density("beta", "ddoubleprime", 3)),
                         (Fraction(1, 3), basic_measure("dprime", 1))])
     if tag == "E8":
         if variant == "thm71":
-            return lincomb([(Fraction(1), _alpha("dprime", 15)),
-                            (Fraction(1), _gamma("dprime", 15)),
+            return lincomb([(Fraction(1), _density("alpha", "dprime", 15)),
+                            (Fraction(1), _density("gamma", "dprime", 15)),
                             (-half, basic_measure("dprime", 5)),
                             (-half, basic_measure("dprime", 3))])
-        return lincomb([(Fraction(2, 3), _alpha("ddoubleprime", 5)),
-                        (Fraction(2, 3), _gamma("ddoubleprime", 5)),
+        return lincomb([(Fraction(2, 3), _density("alpha", "ddoubleprime", 5)),
+                        (Fraction(2, 3), _density("gamma", "ddoubleprime", 5)),
                         (Fraction(-1, 3), basic_measure("ddoubleprime", 1))])
     raise UnsupportedFamily(f"no measure table entry for {tag!r}")
 
@@ -458,6 +443,11 @@ def candidate_measure(family: GraphFamily, variant: str) -> CyclotomicMeasure:
 # ---------------------------------------------------------------------------
 # Expansion over polynomial densities and the level invariant
 # ---------------------------------------------------------------------------
+
+def one_minus_power(l: int) -> QPolynomial:
+    """The polynomial 1 - x^l, whose density Re(1 - u^(2l)) has degree l."""
+    return QPolynomial([1] + [0] * (l - 1) + [-1])
+
 
 def cyclotomic_expansion(e: CyclotomicMeasure, n: int) -> ExpansionResult:
     """Expand e over the uniform measure and the densities 1 - u^(2l) at one
@@ -508,10 +498,44 @@ def reconstruct_expansion(result: ExpansionResult) -> CyclotomicMeasure:
         if l == 0:
             terms.append((r, basic_measure("d", n)))
         else:
-            terms.append((r, density_measure(QPolynomial([1] + [0] * (l - 1) + [-1]), "d", n)))
+            terms.append((r, density_measure(one_minus_power(l), "d", n)))
     if not terms:
         terms = [(Fraction(0), basic_measure("d", n))]
     return lincomb(terms)
+
+
+def _level_expansion(e: CyclotomicMeasure, limit: int):
+    """(l, coefficients) for the least l <= max(limit, 0) with e in the span of the uniform measures and the degree <= l densities
+    on its divisor supports, or None.  One elimination takes the uniform
+    columns, then those of degree 1, 2, ..., each embedded once, and stops
+    at the first consistent block: a consistent prefix's canonical solution
+    is every longer system's, padded with zeros."""
+    support = e.minimal_support_order()
+    if support is None:
+        return 0, {}
+    n = support // 2
+    order = e.order
+    # orbit representatives of the support-th roots, at the measure's order
+    positions = [t * (order // support) for t in range(support // 4 + 1)]
+
+    def column(x: CyclotomicMeasure) -> dict:
+        return {(j, i): c for j in positions for i, c in enumerate(x.reps[j].coeffs) if c}
+
+    divisors = [m for m in range(1, n + 1) if n % m == 0]
+    elim = _ColumnElimination(column(e))
+    labels: List[Tuple[int, int]] = []
+    for l in range(n):
+        for m in divisors:
+            if m > l:
+                basis = density_measure(one_minus_power(l), "d", m) if l else basic_measure("d", m)
+                elim.add_column(column(basis.embed(order)))
+                labels.append((l, m))
+        sol = elim.solution()
+        if sol is not None:
+            return l, {lab: c for lab, c in zip(labels, sol) if c}
+        if l >= limit:
+            break
+    return None
 
 
 def expand_over_level(e: CyclotomicMeasure, limit: int) -> Optional[dict]:
@@ -519,51 +543,18 @@ def expand_over_level(e: CyclotomicMeasure, limit: int) -> Optional[dict]:
     degree <= limit polynomial densities on them; None when infeasible.
 
     Keys of the returned map are (l, m): the density degree (0 for uniform)
-    and the support parameter m.
+    and the support parameter m; its values are the nonzero coefficients of
+    the canonical solution (free coefficients zero).
     """
-    support = e.minimal_support_order()
-    if support is None:
-        return {}
-    n = support // 2
-    order = e.order
-    divisors = [m for m in range(1, n + 1) if n % m == 0]
-    labels = [(0, m) for m in divisors]
-    for l in range(1, limit + 1):
-        labels += [(l, m) for m in divisors if m > l]
-    basis = []
-    for l, m in labels:
-        if l == 0:
-            basis.append(basic_measure("d", m).embed(order))
-        else:
-            poly = QPolynomial([1] + [0] * (l - 1) + [-1])
-            basis.append(density_measure(poly, "d", m).embed(order))
-    # orbit representatives of the support-th roots, at the measure's order
-    positions = [t * (order // support) for t in range(support // 4 + 1)]
-    phi = euler_phi(order)
-    rows, rhs = [], []
-    for j in positions:
-        for i in range(phi):
-            row = [b.reps[j].coeffs[i] for b in basis]
-            value = e.reps[j].coeffs[i]
-            if any(row) or value:
-                rows.append(row)
-                rhs.append(value)
-    if not rows:
-        return {}
-    sol = solve_linear_system(rows, rhs)
-    if sol is None:
-        return None
-    return {lab: c for lab, c in zip(labels, sol) if c != 0}
+    found = _level_expansion(e, limit)
+    return None if found is None else found[1]
 
 
 def level(e: CyclotomicMeasure) -> int:
     """Smallest density degree needed to express the measure over uniform
-    measures and polynomial densities supported inside its root group."""
-    support = e.minimal_support_order()
-    if support is None:
-        return 0
-    n = support // 2
-    for limit in range(n):
-        if expand_over_level(e, limit) is not None:
-            return limit
-    raise ArithmeticError("measure admits no rational expansion")
+    measures and polynomial densities supported inside its root group; one
+    elimination pass, as every degree that can occur is below e.order."""
+    found = _level_expansion(e, e.order)
+    if found is None:
+        raise ArithmeticError("measure admits no rational expansion")
+    return found[0]

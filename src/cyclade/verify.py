@@ -39,6 +39,7 @@ from .measures import (
     lincomb,
     measure_equal,
     moment,
+    one_minus_power,
     pushforward_real,
     reconstruct_expansion,
     t_series_of_measure,
@@ -254,18 +255,28 @@ def _check_prop34(ctx: RunContext):
     return "pass", f"{len(reps)} representative(s)"
 
 
-def _check_prop36(ctx: RunContext):
-    params = ctx.params("Atilde")
-    if not params:
-        return "skipped", "no parameters in size matrix"
-    for m in params:
-        fam = GraphFamily("Atilde", m)
-        uniform = basic_measure("d", m // 2)
-        if not measure_equal(candidate_measure(fam, "thm71"), uniform):
-            return "fail", f"candidate for {fam.label} is not the uniform measure"
-        if t_series_of_measure(uniform, ctx.order) != ctx.graph_t(fam):
-            return "fail", f"uniform measure T differs for {fam.label}"
-    return "pass", f"{len(params)} instance(s)"
+def _prop36_body(ctx: RunContext, fam: GraphFamily):
+    uniform = basic_measure("d", fam.param // 2)
+    if not measure_equal(ctx.candidate(fam, "thm71"), uniform):
+        return False, "candidate is not the uniform measure"
+    if t_series_of_measure(uniform, ctx.order) != ctx.graph_t(fam):
+        return False, "uniform measure T differs"
+    return True, ""
+
+
+def _series_check(cases, summary: str) -> Callable:
+    """A check over pairs of series: cases(order) yields (label, lhs, rhs),
+    and the first unequal pair fails the check under its label."""
+    def run(ctx: RunContext):
+        for label, lhs, rhs in cases(ctx.order):
+            if lhs != rhs:
+                return "fail", f"{label}: " + _first_diff(lhs, rhs)
+        return "pass", summary
+    return run
+
+
+def _xi(text: str, order: int) -> PowerSeries:
+    return xi_expand(exprs.parse_xi_expr(text), order)
 
 
 _SAMPLE_POLYS = (
@@ -278,74 +289,59 @@ _SAMPLE_POLYS = (
 )
 
 
-def _closed_form_lemma(variant: str, kind: str):
-    def run(ctx: RunContext):
-        for poly in _SAMPLE_POLYS:
-            for n in {poly.degree + 1, 7, 10}:
-                if n <= poly.degree or n < 1:
-                    continue
-                direct = t_closed_form(poly, n, variant, ctx.order)
-                via_atoms = t_series_of_measure(density_measure(poly, kind, n), ctx.order)
-                if direct != via_atoms:
-                    return "fail", f"P={list(poly.coeffs)} n={n}: " + _first_diff(direct, via_atoms)
-        return "pass", f"{len(_SAMPLE_POLYS)} polynomials"
-    return run
+def _closed_form_cases(instances):
+    """The closed-form T lemma against the T series built from the atoms;
+    instances are (label, P, n, variant), the unprimed variant on d and the
+    primed one on d'."""
+    def cases(order: int):
+        for label, poly, n, variant in instances:
+            e = density_measure(poly, "d" if variant == "unprimed" else "dprime", n)
+            yield label, t_closed_form(poly, n, variant, order), t_series_of_measure(e, order)
+    return cases
 
 
-def _one_minus_power(l: int) -> QPolynomial:
-    return QPolynomial([1] + [0] * (l - 1) + [-1])
+def _lemma_cases(variant: str):
+    return _closed_form_cases([(f"P={list(poly.coeffs)} n={n}", poly, n, variant)
+                               for poly in _SAMPLE_POLYS for n in {poly.degree + 1, 7, 10}
+                               if n > poly.degree])
 
 
-def _check_prop45(ctx: RunContext):
-    for n in range(2, 13):
-        for l in range(1, n):
-            lhs = t_series_of_measure(density_measure(_one_minus_power(l), "d", n), ctx.order)
-            rhs = xi_expand(exprs.parse_xi_expr(f"xi'({l},{n - l}:{n})"), ctx.order)
-            if lhs != rhs:
-                return "fail", f"l={l} n={n}: " + _first_diff(lhs, rhs)
-    return "pass", "l < n <= 12"
+_SWEEP_CASES = _closed_form_cases([(f"{name} {variant} n={n}", poly, n, variant)
+                                   for name, poly in DENSITY_POLYS.items()
+                                   for variant in ("unprimed", "primed")
+                                   for n in range(poly.degree + 1, 21)])
 
 
-def _check_prop63(ctx: RunContext):
-    for n in range(2, 13):
-        for l in range(1, n):
-            lhs = t_series_of_measure(density_measure(_one_minus_power(l), "dprime", n), ctx.order)
-            rhs = xi_expand(exprs.parse_xi_expr(f"xi'({l},{n - l}+:{n}+)"), ctx.order)
-            if lhs != rhs:
-                return "fail", f"l={l} n={n}: " + _first_diff(lhs, rhs)
-    return "pass", "l < n <= 12"
+def _measure_xi_cases(instances):
+    """The T series of a measure against its xi form; instances are (label,
+    P, base kind, n, xi text), P None for the base measure itself."""
+    def cases(order: int):
+        for label, poly, kind, n, text in instances:
+            e = basic_measure(kind, n) if poly is None else density_measure(poly, kind, n)
+            yield label, t_series_of_measure(e, order), _xi(text, order)
+    return cases
 
 
-_PROP53_ROWS = (
-    ("d", 1, "xi'({n}+:{n})"),
-    ("alpha", 2, "xi({m1}:{n})"),
-    ("beta", 3, "xi(1+,{m2}:{n})"),
-    ("gamma", 4, "xi'(3,{m3}:{n})"),
-)
+def _one_minus_power_cases(kind: str, plus: str):
+    return _measure_xi_cases([(f"l={l} n={n}", one_minus_power(l), kind, n,
+                               f"xi'({l},{n - l}{plus}:{n}{plus})")
+                              for n in range(2, 13) for l in range(1, n)])
 
-_PROP64_ROWS = (
-    ("d", 1, "xi'({n}:{n}+)"),
-    ("alpha", 2, "xi({m1}+:{n}+)"),
-    ("beta", 3, "xi(1+,{m2}+:{n}+)"),
-    ("gamma", 4, "xi'(3,{m3}+:{n}+)"),
+
+# (atom, least n, xi form on d, xi form on d'), with m_k standing for n - k
+_DENSITY_XI_ROWS = (
+    ("d", 1, "xi'({n}+:{n})", "xi'({n}:{n}+)"),
+    ("alpha", 2, "xi({m1}:{n})", "xi({m1}+:{n}+)"),
+    ("beta", 3, "xi(1+,{m2}:{n})", "xi(1+,{m2}+:{n}+)"),
+    ("gamma", 4, "xi'(3,{m3}:{n})", "xi'(3,{m3}+:{n}+)"),
 )
 
 
-def _series_table(rows, kind: str):
-    def run(ctx: RunContext):
-        for name, start, pattern in rows:
-            for n in range(start, 21):
-                if name == "d":
-                    e = basic_measure(kind, n)
-                else:
-                    e = density_measure(DENSITY_POLYS[name], kind, n)
-                text = pattern.format(n=n, m1=n - 1, m2=n - 2, m3=n - 3)
-                rhs = xi_expand(exprs.parse_xi_expr(text), ctx.order)
-                lhs = t_series_of_measure(e, ctx.order)
-                if lhs != rhs:
-                    return "fail", f"{name} n={n}: " + _first_diff(lhs, rhs)
-        return "pass", "n <= 20"
-    return run
+def _density_table_cases(kind: str):
+    return _measure_xi_cases([
+        (f"{name} n={n}", DENSITY_POLYS.get(name), kind, n,
+         (on_d if kind == "d" else on_dprime).format(n=n, m1=n - 1, m2=n - 2, m3=n - 3))
+        for name, start, on_d, on_dprime in _DENSITY_XI_ROWS for n in range(start, 21)])
 
 
 def _check_thm46(ctx: RunContext):
@@ -367,33 +363,18 @@ def _check_thm46(ctx: RunContext):
     return "pass", f"{len(measures)} measure(s)"
 
 
-def _check_closed_form_sweep(ctx: RunContext):
-    for name, poly in DENSITY_POLYS.items():
-        for variant, kind in (("unprimed", "d"), ("primed", "dprime")):
-            for n in range(poly.degree + 1, 21):
-                direct = t_closed_form(poly, n, variant, ctx.order)
-                via_atoms = t_series_of_measure(density_measure(poly, kind, n), ctx.order)
-                if direct != via_atoms:
-                    return "fail", f"{name} {variant} n={n}: " + _first_diff(direct, via_atoms)
-    return "pass", "deg < n <= 20, both variants"
-
-
 def _check_common_weights(ctx: RunContext):
+    # n: (the uniform-only form of alpha_n, its weights at positions 0, 1, ...)
     tables = {
-        2: [Fraction(0), Fraction(1, 2)],
-        3: [Fraction(0), Fraction(1, 4)],
-        4: [Fraction(0), Fraction(1, 8), Fraction(1, 4)],
-        6: [Fraction(0), Fraction(1, 24), Fraction(1, 8), Fraction(1, 6)],
+        2: ("2*d_2 - d_1", [Fraction(0), Fraction(1, 2)]),
+        3: ("(3*d_3 - d_1)/2", [Fraction(0), Fraction(1, 4)]),
+        4: ("(2*d_4 + d_2 - d_1)/2", [Fraction(0), Fraction(1, 8), Fraction(1, 4)]),
+        6: ("(d_6 + d_3 + d_2 - d_1)/2",
+            [Fraction(0), Fraction(1, 24), Fraction(1, 8), Fraction(1, 6)]),
     }
-    rhs = {
-        2: "2*d_2 - d_1",
-        3: "(3*d_3 - d_1)/2",
-        4: "(2*d_4 + d_2 - d_1)/2",
-        6: "(d_6 + d_3 + d_2 - d_1)/2",
-    }
-    for n, expected in tables.items():
+    for n, (rhs, expected) in tables.items():
         alpha_n = density_measure(DENSITY_POLYS["alpha"], "d", n)
-        other = exprs.parse_measure_expr(rhs[n])
+        other = exprs.parse_measure_expr(rhs)
         for j, value in enumerate(expected):
             if alpha_n.weight(j) != value:
                 return "fail", f"n={n} position {j}: {alpha_n.weight(j)!r} != {value}"
@@ -594,71 +575,60 @@ def _corrected_identity(lhs: str, printed: str, corrected: str):
 
 # --- xi identity catalog ----------------------------------------------------
 
-def _xi_sum(ctx: RunContext, terms) -> PowerSeries:
-    total = PowerSeries.zero(ctx.order)
+def _xi_sum(order: int, terms) -> PowerSeries:
+    total = PowerSeries.zero(order)
     for coef, text, shift in terms:
-        series = xi_expand(exprs.parse_xi_expr(text), ctx.order)
+        series = _xi(text, order)
         if shift:
             series = series.shift(shift)
         total = total + series * Fraction(coef)
     return total
 
 
-def _xi_identity(cases):
-    """cases: list of (label, lhs_terms, rhs_terms); terms are
+def _xi_cases(table):
+    """table: list of (label, lhs_terms, rhs_terms); terms are
     (coefficient, xi text, monomial shift)."""
-    def run(ctx: RunContext):
-        for label, lhs, rhs in cases:
-            left = _xi_sum(ctx, lhs)
-            right = _xi_sum(ctx, rhs)
-            if left != right:
-                return "fail", f"{label}: " + _first_diff(left, right)
-        return "pass", f"{len(cases)} case(s)"
-    return run
+    return lambda order: ((label, _xi_sum(order, lhs), _xi_sum(order, rhs))
+                          for label, lhs, rhs in table)
 
 
-def _xi_identity_checks():
+def _xi_identity_tables():
+    """(check id, case table) for each xi identity."""
     one = Fraction(1)
     half = Fraction(1, 2)
     checks = []
-    checks.append(("xi-identity/sec5-shift1", _xi_identity([
-        (f"n={n}", [(one, f"xi'(1,{n - 1}:{n})", 0)], [(one, f"xi({n - 1}:{n})", 0)])
-        for n in range(3, 17)])))
-    checks.append(("xi-identity/sec5-shift2", _xi_identity([
-        (f"n={n}", [(one, f"xi'(2,{n - 2}:{n})", 0)], [(one, f"xi(1+,{n - 2}:{n})", 0)])
-        for n in range(3, 17)])))
-    checks.append(("xi-identity/sec6-shift1", _xi_identity([
-        (f"n={n}", [(one, f"xi'(1,{n - 1}+:{n}+)", 0)], [(one, f"xi({n - 1}+:{n}+)", 0)])
-        for n in range(3, 17)])))
-    checks.append(("xi-identity/sec6-shift2", _xi_identity([
-        (f"n={n}", [(one, f"xi'(2,{n - 2}+:{n}+)", 0)], [(one, f"xi(1+,{n - 2}+:{n}+)", 0)])
-        for n in range(3, 17)])))
-    checks.append(("xi-identity/Dtilde", _xi_identity([
+    for sec, plus in (("sec5", ""), ("sec6", "+")):
+        for shift, head in ((1, ""), (2, "1+,")):
+            checks.append((f"xi-identity/{sec}-shift{shift}", [
+                (f"n={n}", [(one, f"xi'({shift},{n - shift}{plus}:{n}{plus})", 0)],
+                 [(one, f"xi({head}{n - shift}{plus}:{n}{plus})", 0)])
+                for n in range(3, 17)]))
+    checks.append(("xi-identity/Dtilde", [
         (f"n={n}", [(one, f"xi''({n + 1}+:{n})", 0)],
          [(half, "xi'(1:1+)", 0), (half, f"xi'({n}+:{n})", 0)])
-        for n in range(1, 17)])))
+        for n in range(1, 17)]))
     for ell in (2, 3, 5):
-        checks.append((f"xi-identity/Etilde-l{ell}", _xi_identity([
+        checks.append((f"xi-identity/Etilde-l{ell}", [
             ("split", [(one, f"xi({3 * ell}+:{ell + 1},{2 * ell})", 0)],
              [(one, f"xi({ell}:{ell + 1})", 0), (one, f"xi(:{ell},{ell + 1})", ell)]),
             ("halves", [(one, f"xi({3 * ell}+:{ell + 1},{2 * ell})", 0)],
              [(one, f"xi({ell}:{ell + 1})", 0),
               (half, f"xi'({ell}+:{ell})", 0),
               (-half, f"xi'({ell + 1}+:{ell + 1})", 0)]),
-        ])))
-    checks.append(("xi-identity/E6", _xi_identity([
+        ]))
+    checks.append(("xi-identity/E6", [
         ("decomposition", [(one, "xi(8:3,6+)", 0)],
          [(one, "xi(11:12)", 0), (half, "xi'(12+:12)", 0), (-half, "xi'(6+:6)", 0),
-          (-half, "xi'(4+:4)", 0), (half, "xi'(3+:3)", 0)])])))
-    checks.append(("xi-identity/E7", _xi_identity([
+          (-half, "xi'(4+:4)", 0), (half, "xi'(3+:3)", 0)])]))
+    checks.append(("xi-identity/E7", [
         ("decomposition", [(one, "xi(12:4,9+)", 0)],
-         [(one, "xi(1+,7+:9+)", 0), (half, "xi'(1:1+)", 0), (-half, "xi'(3:3+)", 0)])])))
-    checks.append(("xi-identity/E8", _xi_identity([
+         [(one, "xi(1+,7+:9+)", 0), (half, "xi'(1:1+)", 0), (-half, "xi'(3:3+)", 0)])]))
+    checks.append(("xi-identity/E8", [
         ("decomposition", [(one, "xi(5+,9+:15+)", 0)],
          [(one, "xi(14+:15+)", 0), (one, "xi'(3,12+:15+)", 0),
-          (-half, "xi'(5:5+)", 0), (-half, "xi'(3:3+)", 0)])])))
-    checks.append(("xi-identity/plus-conversion", _xi_identity([
-        ("2+ to 4", [(one, "xi(2+:3)", 0)], [(one, "xi(4:2,3)", 0)])])))
+          (-half, "xi'(5:5+)", 0), (-half, "xi'(3:3+)", 0)])]))
+    checks.append(("xi-identity/plus-conversion", [
+        ("2+ to 4", [(one, "xi(2+:3)", 0)], [(one, "xi(4:2,3)", 0)])]))
     return checks
 
 
@@ -668,38 +638,37 @@ def _xi_identity_checks():
 
 def build_registry() -> Dict[str, Callable]:
     registry: Dict[str, Callable] = {}
-    for tag in FAMILY_TAGS:
-        registry[f"thm2.5/{tag}"] = _graph_check(tag, _thm25_body)
-    for tag in FAMILY_TAGS:
-        registry[f"theta-paths/{tag}"] = _graph_check(tag, _theta_body)
-    for tag in FAMILY_TAGS:
-        registry[f"prop3.3/{tag}"] = _graph_check(tag, _prop33_body)
+    for name, body in (("thm2.5", _thm25_body), ("theta-paths", _theta_body),
+                       ("prop3.3", _prop33_body)):
+        for tag in FAMILY_TAGS:
+            registry[f"{name}/{tag}"] = _graph_check(tag, body)
     registry["prop3.4"] = _check_prop34
-    registry["prop3.6/Atilde"] = _check_prop36
-    registry["lemma4.4"] = _closed_form_lemma("unprimed", "d")
-    registry["prop4.5"] = _check_prop45
+    registry["prop3.6/Atilde"] = _graph_check("Atilde", _prop36_body)
+    registry["lemma4.4"] = _series_check(_lemma_cases("unprimed"),
+                                         f"{len(_SAMPLE_POLYS)} polynomials")
+    registry["prop4.5"] = _series_check(_one_minus_power_cases("d", ""), "l < n <= 12")
     registry["thm4.6"] = _check_thm46
-    registry["prop5.3"] = _series_table(_PROP53_ROWS, "d")
+    registry["prop5.3"] = _series_check(_density_table_cases("d"), "n <= 20")
     registry["prop5.4/common-weights"] = _check_common_weights
     registry["prop5.4/alpha12-weights"] = _check_alpha12_weights
     registry["prop5.4/n12-infeasible"] = _check_n12_infeasible
-    registry["lemma6.2"] = _closed_form_lemma("primed", "dprime")
-    registry["prop6.3"] = _check_prop63
-    registry["prop6.4"] = _series_table(_PROP64_ROWS, "dprime")
+    registry["lemma6.2"] = _series_check(_lemma_cases("primed"),
+                                         f"{len(_SAMPLE_POLYS)} polynomials")
+    registry["prop6.3"] = _series_check(_one_minus_power_cases("dprime", "+"), "l < n <= 12")
+    registry["prop6.4"] = _series_check(_density_table_cases("dprime"), "n <= 20")
     for check_id, lhs, rhs in MEASURE_IDENTITIES:
         registry[check_id] = _measure_identity(lhs, rhs)
     for check_id, lhs, printed, corrected in CORRECTED_IDENTITIES:
         registry[check_id] = _corrected_identity(lhs, printed, corrected)
-    for check_id, runner in _xi_identity_checks():
-        registry[check_id] = runner
-    for tag in FAMILY_TAGS:
-        registry[f"thm7.1/{tag}"] = _graph_check(tag, _thm71_body)
-    for tag in FAMILY_TAGS:
-        registry[f"thm8.7/{tag}"] = _graph_check(tag, _thm87_body)
+    for check_id, table in _xi_identity_tables():
+        registry[check_id] = _series_check(_xi_cases(table), f"{len(table)} case(s)")
+    for name, body in (("thm7.1", _thm71_body), ("thm8.7", _thm87_body)):
+        for tag in FAMILY_TAGS:
+            registry[f"{name}/{tag}"] = _graph_check(tag, body)
     registry["discrepancy/Etilde-constant"] = _check_etilde_constant
     registry["level/ADE"] = _check_level_ade
     registry["level/basics"] = _check_level_basics
-    registry["closed-form/sweep"] = _check_closed_form_sweep
+    registry["closed-form/sweep"] = _series_check(_SWEEP_CASES, "deg < n <= 20, both variants")
     registry["def8.1/support"] = _check_support_descriptions
     return registry
 

@@ -150,6 +150,15 @@ def test_atom_support_limit(capsys, argv):
     assert lines[0].startswith("error: atom ") and "above the limit 1000" in lines[0]
 
 
+def test_sum_support_limit(capsys):
+    # lcm(194, 202) = 19594: the sum is refused before anything is built
+    code, out, err = run_cli(capsys, "measure-show", "--expr", "d_97 + d_101")
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "error: sum has support order 19594, above the limit 1000"]
+
+
 def test_expression_error_exit(capsys):
     code, _, err = run_cli(capsys, "xi-expand", "--expr", "xi(1:2")
     assert code == 2

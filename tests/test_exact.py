@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclade.exact import (
     CyclotomicNumber,
@@ -25,6 +25,7 @@ from cyclade.exact import (
     sign_of_real,
     solve_linear_system,
 )
+from oracles import rref_solve
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +261,48 @@ def test_solve_linear_system():
     sol = solve_linear_system([[1, 1]], [5])
     assert sol == [Fraction(5), Fraction(0)]
     assert solve_linear_system([[0, 0]], [0]) == [Fraction(0), Fraction(0)]
+
+
+_entries = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def _linear_systems(draw):
+    """Rows, some of them combinations of a few base rows (so rank-deficient
+    systems are common), with an optional zero row and zero column, and a
+    right-hand side either in the column span or drawn at random."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    base = [[draw(_entries) for _ in range(ncols)] for _ in range(draw(st.integers(1, 3)))]
+    rows = []
+    for _ in range(nrows):
+        if draw(st.booleans()):
+            mix = [draw(_entries) for _ in base]
+            rows.append([sum(c * b[j] for c, b in zip(mix, base)) for j in range(ncols)])
+        else:
+            rows.append([draw(_entries) for _ in range(ncols)])
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if ncols and draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[j] = 0
+    if draw(st.booleans()):
+        x = [draw(_entries) for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = [draw(_entries) for _ in range(nrows)]
+    return rows, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_linear_systems())
+@example(([], []))
+@example(([[1, 2, 3]], [4]))
+@example(([[1, 1], [2, 2]], [1, 3]))
+def test_solve_linear_system_matches_rref(system):
+    rows, rhs = system
+    sol = solve_linear_system(rows, rhs)
+    assert sol == rref_solve(rows, rhs)
+    if sol is not None:
+        assert len(sol) == (len(rows[0]) if rows else 0)
+        assert all(type(c) is Fraction for c in sol)

@@ -26,6 +26,8 @@ from cyclade.measures import (
     t_series_of_measure,
 )
 from cyclade.transforms import xi_expand
+from cyclade.verify import DEFAULT_SIZE_MATRIX
+from oracles import expand_over_level_loop, level_loop
 
 
 def alpha(n, kind="d"):
@@ -331,6 +333,43 @@ def test_alpha12_uniform_infeasibility():
             DENSITY_POLYS["alpha"], "d", m))
         for (l, m), c in sol.items()])
     assert measure_equal(rebuilt, a12)
+
+
+def _assert_level_matches_loop(e):
+    value = level(e)
+    assert value == level_loop(e)
+    for k in (value - 1, value, value + 1):
+        assert expand_over_level(e, k) == expand_over_level_loop(e, k)
+
+
+_SUPPORT_FACTOR = {"d": 2, "dprime": 4, "ddoubleprime": 12, "dtripleprime": 6}
+
+
+@st.composite
+def _atom_sums(draw):
+    """A signed sum of up to three atoms whose supports divide one support
+    order <= 60; terms may cancel."""
+    support = draw(st.sampled_from([12, 20, 24, 30, 40, 60]))
+    atoms = [(name, kind, m) for name in ("d", "alpha", "beta", "gamma")
+             for kind, factor in _SUPPORT_FACTOR.items() if support % factor == 0
+             for m in range(1, support // factor + 1) if (support // factor) % m == 0]
+    terms = draw(st.lists(st.tuples(st.fractions(-3, 3, max_denominator=4),
+                                    st.sampled_from(atoms)), min_size=1, max_size=3))
+    return lincomb([(c, basic_measure(kind, m) if name == "d"
+                     else density_measure(DENSITY_POLYS[name], kind, m))
+                    for c, (name, kind, m) in terms])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_atom_sums())
+def test_level_matches_per_limit_loop(e):
+    _assert_level_matches_loop(e)
+
+
+def test_level_matches_per_limit_loop_on_graph_measures():
+    for tag, params in DEFAULT_SIZE_MATRIX.items():
+        for m in params:
+            _assert_level_matches_loop(candidate_measure(GraphFamily(tag, m), "thm71"))
 
 
 _atoms = st.sampled_from([("d", 1), ("d", 2), ("d", 3), ("d", 4), ("d", 6),

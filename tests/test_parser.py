@@ -83,6 +83,11 @@ def test_atom_support_limit_is_inclusive():
     assert parse_measure_expr("d'_250").order == MAX_ATOM_SUPPORT == 1000
 
 
+def test_sum_support_limit_is_inclusive():
+    # a sum lives on the lcm of its terms' supports: lcm(1000, 2) = 1000
+    assert parse_measure_expr("d'_250 + d_1").order == MAX_ATOM_SUPPORT
+
+
 def test_parse_measure_errors():
     with pytest.raises(EvaluationError):
         parse_measure_expr("d''''_2")

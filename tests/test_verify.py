@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,16 @@ def test_small_order_still_passes():
     report = run_all(order=8, size_matrix=SMALL_MATRIX)
     assert not report.failures
     assert all(r.order == 8 for r in report.results)
+
+
+# SHA-256 of the timing-free order-8 report on SMALL_MATRIX; any changed id,
+# status, order or detail string changes it
+REPORT_ORDER8_SHA256 = "b28e8e1f13a01e95178c5dcd6f49eb93ee5d8d233b077fa62f0e6bb58bbe178a"
+
+
+def test_report_digest_is_pinned():
+    text = run_all(order=8, size_matrix=SMALL_MATRIX).to_json(include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_ORDER8_SHA256
 
 
 def test_empty_matrix_skips_graph_checks():
