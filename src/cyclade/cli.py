@@ -12,24 +12,10 @@ from fractions import Fraction
 
 import mpmath
 
-from .exact import CyclotomicNumber, NotRational
-from .exprs import (
-    EvaluationError,
-    ParseError,
-    parse_measure_expr,
-    parse_xi_expr,
-)
-from .graphs import (
-    EXCEPTIONAL_TAGS,
-    FAMILY_TAGS,
-    GraphFamily,
-    ParameterOutOfRange,
-    UnsupportedFamily,
-    build_ade,
-    loop_counts,
-)
+from .exact import CyclotomicNumber
+from .exprs import MAX_ORDER, MAX_VERTICES, parse_measure_expr, parse_xi_expr
+from .graphs import EXCEPTIONAL_TAGS, FAMILY_TAGS, GraphFamily, build_ade, loop_counts
 from .measures import (
-    SupportTooLarge,
     cyclotomic_expansion,
     level,
     moment,
@@ -37,7 +23,7 @@ from .measures import (
     t_series_of_measure,
 )
 from .transforms import graph_t_series, xi_expand
-from .exact import PowerSeries, cyclo_as_rational
+from .exact import cyclo_as_rational, series_from_integers
 from . import verify as verify_mod
 
 
@@ -107,17 +93,23 @@ def _family(args, parser) -> GraphFamily:
     return GraphFamily(tag, param)
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer no smaller than low."""
+def _int_in_range(low, high: int):
+    """argparse type for an integer from low (None: unbounded) to high."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
+
+
+_ORDER = _int_in_range(0, MAX_ORDER)
+_PARAM = _int_in_range(None, MAX_VERTICES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,42 +126,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("graph-loops", "closed walk counts at the root of an ADE graph")
     p.add_argument("--family", required=True)
-    p.add_argument("--param", type=int)
-    p.add_argument("--order", type=_int_at_least(0), default=64)
+    p.add_argument("--param", type=_PARAM)
+    p.add_argument("--order", type=_ORDER, default=64)
 
     p = add("graph-tseries", "T series of an ADE graph via the loop pipeline")
     p.add_argument("--family", required=True)
-    p.add_argument("--param", type=int)
-    p.add_argument("--order", type=_int_at_least(0), default=64)
+    p.add_argument("--param", type=_PARAM)
+    p.add_argument("--order", type=_ORDER, default=64)
 
     p = add("xi-expand", "series expansion of a xi expression")
     p.add_argument("--expr", required=True)
-    p.add_argument("--order", type=_int_at_least(0), default=64)
+    p.add_argument("--order", type=_ORDER, default=64)
 
     p = add("measure-show", "atoms and weights of a measure expression")
     p.add_argument("--expr", required=True)
 
     p = add("measure-moments", "moments 0..count of a measure expression")
     p.add_argument("--expr", required=True)
-    p.add_argument("--count", type=_int_at_least(0), default=8)
+    p.add_argument("--count", type=_ORDER, default=8)
 
     p = add("measure-tseries", "T series of a measure expression")
     p.add_argument("--expr", required=True)
-    p.add_argument("--order", type=_int_at_least(0), default=64)
+    p.add_argument("--order", type=_ORDER, default=64)
 
     p = add("measure-pushforward", "real pushforward atoms of a measure")
     p.add_argument("--expr", required=True)
 
     p = add("expand", "coefficients of a measure over the density basis")
     p.add_argument("--expr", required=True)
-    p.add_argument("--support", type=_int_at_least(1),
+    p.add_argument("--support", type=_int_in_range(1, MAX_ORDER),
                    help="support parameter n (default: smallest admissible)")
 
     p = add("level", "smallest density degree expressing the measure")
     p.add_argument("--expr", required=True)
 
     p = add("verify", "run the verification registry")
-    p.add_argument("--order", type=_int_at_least(0), default=64)
+    p.add_argument("--order", type=_ORDER, default=64)
     p.add_argument("--only", metavar="GLOB", help="run only matching check ids")
 
     return parser
@@ -196,7 +188,7 @@ def _dispatch(args, parser, out) -> int:
         return 0
     if cmd == "graph-tseries":
         fam = _family(args, parser)
-        counts = PowerSeries.from_list(loop_counts(build_ade(fam), args.order))
+        counts = series_from_integers(loop_counts(build_ade(fam), args.order))
         _emit_series(graph_t_series(counts, args.order).coeffs, args.format, out)
         return 0
     if cmd == "xi-expand":
@@ -259,8 +251,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return dispatch(args, parser)
-    except (ParseError, EvaluationError, ParameterOutOfRange, UnsupportedFamily,
-            SupportTooLarge, NotRational) as exc:
+    except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
+        # every cyclade error is a ValueError or an ArithmeticError; OSError
+        # is an --out path that cannot be written, RecursionError an
+        # expression nested too deeply for the parser
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

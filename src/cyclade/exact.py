@@ -2,10 +2,12 @@
 and cyclotomic field elements in canonically reduced form.
 
 Everything here is immutable and pure.  Rational numbers are
-``fractions.Fraction`` throughout (re-exported as ``Rational``); cyclotomic
-field elements are coordinate vectors over the power basis of the N-th
-cyclotomic field, reduced modulo the N-th cyclotomic polynomial, so that
-structural equality of coordinates decides field equality.
+``fractions.Fraction`` (re-exported as ``Rational``); cyclotomic field
+elements are coordinate vectors over the power basis of the N-th cyclotomic
+field, reduced modulo the N-th cyclotomic polynomial.  Cyclotomic numbers
+and power series store their coordinates as integers over one positive
+denominator in lowest terms, so structural equality decides field equality;
+``.coeffs`` derives the Fractions.
 """
 
 from __future__ import annotations
@@ -229,18 +231,74 @@ def _reduction_rows(order: int):
 _ZERO = Fraction(0)
 
 
-def _integral(coeffs: Sequence[Fraction]):
-    """A common denominator D of coeffs and the pairs (i, D * c_i) for the
-    nonzero c_i."""
-    den = math.lcm(*[c.denominator for c in coeffs if c])
-    return den, [(i, c.numerator * (den // c.denominator)) for i, c in enumerate(coeffs) if c]
+def _over_lcm(values: Iterable) -> Tuple[list, int]:
+    """Rationals as integers over their least common denominator."""
+    fs = [v if type(v) is Fraction else Fraction(v) for v in values]
+    den = math.lcm(*[f.denominator for f in fs])
+    return [f.numerator * (den // f.denominator) for f in fs], den
+
+
+class _IntegersOverDenominator:
+    """Storage shared by CyclotomicNumber and PowerSeries: the coordinates
+    are the integers nums over one positive denominator den, with
+    gcd(den, *nums) = 1, so the stored form is canonical and equal values
+    have equal fields."""
+
+    __slots__ = ("order", "nums", "den")
+
+    def _fill(self, order: int, coeffs: Iterable, size: int) -> None:
+        """The public constructors: any rationals, size of them."""
+        nums, den = _over_lcm(coeffs)
+        if order < 0 or len(nums) != size:
+            raise ValueError(f"need {size} coordinates at order {order}, got {len(nums)}")
+        self.order, self.nums, self.den = order, tuple(nums), den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coordinates as Fractions, derived on each read."""
+        den = self.den
+        return tuple([Fraction(v, den) if v else _ZERO for v in self.nums])
+
+    def __neg__(self):
+        return _normalized(type(self), self.order, [-v for v in self.nums], self.den)
+
+    def _plus(self, other, sign: int = 1):
+        """self + sign * other over the lcm of the denominators; zip keeps
+        the shorter length, for series the smaller order."""
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return _normalized(type(self), min(self.order, other.order),
+                           [x * fa + y * fb for x, y in zip(self.nums, other.nums)], den)
+
+    def _times_rational(self, value):
+        f = Fraction(value)
+        return _normalized(type(self), self.order, [v * f.numerator for v in self.nums],
+                           self.den * f.denominator)
+
+
+def _normalized(cls, order: int, nums, den: int):
+    """The internal constructor of both classes: nums / den, divided by the
+    gcd of den and nums and with den made positive; the length of nums is
+    the caller's to get right."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [v // g for v in nums]
+            den //= g
+    z = object.__new__(cls)
+    z.order = order
+    z.nums = tuple(nums)
+    z.den = den
+    return z
 
 
 # ---------------------------------------------------------------------------
 # Cyclotomic numbers
 # ---------------------------------------------------------------------------
 
-class CyclotomicNumber:
+class CyclotomicNumber(_IntegersOverDenominator):
     """An element of the field of order-th roots of unity.
 
     Coordinates are over the power basis of length phi(order) and are always
@@ -248,21 +306,18 @@ class CyclotomicNumber:
     Operands at different orders are lifted to the least common order first.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ()
 
     def __init__(self, order: int, coeffs: Sequence):
-        """Public constructor: coerces every coordinate to Fraction and checks
-        the length; arithmetic inside this module uses _trusted_cyclo."""
-        phi = euler_phi(order)
-        cs = tuple(Fraction(c) for c in coeffs)
-        if len(cs) != phi:
-            raise ValueError(f"need {phi} coordinates at order {order}, got {len(cs)}")
-        self.order = order
-        self.coeffs = cs
+        """Public constructor: takes any rationals and checks the length;
+        arithmetic inside this module builds through _normalized."""
+        self._fill(order, coeffs, euler_phi(order))
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CyclotomicNumber":
-        return _trusted_cyclo(order, (Fraction(value),) + (_ZERO,) * (euler_phi(order) - 1))
+        v = Fraction(value)
+        return _normalized(cls, order, (v.numerator,) + (0,) * (euler_phi(order) - 1),
+                           v.denominator)
 
     @classmethod
     def zero(cls, order: int = 1) -> "CyclotomicNumber":
@@ -273,10 +328,10 @@ class CyclotomicNumber:
         return cls.from_rational(1, order)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def is_real(self) -> bool:
         return self == cyclo_conj(self)
@@ -287,20 +342,16 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = _common_order(self, other)
-        return a.coeffs == b.coeffs
+        return a.nums == b.nums and a.den == b.den
 
     __hash__ = None  # equality lifts across orders; use .coeffs at a fixed order as a key
-
-    def __neg__(self) -> "CyclotomicNumber":
-        return _trusted_cyclo(self.order, tuple([-c for c in self.coeffs]))
 
     def __add__(self, other) -> "CyclotomicNumber":
         other = _as_cyclo(other)
         if other is None:
             return NotImplemented
         a, b = _common_order(self, other)
-        return _trusted_cyclo(a.order, tuple([x + y if y else x
-                                              for x, y in zip(a.coeffs, b.coeffs)]))
+        return a._plus(b)
 
     __radd__ = __add__
 
@@ -318,18 +369,17 @@ class CyclotomicNumber:
 
     def __mul__(self, other) -> "CyclotomicNumber":
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return _trusted_cyclo(self.order, tuple([c * f if c else c for c in self.coeffs]))
+            return self._times_rational(other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = _common_order(self, other)
-        da, xs = _integral(a.coeffs)
-        db, ys = _integral(b.coeffs)
+        ys = [(j, y) for j, y in enumerate(b.nums) if y]
         conv = [0] * (2 * euler_phi(a.order) - 1)
-        for i, x in xs:
-            for j, y in ys:
-                conv[i + j] += x * y
-        return cyclo_from_integers(a.order, enumerate(conv), da * db)
+        for i, x in enumerate(a.nums):
+            if x:
+                for j, y in ys:
+                    conv[i + j] += x * y
+        return cyclo_from_integers(a.order, enumerate(conv), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -344,16 +394,6 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return f"CyclotomicNumber(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"
-
-
-def _trusted_cyclo(order: int, coeffs: tuple) -> CyclotomicNumber:
-    """Internal constructor for arithmetic results: coeffs must already be a
-    reduced tuple of phi(order) Fractions, so neither coercion nor the
-    length check is repeated."""
-    z = object.__new__(CyclotomicNumber)
-    z.order = order
-    z.coeffs = coeffs
-    return z
 
 
 def _as_cyclo(x) -> Optional[CyclotomicNumber]:
@@ -375,24 +415,22 @@ def cyclo_make(order: int, exponent_weights: Mapping[int, object]) -> Cyclotomic
     """Weighted sum of powers of the primitive order-th root, reduced."""
     if order < 1:
         raise ValueError("order must be positive")
-    ws = [(j, w if type(w) is Fraction else Fraction(w)) for j, w in exponent_weights.items()]
-    den = math.lcm(*[w.denominator for _, w in ws])
-    return cyclo_from_integers(order, [(j, w.numerator * (den // w.denominator)) for j, w in ws],
-                               den)
+    nums, den = _over_lcm(exponent_weights.values())
+    return cyclo_from_integers(order, zip(exponent_weights, nums), den)
 
 
 def cyclo_from_integers(order: int, terms: Iterable[Tuple[int, int]],
                         denominator: int) -> CyclotomicNumber:
     """The sum of v/denominator times the e-th power of the primitive root
     over the pairs (e, v), reduced in integer arithmetic: the exact core
-    under cyclo_make, products and moments."""
+    under cyclo_make, products, embedding, conjugation and moments."""
     rows = _reduction_rows(order)
     out = [0] * euler_phi(order)
     for e, v in terms:
         if v:
             for i, c in rows[e % order]:
                 out[i] += v * c
-    return _trusted_cyclo(order, tuple([Fraction(v, denominator) if v else _ZERO for v in out]))
+    return _normalized(CyclotomicNumber, order, out, denominator)
 
 
 def root_of_unity(order: int, exponent: int = 1) -> CyclotomicNumber:
@@ -406,7 +444,7 @@ def cyclo_embed(z: CyclotomicNumber, order: int) -> CyclotomicNumber:
     if order == z.order:
         return z
     step = order // z.order
-    return cyclo_make(order, {j * step: c for j, c in enumerate(z.coeffs) if c})
+    return cyclo_from_integers(order, [(j * step, v) for j, v in enumerate(z.nums) if v], z.den)
 
 
 def cyclo_project(z: CyclotomicNumber, order: int) -> CyclotomicNumber:
@@ -433,7 +471,7 @@ def cyclo_project(z: CyclotomicNumber, order: int) -> CyclotomicNumber:
 def cyclo_conj(z: CyclotomicNumber) -> CyclotomicNumber:
     """Complex conjugation: the automorphism sending the root to its inverse."""
     n = z.order
-    return cyclo_make(n, {(n - j) % n: c for j, c in enumerate(z.coeffs) if c})
+    return cyclo_from_integers(n, [((n - j) % n, v) for j, v in enumerate(z.nums) if v], z.den)
 
 
 def real_part(z: CyclotomicNumber) -> CyclotomicNumber:
@@ -444,7 +482,7 @@ def cyclo_as_rational(z: CyclotomicNumber) -> Fraction:
     """The rational value of z, or NotRational if z is not in the prime field."""
     if not z.is_rational():
         raise NotRational(f"nonzero non-constant coordinates in {z!r}")
-    return z.coeffs[0] if z.coeffs else Fraction(0)
+    return Fraction(z.nums[0], z.den)
 
 
 def sign_of_real(z: CyclotomicNumber) -> int:
@@ -466,23 +504,19 @@ def sign_of_real(z: CyclotomicNumber) -> int:
 # Truncated power series over Q
 # ---------------------------------------------------------------------------
 
-class PowerSeries:
+class PowerSeries(_IntegersOverDenominator):
     """Power series truncated at an explicit order (inclusive).
 
     Arithmetic truncates to the smaller order of its operands; comparing two
     series of different orders raises OrderMismatch.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ()
 
     def __init__(self, order: int, coeffs: Iterable):
-        """Public constructor: coerces and checks the length; arithmetic
-        inside this module uses _trusted_series."""
-        cs = tuple(Fraction(c) for c in coeffs)
-        if order < 0 or len(cs) != order + 1:
-            raise ValueError(f"need {order + 1} coefficients for order {order}")
-        self.order = order
-        self.coeffs = cs
+        """Public constructor: takes any rationals and checks the length;
+        arithmetic inside this module builds through _normalized."""
+        self._fill(order, coeffs, order + 1)
 
     @classmethod
     def from_list(cls, coeffs: Sequence, order: Optional[int] = None) -> "PowerSeries":
@@ -494,7 +528,7 @@ class PowerSeries:
 
     @classmethod
     def zero(cls, order: int) -> "PowerSeries":
-        return _trusted_series(order, (_ZERO,) * (order + 1))
+        return series_from_integers([0] * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
@@ -502,73 +536,67 @@ class PowerSeries:
 
     @classmethod
     def monomial(cls, k: int, order: int) -> "PowerSeries":
-        cs = [Fraction(0)] * (order + 1)
+        cs = [0] * (order + 1)
         if k <= order:
-            cs[k] = Fraction(1)
-        return cls(order, cs)
+            cs[k] = 1
+        return series_from_integers(cs)
 
     def truncate(self, order: int) -> "PowerSeries":
         if order > self.order:
             raise OrderMismatch(f"cannot extend order {self.order} to {order}")
-        return _trusted_series(order, self.coeffs[: order + 1])
+        return series_from_integers(self.nums[: order + 1], self.den)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
+        return Fraction(self.nums[i], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         if self.order != other.order:
             raise OrderMismatch(f"comparing order {self.order} with {other.order}")
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     __hash__ = None
 
-    def __neg__(self) -> "PowerSeries":
-        return _trusted_series(self.order, tuple([-c for c in self.coeffs]))
-
-    def _binop(self, other, fn) -> "PowerSeries":
+    def _combine(self, other, sign: int) -> "PowerSeries":
         if isinstance(other, (int, Fraction)):
             other = PowerSeries.from_list([other], self.order)
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        k = min(self.order, other.order)
-        return _trusted_series(k, tuple(map(fn, self.coeffs[: k + 1], other.coeffs[: k + 1])))
+        return self._plus(other, sign)
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return _trusted_series(self.order, tuple([c * f for c in self.coeffs]))
+            return self._times_rational(other)
         if not isinstance(other, PowerSeries):
             return NotImplemented
         k = min(self.order, other.order)
-        out = [_ZERO] * (k + 1)
-        for i, a in enumerate(self.coeffs[: k + 1]):
-            if a == 0:
-                continue
-            for j in range(k + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return _trusted_series(k, tuple(out))
+        ys = [(j, y) for j, y in enumerate(other.nums[: k + 1]) if y]
+        out = [0] * (k + 1)
+        for i, x in enumerate(self.nums[: k + 1]):
+            if x:
+                for j, y in ys:
+                    if i + j > k:
+                        break
+                    out[i + j] += x * y
+        return series_from_integers(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "PowerSeries":
         """Multiply by q**k, truncating at the same order."""
-        cs = (_ZERO,) * k + self.coeffs
-        return _trusted_series(self.order, cs[: self.order + 1])
+        return series_from_integers(([0] * k + list(self.nums))[: self.order + 1], self.den)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])
@@ -576,33 +604,30 @@ class PowerSeries:
         return f"PowerSeries(order={self.order}, [{head}{tail}])"
 
 
-def _trusted_series(order: int, coeffs: tuple) -> PowerSeries:
-    """Internal constructor for arithmetic results: coeffs must already be a
-    tuple of order + 1 Fractions."""
-    s = object.__new__(PowerSeries)
-    s.order = order
-    s.coeffs = coeffs
-    return s
+def series_from_integers(nums: Sequence[int], denominator: int = 1) -> PowerSeries:
+    """The series with coefficients v/denominator over nums, of order
+    len(nums) - 1: the series twin of cyclo_from_integers."""
+    return _normalized(PowerSeries, len(nums) - 1, nums, denominator)
 
 
 def series_invert(s: PowerSeries) -> PowerSeries:
     """The multiplicative inverse up to the order of s."""
-    if s.coeffs[0] == 0:
+    a = s.nums
+    if a[0] == 0:
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
-    inv0 = 1 / s.coeffs[0]
-    out = [inv0] + [_ZERO] * s.order
+    # 1/s = den/A for the integer series A = a; the coefficient t_i of 1/A is
+    # T_i / a0^(i+1) with T_0 = 1 and T_i = -sum_j a_j T_(i-j) a0^(j-1)
+    powers = [a[0] ** e for e in range(s.order + 2)]
+    t = [1]
     for i in range(1, s.order + 1):
-        acc = Fraction(0)
-        for j in range(1, i + 1):
-            if s.coeffs[j]:
-                acc += s.coeffs[j] * out[i - j]
-        out[i] = -acc * inv0
-    return _trusted_series(s.order, tuple(out))
+        t.append(-sum(a[j] * t[i - j] * powers[j - 1] for j in range(1, i + 1) if a[j]))
+    return series_from_integers([s.den * v * powers[s.order - i] for i, v in enumerate(t)],
+                                powers[s.order + 1])
 
 
 @lru_cache(maxsize=8)
 def _inner_powers(coeffs: tuple, order: int):
-    g = _trusted_series(order, coeffs)
+    g = PowerSeries(order, coeffs)
     powers = [PowerSeries.one(order)]
     for _ in range(order):
         powers.append(powers[-1] * g)
@@ -611,20 +636,20 @@ def _inner_powers(coeffs: tuple, order: int):
 
 def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """f(g(q)) truncated to the common order; g must vanish at 0."""
-    if g.coeffs[0] != 0:
+    if g.nums[0] != 0:
         raise NonzeroConstantTerm("inner series must have zero constant term")
     k = min(f.order, g.order)
     powers = _inner_powers(g.coeffs[: k + 1], k)
-    out = [_ZERO] * (k + 1)
-    for i, c in enumerate(f.coeffs[: k + 1]):
-        if c == 0:
-            continue
+    used = [i for i, c in enumerate(f.nums[: k + 1]) if c]
+    den = math.lcm(*[powers[i].den for i in used])
+    out = [0] * (k + 1)
+    for i in used:
         # g**i has valuation i, so only the first k - i + 1 terms matter
-        pc = powers[i].coeffs
+        c, pc = f.nums[i] * (den // powers[i].den), powers[i].nums
         for j in range(i, k + 1):
             if pc[j]:
                 out[j] += c * pc[j]
-    return _trusted_series(k, tuple(out))
+    return series_from_integers(out, den * f.den)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,14 @@ def format_measure_expr(node) -> str:
 # supports; beyond it one measure takes seconds and then runs away.
 MAX_ATOM_SUPPORT = 1000
 
+# Largest graph parameter (the vertex count; one less for Dtilde) and the
+# largest series order or moment count the CLI accepts.  At the caps the
+# slowest commands, graph-tseries at both caps and verify --order 512, take
+# about 6 s and 11 s; the graph's dense adjacency grows as the square of
+# the vertex count, about 280 MB at the cap.
+MAX_VERTICES = 4000
+MAX_ORDER = 512
+
 # support order of an atom over its parameter n, by number of primes
 _SUPPORT_FACTOR = (2, 4, 12, 6)
 

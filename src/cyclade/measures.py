@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
@@ -25,10 +26,9 @@ from .exact import (
     cyclo_as_rational,
     cyclo_embed,
     cyclo_from_integers,
-    cyclo_make,
     sign_of_real,
-    solve_linear_system,
     _ColumnElimination,
+    _over_lcm,
 )
 from .graphs import GraphFamily, UnsupportedFamily
 
@@ -68,11 +68,10 @@ class CyclotomicMeasure:
     reps[r] is the weight shared by the atoms at the powers r, -r, r + N/2
     and N/2 - r of the primitive N-th root, for 0 <= r <= N/4; every weight
     is a real element of the N-th cyclotomic field, stored at order N.
-    Instances are immutable; _moment_terms is the integer form of reps that
-    moment() derives on first use.
+    Instances are immutable.
     """
 
-    __slots__ = ("order", "reps", "_moment_terms")
+    __slots__ = ("order", "reps")
 
     def __init__(self, order: int, weights: Sequence):
         """Build from the full list of N weights, checking that they are real
@@ -94,7 +93,6 @@ class CyclotomicMeasure:
                 raise SymmetryViolation(f"orbit of position {j} has unequal weights")
         self.order = order
         self.reps = tuple(ws[: order // 4 + 1])
-        self._moment_terms = None
 
     @property
     def weights(self) -> Tuple[CyclotomicNumber, ...]:
@@ -165,7 +163,6 @@ def _from_reps(order: int, reps: Sequence[CyclotomicNumber]) -> CyclotomicMeasur
     e = object.__new__(CyclotomicMeasure)
     e.order = order
     e.reps = tuple(reps)
-    e._moment_terms = None
     return e
 
 
@@ -198,7 +195,8 @@ class RealMeasure:
 @dataclass(frozen=True)
 class ExpansionResult:
     """Coefficients of a measure over the uniform measure (index 0) and the
-    degree-l polynomial densities (index l) at one support parameter."""
+    degree-l polynomial densities (index l) at one support parameter;
+    residual_ok says whether the exact system has a solution."""
 
     n: int
     coefficients: Dict[int, Fraction]
@@ -239,26 +237,18 @@ def density_measure(poly: QPolynomial, kind: str, n: int) -> CyclotomicMeasure:
 
     At the atom u = z^r, z the primitive root, the weight is w/2 times the
     sum of c_i (z^(2ir) + z^(-2ir)) over the coefficients c_i of P, built by
-    one cyclo_make.  Signed, null and sub-probability results are allowed
-    (these arise for n <= deg P, where the density vanishes or folds onto
-    smaller supports).  Memoized: the result is shared and must not be
-    mutated.
+    one cyclo_from_integers over the denominators of P and of the rational
+    w.  Signed, null and sub-probability results are allowed (these arise
+    for n <= deg P, where the density vanishes or folds onto smaller
+    supports).  Memoized: the result is shared and must not be mutated.
     """
     base = basic_measure(kind, n)
-    order = base.order
+    pnums, pden = _over_lcm(poly.coeffs)
     reps = []
     for r, w in enumerate(base.reps):
-        if w.is_zero():
-            reps.append(w)
-            continue
-        half_w = cyclo_as_rational(w) / 2
-        exps: Dict[int, Fraction] = {}
-        for i, c in enumerate(poly.coeffs):
-            if c:
-                for e in ((2 * i * r) % order, (-2 * i * r) % order):
-                    exps[e] = exps.get(e, 0) + c * half_w
-        reps.append(cyclo_make(order, exps))
-    return _from_reps(order, reps)
+        terms = [(s * i * r, c * w.nums[0]) for i, c in enumerate(pnums) if c for s in (2, -2)]
+        reps.append(cyclo_from_integers(base.order, terms, 2 * pden * w.den))
+    return _from_reps(base.order, reps)
 
 
 def lincomb(terms: Sequence[Tuple[Fraction, CyclotomicMeasure]]) -> CyclotomicMeasure:
@@ -304,29 +294,21 @@ def moment(e: CyclotomicMeasure, k: int) -> CyclotomicNumber:
     """The k-th moment: the weighted sum of k-th powers of the atoms.
 
     Each orbit holds u and -u, so an odd moment is exactly zero.  For even k
-    the orbit of r contributes orbit_size/2 * w_r * (z^(rk) + z^(-rk)).
+    the orbit of r contributes orbit_size/2 * w_r * (z^(rk) + z^(-rk)), summed
+    in integers over the common denominator of the weights.
     """
     order = e.order
     if k % 2:
         return CyclotomicNumber.zero(order)
-    if e._moment_terms is None:
-        # integer coordinates over one denominator, computed once per measure
-        den = math.lcm(*[c.denominator for w in e.reps for c in w.coeffs if c])
-        orbits = []
-        for r, w in enumerate(e.reps):
-            mult = e.orbit_size(r) // 2
-            terms = [(i, mult * c.numerator * (den // c.denominator))
-                     for i, c in enumerate(w.coeffs) if c]
-            if terms:
-                orbits.append((r, terms))
-        e._moment_terms = den, orbits
-    den, orbits = e._moment_terms
+    den = math.lcm(*[w.den for w in e.reps])
     acc: Dict[int, int] = {}
-    for r, terms in orbits:
+    for r, w in enumerate(e.reps):
+        scale = e.orbit_size(r) // 2 * (den // w.den)
         for shift in ((r * k) % order, (-r * k) % order):
-            for i, v in terms:
-                key = (i + shift) % order
-                acc[key] = acc.get(key, 0) + v
+            for i, v in enumerate(w.nums):
+                if v:
+                    key = (i + shift) % order
+                    acc[key] = acc.get(key, 0) + v * scale
     return cyclo_from_integers(order, acc.items(), den)
 
 
@@ -340,12 +322,8 @@ def t_series_of_measure(e: CyclotomicMeasure, order: int) -> PowerSeries:
     period = e.order // 2
     block = [2 * cyclo_as_rational(moment(e, 2 * k)) for k in range(min(order, period - 1) + 1)]
     doubled = [block[k % period] for k in range(order + 1)]
-    out = []
-    acc = Fraction(0)
-    for i, s in enumerate(doubled):
-        acc += s - 1 if i == 0 else s
-        out.append(acc)
-    return PowerSeries(order, out)
+    doubled[0] -= 1
+    return PowerSeries(order, accumulate(doubled))
 
 
 def pushforward_real(e: CyclotomicMeasure) -> RealMeasure:
@@ -353,18 +331,17 @@ def pushforward_real(e: CyclotomicMeasure) -> RealMeasure:
 
     (u + 1/u)^2 = 2 + u^2 + u^-2 is constant on an orbit and tells orbits
     apart, so each nonzero orbit gives one atom carrying its total weight.
+    On the orbit of r the location is 2 + 2 cos(4 pi r / N), strictly
+    decreasing for 0 <= r <= N/4, so the reversed orbit order is increasing.
     """
     order = e.order
     atoms = []
     for r, w in enumerate(e.reps):
         if w.is_zero():
             continue
-        exps = {0: 2}
-        for exp in ((2 * r) % order, (-2 * r) % order):
-            exps[exp] = exps.get(exp, 0) + 1
-        atoms.append((cyclo_make(order, exps), w * e.orbit_size(r)))
-    atoms.sort(key=lambda xw: float(xw[0].numeric(dps=20).real))
-    return RealMeasure(tuple(atoms))
+        location = cyclo_from_integers(order, [(0, 2), (2 * r, 1), (-2 * r, 1)], 1)
+        atoms.append((location, w * e.orbit_size(r)))
+    return RealMeasure(tuple(reversed(atoms)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,26 +443,17 @@ def cyclotomic_expansion(e: CyclotomicMeasure, n: int) -> ExpansionResult:
     for j in range(1, n):
         if ms[j] != ms[n - j]:
             raise AsymmetricR(f"moments {2 * j} and {2 * (n - j)} differ")
-    # columns are the moment vectors of the basis measures, doubled
+    # columns are the doubled moment vectors of the basis measures, sparse:
+    # 2 at moment 0, minus 1 at moments l and n - l for the density 1 - u^(2l)
     labels = [0] + list(range(1, n // 2 + 1))
-    columns = []
+    elim = _ColumnElimination({k: 2 * ms[k] for k in range(n)})
     for l in labels:
-        col = [Fraction(0)] * n
-        col[0] = Fraction(2)
+        col = {0: Fraction(2)}
         if l:
-            col[l % n] -= 1
-            col[(n - l) % n] -= 1
-        columns.append(col)
-    rows = [[columns[c][k] for c in range(len(labels))] for k in range(n)]
-    target = [2 * ms[k] for k in range(n)]
-    sol = solve_linear_system(rows, target)
-    if sol is None:
-        return ExpansionResult(n, {}, False)
-    coeffs = {l: sol[i] for i, l in enumerate(labels)}
-    residual = all(
-        sum(columns[i][k] * sol[i] for i in range(len(labels))) == target[k]
-        for k in range(n))
-    return ExpansionResult(n, coeffs, residual)
+            col[l] = col[n - l] = Fraction(-2 if 2 * l == n else -1)
+        elim.add_column(col)
+    sol = elim.solution()
+    return ExpansionResult(n, {} if sol is None else dict(zip(labels, sol)), sol is not None)
 
 
 def reconstruct_expansion(result: ExpansionResult) -> CyclotomicMeasure:

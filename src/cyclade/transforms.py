@@ -4,12 +4,10 @@ functions built from (1 - q^n) and (1 + q^n) factors."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from typing import NamedTuple, Tuple
 
-from .exact import PowerSeries, QPolynomial
+from .exact import PowerSeries, QPolynomial, series_from_integers
 from .graphs import GraphFamily, UnsupportedFamily
 
 
@@ -78,8 +76,8 @@ def _factor(f) -> XiFactor:
 
 def xi_expand(expr: XiExpression, order: int) -> PowerSeries:
     """Exact series expansion of the rational function to the given order."""
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
+    out = [0] * (order + 1)
+    out[0] = 1
     for n, plus in expr.numerator:
         sign = 1 if plus else -1
         for i in range(order, n - 1, -1):
@@ -93,28 +91,22 @@ def xi_expand(expr: XiExpression, order: int) -> PowerSeries:
         sign = -1 if plus else 1
         for i in range(n, order + 1):
             out[i] += sign * out[i - n]
-    return PowerSeries(order, out)
+    return series_from_integers(out)
 
 
 # ---------------------------------------------------------------------------
 # Poincare series -> theta series -> T series
 # ---------------------------------------------------------------------------
 
-def _scaled_counts(counts: PowerSeries, order: int) -> Tuple[list, int]:
+def _scaled_counts(counts: PowerSeries, order: int) -> Tuple[tuple, int]:
     """Validate the loop counts and return (c, D): the counts up to the order
-    as integers c_i = D * counts_i over their common denominator D, which is
-    1 for genuine loop counts."""
+    as the integers c_i = D * counts_i over their denominator D, which is 1
+    for genuine loop counts."""
     if counts.order < order:
         raise ValueError("need loop counts up to the requested order")
-    if counts.coeffs[0] != 1:
+    if counts.nums[0] != counts.den:
         raise ValueError("loop count sequence must start at 1")
-    cs = counts.coeffs[: order + 1]
-    d = lcm(*(c.denominator for c in cs))
-    return [c.numerator * (d // c.denominator) for c in cs], d
-
-
-def _unscaled(numerators: list, d: int) -> PowerSeries:
-    return PowerSeries(len(numerators) - 1, [Fraction(p, d) for p in numerators])
+    return counts.nums[: order + 1], counts.den
 
 
 def theta_from_poincare_formula(counts: PowerSeries, order: int) -> PowerSeries:
@@ -139,7 +131,7 @@ def theta_from_poincare_formula(counts: PowerSeries, order: int) -> PowerSeries:
         out.append(acc if r % 2 == 0 else -acc)
     if order >= 1:
         out[1] += d
-    return _unscaled(out, d)
+    return series_from_integers(out, d)
 
 
 def _over_one_plus_q(a: list) -> list:
@@ -166,17 +158,15 @@ def theta_from_poincare_subst(counts: PowerSeries, order: int) -> PowerSeries:
     out = _over_one_plus_q([x - y for x, y in zip(h, [0] + h)])
     if order >= 1:
         out[1] += d
-    return _unscaled(out, d)
+    return series_from_integers(out, d)
 
 
 def t_from_theta(theta: PowerSeries) -> PowerSeries:
     """(theta - q)/(1 - q) at the same order; a running sum in coefficients."""
-    out = []
-    acc = Fraction(0)
-    for i, c in enumerate(theta.coeffs):
-        acc += c - 1 if i == 1 else c
-        out.append(acc)
-    return PowerSeries(theta.order, out)
+    nums = list(theta.nums)
+    if theta.order >= 1:
+        nums[1] -= theta.den
+    return series_from_integers(list(accumulate(nums)), theta.den)
 
 
 def graph_t_series(counts: PowerSeries, order: int) -> PowerSeries:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exact import PowerSeries, QPolynomial, cyclo_as_rational, cyclo_make
+from .exact import PowerSeries, QPolynomial, cyclo_as_rational, cyclo_make, series_from_integers
 from .graphs import FAMILY_TAGS, GraphFamily, build_ade, loop_counts
 from .transforms import (
     t_closed_form,
@@ -134,7 +134,7 @@ class RunContext:
         return self._cache[key]
 
     def counts(self, fam: GraphFamily) -> PowerSeries:
-        return self._memo(("counts", fam), lambda: PowerSeries.from_list(
+        return self._memo(("counts", fam), lambda: series_from_integers(
             loop_counts(build_ade(fam), self.order)))
 
     def thetas(self, fam: GraphFamily) -> Tuple[PowerSeries, PowerSeries]:
@@ -227,8 +227,8 @@ def _thm71_body(ctx: RunContext, fam: GraphFamily):
     mus = pushforward_real(e).moments(kmax)
     counts = ctx.counts(fam)
     for k in range(kmax + 1):
-        if mus[k] != counts.coeffs[k]:
-            return False, f"pushforward moment {k}: {mus[k]!r} != {counts.coeffs[k]}"
+        if mus[k] != counts[k]:
+            return False, f"pushforward moment {k}: {mus[k]!r} != {counts[k]}"
     return True, ""
 
 
@@ -245,11 +245,11 @@ def _thm87_body(ctx: RunContext, fam: GraphFamily):
 def _check_prop34(ctx: RunContext):
     reps = [GraphFamily("A", 4), GraphFamily("Dtilde", 6), GraphFamily("E7", 7)]
     for fam in reps:
-        t = ctx.graph_t(fam)
+        t = ctx.graph_t(fam).coeffs
         e = candidate_measure(fam, "thm71")
         for k in range(ctx.order + 1):
             lhs = 2 * cyclo_as_rational(moment(e, 2 * k))
-            rhs = (t.coeffs[k] - (t.coeffs[k - 1] if k else 0)) + (1 if k == 0 else 0)
+            rhs = (t[k] - (t[k - 1] if k else 0)) + (1 if k == 0 else 0)
             if lhs != rhs:
                 return "fail", f"{fam.label} moment {2 * k}: {lhs} != {rhs}"
     return "pass", f"{len(reps)} representative(s)"

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclade import cli
+from cyclade.exprs import MAX_ORDER, MAX_VERTICES
 
 DATA = Path(__file__).parent / "data"
 
@@ -135,6 +139,38 @@ def test_out_of_range_arguments(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["graph-loops", "--family", "A", "--param", str(MAX_VERTICES + 1)],
+    ["graph-tseries", "--family", "Dtilde", "--param", str(MAX_VERTICES + 1)],
+    ["graph-tseries", "--family", "E8", "--order", str(MAX_ORDER + 1)],
+    ["xi-expand", "--expr", "xi(2:3)", "--order", str(MAX_ORDER + 1)],
+    ["measure-tseries", "--expr", "d_1", "--order", str(MAX_ORDER + 1)],
+    ["measure-moments", "--expr", "d_1", "--count", str(MAX_ORDER + 1)],
+    ["expand", "--expr", "alpha_5", "--support", str(MAX_ORDER + 1)],
+    ["verify", "--order", str(MAX_ORDER + 1)],
+])
+def test_caps(capsys, argv):
+    cap = MAX_VERTICES if argv[-2] == "--param" else MAX_ORDER
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert f"argument {argv[-2]}: must be at most {cap}, got {cap + 1}" in errors[0]
+
+
+def test_out_into_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "loops.csv"
+    code, out, err = run_cli(capsys, "graph-loops", "--family", "A", "--param", "3",
+                             "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: [Errno 2] No such file or directory: '{target}'"]
+
+
+@pytest.mark.parametrize("argv", [
     ["measure-tseries", "--expr", "d_2000"],
     ["measure-show", "--expr", "gamma_2000"],
     ["measure-moments", "--expr", "alpha_12 + d''_84"],
@@ -172,3 +208,66 @@ def test_exceptional_family_param_optional(capsys):
                            "--format", "csv")
     assert code == 0
     assert out.strip() == "1,1,2"
+
+
+# random argv for main(): small in-range values, values outside the ranges,
+# malformed text and an --out path inside a missing directory
+_EXPRS = ("d_1", "alpha_5", "beta'_3 + d_2/2", "gamma''_2", "d'''_4 - d_1", "2*alpha_12",
+          "d_(", "", "3", "d_97 + d_101", "d_2000", "alpha_0", "d_1 * d_1",
+          "(" * 3000 + "d_1" + ")" * 3000, "xi(2:3)")
+_XIS = ("xi(2:3)", "xi'(3,12+:15+)", "xi''(5+:4)", "xi(", "xi(0:1)", "d_1")
+
+
+def _int_text(low, high):
+    numbers = st.one_of(st.integers(low, high), st.integers(low - 10, low - 1),
+                        st.integers(high + 1, high + 10 ** 6))
+    return numbers.map(str) | st.sampled_from(["x", "1.5"])
+
+
+_ORDER = _int_text(0, 12)
+_COMMANDS = {
+    "graph-loops": {"--family": st.sampled_from(["A", "D", "Atilde", "Dtilde", "E6", "F4"]),
+                    "--param": _int_text(2, 12), "--order": _ORDER},
+    "graph-tseries": {"--family": st.sampled_from(["A", "Atilde", "Dtilde", "E7", "E8tilde"]),
+                      "--param": _int_text(2, 12), "--order": _ORDER},
+    "xi-expand": {"--expr": st.sampled_from(_XIS), "--order": _ORDER},
+    "measure-show": {"--expr": st.sampled_from(_EXPRS)},
+    "measure-moments": {"--expr": st.sampled_from(_EXPRS), "--count": _ORDER},
+    "measure-tseries": {"--expr": st.sampled_from(_EXPRS), "--order": _ORDER},
+    "measure-pushforward": {"--expr": st.sampled_from(_EXPRS)},
+    "expand": {"--expr": st.sampled_from(_EXPRS), "--support": _int_text(1, 12)},
+    "level": {"--expr": st.sampled_from(_EXPRS)},
+    # verify always gets --only, so one example runs a few checks at most
+    "verify": {"--only": st.sampled_from(["xi-identity/E6", "prop5.4/alpha2", "none"]),
+               "--order": _ORDER},
+}
+
+
+@st.composite
+def _argv(draw, out_dir):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for option, values in _COMMANDS[command].items():
+        if option == "--only" or draw(st.integers(0, 4)):
+            argv += [option, draw(values)]
+    fmt = draw(st.sampled_from([None, "text", "json", "csv", "xml"]))
+    if fmt:
+        argv += ["--format", fmt]
+    out = draw(st.sampled_from([None, "file.txt", "missing/file.txt"]))
+    if out:
+        argv += ["--out", str(out_dir / out)]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_random_argv_never_tracebacks(tmp_path_factory, data):
+    argv = data.draw(_argv(tmp_path_factory.getbasetemp()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

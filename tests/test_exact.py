@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -194,6 +195,74 @@ def test_canonical_equality_matches_numeric(triple):
     a, b, _ = triple
     close = abs(a.numeric(40) - b.numeric(40)) < mpmath.mpf("1e-30")
     assert close == (a == b)
+
+
+def _canonical(x) -> bool:
+    """The stored form: int numerators over a positive denominator, in
+    lowest terms."""
+    return (type(x.den) is int and x.den > 0 and all(type(v) is int for v in x.nums)
+            and math.gcd(x.den, *x.nums) == 1)
+
+
+_weights = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _cyclo_values(draw):
+    """Cyclotomic numbers from the public constructors and from + - *,
+    cyclo_embed and cyclo_conj, with pairs equal by construction among
+    them."""
+    order = draw(_orders)
+    phi = len(CyclotomicNumber.one(order).coeffs)
+    a = cyclo_make(order, draw(st.dictionaries(st.integers(0, 2 * order), _weights, max_size=4)))
+    b = CyclotomicNumber(order, [draw(_weights) for _ in range(phi)])
+    c = CyclotomicNumber.from_rational(draw(_weights), draw(_orders))
+    r = draw(_weights)
+    return [a, b, c, a + b, a - b, a * b, -a, a * r, r * b, c + r, (a + b) - b,
+            (a * 2) * Fraction(1, 2), cyclo_embed(a, order * draw(st.sampled_from([2, 3]))),
+            cyclo_conj(b),
+            cyclo_conj(cyclo_conj(b)), a * c, CyclotomicNumber(order, a.coeffs)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cyclo_values())
+def test_cyclo_storage_is_canonical(values):
+    for x in values:
+        assert _canonical(x)
+    for x in values:
+        for y in values:
+            m = math.lcm(x.order, y.order)
+            same = cyclo_embed(x, m).coeffs == cyclo_embed(y, m).coeffs
+            assert (x == y) == same
+
+
+@st.composite
+def _series_values(draw):
+    """Power series from the public constructors and from + - *, shift,
+    truncate and series_invert, with pairs equal by construction."""
+    order = draw(st.integers(0, 8))
+    s = PowerSeries(order, [draw(_weights) for _ in range(order + 1)])
+    t = PowerSeries.from_list([draw(_weights) for _ in range(draw(st.integers(1, 10)))],
+                              draw(st.integers(0, 8)))
+    r = draw(_weights)
+    out = [s, t, s + t, s - t, s * t, -s, s * r, r - t, (s + t) - t, (s * 3) * Fraction(1, 3),
+           s.shift(draw(st.integers(0, 3))), t.truncate(min(t.order, order)),
+           PowerSeries.zero(order), PowerSeries.monomial(draw(st.integers(0, 9)), order)]
+    if s.nums[0]:
+        out += [series_invert(s), series_invert(series_invert(s))]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series_values())
+def test_series_storage_is_canonical(values):
+    for x in values:
+        assert _canonical(x)
+    for x in values:
+        for y in values:
+            k = min(x.order, y.order)
+            a, b = x.truncate(k), y.truncate(k)
+            assert (a == b) == (a.coeffs == b.coeffs)
 
 
 # ---------------------------------------------------------------------------

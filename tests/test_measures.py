@@ -252,6 +252,26 @@ def test_pushforward_moments_match_loops():
     assert real.total_mass() == 1
 
 
+def _pushforward_order_cases():
+    for tag, params in DEFAULT_SIZE_MATRIX.items():
+        for m in params:
+            for variant in ("thm71", "thm87"):
+                yield candidate_measure(GraphFamily(tag, m), variant)
+    for n in range(1, 40):
+        for kind in BASE_KINDS:
+            yield basic_measure(kind, n)
+        for poly in DENSITY_POLYS.values():
+            for kind in BASE_KINDS[:3]:
+                yield density_measure(poly, kind, n)
+
+
+def test_pushforward_locations_strictly_increase():
+    # the locations are listed without any numeric sort; compare their values
+    for e in _pushforward_order_cases():
+        xs = [x.numeric(dps=30).real for x, _ in pushforward_real(e).atoms]
+        assert all(a < b for a, b in zip(xs, xs[1:])), e
+
+
 # ---------------------------------------------------------------------------
 # the measure table
 # ---------------------------------------------------------------------------
