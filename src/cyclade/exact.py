@@ -184,14 +184,38 @@ def _as_poly(x) -> QPolynomial:
 @lru_cache(maxsize=None)
 def cyclotomic_poly(order: int) -> QPolynomial:
     """The monic polynomial whose roots are the primitive order-th roots of
-    unity, computed by dividing x**order - 1 by the lower-order ones."""
+    unity.
+
+    For order > 1 it is the product of (1 - x^d)^mu(order/d) over the
+    divisors d, a polynomial of degree phi(order).  Only the d with
+    order/d squarefree contribute, and the product runs in integers as power
+    series truncated at that degree: multiplying by 1 - x^d is a difference
+    and dividing by it a running sum with stride d.
+    """
     if order < 1:
         raise ValueError("order must be positive")
-    poly = QPolynomial([-1] + [0] * (order - 1) + [1])
-    for d in range(1, order):
-        if order % d == 0:
-            poly = poly.exact_div(cyclotomic_poly(d))
-    return poly
+    if order == 1:
+        return QPolynomial([-1, 1])
+    primes = [p for p in range(2, order + 1)
+              if order % p == 0 and all(p % f for f in range(2, p))]
+    phi = order
+    for p in primes:
+        phi = phi // p * (p - 1)
+    mobius = [(1, 1)]  # (q, mu(q)) for the squarefree divisors q
+    for p in primes:
+        mobius += [(q * p, -mu) for q, mu in mobius]
+    out = [1] + [0] * phi
+    for q, mu in mobius:
+        d = order // q
+        if d > phi:
+            continue
+        if mu == 1:
+            for i in range(phi, d - 1, -1):
+                out[i] -= out[i - d]
+        else:
+            for i in range(d, phi + 1):
+                out[i] += out[i - d]
+    return QPolynomial(out)
 
 
 @lru_cache(maxsize=None)

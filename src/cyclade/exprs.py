@@ -239,8 +239,9 @@ MAX_ATOM_SUPPORT = 1000
 # Largest graph parameter (the vertex count; one less for Dtilde) and the
 # largest series order or moment count the CLI accepts.  At the caps the
 # slowest commands, graph-tseries at both caps and verify --order 512, take
-# about 6 s and 11 s; the graph's dense adjacency grows as the square of
-# the vertex count, about 280 MB at the cap.
+# about 2.6 s and 5.5 s (2-vCPU VM, Python 3.11); the graph's dense
+# adjacency grows as the square of the vertex count, about 270 MB at the
+# cap, and that memory, not time, sets the vertex cap.
 MAX_VERTICES = 4000
 MAX_ORDER = 512
 

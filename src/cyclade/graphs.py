@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 from typing import Tuple
 
 FAMILY_TAGS = ("A", "Atilde", "D", "Dtilde", "E6", "E7", "E8",
@@ -64,28 +66,30 @@ class RootedBipartiteGraph:
 
 def _finish(edges, n, root) -> RootedBipartiteGraph:
     adj = [[0] * n for _ in range(n)]
+    neighbours = [[] for _ in range(n)]
     for u, v, mult in edges:
         adj[u][v] += mult
         adj[v][u] += mult
+        neighbours[u].append(v)
+        neighbours[v].append(u)
     # two-coloring by distance from the root; also certifies connectivity
     parity = [-1] * n
     parity[root] = 0
     queue = [root]
     while queue:
         u = queue.pop()
-        for v in range(n):
-            if adj[u][v] and parity[v] == -1:
+        for v in neighbours[u]:
+            if parity[v] == -1:
                 parity[v] = 1 - parity[u]
                 queue.append(v)
-    if any(p == -1 for p in parity):
+    if -1 in parity:
         raise ValueError("graph is not connected")
-    for u in range(n):
-        if adj[u][u]:
+    for u, v, _ in edges:
+        if u == v:
             raise ValueError("self-loop in adjacency")
-        for v in range(n):
-            if adj[u][v] and parity[u] == parity[v]:
-                raise ValueError("edge inside one parity class")
-    return RootedBipartiteGraph(n, tuple(tuple(r) for r in adj), root, tuple(parity))
+        if parity[u] == parity[v]:
+            raise ValueError("edge inside one parity class")
+    return RootedBipartiteGraph(n, tuple(map(tuple, adj)), root, tuple(parity))
 
 
 def build_ade(family: GraphFamily) -> RootedBipartiteGraph:
@@ -137,16 +141,18 @@ def build_ade(family: GraphFamily) -> RootedBipartiteGraph:
 def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:
     """Numbers of closed walks of even length based at the root.
 
-    Entry k counts the 2k-walks; computed by iterated exact products of the
-    adjacency with the root indicator, each vertex summing over its
-    neighbour list.
+    Entry k counts the 2k-walks, (A^(2k))_rr.  The adjacency A is symmetric,
+    so that is |A^k e_r|^2: one exact product of A with the vector per entry
+    and a sum of squares.  Each vertex sums over its neighbour list, in which
+    a neighbour appears once per edge.
     """
-    neighbours = [[(v, m) for v, m in enumerate(row) if m] for row in graph.adjacency]
-    vec = [0] * graph.vertex_count
+    n = graph.vertex_count
+    neighbours = [[v for v in compress(range(n), row) for _ in range(row[v])]
+                  for row in graph.adjacency]
+    vec = [0] * n
     vec[graph.root] = 1
     out = [1]
     for _ in range(count):
-        for _ in range(2):
-            vec = [sum(m * vec[v] for v, m in nbrs) for nbrs in neighbours]
-        out.append(vec[graph.root])
+        vec = [sum([vec[v] for v in nbrs]) for nbrs in neighbours]
+        out.append(sum(map(mul, vec, vec)))
     return out

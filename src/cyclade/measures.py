@@ -432,14 +432,25 @@ def cyclotomic_expansion(e: CyclotomicMeasure, n: int) -> ExpansionResult:
 
     Index l and n - l give the same density contribution, so the coefficient
     map is indexed 0..n//2 with 0 naming the uniform term.
+
+    Every basis measure lives on the 2n-th roots, whose even moments have
+    period n, so e is in their span only if its even moments have period n
+    too.  That holds exactly when the support order N of e divides 2n.  The
+    even moment 2k is the sum over s = u^2 of W(s) s^k, where W(s) adds the
+    weights at u and -u; those are equal, so W(s) is nonzero exactly when
+    there are atoms at +-u.  Period n says that the sum over s of
+    W(s) (s^n - 1) s^k vanishes for every k, and the characters k -> s^k of
+    distinct s are linearly independent, so every W(s) (s^n - 1) is zero:
+    every atom u has u^(2n) = 1, which is N dividing 2n.  So the test is
+    exact, and the elimination reads only the moments 0, 2, ..., 2n - 2.
     """
     if n < 1:
         raise ValueError("support parameter must be positive")
-    ms = [cyclo_as_rational(moment(e, 2 * k)) for k in range(2 * n + 3)]
-    for k in range(n, 2 * n + 3):
-        if ms[k] != ms[k - n]:
-            raise SupportTooLarge(
-                f"moment {2 * k} breaks period {n}: {ms[k]} != {ms[k - n]}")
+    support = e.minimal_support_order()
+    if support is not None and (2 * n) % support:
+        raise SupportTooLarge(
+            f"support order {support} does not divide {2 * n}, so the moments lack period {n}")
+    ms = [cyclo_as_rational(moment(e, 2 * k)) for k in range(n)]
     for j in range(1, n):
         if ms[j] != ms[n - j]:
             raise AsymmetricR(f"moments {2 * j} and {2 * (n - j)} differ")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 from typing import NamedTuple, Tuple
 
 from .exact import PowerSeries, QPolynomial, series_from_integers
@@ -113,30 +114,27 @@ def theta_from_poincare_formula(counts: PowerSeries, order: int) -> PowerSeries:
     """Theta coefficients from the loop counts via the alternating binomial
     sum, theta_r = sum_k (-1)^(r-k) 2r/(r+k) C(r+k, r-k) c_k.
 
+    Row r of those weights is the coefficient list of V_r(y) = C_r(y - 2),
+    where C_r(2cos t) = 2cos(rt): V_0 = 2, V_1 = y - 2 and
+    V_(r+1) = (y - 2) V_r - V_(r-1).  So the row sums a_j = sum_k [y^k]V_r
+    c_(k+j), for j <= order - r, obey a'_j = a_(j+1) - 2 a_j - a''_j, with a''
+    the row before, and theta_r = a_0: additions only, no binomial.
+
     The variable change behind theta contributes a standalone linear term on
     top of the sum, and the sum's r = 0 term is indeterminate; both boundary
     values are fixed so that this path agrees with the substitution path.
-    The sum runs in integers over the common denominator of the counts.
+    The sums run in integers over the common denominator of the counts.
     """
     c, d = _scaled_counts(counts, order)
-    signed = [x if k % 2 == 0 else -x for k, x in enumerate(c)]
+    prev = [x + x for x in c]
+    row = [y - x - x for x, y in zip(c, c[1:])]
     out = [c[0]]
-    for r in range(1, order + 1):
-        acc = 0
-        binom = 1  # C(r+k, r-k) along the row
-        for k in range(r + 1):
-            # 2r/(r+k) C(r+k, r-k) = C(r+k, 2k) + C(r+k-1, 2k), an integer
-            acc += 2 * r * binom // (r + k) * signed[k]
-            binom = binom * (r + k + 1) * (r - k) // ((2 * k + 1) * (2 * k + 2))
-        out.append(acc if r % 2 == 0 else -acc)
+    for _ in range(order):
+        out.append(row[0])
+        row, prev = [y - x - x - z for x, y, z in zip(row, row[1:], prev)], row
     if order >= 1:
         out[1] += d
     return series_from_integers(out, d)
-
-
-def _over_one_plus_q(a: list) -> list:
-    """Division by (1 + q) at the same length: a running alternating sum."""
-    return list(accumulate(a, lambda s, x: x - s))
 
 
 def theta_from_poincare_subst(counts: PowerSeries, order: int) -> PowerSeries:
@@ -144,18 +142,20 @@ def theta_from_poincare_subst(counts: PowerSeries, order: int) -> PowerSeries:
     generating function F evaluated at g = q/(1+q)^2.
 
     F(g) is evaluated by Horner's rule in g, h <- c_i + g*h, so no power of g
-    is formed.  Multiplying by g is a shift followed by two divisions by
-    (1+q), each a running alternating sum; the prefactor is one difference
-    and one more division.  All of it runs in integers over the common
-    denominator of the counts, in O(order^2) operations.
+    is formed; h will still be multiplied by g^i, so only its first
+    order - i + 1 terms can reach the result.  The loop keeps the alternating
+    form w_n = (-1)^(n+i) h_n, in which dividing by (1+q) is a plain running
+    sum, so one step is w <- [(-1)^i c_i] + accumulate(accumulate(w)).  In
+    the same form the prefactor is multiplication by (1+q) and one running
+    sum.  All of it runs in integers over the common denominator of the
+    counts, in O(order^2) additions.
     """
     c, d = _scaled_counts(counts, order)
-    h = []
+    w = []
     for i in range(order, -1, -1):
-        # h will still be multiplied by g^i, so only its first
-        # order - i + 1 terms can reach the result
-        h = [c[i]] + _over_one_plus_q(_over_one_plus_q(h))
-    out = _over_one_plus_q([x - y for x, y in zip(h, [0] + h)])
+        w = [c[i] if i % 2 == 0 else -c[i]] + list(accumulate(accumulate(w)))
+    out = [x if n % 2 == 0 else -x
+           for n, x in enumerate(accumulate(map(add, w, [0] + w)))]
     if order >= 1:
         out[1] += d
     return series_from_integers(out, d)

@@ -1,13 +1,17 @@
 """Reference implementations that the differential tests compare against.
 
 They are the earlier, simpler forms of library routines: a reduced row
-echelon solve, and the level solver that rebuilds and re-solves its whole
-basis for each degree limit.  Only tests use them.
+echelon solve, the level solver that rebuilds and re-solves its whole basis
+for each degree limit, cyclotomic polynomials by polynomial division, the
+two-product loop counts, and both theta routes as an integer binomial sum
+and as Horner's rule with running alternating sums.  Only tests use them.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
-from cyclade.exact import QPolynomial, euler_phi
+from cyclade.exact import QPolynomial, euler_phi, series_from_integers
 from cyclade.measures import basic_measure, density_measure
 
 
@@ -90,3 +94,63 @@ def level_loop(e):
         if expand_over_level_loop(e, limit) is not None:
             return limit
     raise ArithmeticError("measure admits no rational expansion")
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly_by_division(order):
+    """x**order - 1 divided by the cyclotomic polynomials of the lower
+    divisors, in Fraction polynomial arithmetic."""
+    poly = QPolynomial([-1] + [0] * (order - 1) + [1])
+    for d in range(1, order):
+        if order % d == 0:
+            poly = poly.exact_div(cyclotomic_poly_by_division(d))
+    return poly
+
+
+def loop_counts_two_products(graph, count):
+    """(A^(2k))_rr read off A^(2k) e_r, two products with A per entry."""
+    neighbours = [[(v, m) for v, m in enumerate(row) if m] for row in graph.adjacency]
+    vec = [0] * graph.vertex_count
+    vec[graph.root] = 1
+    out = [1]
+    for _ in range(count):
+        for _ in range(2):
+            vec = [sum(m * vec[v] for v, m in nbrs) for nbrs in neighbours]
+        out.append(vec[graph.root])
+    return out
+
+
+def theta_formula_binomials(counts, order):
+    """theta_r = sum_k (-1)^(r-k) 2r/(r+k) C(r+k, r-k) c_k in integers over
+    the denominator D of the counts, C(r+k, r-k) built along each row; the
+    r = 0 entry is c_0 and D is added at r = 1."""
+    c, d = counts.nums[: order + 1], counts.den
+    signed = [x if k % 2 == 0 else -x for k, x in enumerate(c)]
+    out = [c[0]]
+    for r in range(1, order + 1):
+        acc = 0
+        binom = 1
+        for k in range(r + 1):
+            acc += 2 * r * binom // (r + k) * signed[k]
+            binom = binom * (r + k + 1) * (r - k) // ((2 * k + 1) * (2 * k + 2))
+        out.append(acc if r % 2 == 0 else -acc)
+    if order >= 1:
+        out[1] += d
+    return series_from_integers(out, d)
+
+
+def _over_one_plus_q(a):
+    return list(accumulate(a, lambda s, x: x - s))
+
+
+def theta_subst_alternating_sums(counts, order):
+    """q + (1-q)/(1+q) F(q/(1+q)^2) by Horner's rule h <- c_i + g h, each
+    division by (1+q) a running alternating sum, in integers over D."""
+    c, d = counts.nums[: order + 1], counts.den
+    h = []
+    for i in range(order, -1, -1):
+        h = [c[i]] + _over_one_plus_q(_over_one_plus_q(h))
+    out = _over_one_plus_q([x - y for x, y in zip(h, [0] + h)])
+    if order >= 1:
+        out[1] += d
+    return series_from_integers(out, d)

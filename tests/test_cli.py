@@ -195,6 +195,17 @@ def test_sum_support_limit(capsys):
         "error: sum has support order 19594, above the limit 1000"]
 
 
+@pytest.mark.parametrize("expr,support,order", [
+    ("d_40 - d_20", "5", 80), ("gamma'_250", "512", 1000)])
+def test_expand_support_not_dividing(capsys, expr, support, order):
+    code, out, err = run_cli(capsys, "expand", "--expr", expr, "--support", support)
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"error: support order {order} does not divide {2 * int(support)}, "
+        f"so the moments lack period {support}"]
+
+
 def test_expression_error_exit(capsys):
     code, _, err = run_cli(capsys, "xi-expand", "--expr", "xi(1:2")
     assert code == 2

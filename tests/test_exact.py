@@ -26,7 +26,7 @@ from cyclade.exact import (
     sign_of_real,
     solve_linear_system,
 )
-from oracles import rref_solve
+from oracles import cyclotomic_poly_by_division, rref_solve
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +47,11 @@ def test_cyclotomic_poly_12_by_division_oracle():
         x12 = x12.exact_div(known)
     assert x12 == QPolynomial([1, 0, -1, 0, 1])
     assert cyclotomic_poly(12) == x12
+
+
+def test_cyclotomic_poly_matches_division_oracle():
+    for n in range(1, 121):
+        assert cyclotomic_poly(n) == cyclotomic_poly_by_division(n)
 
 
 def test_cyclotomic_poly_product_property():

@@ -5,9 +5,11 @@ from cyclade.graphs import (
     GraphFamily,
     ParameterOutOfRange,
     UnsupportedFamily,
+    _finish,
     build_ade,
     loop_counts,
 )
+from oracles import loop_counts_two_products
 
 
 def walks_by_enumeration(graph, length):
@@ -30,6 +32,24 @@ def test_loop_counts_against_enumeration(tag, param):
     g = build_ade(GraphFamily(tag, param))
     got = loop_counts(g, 4)
     assert got == [walks_by_enumeration(g, 2 * k) for k in range(5)]
+
+
+@pytest.mark.parametrize("tag,param", [
+    ("A", 9), ("Atilde", 2), ("Atilde", 10), ("D", 9), ("Dtilde", 21), ("E6", 0),
+    ("E7", 0), ("E8", 0), ("E6tilde", 0), ("E7tilde", 0), ("E8tilde", 0),
+])
+def test_loop_counts_match_two_product_oracle(tag, param):
+    g = build_ade(GraphFamily(tag, param))
+    assert loop_counts(g, 160) == loop_counts_two_products(g, 160)
+
+
+def test_finish_rejects_bad_edge_lists():
+    for edges, n, message in (
+            ([(0, 1, 1)], 3, "graph is not connected"),
+            ([(0, 1, 1), (1, 1, 1)], 2, "self-loop in adjacency"),
+            ([(0, 1, 1), (1, 2, 1), (2, 0, 1)], 3, "edge inside one parity class")):
+        with pytest.raises(ValueError, match=message):
+            _finish(edges, n, 0)
 
 
 def test_loop_count_examples():

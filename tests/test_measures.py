@@ -333,6 +333,14 @@ def test_expansion_support_error():
         cyclotomic_expansion(basic_measure("d", 3), 2)
 
 
+@pytest.mark.parametrize("text,n", [("d_40 - d_20", 5), ("gamma'_250", 512)])
+def test_expansion_refuses_support_not_dividing_2n(text, n):
+    # d_40 - d_20 lives on the 80th roots and its moments 0..18 vanish, so a
+    # sampled period test passed it with all coefficients zero
+    with pytest.raises(SupportTooLarge, match=f"does not divide {2 * n}"):
+        cyclotomic_expansion(parse_measure_expr(text), n)
+
+
 def test_level_examples():
     for n in (1, 4, 12, 20):
         assert level(basic_measure("d", n)) == 0

@@ -21,6 +21,7 @@ from cyclade.transforms import (
     xi,
     xi_expand,
 )
+from oracles import theta_formula_binomials, theta_subst_alternating_sums
 
 
 def expand(text, order=16):
@@ -130,6 +131,39 @@ def _assert_matches_oracles(counts, order):
 def test_theta_routes_match_fraction_oracles(case):
     order, tail = case
     _assert_matches_oracles(PowerSeries.from_list([1] + tail), order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=60).flatmap(lambda order: st.tuples(
+    st.just(order),
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12),
+             min_size=order, max_size=order + 3),
+    st.integers(min_value=2, max_value=12))))
+def test_theta_routes_match_integer_oracles(case):
+    order, tail, den = case
+    # one count with denominator den makes the common denominator D > 1
+    counts = PowerSeries.from_list([1] + tail + [Fraction(1, den)])
+    assert counts.den > 1
+    for route, oracle in ((theta_from_poincare_formula, theta_formula_binomials),
+                          (theta_from_poincare_subst, theta_subst_alternating_sums)):
+        got, want = route(counts, order), oracle(counts, order)
+        assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
+
+
+def test_formula_rows_are_the_binomial_weights():
+    # theta_r is linear in c_1, c_2, ...: raising c_k by one raises theta_r
+    # by the weight of c_k in row r of the recurrence
+    order = 40
+    base = theta_from_poincare_formula(PowerSeries.from_list([1] + [0] * order), order)
+    # the weight of c_0 is 2 (-1)^r; theta_0 = c_0 and theta_1 gains 1
+    assert base.coeffs == tuple([1, -1] + [2 * (-1) ** r for r in range(2, order + 1)])
+    for k in range(1, order + 1):
+        unit = [1] + [0] * order
+        unit[k] = 1
+        theta = theta_from_poincare_formula(PowerSeries.from_list(unit), order)
+        assert [t - b for t, b in zip(theta.coeffs, base.coeffs)] == [
+            (-1) ** (r - k) * Fraction(2 * r, r + k) * comb(r + k, r - k) if r >= k else 0
+            for r in range(order + 1)]
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
