@@ -188,7 +188,10 @@ def _factor(s: _Scanner):
             save = s.pos
             s.pos += 1
             if s.peek().isdigit():
-                value /= s.integer()
+                divisor = s.integer()
+                if divisor == 0:
+                    raise EvaluationError("division by zero")
+                value /= divisor
             else:
                 s.pos = save
         return ("rat", value)
@@ -239,9 +242,8 @@ MAX_ATOM_SUPPORT = 1000
 # Largest graph parameter (the vertex count; one less for Dtilde) and the
 # largest series order or moment count the CLI accepts.  At the caps the
 # slowest commands, graph-tseries at both caps and verify --order 512, take
-# about 2.6 s and 5.5 s (2-vCPU VM, Python 3.11); the graph's dense
-# adjacency grows as the square of the vertex count, about 270 MB at the
-# cap, and that memory, not time, sets the vertex cap.
+# about 1.6 s and 5.5 s (2-vCPU VM, Python 3.11); a graph is stored as
+# neighbour lists, so graph-tseries peaks at about 23 MB RSS at the caps.
 MAX_VERTICES = 4000
 MAX_ORDER = 512
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from operator import mul
 from typing import Tuple
 
@@ -53,25 +52,23 @@ class GraphFamily:
 
 @dataclass(frozen=True)
 class RootedBipartiteGraph:
-    """Symmetric multigraph adjacency with a distinguished root of parity 0."""
+    """Multigraph with a distinguished root of parity 0; neighbours[v] lists
+    each neighbour of v once per edge between them."""
 
     vertex_count: int
-    adjacency: Tuple[Tuple[int, ...], ...]
+    neighbours: Tuple[Tuple[int, ...], ...]
     root: int
     parity: Tuple[int, ...]
 
     def degree(self, v: int) -> int:
-        return sum(self.adjacency[v])
+        return len(self.neighbours[v])
 
 
 def _finish(edges, n, root) -> RootedBipartiteGraph:
-    adj = [[0] * n for _ in range(n)]
     neighbours = [[] for _ in range(n)]
     for u, v, mult in edges:
-        adj[u][v] += mult
-        adj[v][u] += mult
-        neighbours[u].append(v)
-        neighbours[v].append(u)
+        neighbours[u] += [v] * mult
+        neighbours[v] += [u] * mult
     # two-coloring by distance from the root; also certifies connectivity
     parity = [-1] * n
     parity[root] = 0
@@ -89,7 +86,7 @@ def _finish(edges, n, root) -> RootedBipartiteGraph:
             raise ValueError("self-loop in adjacency")
         if parity[u] == parity[v]:
             raise ValueError("edge inside one parity class")
-    return RootedBipartiteGraph(n, tuple(map(tuple, adj)), root, tuple(parity))
+    return RootedBipartiteGraph(n, tuple(map(tuple, neighbours)), root, tuple(parity))
 
 
 def build_ade(family: GraphFamily) -> RootedBipartiteGraph:
@@ -146,13 +143,10 @@ def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:
     and a sum of squares.  Each vertex sums over its neighbour list, in which
     a neighbour appears once per edge.
     """
-    n = graph.vertex_count
-    neighbours = [[v for v in compress(range(n), row) for _ in range(row[v])]
-                  for row in graph.adjacency]
-    vec = [0] * n
+    vec = [0] * graph.vertex_count
     vec[graph.root] = 1
     out = [1]
     for _ in range(count):
-        vec = [sum([vec[v] for v in nbrs]) for nbrs in neighbours]
+        vec = [sum([vec[v] for v in nbrs]) for nbrs in graph.neighbours]
         out.append(sum(map(mul, vec, vec)))
     return out

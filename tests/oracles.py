@@ -7,6 +7,7 @@ two-product loop counts, and both theta routes as an integer binomial sum
 and as Horner's rule with running alternating sums.  Only tests use them.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -109,7 +110,7 @@ def cyclotomic_poly_by_division(order):
 
 def loop_counts_two_products(graph, count):
     """(A^(2k))_rr read off A^(2k) e_r, two products with A per entry."""
-    neighbours = [[(v, m) for v, m in enumerate(row) if m] for row in graph.adjacency]
+    neighbours = [Counter(nbrs).items() for nbrs in graph.neighbours]
     vec = [0] * graph.vertex_count
     vec[graph.root] = 1
     out = [1]

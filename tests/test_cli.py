@@ -214,6 +214,14 @@ def test_expression_error_exit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr", ["1/0*d_1", "d_1/0"])
+def test_division_by_zero_exit(capsys, expr):
+    code, out, err = run_cli(capsys, "measure-tseries", "--expr", expr)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: division by zero"]
+
+
 def test_exceptional_family_param_optional(capsys):
     code, out, _ = run_cli(capsys, "graph-loops", "--family", "E6", "--order", "2",
                            "--format", "csv")

@@ -99,6 +99,8 @@ def test_parse_measure_errors():
         parse_measure_expr("3/2")
     with pytest.raises(EvaluationError):
         parse_measure_expr("d_1 + 2")
+    with pytest.raises(EvaluationError, match="^division by zero$"):
+        parse_measure_expr("1/0*d_1")
     with pytest.raises(EvaluationError, match="support order 1002"):
         parse_measure_expr("d'''_167")
     with pytest.raises(ParseError):
