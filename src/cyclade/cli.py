@@ -18,12 +18,12 @@ from .graphs import EXCEPTIONAL_TAGS, FAMILY_TAGS, GraphFamily, build_ade, loop_
 from .measures import (
     cyclotomic_expansion,
     level,
-    moment,
     pushforward_real,
     t_series_of_measure,
+    _even_moments,
 )
 from .transforms import graph_t_series, xi_expand
-from .exact import cyclo_as_rational, series_from_integers
+from .exact import series_from_integers
 from . import verify as verify_mod
 
 
@@ -202,8 +202,9 @@ def _dispatch(args, parser, out) -> int:
         _emit_table(["position", "order", "weight", "weight_decimal"], rows, args.format, out)
         return 0
     if cmd == "measure-moments":
-        e = parse_measure_expr(args.expr)
-        values = [cyclo_as_rational(moment(e, k)) for k in range(args.count + 1)]
+        # odd moments vanish, as each orbit holds u and -u
+        nums, den = _even_moments(parse_measure_expr(args.expr), args.count // 2)
+        values = [0 if k % 2 else Fraction(nums[k // 2], den) for k in range(args.count + 1)]
         _emit_series(values, args.format, out)
         return 0
     if cmd == "measure-tseries":

@@ -8,6 +8,12 @@ symmetry and realness is the public constructor CyclotomicMeasure(N,
 weights), which takes the full list of N weights; every constructor in this
 module builds the orbit representatives directly.  Signed and
 sub-probability measures are first-class, is_probability is a predicate.
+
+The reflection identity: with n = N/2, every atom has u^N = 1 and the
+measure is symmetric under u -> 1/u, so the even moments satisfy
+moment 2(k + n) = moment 2k and moment 2(n - k) = moment -2k = moment 2k.
+Every even moment is therefore one of moments 0, 2, ..., 2 floor(n/2), the
+block that _even_moments computes.
 """
 
 from __future__ import annotations
@@ -26,9 +32,12 @@ from .exact import (
     cyclo_as_rational,
     cyclo_embed,
     cyclo_from_integers,
+    euler_phi,
+    series_from_integers,
     sign_of_real,
     _ColumnElimination,
     _over_lcm,
+    _reduction_rows,
 )
 from .graphs import GraphFamily, UnsupportedFamily
 
@@ -286,40 +295,81 @@ def first_atom_difference(a: CyclotomicMeasure, b: CyclotomicMeasure):
 # Moments, T series, pushforward
 # ---------------------------------------------------------------------------
 
+def _scaled_weights(e: CyclotomicMeasure):
+    """(terms, den): each nonzero orbit weight w_r as (r, [(i, v)]), its
+    nonzero coordinates i over the common denominator den of the weights,
+    times half the orbit size."""
+    den = math.lcm(*[w.den for w in e.reps])
+    terms = []
+    for r, w in enumerate(e.reps):
+        scale = e.orbit_size(r) // 2 * (den // w.den)
+        coords = [(i, v * scale) for i, v in enumerate(w.nums) if v]
+        if coords:
+            terms.append((r, coords))
+    return terms, den
+
+
+def _moment_powers(order: int, terms, k: int) -> List[int]:
+    """The one moment kernel: den times the moment k (k even) over the
+    powers 0 .. N-1 of the primitive root, not yet reduced; the orbit of r
+    adds w_r (z^(rk) + z^(-rk)) times half its size."""
+    acc = [0] * order
+    for r, coords in terms:
+        for shift in ((r * k) % order, (-r * k) % order):
+            for i, v in coords:
+                acc[(i + shift) % order] += v
+    return acc
+
+
 def moment(e: CyclotomicMeasure, k: int) -> CyclotomicNumber:
     """The k-th moment: the weighted sum of k-th powers of the atoms.
 
-    Each orbit holds u and -u, so an odd moment is exactly zero.  For even k
-    the orbit of r contributes orbit_size/2 * w_r * (z^(rk) + z^(-rk)), summed
-    in integers over the common denominator of the weights.
+    Each orbit holds u and -u, so an odd moment is exactly zero.  An even
+    moment is summed in integers over the common denominator of the weights.
     """
-    order = e.order
     if k % 2:
-        return CyclotomicNumber.zero(order)
-    den = math.lcm(*[w.den for w in e.reps])
-    acc: Dict[int, int] = {}
-    for r, w in enumerate(e.reps):
-        scale = e.orbit_size(r) // 2 * (den // w.den)
-        for shift in ((r * k) % order, (-r * k) % order):
-            for i, v in enumerate(w.nums):
-                if v:
-                    key = (i + shift) % order
-                    acc[key] = acc.get(key, 0) + v * scale
-    return cyclo_from_integers(order, acc.items(), den)
+        return CyclotomicNumber.zero(e.order)
+    terms, den = _scaled_weights(e)
+    return cyclo_from_integers(e.order, enumerate(_moment_powers(e.order, terms, k)), den)
+
+
+def _even_moments(e: CyclotomicMeasure, count: int) -> Tuple[List[int], int]:
+    """(nums, den) with moment 2k = nums[k] / den for k = 0 .. count.
+
+    Only the block k = 0 .. floor(n/2), n = N/2, is computed, each moment
+    reduced over the phi(N) power basis; the rest are read off it by the
+    reflection identity of the module docstring.  A moment that is not
+    rational raises NotRational, with the message that
+    cyclo_as_rational(moment(e, 2k)) gives for the first such k <= count:
+    by the identity, that k lies in the block.
+    """
+    order, n = e.order, e.order // 2
+    terms, den = _scaled_weights(e)
+    rows, phi = _reduction_rows(order), euler_phi(order)
+    block = []
+    for k in range(min(count, n // 2) + 1):
+        acc = _moment_powers(order, terms, 2 * k)
+        out = acc[:phi]
+        for t in range(phi, order):
+            if acc[t]:
+                for i, c in rows[t]:
+                    out[i] += acc[t] * c
+        if any(out[1:]):
+            cyclo_as_rational(cyclo_from_integers(order, enumerate(out), den))
+        block.append(out[0])
+    return [block[min(k % n, n - k % n)] for k in range(count + 1)], den
 
 
 def t_series_of_measure(e: CyclotomicMeasure, order: int) -> PowerSeries:
     """The T series of the measure from its even moments.
 
-    Coefficient r of 1 + T(q)(1-q) is twice the 2r-th moment; the moments
-    are periodic in r with period half the support order, and every one must
-    be rational (NotRational otherwise).
+    Coefficient r of 1 + T(q)(1-q) is twice the 2r-th moment, and every one
+    must be rational (NotRational otherwise).
     """
-    period = e.order // 2
-    block = [2 * cyclo_as_rational(moment(e, 2 * k)) for k in range(min(order, period - 1) + 1)]
-    doubled = [block[k % period] for k in range(order + 1)]
-    doubled[0] -= 1
-    return PowerSeries(order, accumulate(doubled))
+    nums, den = _even_moments(e, order)
+    doubled = [2 * v for v in nums]
+    doubled[0] -= den
+    return series_from_integers(list(accumulate(doubled)), den)
 
 
 def pushforward_real(e: CyclotomicMeasure) -> RealMeasure:
@@ -439,9 +489,8 @@ def cyclotomic_expansion(e: CyclotomicMeasure, n: int) -> ExpansionResult:
     distinct s are linearly independent, so every W(s) (s^n - 1) is zero:
     every atom u has u^(2n) = 1, which is N dividing 2n.  So the test is
     exact, and the elimination reads only the moments 0, 2, ..., 2n - 2.
-    They need no reflection test: e is symmetric under u -> 1/u by
-    construction and every atom has u^(2n) = 1, so moment 2(n - j) equals
-    moment -2j, which equals moment 2j.
+    They need no reflection test: with u^(2n) = 1 for every atom, the
+    reflection identity of the module docstring holds for this n.
     """
     if n < 1:
         raise ValueError("support parameter must be positive")
@@ -449,11 +498,11 @@ def cyclotomic_expansion(e: CyclotomicMeasure, n: int) -> ExpansionResult:
     if support is not None and (2 * n) % support:
         raise SupportTooLarge(
             f"support order {support} does not divide {2 * n}, so the moments lack period {n}")
-    ms = [cyclo_as_rational(moment(e, 2 * k)) for k in range(n)]
+    nums, den = _even_moments(e, n - 1)
     # columns are the doubled moment vectors of the basis measures, sparse:
     # 2 at moment 0, minus 1 at moments l and n - l for the density 1 - u^(2l)
     labels = [0] + list(range(1, n // 2 + 1))
-    elim = _ColumnElimination({k: 2 * ms[k] for k in range(n)})
+    elim = _ColumnElimination({k: Fraction(2 * v, den) for k, v in enumerate(nums)})
     for l in labels:
         col = {0: Fraction(2)}
         if l:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exact import PowerSeries, QPolynomial, cyclo_as_rational, cyclo_make, series_from_integers
+from .exact import CyclotomicNumber, PowerSeries, QPolynomial, cyclo_make, series_from_integers
 from .graphs import FAMILY_TAGS, GraphFamily, build_ade, loop_counts
 from .transforms import (
     t_closed_form,
@@ -43,6 +43,7 @@ from .measures import (
     pushforward_real,
     reconstruct_expansion,
     t_series_of_measure,
+    _even_moments,
 )
 from . import exprs
 
@@ -205,15 +206,15 @@ def _prop33_body(ctx: RunContext, fam: GraphFamily):
     # weight per orbit
     e = ctx.candidate(fam, "thm71")
     n = e.order
+    nums, den = _even_moments(e, n // 2 - 1)
     for k in range(n):
-        mk = moment(e, k)
         if k % 2:
+            mk = moment(e, k)
             if not mk.is_zero():
                 return False, f"odd moment {k} is {mk!r}"
-        else:
-            doubled = 2 * cyclo_as_rational(mk)
-            if doubled.denominator != 1:
-                return False, f"even moment {k} is not a half-integer: {mk!r}"
+        elif 2 * nums[k // 2] % den:
+            mk = CyclotomicNumber.from_rational(Fraction(nums[k // 2], den), n)
+            return False, f"even moment {k} is not a half-integer: {mk!r}"
     return True, ""
 
 
@@ -246,9 +247,9 @@ def _check_prop34(ctx: RunContext):
     reps = [GraphFamily("A", 4), GraphFamily("Dtilde", 6), GraphFamily("E7", 7)]
     for fam in reps:
         t = ctx.graph_t(fam).coeffs
-        e = candidate_measure(fam, "thm71")
-        for k in range(ctx.order + 1):
-            lhs = 2 * cyclo_as_rational(moment(e, 2 * k))
+        nums, den = _even_moments(candidate_measure(fam, "thm71"), ctx.order)
+        for k, v in enumerate(nums):
+            lhs = Fraction(2 * v, den)
             rhs = (t[k] - (t[k - 1] if k else 0)) + (1 if k == 0 else 0)
             if lhs != rhs:
                 return "fail", f"{fam.label} moment {2 * k}: {lhs} != {rhs}"

@@ -3,8 +3,9 @@
 They are the earlier, simpler forms of library routines: a reduced row
 echelon solve, the level solver that rebuilds and re-solves its whole basis
 for each degree limit, cyclotomic polynomials by polynomial division, the
-two-product loop counts, and both theta routes as an integer binomial sum
-and as Horner's rule with running alternating sums.  Only tests use them.
+two-product loop counts, both theta routes as an integer binomial sum and
+as Horner's rule with running alternating sums, and the T series and the
+expansion from one moment call per coefficient.  Only tests use them.
 """
 
 from collections import Counter
@@ -12,8 +13,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from cyclade.exact import QPolynomial, euler_phi, series_from_integers
-from cyclade.measures import basic_measure, density_measure
+from cyclade.exact import (
+    PowerSeries,
+    QPolynomial,
+    cyclo_as_rational,
+    euler_phi,
+    series_from_integers,
+)
+from cyclade.measures import ExpansionResult, basic_measure, density_measure, moment
 
 
 def rref_solve(rows, rhs):
@@ -155,3 +162,31 @@ def theta_subst_alternating_sums(counts, order):
     if order >= 1:
         out[1] += d
     return series_from_integers(out, d)
+
+
+def t_series_by_moments(e, order):
+    """Twice moment 2k for k up to min(order, N/2 - 1), one moment call
+    each, repeated with period N/2; the first entry less 1, then Fraction
+    prefix sums."""
+    period = e.order // 2
+    block = [2 * cyclo_as_rational(moment(e, 2 * k)) for k in range(min(order, period - 1) + 1)]
+    doubled = [block[k % period] for k in range(order + 1)]
+    doubled[0] -= 1
+    return PowerSeries(order, accumulate(doubled))
+
+
+def expansion_by_moments(e, n):
+    """The expansion over the uniform measure and the densities 1 - u^(2l)
+    at support parameter n, from one moment call per row and one RREF solve
+    of the whole system; the caller checks that the support order of e
+    divides 2n."""
+    labels = [0] + list(range(1, n // 2 + 1))
+    rows = []
+    for k in range(n):
+        row = [Fraction(2 if k == 0 else 0) for _ in labels]
+        for j, l in enumerate(labels):
+            if l and k in (l, n - l):
+                row[j] -= 2 if 2 * l == n else 1
+        rows.append(row)
+    sol = rref_solve(rows, [2 * cyclo_as_rational(moment(e, 2 * k)) for k in range(n)])
+    return ExpansionResult(n, {} if sol is None else dict(zip(labels, sol)), sol is not None)

@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclade.exact import CyclotomicNumber, QPolynomial, cyclo_make, real_part, root_of_unity
+from cyclade.exact import (
+    CyclotomicNumber,
+    NotRational,
+    QPolynomial,
+    cyclo_as_rational,
+    cyclo_make,
+    real_part,
+    root_of_unity,
+)
 from cyclade.exprs import parse_measure_expr, parse_xi_expr
 from cyclade.graphs import GraphFamily, build_ade, loop_counts
 from cyclade.measures import (
@@ -27,7 +35,7 @@ from cyclade.measures import (
 )
 from cyclade.transforms import xi_expand
 from cyclade.verify import DEFAULT_SIZE_MATRIX
-from oracles import expand_over_level_loop, level_loop
+from oracles import expand_over_level_loop, expansion_by_moments, level_loop, t_series_by_moments
 
 
 def alpha(n, kind="d"):
@@ -392,6 +400,82 @@ def _atom_sums(draw):
 @given(_atom_sums())
 def test_level_matches_per_limit_loop(e):
     _assert_level_matches_loop(e)
+
+
+def _assert_series_matches_oracle(e, order):
+    got, want = t_series_of_measure(e, order), t_series_by_moments(e, order)
+    assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_atom_sums())
+def test_even_moment_block_matches_per_moment_route(e):
+    # the block computes moments 0 .. 2 floor(N/4) and reflects them; the
+    # oracle makes one moment call per coefficient over the full period
+    for order in range(3 * e.order + 1):
+        _assert_series_matches_oracle(e, order)
+    support = e.minimal_support_order() or 2
+    for n in (support // 2, support, 3 * support // 2):
+        assert cyclotomic_expansion(e, n) == expansion_by_moments(e, n)
+
+
+@pytest.mark.parametrize("text", ["d_1", "alpha_1", "d_2", "d'_1", "beta_2", "d_1 + d'_1"])
+def test_even_moment_block_at_small_supports(text):
+    # support orders 2 and 4, where n = N/2 is 1 or 2 and the block holds
+    # only moment 0, or moments 0 and 2; alpha_1 and beta_2 are zero measures
+    e = parse_measure_expr(text)
+    assert e.order in (2, 4)
+    for order in range(13):
+        _assert_series_matches_oracle(e, order)
+    for n in (1, 2, 3, 4):
+        if (2 * n) % (e.minimal_support_order() or 2) == 0:
+            assert cyclotomic_expansion(e, n) == expansion_by_moments(e, n)
+
+
+@pytest.mark.parametrize("text", ["gamma'_15", "alpha''_5 + d_3", "beta_20"])
+def test_even_moment_block_below_half_period(text):
+    # orders below floor(n/2) read only a prefix of the block
+    e = parse_measure_expr(text)
+    for order in range(e.order // 4):
+        _assert_series_matches_oracle(e, order)
+
+
+def _sqrt3_measure(*orbits):
+    """The real symmetric measure at N = 24 with weight sqrt(3) = z^2 + z^22
+    on the first orbit given and -sqrt(3) on the others."""
+    sqrt3 = cyclo_make(24, {2: 1, 22: 1})
+    weights = [Fraction(0)] * 24
+    for i, r in enumerate(orbits):
+        for j in (r, -r, 12 + r, 12 - r):
+            weights[j % 24] = sqrt3 if i == 0 else -sqrt3
+    return CyclotomicMeasure(24, weights)
+
+
+def test_irrational_moments_raise_as_before():
+    e = _sqrt3_measure(1)  # weight sqrt(3) at the positions 1, 11, 13, 23
+    message = ("nonzero non-constant coordinates in CyclotomicNumber(order=24, "
+               "coeffs=['0', '0', '8', '0', '0', '0', '-4', '0'])")
+    for call in (lambda: t_series_of_measure(e, 3), lambda: t_series_of_measure(e, 40),
+                 lambda: cyclotomic_expansion(e, 12), lambda: cyclo_as_rational(moment(e, 0))):
+        with pytest.raises(NotRational) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("orbits", [(1, 2), (2, 5), (3, 1), (1, 5), (4, 2)])
+def test_irrational_moment_after_moment_zero(orbits):
+    # moment 0 cancels; the first irrational moment, if any, comes later,
+    # and the block raises there with the message of the per-moment route
+    e = _sqrt3_measure(*orbits)
+    for order in (0, 1, 2, 3, 6, 40):
+        try:
+            want = t_series_by_moments(e, order)
+        except NotRational as err:
+            with pytest.raises(NotRational) as info:
+                t_series_of_measure(e, order)
+            assert str(info.value) == str(err)
+        else:
+            assert t_series_of_measure(e, order) == want
 
 
 def test_level_matches_per_limit_loop_on_graph_measures():
