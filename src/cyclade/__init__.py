@@ -11,9 +11,7 @@ from .exact import (
     cyclo_conj,
     cyclo_embed,
     cyclo_make,
-    cyclo_project,
     cyclotomic_poly,
-    real_part,
     root_of_unity,
     series_compose,
     series_invert,

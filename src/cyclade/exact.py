@@ -1,5 +1,6 @@
-"""Exact arithmetic substrate: rational polynomials, truncated power series,
-and cyclotomic field elements in canonically reduced form.
+"""Exact arithmetic substrate: rational polynomials as coefficient records,
+truncated power series, and cyclotomic field elements in canonically
+reduced form.
 
 Everything here is immutable and pure.  Rational numbers are
 ``fractions.Fraction`` (re-exported as ``Rational``); cyclotomic field
@@ -7,7 +8,9 @@ elements are coordinate vectors over the power basis of the N-th cyclotomic
 field, reduced modulo the N-th cyclotomic polynomial.  Cyclotomic numbers
 and power series store their coordinates as integers over one positive
 denominator in lowest terms, so structural equality decides field equality;
-``.coeffs`` derives the Fractions.
+``.coeffs`` derives the Fractions.  A polynomial is only a record of its
+coefficients: all arithmetic, polynomial arithmetic included, runs on
+integer lists over one denominator.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ class OrderMismatch(ValueError):
 # ---------------------------------------------------------------------------
 
 class QPolynomial:
-    """Dense polynomial with rational coefficients, constant term first.
+    """Dense rational coefficients, constant term first: a plain value with
+    no arithmetic, read by its consumers through ``coeffs``.
 
     Trailing zeros are stripped on construction; the zero polynomial has an
     empty coefficient tuple and degree -1.
@@ -64,9 +68,6 @@ class QPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, QPolynomial):
             return self.coeffs == other.coeffs
@@ -75,110 +76,8 @@ class QPolynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial(-c for c in self.coeffs)
-
-    def __add__(self, other) -> "QPolynomial":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPolynomial(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QPolynomial":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "QPolynomial":
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other) -> "QPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return QPolynomial(c * other for c in self.coeffs)
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return QPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "QPolynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dn = other.degree, len(rem) - 1
-        quo = [Fraction(0)] * max(dn - dd + 1, 0)
-        lead = other.coeffs[-1]
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            shift = len(rem) - 1 - dd
-            f = rem[-1] / lead
-            quo[shift] = f
-            for i, b in enumerate(other.coeffs):
-                rem[shift + i] -= f * b
-            rem.pop()
-        return QPolynomial(quo), QPolynomial(rem)
-
-    def __floordiv__(self, other: "QPolynomial") -> "QPolynomial":
-        q, _ = divmod(self, other)
-        return q
-
-    def exact_div(self, other: "QPolynomial") -> "QPolynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("polynomial division has a remainder")
-        return q
-
-    def evaluate(self, x):
-        """Horner evaluation; works for any ring element with + and *."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return Fraction(0) if acc is None else acc
-
-    def shift(self, k: int) -> "QPolynomial":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return QPolynomial((Fraction(0),) * k + self.coeffs)
-
-    def reversed_to(self, n: int) -> "QPolynomial":
-        """The polynomial x**n * P(1/x); requires deg P <= n."""
-        if self.degree > n:
-            raise ValueError("degree exceeds reversal order")
-        out = [Fraction(0)] * (n + 1)
-        for s, a in enumerate(self.coeffs):
-            out[n - s] = a
-        return QPolynomial(out)
-
-    def to_series(self, order: int) -> "PowerSeries":
-        cs = list(self.coeffs[: order + 1])
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        return PowerSeries(order, cs)
-
     def __repr__(self):
         return f"QPolynomial({list(self.coeffs)!r})"
-
-
-def _as_poly(x) -> QPolynomial:
-    if isinstance(x, QPolynomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QPolynomial((x,))
-    raise TypeError(f"cannot coerce {type(x).__name__} to QPolynomial")
 
 
 @lru_cache(maxsize=None)
@@ -471,35 +370,10 @@ def cyclo_embed(z: CyclotomicNumber, order: int) -> CyclotomicNumber:
     return cyclo_from_integers(order, [(j * step, v) for j, v in enumerate(z.nums) if v], z.den)
 
 
-def cyclo_project(z: CyclotomicNumber, order: int) -> CyclotomicNumber:
-    """Express z at a divisor order, the inverse of cyclo_embed.
-
-    Solves the exact linear system over the embedded power basis of the
-    smaller field; raises NotRational-style ValueError when z does not lie
-    in it.
-    """
-    if z.order % order != 0:
-        raise ValueError(f"{order} does not divide order {z.order}")
-    if order == z.order:
-        return z
-    columns = [cyclo_embed(root_of_unity(order, j) if j else CyclotomicNumber.one(order),
-                           z.order).coeffs
-               for j in range(euler_phi(order))]
-    rows = [[col[i] for col in columns] for i in range(euler_phi(z.order))]
-    sol = solve_linear_system(rows, z.coeffs)
-    if sol is None:
-        raise ValueError(f"element does not lie in the order-{order} subfield")
-    return CyclotomicNumber(order, sol)
-
-
 def cyclo_conj(z: CyclotomicNumber) -> CyclotomicNumber:
     """Complex conjugation: the automorphism sending the root to its inverse."""
     n = z.order
     return cyclo_from_integers(n, [((n - j) % n, v) for j, v in enumerate(z.nums) if v], z.den)
-
-
-def real_part(z: CyclotomicNumber) -> CyclotomicNumber:
-    return (z + cyclo_conj(z)) * Fraction(1, 2)
 
 
 def cyclo_as_rational(z: CyclotomicNumber) -> Fraction:

@@ -242,7 +242,7 @@ MAX_ATOM_SUPPORT = 1000
 # Largest graph parameter (the vertex count; one less for Dtilde) and the
 # largest series order or moment count the CLI accepts.  At the caps the
 # slowest commands, verify --order 512 and graph-tseries at both caps, take
-# about 4.3 s and 1.5 s (2-vCPU VM, Python 3.11); a graph is stored as
+# about 4.0 s and 1.5 s (2-vCPU VM, Python 3.11); a graph is stored as
 # neighbour lists, so graph-tseries peaks at about 23 MB RSS at the caps.
 MAX_VERTICES = 4000
 MAX_ORDER = 512

@@ -8,7 +8,7 @@ from itertools import accumulate
 from operator import add
 from typing import NamedTuple, Tuple
 
-from .exact import PowerSeries, QPolynomial, series_from_integers
+from .exact import PowerSeries, QPolynomial, _over_lcm, series_from_integers
 from .graphs import GraphFamily, UnsupportedFamily
 
 
@@ -89,10 +89,16 @@ def xi_expand(expr: XiExpression, order: int) -> PowerSeries:
     elif expr.normalizer == "doubleprime":
         divisors.append((2, False))
     for n, plus in divisors:
-        sign = -1 if plus else 1
-        for i in range(n, order + 1):
-            out[i] += sign * out[i - n]
+        _divide(out, n, plus)
     return series_from_integers(out)
+
+
+def _divide(out: list, n: int, plus: bool) -> None:
+    """out <- out / (1 +- q^n) in place, truncated at its length: a running
+    sum with stride n."""
+    sign = -1 if plus else 1
+    for i in range(n, len(out)):
+        out[i] += sign * out[i - n]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +185,9 @@ def t_closed_form(poly: QPolynomial, n: int, variant: str,
 
     The unprimed variant takes + and (1 - q^n); the primed variant takes -
     and (1 + q^n).  Requires deg P < n and P(0) = 1, which makes the
-    numerator a genuine polynomial.
+    numerator a genuine polynomial.  The numerator is written straight
+    into an integer list over the common denominator of P, coefficient s of
+    P at s and, with the sign, at n - s; the two divisions are running sums.
     """
     if variant not in ("unprimed", "primed"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -187,15 +195,17 @@ def t_closed_form(poly: QPolynomial, n: int, variant: str,
         raise DegreeTooLarge(f"deg {poly.degree} >= {n}")
     if poly.is_zero() or poly.coeffs[0] != 1:
         raise ValueError("polynomial must have constant term 1")
-    reflected = poly.reversed_to(n)
-    num = poly + reflected if variant == "unprimed" else poly - reflected
-    out = list(num.to_series(order).coeffs)
-    for i in range(1, order + 1):
-        out[i] += out[i - 1]
     sign = 1 if variant == "unprimed" else -1
-    for i in range(n, order + 1):
-        out[i] += sign * out[i - n]
-    return PowerSeries(order, out)
+    nums, den = _over_lcm(poly.coeffs)
+    out = [0] * (order + 1)
+    for s, v in enumerate(nums):
+        if s <= order:
+            out[s] += v
+        if n - s <= order:
+            out[n - s] += sign * v
+    _divide(out, 1, False)
+    _divide(out, n, variant == "primed")
+    return series_from_integers(out, den)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .measures import (
     level,
     lincomb,
     measure_equal,
-    moment,
     one_minus_power,
     pushforward_real,
     reconstruct_expansion,
@@ -206,15 +205,12 @@ def _prop33_body(ctx: RunContext, fam: GraphFamily):
     # weight per orbit
     e = ctx.candidate(fam, "thm71")
     n = e.order
+    # odd moments vanish, as each stored orbit holds both u and -u
     nums, den = _even_moments(e, n // 2 - 1)
-    for k in range(n):
-        if k % 2:
-            mk = moment(e, k)
-            if not mk.is_zero():
-                return False, f"odd moment {k} is {mk!r}"
-        elif 2 * nums[k // 2] % den:
-            mk = CyclotomicNumber.from_rational(Fraction(nums[k // 2], den), n)
-            return False, f"even moment {k} is not a half-integer: {mk!r}"
+    for j, v in enumerate(nums):
+        if 2 * v % den:
+            mk = CyclotomicNumber.from_rational(Fraction(v, den), n)
+            return False, f"even moment {2 * j} is not a half-integer: {mk!r}"
     return True, ""
 
 
@@ -699,12 +695,15 @@ def _run_one(check_id: str, runner, ctx: RunContext) -> CheckResult:
 
 def run_all(order: int = 64, size_matrix: Optional[Dict[str, Sequence[int]]] = None,
             only: Optional[str] = None) -> VerificationReport:
-    """Run every registered check (or those matching the glob) and report."""
+    """Run every registered check (or those matching the glob) and report;
+    a glob that matches no check id is a ValueError, not an empty report."""
+    checks = [(check_id, runner) for check_id, runner in registry().items()
+              if not only or fnmatch.fnmatchcase(check_id, only)]
+    if only and not checks:
+        raise ValueError(f"no check id matches {only!r}")
     ctx = RunContext(order, size_matrix)
     report = VerificationReport(order)
-    for check_id, runner in registry().items():
-        if only and not fnmatch.fnmatchcase(check_id, only):
-            continue
+    for check_id, runner in checks:
         report.results.append(_run_one(check_id, runner, ctx))
     return report
 

@@ -4,8 +4,9 @@ They are the earlier, simpler forms of library routines: a reduced row
 echelon solve, the level solver that rebuilds and re-solves its whole basis
 for each degree limit, cyclotomic polynomials by polynomial division, the
 two-product loop counts, both theta routes as an integer binomial sum and
-as Horner's rule with running alternating sums, and the T series and the
-expansion from one moment call per coefficient.  Only tests use them.
+as Horner's rule with running alternating sums, the closed-form T series in
+Fraction lists, and the T series and the expansion from one moment call per
+coefficient.  Only tests use them.
 """
 
 from collections import Counter
@@ -104,15 +105,33 @@ def level_loop(e):
     raise ArithmeticError("measure admits no rational expansion")
 
 
+def divide_monic(a, b):
+    """The quotient of the integer coefficient list a by the monic list b,
+    constant terms first, by long division; the remainder must be zero."""
+    rem = list(a)
+    quo = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        f = rem[shift + len(b) - 1]
+        quo[shift] = f
+        for i, c in enumerate(b):
+            rem[shift + i] -= f * c
+    assert not any(rem), "division has a remainder"
+    return quo
+
+
 @lru_cache(maxsize=None)
-def cyclotomic_poly_by_division(order):
-    """x**order - 1 divided by the cyclotomic polynomials of the lower
-    divisors, in Fraction polynomial arithmetic."""
-    poly = QPolynomial([-1] + [0] * (order - 1) + [1])
+def _cyclotomic_ints_by_division(order):
+    poly = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
-            poly = poly.exact_div(cyclotomic_poly_by_division(d))
+            poly = divide_monic(poly, _cyclotomic_ints_by_division(d))
     return poly
+
+
+def cyclotomic_poly_by_division(order):
+    """x**order - 1 divided by the cyclotomic polynomials of the lower
+    divisors, each a monic integer list, by integer long division."""
+    return QPolynomial(_cyclotomic_ints_by_division(order))
 
 
 def loop_counts_two_products(graph, count):
@@ -162,6 +181,21 @@ def theta_subst_alternating_sums(counts, order):
     if order >= 1:
         out[1] += d
     return series_from_integers(out, d)
+
+
+def t_closed_form_by_fractions(poly, n, variant, order):
+    """(P(q) +- q^n P(1/q)) / ((1-q)(1 -+ q^n)) in Fraction lists: P padded
+    to length n + 1 plus or minus its reversal, truncated or padded to the
+    order, then one running sum and one running sum with stride n."""
+    sign = 1 if variant == "unprimed" else -1
+    p = list(poly.coeffs) + [Fraction(0)] * (n + 1 - len(poly.coeffs))
+    out = [p[s] + sign * p[n - s] for s in range(n + 1)]
+    out = (out + [Fraction(0)] * order)[: order + 1]
+    for i in range(1, order + 1):
+        out[i] += out[i - 1]
+    for i in range(n, order + 1):
+        out[i] += sign * out[i - n]
+    return PowerSeries(order, out)
 
 
 def t_series_by_moments(e, order):

@@ -111,6 +111,14 @@ def test_verify_subset_json(capsys):
     assert all(c["id"].startswith("xi-identity/") for c in payload["checks"])
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_glob_matching_nothing_exits_2(capsys, fmt):
+    code, out, err = run_cli(capsys, "verify", "--only", "thm9*", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: no check id matches 'thm9*'\n"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import cyclade.verify as verify_mod
 

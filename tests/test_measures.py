@@ -8,8 +8,8 @@ from cyclade.exact import (
     NotRational,
     QPolynomial,
     cyclo_as_rational,
+    cyclo_conj,
     cyclo_make,
-    real_part,
     root_of_unity,
 )
 from cyclade.exprs import parse_measure_expr, parse_xi_expr
@@ -129,8 +129,13 @@ def _density_by_horner(poly, kind, n):
         if w.is_zero():
             out.append(w)
             continue
-        value = poly.evaluate(root_of_unity(base.order, (2 * j) % base.order))
-        out.append(w * (value if isinstance(value, Fraction) else real_part(value)))
+        x = root_of_unity(base.order, (2 * j) % base.order)
+        value = None
+        for c in reversed(poly.coeffs):
+            value = c if value is None else value * x + c
+        if not isinstance(value, Fraction):
+            value = (value + cyclo_conj(value)) * Fraction(1, 2)
+        out.append(w * value)
     return out
 
 

@@ -21,7 +21,11 @@ from cyclade.transforms import (
     xi,
     xi_expand,
 )
-from oracles import theta_formula_binomials, theta_subst_alternating_sums
+from oracles import (
+    t_closed_form_by_fractions,
+    theta_formula_binomials,
+    theta_subst_alternating_sums,
+)
 
 
 def expand(text, order=16):
@@ -213,6 +217,23 @@ def test_t_closed_form_matches_xi():
 
 def test_t_closed_form_uniform_case():
     assert t_closed_form(QPolynomial([1]), 1, "unprimed", 16) == expand("xi'(1+:1)", 16)
+
+
+@st.composite
+def _closed_form_cases(draw):
+    n = draw(st.integers(1, 20))
+    tail = draw(st.lists(st.fractions(-3, 3, max_denominator=6), max_size=n - 1))
+    variant = draw(st.sampled_from(["unprimed", "primed"]))
+    return QPolynomial([1] + tail), n, variant, draw(st.integers(0, 3 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_closed_form_cases())
+def test_t_closed_form_matches_fraction_oracle(case):
+    # random P with P(0) = 1 and deg P < n, against the Fraction-list route
+    got = t_closed_form(*case)
+    want = t_closed_form_by_fractions(*case)
+    assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
 
 
 def test_t_closed_form_errors():
