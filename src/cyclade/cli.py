@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .exact import CyclotomicNumber
+from .exact import CyclotomicNumber, series_from_integers
 from .exprs import MAX_ORDER, MAX_VERTICES, parse_measure_expr, parse_xi_expr
 from .graphs import EXCEPTIONAL_TAGS, FAMILY_TAGS, GraphFamily, build_ade, loop_counts
 from .measures import (
@@ -23,7 +23,6 @@ from .measures import (
     _even_moments,
 )
 from .transforms import graph_t_series, xi_expand
-from .exact import series_from_integers
 from . import verify as verify_mod
 
 
@@ -87,7 +86,9 @@ def _family(args, parser) -> GraphFamily:
         parser.error(f"unknown family {tag!r}; choose from {', '.join(FAMILY_TAGS)}")
     param = args.param
     if tag in EXCEPTIONAL_TAGS:
-        param = int(tag[1]) if param is None else param
+        if param not in (None, int(tag[1])):
+            parser.error(f"family {tag} has parameter {tag[1]}, got --param {param}")
+        param = int(tag[1])
     elif param is None:
         parser.error(f"family {tag} needs --param")
     return GraphFamily(tag, param)

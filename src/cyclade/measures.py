@@ -173,28 +173,34 @@ def _from_reps(order: int, reps: Sequence[CyclotomicNumber]) -> CyclotomicMeasur
 
 @dataclass(frozen=True)
 class RealMeasure:
-    """Pushforward of a circular measure to the real line; atoms are exact
-    cyclotomic reals, listed in increasing numeric order."""
+    """The pushforward of a circular measure by u -> (u + 1/u)^2, a view of
+    the measure it stores; for a graph's circular measure, the spectral
+    measure of A^2 at the root."""
 
-    atoms: Tuple[Tuple[CyclotomicNumber, CyclotomicNumber], ...]
+    circular: CyclotomicMeasure
 
-    def total_mass(self) -> CyclotomicNumber:
-        total = CyclotomicNumber.zero(1)
-        for _, w in self.atoms:
-            total = total + w
-        return total
+    @property
+    def atoms(self) -> Tuple[Tuple[CyclotomicNumber, CyclotomicNumber], ...]:
+        """(location, weight) pairs of exact reals in increasing order: the
+        orbit of r, if nonzero, gives one atom at 2 + u^2 + u^-2 =
+        2 + 2 cos(4 pi r / N), which decreases for 0 <= r <= N/4, carrying
+        the orbit's total weight."""
+        e = self.circular
+        return tuple((cyclo_from_integers(e.order, [(0, 2), (2 * r, 1), (-2 * r, 1)], 1),
+                      w * e.orbit_size(r))
+                     for r, w in reversed(list(enumerate(e.reps))) if not w.is_zero())
 
-    def moments(self, count: int) -> list:
-        """Moments 0..count, computed from the atoms by exact powering."""
-        out = []
-        powers = [CyclotomicNumber.one(x.order) for x, _ in self.atoms]
-        for k in range(count + 1):
-            total = CyclotomicNumber.zero(1)
-            for i, (x, w) in enumerate(self.atoms):
-                total = total + w * powers[i]
-                powers[i] = powers[i] * x
-            out.append(total)
-        return out
+    def moments(self, count: int) -> List[CyclotomicNumber]:
+        """Moments 0..count at the circular measure's order.  With M_i =
+        moment 2i = M_-i of the circular measure, multiplying by 2 + u^2 +
+        u^-2 maps M_i to 2 M_i + M_(i-1) + M_(i+1); moment k is M_0 after k
+        steps.  NotRational unless the even moments 0 .. 2 count are rational."""
+        m, den = _even_moments(self.circular, count)
+        out = [m[0]]
+        for _ in range(count):
+            m = [2 * (m[0] + m[1])] + [2 * b + a + c for a, b, c in zip(m, m[1:], m[2:])]
+            out.append(m[0])
+        return [CyclotomicNumber.from_rational(Fraction(v, den), self.circular.order) for v in out]
 
 
 @dataclass(frozen=True)
@@ -373,21 +379,8 @@ def t_series_of_measure(e: CyclotomicMeasure, order: int) -> PowerSeries:
 
 
 def pushforward_real(e: CyclotomicMeasure) -> RealMeasure:
-    """Map atoms u to the exact real number (u + 1/u)^2 and add weights.
-
-    (u + 1/u)^2 = 2 + u^2 + u^-2 is constant on an orbit and tells orbits
-    apart, so each nonzero orbit gives one atom carrying its total weight.
-    On the orbit of r the location is 2 + 2 cos(4 pi r / N), strictly
-    decreasing for 0 <= r <= N/4, so the reversed orbit order is increasing.
-    """
-    order = e.order
-    atoms = []
-    for r, w in enumerate(e.reps):
-        if w.is_zero():
-            continue
-        location = cyclo_from_integers(order, [(0, 2), (2 * r, 1), (-2 * r, 1)], 1)
-        atoms.append((location, w * e.orbit_size(r)))
-    return RealMeasure(tuple(reversed(atoms)))
+    """RealMeasure(e), the pushforward of e by u -> (u + 1/u)^2."""
+    return RealMeasure(e)
 
 
 # ---------------------------------------------------------------------------

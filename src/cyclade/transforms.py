@@ -53,7 +53,15 @@ class XiExpression:
         den = ",".join(f.text() for f in self.denominator)
         return f"xi{mark}({num}:{den})"
 
-    def equivalent(self, other: "XiExpression", order: int = 64) -> bool:
+    def equivalent(self, other: "XiExpression") -> bool:
+        """Equality as rational functions: N1/D1 = N2/D2 is the identity
+        N1 D2 = N2 D1 of degree at most max(deg N1 + deg D2, deg N2 + deg D1),
+        and each D has constant term 1, so the series to that order decide
+        it.  The normalizer adds its index in NORMALIZERS to deg D."""
+        (n1, d1), (n2, d2) = [(sum(f.exponent for f in x.numerator),
+                               sum(f.exponent for f in x.denominator)
+                               + NORMALIZERS.index(x.normalizer)) for x in (self, other)]
+        order = max(n1 + d2, n2 + d1)
         return xi_expand(self, order) == xi_expand(other, order)
 
 

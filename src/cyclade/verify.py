@@ -220,12 +220,10 @@ def _thm71_body(ctx: RunContext, fam: GraphFamily):
         return False, _first_diff(ctx.candidate_t(fam, "thm71"), ctx.graph_t(fam))
     if not e.is_probability():
         return False, "not a probability measure"
-    kmax = ctx.order // 2
-    mus = pushforward_real(e).moments(kmax)
     counts = ctx.counts(fam)
-    for k in range(kmax + 1):
-        if mus[k] != counts[k]:
-            return False, f"pushforward moment {k}: {mus[k]!r} != {counts[k]}"
+    for k, mu in enumerate(pushforward_real(e).moments(ctx.order // 2)):
+        if mu != counts[k]:
+            return False, f"pushforward moment {k}: {mu!r} != {counts[k]}"
     return True, ""
 
 

@@ -5,8 +5,9 @@ echelon solve, the level solver that rebuilds and re-solves its whole basis
 for each degree limit, cyclotomic polynomials by polynomial division, the
 two-product loop counts, both theta routes as an integer binomial sum and
 as Horner's rule with running alternating sums, the closed-form T series in
-Fraction lists, and the T series and the expansion from one moment call per
-coefficient.  Only tests use them.
+Fraction lists, the T series and the expansion from one moment call per
+coefficient, and pushforward moments by cyclotomic powering.  Only tests
+use them.
 """
 
 from collections import Counter
@@ -15,6 +16,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from cyclade.exact import (
+    CyclotomicNumber,
     PowerSeries,
     QPolynomial,
     cyclo_as_rational,
@@ -224,3 +226,18 @@ def expansion_by_moments(e, n):
         rows.append(row)
     sol = rref_solve(rows, [2 * cyclo_as_rational(moment(e, 2 * k)) for k in range(n)])
     return ExpansionResult(n, {} if sol is None else dict(zip(labels, sol)), sol is not None)
+
+
+def pushforward_moments_by_powering(real, count):
+    """Moments 0..count of a pushforward measure from its atoms, each
+    location powered and weighted in the cyclotomic field, at the order of
+    its circular measure."""
+    out = []
+    powers = [CyclotomicNumber.one(x.order) for x, _ in real.atoms]
+    for _ in range(count + 1):
+        total = CyclotomicNumber.zero(real.circular.order)
+        for i, (x, w) in enumerate(real.atoms):
+            total = total + w * powers[i]
+            powers[i] = powers[i] * x
+        out.append(total)
+    return out

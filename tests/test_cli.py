@@ -250,6 +250,21 @@ def test_exceptional_family_param_optional(capsys):
     assert out.strip() == "1,1,2"
 
 
+@pytest.mark.parametrize("family,param", [("E7", "9"), ("E6tilde", "7"), ("E8", "0")])
+def test_exceptional_family_rejects_other_param(capsys, family, param):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["graph-loops", "--family", family, "--param", param])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"cyclade: error: family {family} has parameter {int(family[1])}, "
+        f"got --param {param}"]
+    code, out, _ = run_cli(capsys, "graph-loops", "--family", family, "--param", family[1],
+                           "--order", "2", "--format", "csv")
+    assert code == 0
+
+
 # random argv for main(): small in-range values, values outside the ranges,
 # malformed text and an --out path inside a missing directory
 _EXPRS = ("d_1", "alpha_5", "beta'_3 + d_2/2", "gamma''_2", "d'''_4 - d_1", "2*alpha_12",

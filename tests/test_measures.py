@@ -35,7 +35,13 @@ from cyclade.measures import (
 )
 from cyclade.transforms import xi_expand
 from cyclade.verify import DEFAULT_SIZE_MATRIX
-from oracles import expand_over_level_loop, expansion_by_moments, level_loop, t_series_by_moments
+from oracles import (
+    expand_over_level_loop,
+    expansion_by_moments,
+    level_loop,
+    pushforward_moments_by_powering,
+    t_series_by_moments,
+)
 
 
 def alpha(n, kind="d"):
@@ -262,7 +268,7 @@ def test_pushforward_moments_match_loops():
     e = candidate_measure(fam, "thm71")
     real = pushforward_real(e)
     assert real.moments(10) == loop_counts(build_ade(fam), 10)
-    assert real.total_mass() == 1
+    assert sum(w for _, w in real.atoms) == e.mass() == 1
 
 
 def _pushforward_order_cases():
@@ -481,6 +487,35 @@ def test_irrational_moment_after_moment_zero(orbits):
             assert str(info.value) == str(err)
         else:
             assert t_series_of_measure(e, order) == want
+
+
+def test_irrational_pushforward_moment_raises():
+    # the mass is 4 sqrt(3), so pushforward moment 0 is already irrational
+    with pytest.raises(NotRational):
+        pushforward_real(_sqrt3_measure(1)).moments(2)
+
+
+def _assert_pushforward_matches_powering(e):
+    # the recurrence over the even-moment block against powering the atoms,
+    # at every count: equal values at equal orders
+    def fields(zs):
+        return [(z.order, z.nums, z.den) for z in zs]
+
+    want = fields(pushforward_moments_by_powering(pushforward_real(e), 40))
+    for count in range(41):
+        assert fields(pushforward_real(e).moments(count)) == want[:count + 1], (e, count)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_atom_sums())
+def test_pushforward_moments_match_powering(e):
+    _assert_pushforward_matches_powering(e)
+
+
+def test_pushforward_moments_match_powering_on_graph_measures():
+    for tag, params in DEFAULT_SIZE_MATRIX.items():
+        for m in params:
+            _assert_pushforward_matches_powering(candidate_measure(GraphFamily(tag, m), "thm71"))
 
 
 def test_level_matches_per_limit_loop_on_graph_measures():

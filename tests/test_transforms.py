@@ -266,5 +266,7 @@ def test_lookup_errors():
 def test_xi_helper_equivalent():
     a = xi([(2, True)], [3])
     b = xi([4], [2, 3])
-    assert a.equivalent(b, 40)
-    assert not a.equivalent(xi([2], [3]), 40)
+    assert a.equivalent(b)
+    assert not a.equivalent(xi([2], [3]))
+    # 1 - q^65 and 1 first differ at q^65, past any fixed sampling order
+    assert not parse_xi_expr("xi(65:)").equivalent(parse_xi_expr("xi(:)"))
