@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import mpmath
@@ -555,64 +556,71 @@ def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
 # ---------------------------------------------------------------------------
 
 class _ColumnElimination:
-    """Gaussian elimination of A x = b fed one column of A at a time, so a
-    caller can ask for a solution after any prefix of the columns.
-
-    Columns and b map row keys to values.  A column is reduced against the
-    pivot vectors kept so far, each stored with its combination of the
-    columns; a nonzero remainder becomes a new pivot, and b is reduced
-    against it at once, keeping b = A x + residual.
+    """Gaussian elimination of A x = b / den fed one integer column of A at
+    a time, so a caller can ask for a solution after any prefix of the
+    columns.  A column is reduced against the pivot vectors kept so far,
+    each followed by its integer combination of the columns, by
+    cross-multiplication, then divided by its content; a nonzero remainder
+    becomes a pivot, and b is reduced against it at once, keeping
+    b = A x + residual with x in Fractions.  A column is a pivot exactly
+    when it is independent of those before it, so the solution depends only
+    on the linear relations among the columns and b, and any injective
+    Q-linear map of the rows leaves it unchanged.
     """
 
-    def __init__(self, rhs: Mapping):
+    def __init__(self, rhs: Sequence[int], den: int):
         self._ncols = 0
-        self._pivots: list = []  # (pivot row, vector, its combination of the columns)
-        self._residual = {k: v for k, v in rhs.items() if v}
+        self._pivots: list = []  # (pivot row, vector then its combination of the columns)
+        self._residual, self._den = list(rhs), den
         self._x: dict = {}
 
-    def add_column(self, col: Mapping) -> None:
-        vec = {k: v for k, v in col.items() if v}
-        combo = {self._ncols: Fraction(1)}
+    def add_column(self, col: Sequence[int]) -> None:
+        size = len(self._residual)
+        vec = [*col, *[0] * self._ncols, 1]
         self._ncols += 1
-        for row, pvec, pcombo in self._pivots:
-            if row in vec:
-                f = vec[row] / pvec[row]
-                _subtract_multiple(vec, f, pvec)
-                _subtract_multiple(combo, f, pcombo)
-        if vec:
-            row = next(iter(vec))
-            coord = self._residual.get(row, _ZERO) / vec[row]
-            _subtract_multiple(self._residual, coord, vec)
-            _subtract_multiple(self._x, -coord, combo)
-            self._pivots.append((row, vec, combo))
+        for row, pvec in self._pivots:
+            a = vec[row]
+            if a:
+                g = math.gcd(a, pvec[row])
+                a, b = a // g, pvec[row] // g
+                vec = [b * v - a * w for v, w in zip_longest(vec, pvec, fillvalue=0)]
+        g = math.gcd(*vec)
+        vec = [v // g for v in vec]
+        row = next((i for i in range(size) if vec[i]), None)
+        if row is None:
+            return
+        self._pivots.append((row, vec))
+        r, p = self._residual[row], vec[row]
+        if r:
+            # b - (r / (den p)) times the pivot vector and its combination
+            den = self._den * p
+            for j, c in enumerate(vec[size:]):
+                if c:
+                    self._x[j] = self._x.get(j, _ZERO) + Fraction(r * c, den)
+            res = [p * v - r * w for v, w in zip(self._residual, vec)]
+            g = math.gcd(den, *res) * (1 if den > 0 else -1)
+            self._residual, self._den = [v // g for v in res], den // g
 
     def solution(self) -> Optional[list]:
         """The canonical solution over the columns added so far, free
         variables zero, or None while the system is inconsistent."""
-        if self._residual:
+        if any(self._residual):
             return None
         return [self._x.get(j, _ZERO) for j in range(self._ncols)]
 
 
-def _subtract_multiple(vec: dict, f, other: Mapping) -> None:
-    """vec -= f * other in place, dropping the entries that become zero."""
-    for k, v in other.items():
-        w = vec.get(k, _ZERO) - f * v
-        if w:
-            vec[k] = w
-        else:
-            vec.pop(k, None)
-
-
 def solve_linear_system(rows: Sequence[Sequence[Fraction]],
                         rhs: Sequence[Fraction]) -> Optional[list]:
-    """Solve A x = b over the rationals by column-at-a-time elimination.
+    """Solve A x = b over the rationals by column-at-a-time elimination,
+    each column scaled to integers and the solution scaled back.
 
     Returns the canonical solution, Fractions with the free variables zero
     and the greedy pivot columns carrying the coefficients, or None when the
     system is inconsistent; no rows give [].
     """
-    elim = _ColumnElimination({i: Fraction(rhs[i]) for i in range(len(rows))})
-    for j in range(len(rows[0]) if rows else 0):
-        elim.add_column({i: Fraction(row[j]) for i, row in enumerate(rows)})
-    return elim.solution()
+    cols = [_over_lcm(col) for col in zip(*rows)]
+    elim = _ColumnElimination(*_over_lcm(rhs))
+    for col, _ in cols:
+        elim.add_column(col)
+    sol = elim.solution()
+    return None if sol is None else [x * scale for x, (_, scale) in zip(sol, cols)]

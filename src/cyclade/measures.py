@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
     CyclotomicNumber,
+    NotRational,
     PowerSeries,
     QPolynomial,
     cyclo_as_rational,
@@ -481,9 +482,9 @@ def cyclotomic_expansion(e: CyclotomicMeasure, n: int) -> ExpansionResult:
     W(s) (s^n - 1) s^k vanishes for every k, and the characters k -> s^k of
     distinct s are linearly independent, so every W(s) (s^n - 1) is zero:
     every atom u has u^(2n) = 1, which is N dividing 2n.  So the test is
-    exact, and the elimination reads only the moments 0, 2, ..., 2n - 2.
-    They need no reflection test: with u^(2n) = 1 for every atom, the
-    reflection identity of the module docstring holds for this n.
+    exact.  With u^(2n) = 1 for every atom, the reflection identity of the
+    module docstring holds for this n, so the elimination reads only the
+    moments 0, 2, ..., 2 floor(n/2), the rows _level_expansion uses.
     """
     if n < 1:
         raise ValueError("support parameter must be positive")
@@ -491,16 +492,11 @@ def cyclotomic_expansion(e: CyclotomicMeasure, n: int) -> ExpansionResult:
     if support is not None and (2 * n) % support:
         raise SupportTooLarge(
             f"support order {support} does not divide {2 * n}, so the moments lack period {n}")
-    nums, den = _even_moments(e, n - 1)
-    # columns are the doubled moment vectors of the basis measures, sparse:
-    # 2 at moment 0, minus 1 at moments l and n - l for the density 1 - u^(2l)
-    labels = [0] + list(range(1, n // 2 + 1))
-    elim = _ColumnElimination({k: Fraction(2 * v, den) for k, v in enumerate(nums)})
+    nums, den = _even_moments(e, n // 2)
+    labels = list(range(n // 2 + 1))
+    elim = _ColumnElimination([2 * v for v in nums], den)
     for l in labels:
-        col = {0: Fraction(2)}
-        if l:
-            col[l] = col[n - l] = Fraction(-2 if 2 * l == n else -1)
-        elim.add_column(col)
+        elim.add_column(_moment_column(l, n, n // 2))
     sol = elim.solution()
     return ExpansionResult(n, {} if sol is None else dict(zip(labels, sol)), sol is not None)
 
@@ -521,31 +517,46 @@ def reconstruct_expansion(result: ExpansionResult) -> CyclotomicMeasure:
     return lincomb(terms)
 
 
+def _moment_column(l: int, m: int, count: int) -> List[int]:
+    """Twice the moments 0, 2, ..., 2 count of the uniform measure on the
+    2m-th roots, [m | k] at moment 2k, times the density 1 - u^(2l) if l > 0:
+    2[m | k] - [m | k + l] - [m | k - l]."""
+    return [2 * (k % m == 0) - ((((k + l) % m == 0) + ((k - l) % m == 0)) if l else 0)
+            for k in range(count + 1)]
+
+
 def _level_expansion(e: CyclotomicMeasure, limit: int):
-    """(l, coefficients) for the least l <= max(limit, 0) with e in the span of the uniform measures and the degree <= l densities
-    on its divisor supports, or None.  One elimination takes the uniform
-    columns, then those of degree 1, 2, ..., each embedded once, and stops
-    at the first consistent block: a consistent prefix's canonical solution
-    is every longer system's, padded with zeros."""
+    """(l, coefficients) for the least l <= limit with e in the span of the
+    uniform measures and the degree <= l densities on its divisor supports,
+    or None; a negative limit allows no columns.
+
+    The rows are the doubled even moments 0, 2, ..., 2 floor(n/2), with n
+    half the support order.  A measure on the 2n-th roots is fixed by its
+    moments 2k, k < n (an inverse DFT in u^2, by the symmetry u -> -u), and
+    so by this block (the reflection identity): the map to the rows is
+    Q-linear and injective, so the pivots and the canonical solution are
+    those of the system over the weights.  The basis moments are rational,
+    so an irrational moment means no expansion.  One elimination takes the
+    uniform columns, then those of degree 1, 2, ..., and stops at the first
+    consistent block: a consistent prefix's canonical solution is every
+    longer system's, padded with zeros."""
     support = e.minimal_support_order()
     if support is None:
         return 0, {}
+    if limit < 0:
+        return None
     n = support // 2
-    order = e.order
-    # orbit representatives of the support-th roots, at the measure's order
-    positions = [t * (order // support) for t in range(support // 4 + 1)]
-
-    def column(x: CyclotomicMeasure) -> dict:
-        return {(j, i): c for j in positions for i, c in enumerate(x.reps[j].coeffs) if c}
-
+    try:
+        nums, den = _even_moments(e, n // 2)
+    except NotRational:
+        return None
     divisors = [m for m in range(1, n + 1) if n % m == 0]
-    elim = _ColumnElimination(column(e))
+    elim = _ColumnElimination([2 * v for v in nums], den)
     labels: List[Tuple[int, int]] = []
     for l in range(n):
         for m in divisors:
             if m > l:
-                basis = density_measure(one_minus_power(l), "d", m) if l else basic_measure("d", m)
-                elim.add_column(column(basis.embed(order)))
+                elim.add_column(_moment_column(l, m, n // 2))
                 labels.append((l, m))
         sol = elim.solution()
         if sol is not None:

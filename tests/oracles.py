@@ -61,14 +61,15 @@ def rref_solve(rows, rhs):
 
 def expand_over_level_loop(e, limit):
     """The expansion over uniform measures and degree <= limit densities on
-    the divisor supports, with the whole basis built and solved at once."""
+    the divisor supports, with the whole basis built and solved at once over
+    the weight coordinates; a negative limit allows no columns at all."""
     support = e.minimal_support_order()
     if support is None:
         return {}
     n = support // 2
     order = e.order
     divisors = [m for m in range(1, n + 1) if n % m == 0]
-    labels = [(0, m) for m in divisors]
+    labels = [(0, m) for m in divisors] if limit >= 0 else []
     for l in range(1, limit + 1):
         labels += [(l, m) for m in divisors if m > l]
     basis = []

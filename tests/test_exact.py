@@ -23,6 +23,7 @@ from cyclade.exact import (
     series_invert,
     sign_of_real,
     solve_linear_system,
+    _ColumnElimination,
 )
 from oracles import cyclotomic_poly_by_division, divide_monic, rref_solve
 
@@ -369,3 +370,48 @@ def test_solve_linear_system_matches_rref(system):
     if sol is not None:
         assert len(sol) == (len(rows[0]) if rows else 0)
         assert all(type(c) is Fraction for c in sol)
+
+
+@st.composite
+def _integer_columns(draw):
+    """Integer columns, some zero and some combinations of two earlier ones,
+    and an integer right-hand side over a denominator up to 6; drawn in the
+    span of all the columns, it leaves the shorter prefixes inconsistent."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    ints = st.integers(-4, 4)
+    cols = []
+    for _ in range(ncols):
+        kind = draw(st.sampled_from(["entries", "zero", "combination"]))
+        if kind == "zero":
+            cols.append([0] * nrows)
+        elif kind == "combination" and cols:
+            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            s, t = draw(ints), draw(ints)
+            cols.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            cols.append([draw(ints) for _ in range(nrows)])
+    if cols and draw(st.booleans()):
+        x = [draw(ints) for _ in cols]
+        rhs = [sum(c[i] * v for c, v in zip(cols, x)) for i in range(nrows)]
+    else:
+        rhs = [draw(ints) for _ in range(nrows)]
+    return cols, rhs, draw(st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_columns())
+@example(([[1, 0], [0, 0], [1, 2]], [1, 4], 3))
+@example(([[2, 4], [1, 2]], [1, 3], 5))
+def test_column_elimination_matches_rref_on_every_prefix(system):
+    # one column at a time: after each, the solution is that of the prefix
+    cols, rhs, den = system
+    elim = _ColumnElimination(rhs, den)
+    target = [Fraction(b, den) for b in rhs]
+    for j in range(len(cols) + 1):
+        if j:
+            elim.add_column(cols[j - 1])
+        sol = elim.solution()
+        assert sol == rref_solve([[c[i] for c in cols[:j]] for i in range(len(rhs))], target)
+        if sol is not None:
+            assert len(sol) == j
+            assert all(type(c) is Fraction for c in sol)

@@ -473,6 +473,30 @@ def test_irrational_moments_raise_as_before():
         assert str(info.value) == message
 
 
+def test_irrational_measure_has_no_level():
+    # moment 0 is 4 sqrt(3), irrational, and every basis column has
+    # rational moments, so no limit admits an expansion
+    e = _sqrt3_measure(1)
+    with pytest.raises(ArithmeticError) as info:
+        level(e)
+    assert type(info.value) is ArithmeticError
+    assert str(info.value) == "measure admits no rational expansion"
+    with pytest.raises(ArithmeticError, match="^measure admits no rational expansion$"):
+        level_loop(e)
+    for k in range(4):
+        assert expand_over_level(e, k) is None
+        assert expand_over_level_loop(e, k) is None
+
+
+def test_negative_limit_allows_no_columns():
+    zero = lincomb([(Fraction(0), basic_measure("d", 5))])
+    assert expand_over_level(zero, -1) == {} == expand_over_level_loop(zero, -1)
+    for e in (basic_measure("d", 4), alpha(6)):
+        assert expand_over_level(e, -1) is None
+        assert expand_over_level_loop(e, -1) is None
+        assert expand_over_level(e, 0) is not None
+
+
 @pytest.mark.parametrize("orbits", [(1, 2), (2, 5), (3, 1), (1, 5), (4, 2)])
 def test_irrational_moment_after_moment_zero(orbits):
     # moment 0 cancels; the first irrational moment, if any, comes later,
