@@ -12,14 +12,7 @@ import math
 from fractions import Fraction
 from typing import List
 
-from .measures import (
-    BASE_KINDS,
-    DENSITY_POLYS,
-    CyclotomicMeasure,
-    basic_measure,
-    density_measure,
-    lincomb,
-)
+from .measures import BASE_KINDS, CyclotomicMeasure, atom_measure, lincomb
 from .transforms import XiExpression, XiFactor
 
 
@@ -264,17 +257,18 @@ def _eval_atom(name: str, primes: int, n: int):
         raise EvaluationError(
             f"atom {name}{marks}_{n} has support order {support}, "
             f"above the limit {MAX_ATOM_SUPPORT}")
-    if name == "d":
-        return basic_measure(BASE_KINDS[primes], n)
-    return density_measure(DENSITY_POLYS[name], BASE_KINDS[primes], n)
+    return atom_measure(name, BASE_KINDS[primes], n)
 
 
 def _eval(node):
+    """A Fraction, or a measure as (support order, [(coefficient, atom), ...]);
+    the terms are combined once, by parse_measure_expr."""
     kind = node[0]
     if kind == "rat":
         return node[1]
     if kind == "atom":
-        return _eval_atom(node[1], node[2], node[3])
+        atom = _eval_atom(node[1], node[2], node[3])
+        return atom.order, [(Fraction(1), atom)]
     if kind == "paren":
         return _eval(node[1])
     if kind == "term":
@@ -301,27 +295,33 @@ def _mul(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
     if isinstance(a, Fraction):
-        return lincomb([(a, b)])
+        a, b = b, a
     if isinstance(b, Fraction):
-        return lincomb([(b, a)])
+        return a[0], [(c * b, m) for c, m in a[1]]
     raise EvaluationError("cannot multiply two measures")
 
 
 def _add(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
-    if isinstance(a, CyclotomicMeasure) and isinstance(b, CyclotomicMeasure):
-        support = math.lcm(a.order, b.order)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        support = math.lcm(a[0], b[0])
         if support > MAX_ATOM_SUPPORT:
             raise EvaluationError(
                 f"sum has support order {support}, above the limit {MAX_ATOM_SUPPORT}")
-        return lincomb([(Fraction(1), a), (Fraction(1), b)])
+        # every term list is built fresh by _eval, so a's may grow in place
+        a[1].extend(b[1])
+        return support, a[1]
     raise EvaluationError("cannot add a scalar and a measure")
 
 
 def parse_measure_expr(text: str) -> CyclotomicMeasure:
-    """Parse and evaluate a measure expression."""
+    """Parse and evaluate a measure expression; a lone atom with coefficient 1
+    is the memoized atom itself."""
     value = _eval(parse_measure_ast(text))
-    if not isinstance(value, CyclotomicMeasure):
+    if not isinstance(value, tuple):
         raise EvaluationError("expression evaluates to a scalar, not a measure")
-    return value
+    terms = value[1]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    return lincomb(terms)

@@ -6,10 +6,13 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Tuple
 
-FAMILY_TAGS = ("A", "Atilde", "D", "Dtilde", "E6", "E7", "E8",
-               "E6tilde", "E7tilde", "E8tilde")
-
-EXCEPTIONAL_TAGS = ("E6", "E7", "E8", "E6tilde", "E7tilde", "E8tilde")
+# the four parametrized series: (least parameter, must be even, error message)
+_SERIES = {
+    "A": (2, False, "A needs at least 2 vertices"),
+    "Atilde": (2, True, "Atilde needs an even vertex count >= 2"),
+    "D": (3, False, "D needs at least 3 vertices"),
+    "Dtilde": (4, False, "Dtilde needs parameter >= 4"),
+}
 
 # branch arms (vertex counts beyond the branch vertex), longest first;
 # the root sits at the far end of the first arm
@@ -22,13 +25,16 @@ _ARMS = {
     "E8tilde": (5, 2, 1),
 }
 
-
-class ParameterOutOfRange(ValueError):
-    """Family parameter violates its lower bound or parity constraint."""
+EXCEPTIONAL_TAGS = tuple(_ARMS)
+FAMILY_TAGS = tuple(_SERIES) + EXCEPTIONAL_TAGS
 
 
 class UnsupportedFamily(ValueError):
     """No table entry or construction for the requested family."""
+
+
+class ParameterOutOfRange(UnsupportedFamily):
+    """Family parameter violates its lower bound or parity constraint."""
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,10 @@ class GraphFamily:
     def __post_init__(self):
         if self.tag not in FAMILY_TAGS:
             raise UnsupportedFamily(f"unknown family tag {self.tag!r}")
+        if self.tag in _SERIES:
+            least, even, message = _SERIES[self.tag]
+            if self.param < least or (even and self.param % 2):
+                raise ParameterOutOfRange(message)
 
     @property
     def label(self) -> str:
@@ -93,46 +103,35 @@ def build_ade(family: GraphFamily) -> RootedBipartiteGraph:
     """Construct the rooted graph for the family, root at the marked vertex."""
     tag, m = family.tag, family.param
     if tag == "A":
-        if m < 2:
-            raise ParameterOutOfRange("A needs at least 2 vertices")
         edges = [(i, i + 1, 1) for i in range(m - 1)]
         return _finish(edges, m, 0)
     if tag == "Atilde":
-        if m < 2 or m % 2:
-            raise ParameterOutOfRange("Atilde needs an even vertex count >= 2")
         if m == 2:
             return _finish([(0, 1, 2)], 2, 0)
         edges = [(i, (i + 1) % m, 1) for i in range(m)]
         return _finish(edges, m, 0)
     if tag == "D":
-        if m < 3:
-            raise ParameterOutOfRange("D needs at least 3 vertices")
         # path of m-2 vertices with two tips on its far end, root at the near end
         edges = [(i, i + 1, 1) for i in range(m - 3)]
         edges += [(m - 3, m - 2, 1), (m - 3, m - 1, 1)]
         return _finish(edges, m, 0)
     if tag == "Dtilde":
-        if m < 4:
-            raise ParameterOutOfRange("Dtilde needs parameter >= 4")
         # central path of m-3 vertices, a two-tip fork at each end, m+1 vertices
         c = m - 3
         edges = [(i, i + 1, 1) for i in range(c - 1)]
         edges += [(0, c, 1), (0, c + 1, 1), (c - 1, c + 2, 1), (c - 1, c + 3, 1)]
         return _finish(edges, m + 1, c)
-    if tag in _ARMS:
-        arms = _ARMS[tag]
-        edges = []
-        nxt = 1
-        arm_ends = []
-        for length in arms:
-            prev = 0
-            for _ in range(length):
-                edges.append((prev, nxt, 1))
-                prev = nxt
-                nxt += 1
-            arm_ends.append(prev)
-        return _finish(edges, nxt, arm_ends[0])
-    raise UnsupportedFamily(f"no construction for {tag!r}")
+    edges = []
+    nxt = 1
+    arm_ends = []
+    for length in _ARMS[tag]:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt, 1))
+            prev = nxt
+            nxt += 1
+        arm_ends.append(prev)
+    return _finish(edges, nxt, arm_ends[0])
 
 
 def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:

@@ -40,7 +40,7 @@ from .exact import (
     _over_lcm,
     _reduction_rows,
 )
-from .graphs import GraphFamily, UnsupportedFamily
+from .graphs import GraphFamily
 
 
 class SymmetryViolation(ValueError):
@@ -235,11 +235,9 @@ def basic_measure(kind: str, n: int) -> CyclotomicMeasure:
         zero = CyclotomicNumber.zero(4 * n)
         return _from_reps(4 * n, [w if r % 2 else zero for r in range(n + 1)])
     if kind == "ddoubleprime":
-        return lincomb([(Fraction(3, 2), basic_measure("dprime", 3 * n)),
-                        (Fraction(-1, 2), basic_measure("dprime", n))])
+        return _combine([(3 * _H, "d", "dprime", 3 * n), (-_H, "d", "dprime", n)])
     if kind == "dtripleprime":
-        return lincomb([(Fraction(3, 2), basic_measure("d", 3 * n)),
-                        (Fraction(-1, 2), basic_measure("d", n))])
+        return _combine([(3 * _H, "d", "d", 3 * n), (-_H, "d", "d", n)])
     raise ValueError(f"unknown base kind {kind!r}")
 
 
@@ -388,8 +386,40 @@ def pushforward_real(e: CyclotomicMeasure) -> RealMeasure:
 # The measure table for the ten graph families
 # ---------------------------------------------------------------------------
 
-def _density(name: str, kind: str, n: int) -> CyclotomicMeasure:
+def atom_measure(name: str, kind: str, n: int) -> CyclotomicMeasure:
+    """The atom name_n over the base kind: the uniform measure for "d", else
+    its product with the density DENSITY_POLYS[name].  Memoized."""
+    if name == "d":
+        return basic_measure(kind, n)
     return density_measure(DENSITY_POLYS[name], kind, n)
+
+
+def _combine(rows) -> CyclotomicMeasure:
+    """lincomb over rows of (coefficient, atom name, base kind, parameter)."""
+    return lincomb([(c, atom_measure(name, kind, n)) for c, name, kind, n in rows])
+
+
+def etilde_ternary(ell: int, c: Fraction) -> CyclotomicMeasure:
+    """The affine-E ternary form alpha_(l+1) + c d_l - c d_(l+1)."""
+    return _combine([(1, "alpha", "d", ell + 1), (c, "d", "d", ell), (-c, "d", "d", ell + 1)])
+
+
+# l of each affine-E ternary form (thm87)
+ETILDE_ELL = {"E6tilde": 2, "E7tilde": 3, "E8tilde": 5}
+
+_H, _T = Fraction(1, 2), Fraction(1, 3)
+_EXCEPTIONAL_ROWS = {
+    ("E6", "thm71"): [(1, "alpha", "d", 12), (_H, "d", "d", 12), (-_H, "d", "d", 6),
+                      (-_H, "d", "d", 4), (_H, "d", "d", 3)],
+    ("E6", "thm87"): [(Fraction(1, 6), "d", "ddoubleprime", 2),
+                      (_T, "alpha", "ddoubleprime", 2), (_H, "d", "dtripleprime", 1)],
+    ("E7", "thm71"): [(1, "beta", "dprime", 9), (_H, "d", "dprime", 1), (-_H, "d", "dprime", 3)],
+    ("E7", "thm87"): [(2 * _T, "beta", "ddoubleprime", 3), (_T, "d", "dprime", 1)],
+    ("E8", "thm71"): [(1, "alpha", "dprime", 15), (1, "gamma", "dprime", 15),
+                      (-_H, "d", "dprime", 5), (-_H, "d", "dprime", 3)],
+    ("E8", "thm87"): [(2 * _T, "alpha", "ddoubleprime", 5), (2 * _T, "gamma", "ddoubleprime", 5),
+                      (-_T, "d", "ddoubleprime", 1)],
+}
 
 
 def candidate_measure(family: GraphFamily, variant: str) -> CyclotomicMeasure:
@@ -398,63 +428,21 @@ def candidate_measure(family: GraphFamily, variant: str) -> CyclotomicMeasure:
     if variant not in ("thm71", "thm87"):
         raise ValueError(f"unknown variant {variant!r}")
     tag, m = family.tag, family.param
-    half = Fraction(1, 2)
     if tag == "A":
-        if m < 2:
-            raise UnsupportedFamily("A measure table needs at least 2 vertices")
-        return _density("alpha", "d", m + 1)
+        return atom_measure("alpha", "d", m + 1)
     if tag == "Atilde":
-        if m < 2 or m % 2:
-            raise UnsupportedFamily("Atilde measure table needs an even vertex count")
-        return basic_measure("d", m // 2)
+        return atom_measure("d", "d", m // 2)
     if tag == "D":
-        if m < 3:
-            raise UnsupportedFamily("D measure table needs at least 3 vertices")
-        return _density("alpha", "dprime", m - 1)
+        return atom_measure("alpha", "dprime", m - 1)
     if tag == "Dtilde":
-        if m < 4:
-            raise UnsupportedFamily("Dtilde measure table needs parameter >= 4")
-        return lincomb([(half, basic_measure("d", m - 2)),
-                        (half, basic_measure("dprime", 1))])
-    if tag in ("E6tilde", "E7tilde", "E8tilde"):
-        ell = {"E6tilde": 2, "E7tilde": 3, "E8tilde": 5}[tag]
-        if variant == "thm71":
-            n = {"E6tilde": 3, "E7tilde": 4, "E8tilde": 5}[tag]
-            return lincomb([(half, basic_measure("d", n)),
-                            (half, basic_measure("d", 3)),
-                            (half, basic_measure("d", 2)),
-                            (-half, basic_measure("d", 1))])
-        c = ETILDE_THM87_CONSTANT
-        return lincomb([(Fraction(1), _density("alpha", "d", ell + 1)),
-                        (c, basic_measure("d", ell)),
-                        (-c, basic_measure("d", ell + 1))])
-    if tag == "E6":
-        if variant == "thm71":
-            return lincomb([(Fraction(1), _density("alpha", "d", 12)),
-                            (half, basic_measure("d", 12)),
-                            (-half, basic_measure("d", 6)),
-                            (-half, basic_measure("d", 4)),
-                            (half, basic_measure("d", 3))])
-        return lincomb([(Fraction(1, 6), basic_measure("ddoubleprime", 2)),
-                        (Fraction(2, 6), _density("alpha", "ddoubleprime", 2)),
-                        (Fraction(3, 6), basic_measure("dtripleprime", 1))])
-    if tag == "E7":
-        if variant == "thm71":
-            return lincomb([(Fraction(1), _density("beta", "dprime", 9)),
-                            (half, basic_measure("dprime", 1)),
-                            (-half, basic_measure("dprime", 3))])
-        return lincomb([(Fraction(2, 3), _density("beta", "ddoubleprime", 3)),
-                        (Fraction(1, 3), basic_measure("dprime", 1))])
-    if tag == "E8":
-        if variant == "thm71":
-            return lincomb([(Fraction(1), _density("alpha", "dprime", 15)),
-                            (Fraction(1), _density("gamma", "dprime", 15)),
-                            (-half, basic_measure("dprime", 5)),
-                            (-half, basic_measure("dprime", 3))])
-        return lincomb([(Fraction(2, 3), _density("alpha", "ddoubleprime", 5)),
-                        (Fraction(2, 3), _density("gamma", "ddoubleprime", 5)),
-                        (Fraction(-1, 3), basic_measure("ddoubleprime", 1))])
-    raise UnsupportedFamily(f"no measure table entry for {tag!r}")
+        return _combine([(_H, "d", "d", m - 2), (_H, "d", "dprime", 1)])
+    if tag not in ETILDE_ELL:
+        return _combine(_EXCEPTIONAL_ROWS[tag, variant])
+    if variant == "thm87":
+        return etilde_ternary(ETILDE_ELL[tag], ETILDE_THM87_CONSTANT)
+    # the affine-E binary form (d_n + d_3 + d_2 - d_1)/2
+    n = {"E6tilde": 3, "E7tilde": 4, "E8tilde": 5}[tag]
+    return _combine([(_H, "d", "d", n), (_H, "d", "d", 3), (_H, "d", "d", 2), (-_H, "d", "d", 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from operator import add
 from typing import NamedTuple, Tuple
 
 from .exact import PowerSeries, QPolynomial, _over_lcm, series_from_integers
-from .graphs import GraphFamily, UnsupportedFamily
+from .graphs import GraphFamily
 
 
 class DegreeTooLarge(ValueError):
@@ -220,35 +220,27 @@ def t_closed_form(poly: QPolynomial, n: int, variant: str,
 # The closed-form T table for the ten families
 # ---------------------------------------------------------------------------
 
+_EXCEPTIONAL_T = {
+    "E6": xi([8], [3, (6, True)]),
+    "E7": xi([12], [4, (9, True)]),
+    "E8": xi([(5, True), (9, True)], [(15, True)]),
+    "E6tilde": xi([(6, True)], [3, 4]),
+    "E7tilde": xi([(9, True)], [4, 6]),
+    "E8tilde": xi([(15, True)], [6, 10]),
+}
+
+
 def theorem_2_5_lookup(family: GraphFamily) -> XiExpression:
     """The closed-form T series of the family as a xi expression."""
     tag, m = family.tag, family.param
     if tag == "A":
-        if m < 2:
-            raise UnsupportedFamily("A table needs at least 2 vertices")
         return xi([m], [m + 1])
     if tag == "D":
-        if m < 3:
-            raise UnsupportedFamily("D table needs at least 3 vertices")
         return xi([(m - 2, True)], [(m - 1, True)])
     if tag == "Atilde":
-        if m < 2 or m % 2:
-            raise UnsupportedFamily("Atilde table needs an even vertex count")
         n = m // 2
         return xi([(n, True)], [n], normalizer="prime")
     if tag == "Dtilde":
-        if m < 4:
-            raise UnsupportedFamily("Dtilde table needs parameter >= 4")
         n = m - 2
         return xi([(n + 1, True)], [n], normalizer="doubleprime")
-    table = {
-        "E6": xi([8], [3, (6, True)]),
-        "E7": xi([12], [4, (9, True)]),
-        "E8": xi([(5, True), (9, True)], [(15, True)]),
-        "E6tilde": xi([(6, True)], [3, 4]),
-        "E7tilde": xi([(9, True)], [4, 6]),
-        "E8tilde": xi([(15, True)], [6, 10]),
-    }
-    if tag in table:
-        return table[tag]
-    raise UnsupportedFamily(f"no T table entry for {tag!r}")
+    return _EXCEPTIONAL_T[tag]

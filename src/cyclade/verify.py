@@ -28,11 +28,14 @@ from .transforms import (
 )
 from .measures import (
     DENSITY_POLYS,
+    ETILDE_ELL,
     CyclotomicMeasure,
+    atom_measure,
     basic_measure,
     candidate_measure,
     cyclotomic_expansion,
     density_measure,
+    etilde_ternary,
     expand_over_level,
     first_atom_difference,
     level,
@@ -241,7 +244,7 @@ def _check_prop34(ctx: RunContext):
     reps = [GraphFamily("A", 4), GraphFamily("Dtilde", 6), GraphFamily("E7", 7)]
     for fam in reps:
         t = ctx.graph_t(fam).coeffs
-        nums, den = _even_moments(candidate_measure(fam, "thm71"), ctx.order)
+        nums, den = _even_moments(ctx.candidate(fam, "thm71"), ctx.order)
         for k, v in enumerate(nums):
             lhs = Fraction(2 * v, den)
             rhs = (t[k] - (t[k - 1] if k else 0)) + (1 if k == 0 else 0)
@@ -341,8 +344,7 @@ def _density_table_cases(kind: str):
 
 def _check_thm46(ctx: RunContext):
     measures = [ctx.candidate(fam, "thm71") for fam in ctx.families()]
-    measures += [density_measure(DENSITY_POLYS["beta"], "d", 7),
-                 density_measure(DENSITY_POLYS["gamma"], "d", 11)]
+    measures += [atom_measure("beta", "d", 7), atom_measure("gamma", "d", 11)]
     if not measures:
         return "skipped", "no measures in size matrix"
     for e in measures:
@@ -368,7 +370,7 @@ def _check_common_weights(ctx: RunContext):
             [Fraction(0), Fraction(1, 24), Fraction(1, 8), Fraction(1, 6)]),
     }
     for n, (rhs, expected) in tables.items():
-        alpha_n = density_measure(DENSITY_POLYS["alpha"], "d", n)
+        alpha_n = atom_measure("alpha", "d", n)
         other = exprs.parse_measure_expr(rhs)
         for j, value in enumerate(expected):
             if alpha_n.weight(j) != value:
@@ -389,7 +391,7 @@ def _check_alpha12_weights(ctx: RunContext):
         (2 + sqrt3) * Fraction(1, 48),
         cyclo_make(24, {0: Fraction(1, 12)}),
     ]
-    alpha12 = density_measure(DENSITY_POLYS["alpha"], "d", 12)
+    alpha12 = atom_measure("alpha", "d", 12)
     for j, value in enumerate(expected):
         if alpha12.weight(j) != value:
             return "fail", f"position {j}: {alpha12.weight(j)!r} != {value!r}"
@@ -397,7 +399,7 @@ def _check_alpha12_weights(ctx: RunContext):
 
 
 def _check_n12_infeasible(ctx: RunContext):
-    alpha12 = density_measure(DENSITY_POLYS["alpha"], "d", 12)
+    alpha12 = atom_measure("alpha", "d", 12)
     if expand_over_level(alpha12, 0) is not None:
         return "fail", "a uniform-only expansion exists"
     if expand_over_level(alpha12, 1) is None:
@@ -423,7 +425,7 @@ def _check_level_basics(ctx: RunContext):
         if level(basic_measure("d", n)) != 0:
             return "fail", f"uniform measure n={n} not level 0"
     for n in range(2, 21):
-        value = level(density_measure(DENSITY_POLYS["alpha"], "d", n))
+        value = level(atom_measure("alpha", "d", n))
         if value > 1:
             return "fail", f"degree-1 density n={n} has level {value}"
     return "pass", "n <= 20"
@@ -449,16 +451,10 @@ def _check_support_descriptions(ctx: RunContext):
 
 def _check_etilde_constant(ctx: RunContext):
     winners = []
-    for tag, ell in (("E6tilde", 2), ("E7tilde", 3), ("E8tilde", 5)):
-        fam = GraphFamily(tag, int(tag[1]))
-        t = ctx.graph_t(fam)
-        matches = []
-        for c in (Fraction(1, 2), Fraction(1, 3)):
-            e = lincomb([(Fraction(1), density_measure(DENSITY_POLYS["alpha"], "d", ell + 1)),
-                         (c, basic_measure("d", ell)),
-                         (-c, basic_measure("d", ell + 1))])
-            if t_series_of_measure(e, ctx.order) == t:
-                matches.append(c)
+    for tag, ell in ETILDE_ELL.items():
+        t = ctx.graph_t(GraphFamily(tag, int(tag[1])))
+        matches = [c for c in (Fraction(1, 2), Fraction(1, 3))
+                   if t_series_of_measure(etilde_ternary(ell, c), ctx.order) == t]
         if len(matches) != 1:
             return "fail", f"{tag}: {len(matches)} constants match"
         winners.append(matches[0])

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from cyclade import cli
 from cyclade.exprs import MAX_VERTICES
 from cyclade.graphs import (
     FAMILY_TAGS,
@@ -166,3 +167,22 @@ def test_parameter_errors():
         build_ade(GraphFamily("Dtilde", 3))
     with pytest.raises(UnsupportedFamily):
         GraphFamily("F4", 4)
+
+
+@pytest.mark.parametrize("tag,param,message", [
+    ("A", 1, "A needs at least 2 vertices"),
+    ("Atilde", 3, "Atilde needs an even vertex count >= 2"),
+    ("Atilde", 0, "Atilde needs an even vertex count >= 2"),
+    ("D", 2, "D needs at least 3 vertices"),
+    ("Dtilde", 3, "Dtilde needs parameter >= 4"),
+])
+def test_bad_parameter_raises_at_family(capsys, tag, param, message):
+    with pytest.raises(ParameterOutOfRange) as exc:
+        GraphFamily(tag, param)
+    assert isinstance(exc.value, UnsupportedFamily)
+    assert str(exc.value) == message
+    code = cli.main(["graph-tseries", "--family", tag, "--param", str(param)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]

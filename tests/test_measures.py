@@ -295,19 +295,40 @@ def test_pushforward_locations_strictly_increase():
 # the measure table
 # ---------------------------------------------------------------------------
 
+# every table entry as measure-expression text, an oracle independent of the
+# term rows: the twelve exceptional entries, then the four series
+_EXCEPTIONAL_EXPRESSIONS = {
+    ("E6", "thm71"): "alpha_12 + (d_12 - d_6 - d_4 + d_3)/2",
+    ("E6", "thm87"): "(d''_2 + 2*alpha''_2 + 3*d'''_1)/6",
+    ("E7", "thm71"): "beta'_9 + (d'_1 - d'_3)/2",
+    ("E7", "thm87"): "(2*beta''_3 + d'_1)/3",
+    ("E8", "thm71"): "alpha'_15 + gamma'_15 - (d'_5 + d'_3)/2",
+    ("E8", "thm87"): "(2*alpha''_5 + 2*gamma''_5 - d''_1)/3",
+    ("E6tilde", "thm71"): "(d_3 + d_3 + d_2 - d_1)/2",
+    ("E7tilde", "thm71"): "(d_4 + d_3 + d_2 - d_1)/2",
+    ("E8tilde", "thm71"): "(d_5 + d_3 + d_2 - d_1)/2",
+    ("E6tilde", "thm87"): "alpha_3 + (d_2 - d_3)/2",
+    ("E7tilde", "thm87"): "alpha_4 + (d_3 - d_4)/2",
+    ("E8tilde", "thm87"): "alpha_6 + (d_5 - d_6)/2",
+}
+
+_SERIES_EXPRESSIONS = {
+    "A": lambda m: f"alpha_{m + 1}",
+    "Atilde": lambda m: f"d_{m // 2}",
+    "D": lambda m: f"alpha'_{m - 1}",
+    "Dtilde": lambda m: f"(d_{m - 2} + d'_1)/2",
+}
+
+
 def test_candidate_expressions():
-    cases = {
-        ("E8", 8, "thm71"): "alpha'_15 + gamma'_15 - (d'_5 + d'_3)/2",
-        ("E6", 6, "thm87"): "(d''_2 + 2*alpha''_2 + 3*d'''_1)/6",
-        ("E7", 7, "thm87"): "(2*beta''_3 + d'_1)/3",
-        ("E6tilde", 6, "thm71"): "(d_3 + d_3 + d_2 - d_1)/2",
-    }
-    for (tag, param, variant), text in cases.items():
-        assert measure_equal(candidate_measure(GraphFamily(tag, param), variant),
-                             parse_measure_expr(text))
-    for m in (2, 6, 10):
-        assert measure_equal(candidate_measure(GraphFamily("Atilde", m), "thm71"),
-                             basic_measure("d", m // 2))
+    for (tag, variant), text in _EXCEPTIONAL_EXPRESSIONS.items():
+        assert measure_equal(candidate_measure(GraphFamily(tag, int(tag[1])), variant),
+                             parse_measure_expr(text)), (tag, variant)
+    for tag, text_at in _SERIES_EXPRESSIONS.items():
+        for m in (4, 6, 10, 16, 40):
+            for variant in ("thm71", "thm87"):
+                assert measure_equal(candidate_measure(GraphFamily(tag, m), variant),
+                                     parse_measure_expr(text_at(m))), (tag, m, variant)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from cyclade.exact import PowerSeries, QPolynomial, series_compose, series_invert
 from cyclade.exprs import parse_xi_expr
-from cyclade.graphs import FAMILY_TAGS, GraphFamily, build_ade, loop_counts
+from cyclade.graphs import FAMILY_TAGS, GraphFamily, UnsupportedFamily, build_ade, loop_counts
 from cyclade.transforms import (
     DegreeTooLarge,
-    UnsupportedFamily,
     XiExpression,
     XiFactor,
     graph_t_series,
