@@ -19,6 +19,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import mpmath
@@ -384,19 +385,43 @@ def cyclo_as_rational(z: CyclotomicNumber) -> Fraction:
     return Fraction(z.nums[0], z.den)
 
 
+# tables of _cos_table kept; a registry run signs weights at about 40 orders
+COS_TABLE_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=COS_TABLE_CACHE_SIZE)
+def _cos_table(order: int, bits: int) -> Tuple[int, ...]:
+    """round(2^bits cos(2 pi j / order)) for j < phi(order), each within 1
+    of the true value: evaluated with mpmath at bits + 40 bits, which leaves
+    an error far below the 1/2 of the final rounding."""
+    with mpmath.workprec(bits + 40):
+        return tuple(int(mpmath.nint(mpmath.ldexp(mpmath.cospi(mpmath.mpf(2 * j) / order), bits)))
+                     for j in range(euler_phi(order)))
+
+
 def sign_of_real(z: CyclotomicNumber) -> int:
-    """Sign of a real cyclotomic number: exact zero test first, then a
-    guarded high-precision evaluation (raises if the magnitude cannot be
-    separated from zero, which does not happen for the weights in scope)."""
+    """Sign of a real cyclotomic number, certified in fixed point.
+
+    With z = sum v_j zeta^j / den real, x = den z = sum v_j cos(2 pi j / N).
+    S = sum v_j T_j, with T_j from _cos_table at b bits, is within
+    V = sum |v_j| of 2^b x, so |S| > V gives the sign; otherwise b doubles.
+    The cap b = phi(N) bitlen(V) + 2 always succeeds: x is a nonzero
+    algebraic integer, so its norm has modulus at least 1, and each of its
+    other phi(N) - 1 conjugates has modulus at most V, so |x| >= V^-(phi-1),
+    2^b |x| > 4 V and |S| > 3 V."""
     if z.is_zero():
         return 0
     if not z.is_real():
         raise ValueError("sign is defined for real elements only")
-    with mpmath.workdps(60):
-        v = mpmath.re(z.numeric(dps=60))
-        if abs(v) < mpmath.mpf("1e-40"):
-            raise ArithmeticError("cannot certify sign numerically")
-        return 1 if v > 0 else -1
+    bound = sum(map(abs, z.nums))
+    cap = len(z.nums) * bound.bit_length() + 2
+    bits = min(64, cap)
+    while True:
+        s = sum(map(mul, z.nums, _cos_table(z.order, bits)))
+        if abs(s) > bound:
+            return 1 if s > 0 else -1
+        assert bits < cap, "sign not separated at the norm bound"
+        bits = min(2 * bits, cap)
 
 
 # ---------------------------------------------------------------------------

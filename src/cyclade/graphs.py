@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from operator import mul
 from typing import Tuple
 
@@ -141,11 +143,41 @@ def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:
     so that is |A^k e_r|^2: one exact product of A with the vector per entry
     and a sum of squares.  Each vertex sums over its neighbour list, in which
     a neighbour appears once per edge.
+
+    A^k e_r lives on the parity class k mod 2 and within distance k of the
+    root.  One BFS lists each class by distance, so step k recomputes only
+    a prefix of class k mod 2, reading the other class, whose entries
+    beyond its own ball are still zero; once the ball holds the whole
+    class, every step takes all of it.
     """
-    vec = [0] * graph.vertex_count
-    vec[graph.root] = 1
+    nbrs = graph.neighbours
+    dist = [-1] * graph.vertex_count
+    dist[graph.root] = 0
+    bfs = [graph.root]
+    for u in bfs:
+        for v in nbrs[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                bfs.append(v)
+    classes = [[v for v in bfs if dist[v] % 2 == c] for c in (0, 1)]
+    pos = [0] * graph.vertex_count
+    for cls in classes:
+        for i, v in enumerate(cls):
+            pos[v] = i
+    rows = [[[pos[u] for u in nbrs[v]] for v in cls] for cls in classes]
+    radii = [[dist[v] for v in cls] for cls in classes]
+    vals = [[0] * len(cls) for cls in classes]
+    vals[0][0] = 1
+    depth = dist[bfs[-1]]
     out = [1]
-    for _ in range(count):
-        vec = [sum([vec[v] for v in nbrs]) for nbrs in graph.neighbours]
-        out.append(sum(map(mul, vec, vec)))
+    for k in range(1, count + 1):
+        c = k % 2
+        old = vals[1 - c]
+        if k < depth:
+            cut = bisect_right(radii[c], k)
+            new = [sum([old[p] for p in row]) for row in islice(rows[c], cut)]
+            vals[c][:cut] = new
+        else:
+            vals[c] = new = [sum([old[p] for p in row]) for row in rows[c]]
+        out.append(sum(map(mul, new, new)))
     return out

@@ -74,10 +74,11 @@ class CyclotomicMeasure:
     reps[r] is the weight shared by the atoms at the powers r, -r, r + N/2
     and N/2 - r of the primitive N-th root, for 0 <= r <= N/4; every weight
     is a real element of the N-th cyclotomic field, stored at order N.
-    Instances are immutable.
+    Instances are immutable; _block caches the even-moment block that
+    _even_moments fills on first use.
     """
 
-    __slots__ = ("order", "reps")
+    __slots__ = ("order", "reps", "_block")
 
     def __init__(self, order: int, weights: Sequence):
         """Build from the full list of N weights, checking that they are real
@@ -99,6 +100,7 @@ class CyclotomicMeasure:
                 raise SymmetryViolation(f"orbit of position {j} has unequal weights")
         self.order = order
         self.reps = tuple(ws[: order // 4 + 1])
+        self._block = None
 
     @property
     def weights(self) -> Tuple[CyclotomicNumber, ...]:
@@ -115,7 +117,8 @@ class CyclotomicMeasure:
         return 2 if r == 0 or 4 * r == self.order else 4
 
     def mass(self) -> Fraction:
-        return cyclo_as_rational(moment(self, 0))
+        nums, den = _even_moments(self, 0)
+        return Fraction(nums[0], den)
 
     def is_zero(self) -> bool:
         return all(w.is_zero() for w in self.reps)
@@ -169,6 +172,7 @@ def _from_reps(order: int, reps: Sequence[CyclotomicNumber]) -> CyclotomicMeasur
     e = object.__new__(CyclotomicMeasure)
     e.order = order
     e.reps = tuple(reps)
+    e._block = None
     return e
 
 
@@ -262,20 +266,29 @@ def density_measure(poly: QPolynomial, kind: str, n: int) -> CyclotomicMeasure:
 
 
 def lincomb(terms: Sequence[Tuple[Fraction, CyclotomicMeasure]]) -> CyclotomicMeasure:
-    """Exact linear combination, lifted to the least common support order."""
+    """Exact linear combination, lifted to the least common support order.
+
+    Every product of a scalar and an orbit weight is lifted to integers over
+    one common denominator, the terms are collected per target orbit, and
+    each orbit with terms is reduced by one cyclo_from_integers."""
     if not terms:
         raise ValueError("empty combination")
     order = 1
     for _, m in terms:
         order = math.lcm(order, m.order)
-    reps = [CyclotomicNumber.zero(order)] * (order // 4 + 1)
-    for scalar, m in terms:
-        scalar = Fraction(scalar)
+    scaled = [(Fraction(scalar), m) for scalar, m in terms]
+    den = math.lcm(*[c.denominator * w.den for c, m in scaled for w in m.reps])
+    collected: Dict[int, list] = {}
+    for c, m in scaled:
         step = order // m.order
         for r, w in enumerate(m.reps):
             if not w.is_zero():
-                reps[r * step] = reps[r * step] + cyclo_embed(w, order) * scalar
-    return _from_reps(order, reps)
+                lift = c.numerator * (den // (c.denominator * w.den))
+                collected.setdefault(r * step, []).extend(
+                    (i * step, v * lift) for i, v in enumerate(w.nums) if v)
+    zero = CyclotomicNumber.zero(order)
+    return _from_reps(order, [cyclo_from_integers(order, collected[r], den) if r in collected
+                              else zero for r in range(order // 4 + 1)])
 
 
 def measure_equal(a: CyclotomicMeasure, b: CyclotomicMeasure) -> bool:
@@ -341,18 +354,36 @@ def moment(e: CyclotomicMeasure, k: int) -> CyclotomicNumber:
 def _even_moments(e: CyclotomicMeasure, count: int) -> Tuple[List[int], int]:
     """(nums, den) with moment 2k = nums[k] / den for k = 0 .. count.
 
-    Only the block k = 0 .. floor(n/2), n = N/2, is computed, each moment
-    reduced over the phi(N) power basis; the rest are read off it by the
-    reflection identity of the module docstring.  A moment that is not
-    rational raises NotRational, with the message that
-    cyclo_as_rational(moment(e, 2k)) gives for the first such k <= count:
-    by the identity, that k lies in the block.
+    The first call fills e._block with the block k = 0 .. floor(n/2),
+    n = N/2, each moment reduced over the phi(N) power basis, and stops at
+    the first irrational moment, keeping the message that
+    cyclo_as_rational(moment(e, 2k)) gives for it; every call reads the
+    block.  The rest of the moments are read off it by the reflection
+    identity of the module docstring, so a count that reaches the first
+    irrational k raises NotRational with that message: by the identity,
+    that k is the first irrational one up to count.
     """
+    if e._block is None:
+        e._block = _moment_block(e)
+    block, den, irrational = e._block
+    if irrational is not None and count >= len(block):
+        raise NotRational(irrational)
+    if count < len(block):
+        return block[: count + 1], den
+    n = e.order // 2
+    period = block + block[n - n // 2 - 1:0:-1]
+    return (period * (count // n + 1))[: count + 1], den
+
+
+def _moment_block(e: CyclotomicMeasure) -> Tuple[List[int], int, Optional[str]]:
+    """(block, den, message): den times the moments 2k for k = 0, 1, ...
+    up to floor(n/2) or up to the first irrational one, whose NotRational
+    message is the third entry (None when every moment is rational)."""
     order, n = e.order, e.order // 2
     terms, den = _scaled_weights(e)
     rows, phi = _reduction_rows(order), euler_phi(order)
     block = []
-    for k in range(min(count, n // 2) + 1):
+    for k in range(n // 2 + 1):
         acc = _moment_powers(order, terms, 2 * k)
         out = acc[:phi]
         for t in range(phi, order):
@@ -360,9 +391,12 @@ def _even_moments(e: CyclotomicMeasure, count: int) -> Tuple[List[int], int]:
                 for i, c in rows[t]:
                     out[i] += acc[t] * c
         if any(out[1:]):
-            cyclo_as_rational(cyclo_from_integers(order, enumerate(out), den))
+            try:
+                cyclo_as_rational(cyclo_from_integers(order, enumerate(out), den))
+            except NotRational as err:
+                return block, den, str(err)
         block.append(out[0])
-    return [block[min(k % n, n - k % n)] for k in range(count + 1)], den
+    return block, den, None
 
 
 def t_series_of_measure(e: CyclotomicMeasure, order: int) -> PowerSeries:

@@ -6,14 +6,16 @@ for each degree limit, cyclotomic polynomials by polynomial division, the
 two-product loop counts, both theta routes as an integer binomial sum and
 as Horner's rule with running alternating sums, the closed-form T series in
 Fraction lists, the T series and the expansion from one moment call per
-coefficient, and pushforward moments by cyclotomic powering.  Only tests
-use them.
+coefficient, pushforward moments by cyclotomic powering, and the sign of a
+real cyclotomic number at 60 digits.  Only tests use them.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+
+import mpmath
 
 from cyclade.exact import (
     CyclotomicNumber,
@@ -242,3 +244,17 @@ def pushforward_moments_by_powering(real, count):
             powers[i] = powers[i] * x
         out.append(total)
     return out
+
+
+def sign_at_60_digits(z):
+    """Sign of a real cyclotomic number from a 60-digit evaluation; raises
+    ArithmeticError below 1e-40, where it cannot tell the sign."""
+    if z.is_zero():
+        return 0
+    if not z.is_real():
+        raise ValueError("sign is defined for real elements only")
+    with mpmath.workdps(60):
+        v = mpmath.re(z.numeric(dps=60))
+        if abs(v) < mpmath.mpf("1e-40"):
+            raise ArithmeticError("cannot certify sign numerically")
+        return 1 if v > 0 else -1

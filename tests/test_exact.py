@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cyclade.exact import (
     CyclotomicNumber,
@@ -25,7 +25,7 @@ from cyclade.exact import (
     solve_linear_system,
     _ColumnElimination,
 )
-from oracles import cyclotomic_poly_by_division, divide_monic, rref_solve
+from oracles import cyclotomic_poly_by_division, divide_monic, rref_solve, sign_at_60_digits
 
 
 def _real_part(z):
@@ -124,6 +124,42 @@ def test_sign_of_real():
     assert sign_of_real(CyclotomicNumber.zero(8)) == 0
     with pytest.raises(ValueError):
         sign_of_real(root_of_unity(4))
+
+
+def test_sign_of_real_below_the_old_cutoff():
+    # 2 cos(2 pi / 7) less its continued-fraction convergent p/q: about
+    # -2e-43, below the 1e-40 where a 60-digit evaluation gives up
+    c = cyclo_make(7, {1: 1, 6: 1})
+    z = c - Fraction(2242447542050952017134, 1798303304533465276219)
+    assert sign_of_real(z) == -1
+    assert sign_of_real(-z) == 1
+    with pytest.raises(ArithmeticError):
+        sign_at_60_digits(z)
+
+
+@st.composite
+def _real_cyclo(draw):
+    """z + conj(z) for a random z at a random order, less a rational
+    approximation of its value to a drawn number of digits, so that values
+    near zero occur; kept when its value is above 1e-30, where a 60-digit
+    evaluation certifies the sign."""
+    order = draw(st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24, 30, 60]))
+    z = cyclo_make(order, draw(st.dictionaries(
+        st.integers(0, order - 1), st.fractions(max_denominator=10**6).filter(bool),
+        min_size=1, max_size=6)))
+    x = z + cyclo_conj(z)
+    digits = draw(st.none() | st.integers(0, 28))
+    with mpmath.workdps(60):
+        if digits is not None:
+            x = x - Fraction(int(mpmath.nint(x.numeric(dps=60).real * 10**digits)), 10**digits)
+        assume(abs(x.numeric(dps=60).real) > mpmath.mpf("1e-30"))
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(_real_cyclo())
+def test_sign_of_real_matches_60_digit_oracle(x):
+    assert sign_of_real(x) == sign_at_60_digits(x)
 
 
 def test_arithmetic_coordinates_are_fractions():

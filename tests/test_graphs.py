@@ -44,6 +44,17 @@ def test_loop_counts_match_two_product_oracle(tag, param):
     assert loop_counts(g, 160) == loop_counts_two_products(g, 160)
 
 
+@pytest.mark.parametrize("tag,param,order", [
+    ("A", MAX_VERTICES, 64), ("Atilde", MAX_VERTICES, 64), ("D", MAX_VERTICES, 64),
+    ("Dtilde", MAX_VERTICES - 1, 64), ("E6", 0, 512), ("E7", 0, 512), ("E8", 0, 512),
+])
+def test_loop_counts_at_the_cap(tag, param, order):
+    # the ball stays below the whole graph at the vertex cap, and the
+    # exceptional graphs fill theirs within a few steps
+    g = build_ade(GraphFamily(tag, param))
+    assert loop_counts(g, order) == loop_counts_two_products(g, order)
+
+
 def test_finish_rejects_bad_edge_lists():
     for edges, n, message in (
             ([(0, 1, 1)], 3, "graph is not connected"),

@@ -518,12 +518,9 @@ def test_negative_limit_allows_no_columns():
         assert expand_over_level(e, 0) is not None
 
 
-@pytest.mark.parametrize("orbits", [(1, 2), (2, 5), (3, 1), (1, 5), (4, 2)])
-def test_irrational_moment_after_moment_zero(orbits):
-    # moment 0 cancels; the first irrational moment, if any, comes later,
-    # and the block raises there with the message of the per-moment route
-    e = _sqrt3_measure(*orbits)
-    for order in (0, 1, 2, 3, 6, 40):
+def _assert_t_series_as_per_moment(e, orders):
+    # each order in turn returns the per-moment T series or raises its message
+    for order in orders:
         try:
             want = t_series_by_moments(e, order)
         except NotRational as err:
@@ -532,6 +529,23 @@ def test_irrational_moment_after_moment_zero(orbits):
             assert str(info.value) == str(err)
         else:
             assert t_series_of_measure(e, order) == want
+
+
+@pytest.mark.parametrize("orbits", [(1, 2), (2, 5), (3, 1), (1, 5), (4, 2)])
+def test_irrational_moment_after_moment_zero(orbits):
+    # moment 0 cancels; the first irrational moment, if any, comes later,
+    # and the block raises there with the message of the per-moment route
+    _assert_t_series_as_per_moment(_sqrt3_measure(*orbits), (0, 1, 2, 3, 6, 40))
+
+
+@pytest.mark.parametrize("orbits", [(1, 2), (2, 5), (3, 1), (1, 5), (4, 2)])
+def test_irrational_moment_after_moment_zero_long_call_first(orbits):
+    # the longest call fills the cached block, and every shorter call reads
+    # it: each returns or raises as on a fresh measure
+    e = _sqrt3_measure(*orbits)
+    _assert_t_series_as_per_moment(e, (40,))
+    assert e._block is not None
+    _assert_t_series_as_per_moment(e, (6, 3, 2, 1, 0))
 
 
 def test_irrational_pushforward_moment_raises():
