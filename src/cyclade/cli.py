@@ -84,14 +84,14 @@ def _family(args, parser) -> GraphFamily:
     tag = args.family
     if tag not in FAMILY_TAGS:
         parser.error(f"unknown family {tag!r}; choose from {', '.join(FAMILY_TAGS)}")
-    param = args.param
     if tag in EXCEPTIONAL_TAGS:
-        if param not in (None, int(tag[1])):
-            parser.error(f"family {tag} has parameter {tag[1]}, got --param {param}")
-        param = int(tag[1])
-    elif param is None:
+        fam = GraphFamily(tag)
+        if args.param not in (None, fam.param):
+            parser.error(f"family {tag} has parameter {fam.param}, got --param {args.param}")
+        return fam
+    if args.param is None:
         parser.error(f"family {tag} needs --param")
-    return GraphFamily(tag, param)
+    return GraphFamily(tag, args.param)
 
 
 def _int_in_range(low, high: int):

@@ -42,7 +42,8 @@ class ParameterOutOfRange(UnsupportedFamily):
 @dataclass(frozen=True)
 class GraphFamily:
     """One of the ten graph shapes; param is the vertex count for the four
-    parametrized series and is ignored for the exceptional tags."""
+    parametrized series and the digit in the tag for an exceptional one
+    (E7tilde: 7), which the default 0 stands for."""
 
     tag: str
     param: int = 0
@@ -54,6 +55,10 @@ class GraphFamily:
             least, even, message = _SERIES[self.tag]
             if self.param < least or (even and self.param % 2):
                 raise ParameterOutOfRange(message)
+        elif self.param in (0, int(self.tag[1])):
+            object.__setattr__(self, "param", int(self.tag[1]))
+        else:
+            raise ParameterOutOfRange(f"{self.tag} has parameter {self.tag[1]}")
 
     @property
     def label(self) -> str:

@@ -2,9 +2,13 @@
 deterministic machine-readable report.
 
 Check identifiers are stable catalog labels ("thm2.5/E7", "prop5.4/alpha6",
-"xi-identity/Dtilde", ...).  Graph-parameterized checks draw their instances
-from a size matrix mapping family tags to parameter lists; an empty list
-skips the check.  All comparisons are exact.
+"xi-identity/Dtilde", ...).  All but two checks are tables of (label, got,
+expected) cases, computed lazily and compared exactly by one runner: the
+first unequal case fails the check with "<label>: <difference>", the first
+differing coefficient of two series, the first differing atom of two
+measures, else both values.  Graph checks draw their instances from a size
+matrix mapping family tags to parameter lists, prefix each label with
+"<tag> param <m>: ", and skip the check when the list is empty.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exact import CyclotomicNumber, PowerSeries, QPolynomial, cyclo_make, series_from_integers
-from .graphs import FAMILY_TAGS, GraphFamily, build_ade, loop_counts
+from .exact import PowerSeries, QPolynomial, cyclo_make, series_from_integers
+from .graphs import EXCEPTIONAL_TAGS, FAMILY_TAGS, GraphFamily, build_ade, loop_counts
 from .transforms import (
     t_closed_form,
     t_from_theta,
@@ -40,7 +45,6 @@ from .measures import (
     first_atom_difference,
     level,
     lincomb,
-    measure_equal,
     one_minus_power,
     pushforward_real,
     reconstruct_expansion,
@@ -59,12 +63,8 @@ DEFAULT_SIZE_MATRIX: Dict[str, Tuple[int, ...]] = {
     "D": tuple(range(3, 14)),
     "Atilde": tuple(range(2, 17, 2)),
     "Dtilde": tuple(range(4, 13)),
-    "E6": (6,),
-    "E7": (7,),
-    "E8": (8,),
-    "E6tilde": (6,),
-    "E7tilde": (7,),
-    "E8tilde": (8,),
+    # one graph each, its parameter fixed by the tag
+    **{tag: (GraphFamily(tag).param,) for tag in EXCEPTIONAL_TAGS},
 }
 
 
@@ -159,142 +159,127 @@ class RunContext:
             self.candidate(fam, variant), self.order))
 
 
-def _first_diff(a: PowerSeries, b: PowerSeries) -> str:
-    for i, (x, y) in enumerate(zip(a.coeffs, b.coeffs)):
-        if x != y:
-            return f"coefficient {i}: {x} != {y}"
-    return "series agree"
+# --- the runner: every check is a table of (label, got, expected) cases -----
+
+def _difference(got, expected) -> str:
+    """Where two unequal values differ (series, measures, or anything else)."""
+    if isinstance(got, PowerSeries):
+        i, x, y = next((i, x, y) for i, (x, y) in enumerate(zip(got.coeffs, expected.coeffs))
+                       if x != y)
+        return f"coefficient {i}: {x} != {y}"
+    if isinstance(got, CyclotomicMeasure):
+        j, x, y = first_atom_difference(got, expected)
+        return f"atom {j}: {x!r} != {y!r}"
+    return f"{got!r} != {expected!r}"
 
 
-# ---------------------------------------------------------------------------
-# Check bodies
-# ---------------------------------------------------------------------------
+def _first_failure(cases) -> Optional[str]:
+    """"label: difference" for the first (label, got, expected) case with
+    got != expected, or None; the cases after it are never computed."""
+    for label, got, expected in cases:
+        if got != expected:
+            return f"{label}: {_difference(got, expected)}"
+    return None
 
-def _graph_check(tag: str, body) -> Callable:
+
+def _verdict(cases, summary: str) -> Tuple[str, str]:
+    failure = _first_failure(cases)
+    return ("pass", summary) if failure is None else ("fail", failure)
+
+
+def _equal_check(cases, summary: str) -> Callable:
+    """The check over the case table cases(ctx), passing with summary."""
+    return lambda ctx: _verdict(cases(ctx), summary)
+
+
+def _graph_check(tag: str, cases) -> Callable:
+    """cases(ctx, fam) for each family of the tag in the size matrix, each
+    label prefixed with "<tag> param <m>: "; no parameters skips the check."""
     def run(ctx: RunContext):
         params = ctx.params(tag)
         if not params:
             return "skipped", "no parameters in size matrix"
-        for m in params:
-            ok, details = body(ctx, GraphFamily(tag, m))
-            if not ok:
-                return "fail", f"{tag} param {m}: {details}"
-        return "pass", f"{len(params)} instance(s)"
+        return _verdict(((f"{tag} param {m}: {label}", got, expected) for m in params
+                         for label, got, expected in cases(ctx, GraphFamily(tag, m))),
+                        f"{len(params)} instance(s)")
     return run
 
 
-def _thm25_body(ctx: RunContext, fam: GraphFamily):
+# --- graph cases ------------------------------------------------------------
+
+def _thm25_cases(ctx: RunContext, fam: GraphFamily):
     expected = xi_expand(theorem_2_5_lookup(fam), ctx.order)
+    for route, theta in zip(("formula", "substitution"), ctx.thetas(fam)):
+        yield f"T from the {route} theta", t_from_theta(theta), expected
+
+
+def _theta_cases(ctx: RunContext, fam: GraphFamily):
     theta_f, theta_s = ctx.thetas(fam)
-    for theta in (theta_f, theta_s):
-        got = t_from_theta(theta)
-        if got != expected:
-            return False, _first_diff(got, expected)
-    return True, ""
+    yield "formula theta vs substitution theta", theta_f, theta_s
+    # den is the least common denominator of the coefficients
+    yield "theta denominator", theta_s.den, 1
 
 
-def _theta_body(ctx: RunContext, fam: GraphFamily):
-    theta_f, theta_s = ctx.thetas(fam)
-    if theta_f != theta_s:
-        return False, _first_diff(theta_f, theta_s)
-    bad = [i for i, c in enumerate(theta_s.coeffs) if c.denominator != 1]
-    if bad:
-        return False, f"non-integer theta coefficient at {bad[0]}"
-    return True, ""
-
-
-def _prop33_body(ctx: RunContext, fam: GraphFamily):
+def _prop33_cases(ctx: RunContext, fam: GraphFamily):
     # the four-fold symmetry holds by construction: measures store one
-    # weight per orbit
+    # weight per orbit, and odd moments vanish, as each orbit holds u and -u
     e = ctx.candidate(fam, "thm71")
-    n = e.order
-    # odd moments vanish, as each stored orbit holds both u and -u
-    nums, den = _even_moments(e, n // 2 - 1)
+    nums, den = _even_moments(e, e.order // 2 - 1)
     for j, v in enumerate(nums):
-        if 2 * v % den:
-            mk = CyclotomicNumber.from_rational(Fraction(v, den), n)
-            return False, f"even moment {2 * j} is not a half-integer: {mk!r}"
-    return True, ""
+        yield f"denominator of twice even moment {2 * j}", Fraction(2 * v, den).denominator, 1
 
 
-def _thm71_body(ctx: RunContext, fam: GraphFamily):
-    e = ctx.candidate(fam, "thm71")
-    if ctx.candidate_t(fam, "thm71") != ctx.graph_t(fam):
-        return False, _first_diff(ctx.candidate_t(fam, "thm71"), ctx.graph_t(fam))
-    if not e.is_probability():
-        return False, "not a probability measure"
-    counts = ctx.counts(fam)
-    for k, mu in enumerate(pushforward_real(e).moments(ctx.order // 2)):
-        if mu != counts[k]:
-            return False, f"pushforward moment {k}: {mu!r} != {counts[k]}"
-    return True, ""
+_PROP34_FAMILIES = (GraphFamily("A", 4), GraphFamily("Dtilde", 6), GraphFamily("E7"))
 
 
-def _thm87_body(ctx: RunContext, fam: GraphFamily):
-    if ctx.candidate_t(fam, "thm87") != ctx.graph_t(fam):
-        return False, _first_diff(ctx.candidate_t(fam, "thm87"), ctx.graph_t(fam))
-    diff = first_atom_difference(ctx.candidate(fam, "thm87"), ctx.candidate(fam, "thm71"))
-    if diff is not None:
-        j, x, y = diff
-        return False, f"ternary and binary forms differ at atom {j}: {x!r} != {y!r}"
-    return True, ""
-
-
-def _check_prop34(ctx: RunContext):
-    reps = [GraphFamily("A", 4), GraphFamily("Dtilde", 6), GraphFamily("E7", 7)]
-    for fam in reps:
+def _prop34_cases(ctx: RunContext):
+    for fam in _PROP34_FAMILIES:
         t = ctx.graph_t(fam).coeffs
         nums, den = _even_moments(ctx.candidate(fam, "thm71"), ctx.order)
         for k, v in enumerate(nums):
-            lhs = Fraction(2 * v, den)
-            rhs = (t[k] - (t[k - 1] if k else 0)) + (1 if k == 0 else 0)
-            if lhs != rhs:
-                return "fail", f"{fam.label} moment {2 * k}: {lhs} != {rhs}"
-    return "pass", f"{len(reps)} representative(s)"
+            yield (f"{fam.label} moment {2 * k}", Fraction(2 * v, den),
+                   (t[k] - (t[k - 1] if k else 0)) + (1 if k == 0 else 0))
 
 
-def _prop36_body(ctx: RunContext, fam: GraphFamily):
+def _prop36_cases(ctx: RunContext, fam: GraphFamily):
     uniform = basic_measure("d", fam.param // 2)
-    if not measure_equal(ctx.candidate(fam, "thm71"), uniform):
-        return False, "candidate is not the uniform measure"
-    if t_series_of_measure(uniform, ctx.order) != ctx.graph_t(fam):
-        return False, "uniform measure T differs"
-    return True, ""
+    yield "candidate vs uniform measure", ctx.candidate(fam, "thm71"), uniform
+    yield "uniform measure T", t_series_of_measure(uniform, ctx.order), ctx.graph_t(fam)
 
 
-def _series_check(cases, summary: str) -> Callable:
-    """A check over pairs of series: cases(order) yields (label, lhs, rhs),
-    and the first unequal pair fails the check under its label."""
-    def run(ctx: RunContext):
-        for label, lhs, rhs in cases(ctx.order):
-            if lhs != rhs:
-                return "fail", f"{label}: " + _first_diff(lhs, rhs)
-        return "pass", summary
-    return run
+def _thm71_cases(ctx: RunContext, fam: GraphFamily):
+    e = ctx.candidate(fam, "thm71")
+    yield "T series", ctx.candidate_t(fam, "thm71"), ctx.graph_t(fam)
+    yield "probability measure", e.is_probability(), True
+    counts = ctx.counts(fam)
+    for k, mu in enumerate(pushforward_real(e).moments(ctx.order // 2)):
+        yield f"pushforward moment {k}", mu, counts[k]
 
+
+def _thm87_cases(ctx: RunContext, fam: GraphFamily):
+    yield "ternary T series", ctx.candidate_t(fam, "thm87"), ctx.graph_t(fam)
+    yield "ternary vs binary form", ctx.candidate(fam, "thm87"), ctx.candidate(fam, "thm71")
+
+
+# --- series tables ----------------------------------------------------------
 
 def _xi(text: str, order: int) -> PowerSeries:
     return xi_expand(exprs.parse_xi_expr(text), order)
 
 
-_SAMPLE_POLYS = (
-    QPolynomial([1]),
-    QPolynomial([1, -1]),
-    QPolynomial([1, Fraction(1, 2)]),
-    QPolynomial([1, -1, 1]),
-    QPolynomial([1, 0, 0, -1]),
-    QPolynomial([1, -2, 1]),
-)
+_SAMPLE_POLYS = tuple(QPolynomial(c) for c in (
+    [1], [1, -1], [1, Fraction(1, 2)], [1, -1, 1], [1, 0, 0, -1], [1, -2, 1]))
 
 
 def _closed_form_cases(instances):
     """The closed-form T lemma against the T series built from the atoms;
     instances are (label, P, n, variant), the unprimed variant on d and the
     primed one on d'."""
-    def cases(order: int):
+    def cases(ctx: RunContext):
         for label, poly, n, variant in instances:
             e = density_measure(poly, "d" if variant == "unprimed" else "dprime", n)
-            yield label, t_closed_form(poly, n, variant, order), t_series_of_measure(e, order)
+            yield (label, t_closed_form(poly, n, variant, ctx.order),
+                   t_series_of_measure(e, ctx.order))
     return cases
 
 
@@ -312,11 +297,11 @@ _SWEEP_CASES = _closed_form_cases([(f"{name} {variant} n={n}", poly, n, variant)
 
 def _measure_xi_cases(instances):
     """The T series of a measure against its xi form; instances are (label,
-    P, base kind, n, xi text), P None for the base measure itself."""
-    def cases(order: int):
+    density P, base kind, n, xi text), P = 1 for the base measure itself."""
+    def cases(ctx: RunContext):
         for label, poly, kind, n, text in instances:
-            e = basic_measure(kind, n) if poly is None else density_measure(poly, kind, n)
-            yield label, t_series_of_measure(e, order), _xi(text, order)
+            yield (label, t_series_of_measure(density_measure(poly, kind, n), ctx.order),
+                   _xi(text, ctx.order))
     return cases
 
 
@@ -337,74 +322,59 @@ _DENSITY_XI_ROWS = (
 
 def _density_table_cases(kind: str):
     return _measure_xi_cases([
-        (f"{name} n={n}", DENSITY_POLYS.get(name), kind, n,
+        (f"{name} n={n}", DENSITY_POLYS.get(name, QPolynomial([1])), kind, n,
          (on_d if kind == "d" else on_dprime).format(n=n, m1=n - 1, m2=n - 2, m3=n - 3))
         for name, start, on_d, on_dprime in _DENSITY_XI_ROWS for n in range(start, 21)])
 
 
+# --- expansion, weight and level cases --------------------------------------
+
 def _check_thm46(ctx: RunContext):
+    # beta_7 and gamma_11 join the graph measures, so the list is never empty
     measures = [ctx.candidate(fam, "thm71") for fam in ctx.families()]
     measures += [atom_measure("beta", "d", 7), atom_measure("gamma", "d", 11)]
-    if not measures:
-        return "skipped", "no measures in size matrix"
-    for e in measures:
-        support = e.minimal_support_order()
-        n = support // 2
-        res = cyclotomic_expansion(e, n)
-        if not res.residual_ok:
-            return "fail", f"no exact solution at n={n}"
-        rebuilt = t_series_of_measure(reconstruct_expansion(res), ctx.order)
-        original = t_series_of_measure(e, ctx.order)
-        if rebuilt != original:
-            return "fail", f"round trip differs at n={n}: " + _first_diff(rebuilt, original)
-    return "pass", f"{len(measures)} measure(s)"
+
+    def cases():
+        for e in measures:
+            n = e.minimal_support_order() // 2
+            res = cyclotomic_expansion(e, n)
+            yield f"exact solution n={n}", res.residual_ok, True
+            yield (f"round trip n={n}", t_series_of_measure(reconstruct_expansion(res), ctx.order),
+                   t_series_of_measure(e, ctx.order))
+    return _verdict(cases(), f"{len(measures)} measure(s)")
 
 
-def _check_common_weights(ctx: RunContext):
-    # n: (the uniform-only form of alpha_n, its weights at positions 0, 1, ...)
-    tables = {
-        2: ("2*d_2 - d_1", [Fraction(0), Fraction(1, 2)]),
-        3: ("(3*d_3 - d_1)/2", [Fraction(0), Fraction(1, 4)]),
-        4: ("(2*d_4 + d_2 - d_1)/2", [Fraction(0), Fraction(1, 8), Fraction(1, 4)]),
-        6: ("(d_6 + d_3 + d_2 - d_1)/2",
-            [Fraction(0), Fraction(1, 24), Fraction(1, 8), Fraction(1, 6)]),
-    }
-    for n, (rhs, expected) in tables.items():
+# n: (the uniform-only form of alpha_n, its weights at positions 0, 1, ...)
+_COMMON_WEIGHTS = {
+    2: ("2*d_2 - d_1", [Fraction(0), Fraction(1, 2)]),
+    3: ("(3*d_3 - d_1)/2", [Fraction(0), Fraction(1, 4)]),
+    4: ("(2*d_4 + d_2 - d_1)/2", [Fraction(0), Fraction(1, 8), Fraction(1, 4)]),
+    6: ("(d_6 + d_3 + d_2 - d_1)/2",
+        [Fraction(0), Fraction(1, 24), Fraction(1, 8), Fraction(1, 6)]),
+}
+
+
+def _common_weight_cases(ctx: RunContext):
+    for n, (rhs, expected) in _COMMON_WEIGHTS.items():
         alpha_n = atom_measure("alpha", "d", n)
         other = exprs.parse_measure_expr(rhs)
         for j, value in enumerate(expected):
-            if alpha_n.weight(j) != value:
-                return "fail", f"n={n} position {j}: {alpha_n.weight(j)!r} != {value}"
-            if other.weight(j) != value:
-                return "fail", f"n={n} rhs position {j}: {other.weight(j)!r} != {value}"
-    return "pass", "n in 2, 3, 4, 6"
+            yield f"n={n} position {j}", alpha_n.weight(j), value
+            yield f"n={n} rhs position {j}", other.weight(j), value
 
 
-def _check_alpha12_weights(ctx: RunContext):
+def _alpha12_weight_cases(ctx: RunContext):
+    # the printed weights (a + b sqrt(3))/48 at the positions 0, 1, ..., 6
     sqrt3 = cyclo_make(24, {2: 1, 22: 1})
-    expected = [
-        cyclo_make(24, {0: 0}),
-        (2 - sqrt3) * Fraction(1, 48),
-        cyclo_make(24, {0: Fraction(1, 48)}),
-        cyclo_make(24, {0: Fraction(1, 24)}),
-        cyclo_make(24, {0: Fraction(3, 48)}),
-        (2 + sqrt3) * Fraction(1, 48),
-        cyclo_make(24, {0: Fraction(1, 12)}),
-    ]
     alpha12 = atom_measure("alpha", "d", 12)
-    for j, value in enumerate(expected):
-        if alpha12.weight(j) != value:
-            return "fail", f"position {j}: {alpha12.weight(j)!r} != {value!r}"
-    return "pass", "seven weights"
+    for j, (a, b) in enumerate(((0, 0), (2, -1), (1, 0), (2, 0), (3, 0), (2, 1), (4, 0))):
+        yield f"position {j}", alpha12.weight(j), (a + b * sqrt3) * Fraction(1, 48)
 
 
-def _check_n12_infeasible(ctx: RunContext):
+def _n12_infeasible_cases(ctx: RunContext):
     alpha12 = atom_measure("alpha", "d", 12)
-    if expand_over_level(alpha12, 0) is not None:
-        return "fail", "a uniform-only expansion exists"
-    if expand_over_level(alpha12, 1) is None:
-        return "fail", "no expansion found even with degree-1 densities"
-    return "pass", "uniform-only system is inconsistent"
+    yield "uniform-only expansion", expand_over_level(alpha12, 0), None
+    yield "expansion with degree-1 densities", expand_over_level(alpha12, 1) is None, False
 
 
 def _check_level_ade(ctx: RunContext):
@@ -420,39 +390,34 @@ def _check_level_ade(ctx: RunContext):
     return "pass", f"max level {worst}"
 
 
-def _check_level_basics(ctx: RunContext):
+def _level_basics_cases(ctx: RunContext):
     for n in range(1, 21):
-        if level(basic_measure("d", n)) != 0:
-            return "fail", f"uniform measure n={n} not level 0"
+        yield f"level of d_{n}", level(basic_measure("d", n)), 0
+    # alpha_n is uniform-only exactly for the n of the common-weights table
     for n in range(2, 21):
-        value = level(atom_measure("alpha", "d", n))
-        if value > 1:
-            return "fail", f"degree-1 density n={n} has level {value}"
-    return "pass", "n <= 20"
+        alpha_n = atom_measure("alpha", "d", n)
+        yield f"level of alpha_{n}", level(alpha_n), 0 if n in _COMMON_WEIGHTS else 1
 
 
-def _check_support_descriptions(ctx: RunContext):
+def _support_cases(ctx: RunContext):
+    def direct(order: int, weight: Fraction, on) -> CyclotomicMeasure:
+        return CyclotomicMeasure(order, [weight if on(j) else 0 for j in range(order)])
+
     for n in range(1, 5):
-        direct = CyclotomicMeasure(4 * n, [
-            Fraction(1, 2 * n) if j % 2 else Fraction(0) for j in range(4 * n)])
-        if not measure_equal(lincomb([(Fraction(2), basic_measure("d", 2 * n)),
-                                      (Fraction(-1), basic_measure("d", n))]), direct):
-            return "fail", f"odd-roots description fails at n={n}"
-        direct = CyclotomicMeasure(12 * n, [
-            Fraction(1, 4 * n) if j % 6 in (1, 5) else Fraction(0) for j in range(12 * n)])
-        if not measure_equal(basic_measure("ddoubleprime", n), direct):
-            return "fail", f"6k+-1 description fails at n={n}"
-        direct = CyclotomicMeasure(6 * n, [
-            Fraction(1, 4 * n) if j % 3 else Fraction(0) for j in range(6 * n)])
-        if not measure_equal(basic_measure("dtripleprime", n), direct):
-            return "fail", f"3k+-1 description fails at n={n}"
-    return "pass", "n <= 4"
+        yield (f"odd-roots description n={n}", direct(4 * n, Fraction(1, 2 * n), lambda j: j % 2),
+               lincomb([(Fraction(2), basic_measure("d", 2 * n)),
+                        (Fraction(-1), basic_measure("d", n))]))
+        yield (f"6k+-1 description n={n}",
+               direct(12 * n, Fraction(1, 4 * n), lambda j: j % 6 in (1, 5)),
+               basic_measure("ddoubleprime", n))
+        yield (f"3k+-1 description n={n}", direct(6 * n, Fraction(1, 4 * n), lambda j: j % 3),
+               basic_measure("dtripleprime", n))
 
 
 def _check_etilde_constant(ctx: RunContext):
     winners = []
     for tag, ell in ETILDE_ELL.items():
-        t = ctx.graph_t(GraphFamily(tag, int(tag[1])))
+        t = ctx.graph_t(GraphFamily(tag))
         matches = [c for c in (Fraction(1, 2), Fraction(1, 3))
                    if t_series_of_measure(etilde_ternary(ell, c), ctx.order) == t]
         if len(matches) != 1:
@@ -529,16 +494,9 @@ MEASURE_IDENTITIES: Tuple[Tuple[str, str, str], ...] = (
 )
 
 
-def _measure_identity(lhs: str, rhs: str):
-    def run(ctx: RunContext):
-        a = exprs.parse_measure_expr(lhs)
-        b = exprs.parse_measure_expr(rhs)
-        diff = first_atom_difference(a, b)
-        if diff is not None:
-            j, x, y = diff
-            return "fail", f"{lhs} != {rhs} at atom {j}: {x!r} != {y!r}"
-        return "pass", f"{lhs} = {rhs}"
-    return run
+def _measure_identity(lhs: str, rhs: str) -> Callable:
+    return _equal_check(lambda ctx: [(f"{lhs} = {rhs}", exprs.parse_measure_expr(lhs),
+                                      exprs.parse_measure_expr(rhs))], f"{lhs} = {rhs}")
 
 
 # two lines of the level-3 table are misprinted in the source catalog: the
@@ -553,15 +511,12 @@ CORRECTED_IDENTITIES: Tuple[Tuple[str, str, str, str], ...] = (
 )
 
 
-def _corrected_identity(lhs: str, printed: str, corrected: str):
-    def run(ctx: RunContext):
+def _corrected_identity(lhs: str, printed: str, corrected: str) -> Callable:
+    def cases(ctx: RunContext):
         a = exprs.parse_measure_expr(lhs)
-        if measure_equal(a, exprs.parse_measure_expr(printed)):
-            return "fail", f"printed form {lhs} = {printed} holds after all"
-        if not measure_equal(a, exprs.parse_measure_expr(corrected)):
-            return "fail", f"corrected form {lhs} = {corrected} fails"
-        return "pass", f"printed {printed} refuted; verified {lhs} = {corrected}"
-    return run
+        yield f"printed form {lhs} = {printed}", a == exprs.parse_measure_expr(printed), False
+        yield f"corrected form {lhs} = {corrected}", a, exprs.parse_measure_expr(corrected)
+    return _equal_check(cases, f"printed {printed} refuted; verified {lhs} = {corrected}")
 
 
 # --- xi identity catalog ----------------------------------------------------
@@ -579,14 +534,13 @@ def _xi_sum(order: int, terms) -> PowerSeries:
 def _xi_cases(table):
     """table: list of (label, lhs_terms, rhs_terms); terms are
     (coefficient, xi text, monomial shift)."""
-    return lambda order: ((label, _xi_sum(order, lhs), _xi_sum(order, rhs))
-                          for label, lhs, rhs in table)
+    return lambda ctx: ((label, _xi_sum(ctx.order, lhs), _xi_sum(ctx.order, rhs))
+                        for label, lhs, rhs in table)
 
 
 def _xi_identity_tables():
     """(check id, case table) for each xi identity."""
-    one = Fraction(1)
-    half = Fraction(1, 2)
+    one, half = Fraction(1), Fraction(1, 2)
     checks = []
     for sec, plus in (("sec5", ""), ("sec6", "+")):
         for shift, head in ((1, ""), (2, "1+,")):
@@ -623,44 +577,44 @@ def _xi_identity_tables():
     return checks
 
 
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
+# --- registry ---------------------------------------------------------------
 
 def build_registry() -> Dict[str, Callable]:
     registry: Dict[str, Callable] = {}
-    for name, body in (("thm2.5", _thm25_body), ("theta-paths", _theta_body),
-                       ("prop3.3", _prop33_body)):
+    for name, cases in (("thm2.5", _thm25_cases), ("theta-paths", _theta_cases),
+                        ("prop3.3", _prop33_cases)):
         for tag in FAMILY_TAGS:
-            registry[f"{name}/{tag}"] = _graph_check(tag, body)
-    registry["prop3.4"] = _check_prop34
-    registry["prop3.6/Atilde"] = _graph_check("Atilde", _prop36_body)
-    registry["lemma4.4"] = _series_check(_lemma_cases("unprimed"),
-                                         f"{len(_SAMPLE_POLYS)} polynomials")
-    registry["prop4.5"] = _series_check(_one_minus_power_cases("d", ""), "l < n <= 12")
+            registry[f"{name}/{tag}"] = _graph_check(tag, cases)
+    registry["prop3.4"] = _equal_check(_prop34_cases,
+                                       f"{len(_PROP34_FAMILIES)} representative(s)")
+    registry["prop3.6/Atilde"] = _graph_check("Atilde", _prop36_cases)
+    registry["lemma4.4"] = _equal_check(_lemma_cases("unprimed"),
+                                        f"{len(_SAMPLE_POLYS)} polynomials")
+    registry["prop4.5"] = _equal_check(_one_minus_power_cases("d", ""), "l < n <= 12")
     registry["thm4.6"] = _check_thm46
-    registry["prop5.3"] = _series_check(_density_table_cases("d"), "n <= 20")
-    registry["prop5.4/common-weights"] = _check_common_weights
-    registry["prop5.4/alpha12-weights"] = _check_alpha12_weights
-    registry["prop5.4/n12-infeasible"] = _check_n12_infeasible
-    registry["lemma6.2"] = _series_check(_lemma_cases("primed"),
-                                         f"{len(_SAMPLE_POLYS)} polynomials")
-    registry["prop6.3"] = _series_check(_one_minus_power_cases("dprime", "+"), "l < n <= 12")
-    registry["prop6.4"] = _series_check(_density_table_cases("dprime"), "n <= 20")
+    registry["prop5.3"] = _equal_check(_density_table_cases("d"), "n <= 20")
+    registry["prop5.4/common-weights"] = _equal_check(_common_weight_cases, "n in 2, 3, 4, 6")
+    registry["prop5.4/alpha12-weights"] = _equal_check(_alpha12_weight_cases, "seven weights")
+    registry["prop5.4/n12-infeasible"] = _equal_check(_n12_infeasible_cases,
+                                                      "uniform-only system is inconsistent")
+    registry["lemma6.2"] = _equal_check(_lemma_cases("primed"),
+                                        f"{len(_SAMPLE_POLYS)} polynomials")
+    registry["prop6.3"] = _equal_check(_one_minus_power_cases("dprime", "+"), "l < n <= 12")
+    registry["prop6.4"] = _equal_check(_density_table_cases("dprime"), "n <= 20")
     for check_id, lhs, rhs in MEASURE_IDENTITIES:
         registry[check_id] = _measure_identity(lhs, rhs)
     for check_id, lhs, printed, corrected in CORRECTED_IDENTITIES:
         registry[check_id] = _corrected_identity(lhs, printed, corrected)
     for check_id, table in _xi_identity_tables():
-        registry[check_id] = _series_check(_xi_cases(table), f"{len(table)} case(s)")
-    for name, body in (("thm7.1", _thm71_body), ("thm8.7", _thm87_body)):
+        registry[check_id] = _equal_check(_xi_cases(table), f"{len(table)} case(s)")
+    for name, cases in (("thm7.1", _thm71_cases), ("thm8.7", _thm87_cases)):
         for tag in FAMILY_TAGS:
-            registry[f"{name}/{tag}"] = _graph_check(tag, body)
+            registry[f"{name}/{tag}"] = _graph_check(tag, cases)
     registry["discrepancy/Etilde-constant"] = _check_etilde_constant
     registry["level/ADE"] = _check_level_ade
-    registry["level/basics"] = _check_level_basics
-    registry["closed-form/sweep"] = _series_check(_SWEEP_CASES, "deg < n <= 20, both variants")
-    registry["def8.1/support"] = _check_support_descriptions
+    registry["level/basics"] = _equal_check(_level_basics_cases, "n <= 20")
+    registry["closed-form/sweep"] = _equal_check(_SWEEP_CASES, "deg < n <= 20, both variants")
+    registry["def8.1/support"] = _equal_check(_support_cases, "n <= 4")
     return registry
 
 
@@ -713,18 +667,12 @@ def verify_identity(check_id: str, order: int = 64) -> CheckResult:
 def verify_graph_t(family: GraphFamily, order: int = 64) -> CheckResult:
     """The loop-count pipeline against the closed-form T table, one family."""
     ctx = RunContext(order, {family.tag: (family.param,)})
-    return _run_one(f"thm2.5/{family.tag}", _graph_check(family.tag, _thm25_body), ctx)
+    return _run_one(f"thm2.5/{family.tag}", _graph_check(family.tag, _thm25_cases), ctx)
 
 
 def verify_graph_measure(family: GraphFamily, order: int = 64) -> CheckResult:
     """The closed-form measures against the pipeline, one family: T series of
     both variants, atomwise equality, probability, pushforward moments."""
     ctx = RunContext(order, {family.tag: (family.param,)})
-
-    def body(inner_ctx, fam):
-        ok, details = _thm71_body(inner_ctx, fam)
-        if not ok:
-            return ok, details
-        return _thm87_body(inner_ctx, fam)
-
-    return _run_one(f"measure/{family.tag}", _graph_check(family.tag, body), ctx)
+    cases = lambda ctx, fam: chain(_thm71_cases(ctx, fam), _thm87_cases(ctx, fam))
+    return _run_one(f"measure/{family.tag}", _graph_check(family.tag, cases), ctx)

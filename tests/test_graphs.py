@@ -197,3 +197,14 @@ def test_bad_parameter_raises_at_family(capsys, tag, param, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_exceptional_family_has_one_value():
+    # the parameter of an exceptional family is the digit in its tag; the
+    # default 0 stands for it and any other value is refused
+    for tag in ("E6", "E7", "E8", "E6tilde", "E7tilde", "E8tilde"):
+        assert GraphFamily(tag) == GraphFamily(tag, int(tag[1]))
+        assert GraphFamily(tag).param == int(tag[1])
+    for param in (99, -5, 8):
+        with pytest.raises(ParameterOutOfRange, match="^E7 has parameter 7$"):
+            GraphFamily("E7", param)

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from cyclade import verify
 from cyclade.graphs import GraphFamily
+from cyclade.measures import atom_measure, basic_measure
 from cyclade.verify import (
     DEFAULT_SIZE_MATRIX,
     UnknownCheckId,
@@ -102,3 +104,52 @@ def test_markdown_report():
     text = report.to_markdown()
     assert "| prop5.4/alpha6 | pass |" in text
     assert text.endswith("checks.\n")
+
+
+# SHA-256 of the timing-free order-64 report on the default size matrix
+REPORT_ORDER64_SHA256 = "305ba25342e93e9eea9b54483ee6b0b191236a8a53d9f38927e902491f6f65ed"
+
+
+def test_full_report_digest_is_pinned(full_report):
+    text = full_report.to_json(include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_ORDER64_SHA256
+
+
+def test_graph_checks_report_the_first_differing_coefficient(monkeypatch):
+    # A_m's measure moved from alpha_(m+1) to alpha_(m+2)
+    real = verify.candidate_measure
+    monkeypatch.setattr(verify, "candidate_measure", lambda fam, variant: (
+        atom_measure("alpha", "d", fam.param + 2) if fam.tag == "A" else real(fam, variant)))
+    report = run_all(order=8, size_matrix={"A": (3,)}, only="thm*/A")
+    assert [(r.check_id, r.status, r.details) for r in report.results] == [
+        ("thm2.5/A", "pass", "1 instance(s)"),
+        ("thm7.1/A", "fail", "A param 3: T series: coefficient 3: 0 != -1"),
+        ("thm8.7/A", "fail", "A param 3: ternary T series: coefficient 3: 0 != -1"),
+    ]
+    assert verify_graph_measure(GraphFamily("A", 3), order=8).details == (
+        "A param 3: T series: coefficient 3: 0 != -1")
+
+
+def test_measure_case_reports_the_first_differing_atom(monkeypatch):
+    # the affine-A measure on the 4th roots replaced by the one on the 2nd
+    monkeypatch.setattr(verify, "candidate_measure",
+                        lambda fam, variant: basic_measure("d", fam.param // 2 + 1))
+    (result,) = run_all(order=8, size_matrix={"Atilde": (2,)}, only="prop3.6/Atilde").results
+    assert (result.status, result.details) == (
+        "fail", "Atilde param 2: candidate vs uniform measure: atom 0: "
+                "CyclotomicNumber(order=4, coeffs=['1/4', '0']) != "
+                "CyclotomicNumber(order=4, coeffs=['1/2', '0'])")
+
+
+def test_scalar_case_reports_both_values_and_stops(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "level", lambda e: calls.append(e) or 2)
+    result = verify_identity("level/basics", order=8)
+    assert (result.status, result.details) == ("fail", "level of d_1: 2 != 0")
+    assert len(calls) == 1  # the cases after the first failure are never computed
+
+
+def test_exceptional_parameter_other_than_its_digit_fails():
+    (result,) = run_all(order=8, size_matrix={"E7": (7, 99)}, only="thm2.5/E7").results
+    assert result.status == "fail"
+    assert "E7 has parameter 7" in result.details
