@@ -1,19 +1,25 @@
-"""Atomic measures on roots of unity with cyclotomic weights.
+"""Atomic measures on roots of unity, stored by their even moments.
 
-A measure lives on the N-th roots of unity, N even, and is stored by orbit:
-an atom u, its inverse and their negatives share one real weight, so only
-the weights at the powers r = 0 .. N/4 of the primitive root are kept, and
-the four-fold symmetry holds by construction.  The one place that validates
-symmetry and realness is the public constructor CyclotomicMeasure(N,
-weights), which takes the full list of N weights; every constructor in this
-module builds the orbit representatives directly.  Signed and
-sub-probability measures are first-class, is_probability is a predicate.
+A measure lives on the N-th roots of unity, N even, and is symmetric under
+u -> 1/u and u -> -u.  Every measure built here has rational moments, and it
+is stored as one sequence of integers: moments[k] / den is its moment 2k for
+k < n, n = N/2, with gcd(den, *moments) = 1 so that equal measures at one
+order have equal fields.  Odd moments vanish, as each orbit holds u and -u.
+Every atom has u^N = 1 and the measure is symmetric under u -> 1/u, so the
+even moments satisfy the reflection identity moment 2(k + n) = moment 2k
+and moment 2(n - k) = moment -2k = moment 2k: the stored period gives them
+all.  The weights are derived on read by the inverse transform, one orbit
+weight for the atoms u, 1/u, -u and -1/u.
 
-The reflection identity: with n = N/2, every atom has u^N = 1 and the
-measure is symmetric under u -> 1/u, so the even moments satisfy
-moment 2(k + n) = moment 2k and moment 2(n - k) = moment -2k = moment 2k.
-Every even moment is therefore one of moments 0, 2, ..., 2 floor(n/2), the
-block that _even_moments computes.
+Every operation but display and the sign test of is_probability runs on the
+sequences: the uniform measures have closed forms, a density convolves the
+base sequence with its coefficients, a combination adds the sequences
+repeated to a common period, and equality compares them.
+The one place that validates symmetry and realness is the public
+constructor CyclotomicMeasure(N, weights), which takes the full list of N
+weights and raises NotRational for a measure with an irrational moment.
+Signed and sub-probability measures are first-class, is_probability is a
+predicate.
 """
 
 from __future__ import annotations
@@ -27,18 +33,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
     CyclotomicNumber,
-    NotRational,
     PowerSeries,
     QPolynomial,
     cyclo_as_rational,
     cyclo_embed,
     cyclo_from_integers,
-    euler_phi,
     series_from_integers,
     sign_of_real,
     _ColumnElimination,
     _over_lcm,
-    _reduction_rows,
 )
 from .graphs import GraphFamily
 
@@ -71,18 +74,17 @@ ETILDE_THM87_CONSTANT = Fraction(1, 2)
 class CyclotomicMeasure:
     """Finitely supported measure on the N-th roots of unity, N = order.
 
-    reps[r] is the weight shared by the atoms at the powers r, -r, r + N/2
-    and N/2 - r of the primitive N-th root, for 0 <= r <= N/4; every weight
-    is a real element of the N-th cyclotomic field, stored at order N.
-    Instances are immutable; _block caches the even-moment block that
-    _even_moments fills on first use.
+    moments[k] / den is the moment 2k for 0 <= k < N/2, in lowest terms.
+    Instances are immutable; _reps caches the orbit weights that reps
+    derives on first read.
     """
 
-    __slots__ = ("order", "reps", "_block")
+    __slots__ = ("order", "moments", "den", "_reps")
 
     def __init__(self, order: int, weights: Sequence):
         """Build from the full list of N weights, checking that they are real
-        and equal on each orbit."""
+        and equal on each orbit; NotRational for the first irrational
+        moment, as cyclo_as_rational reports it."""
         if order < 2 or order % 2:
             raise ValueError("support order must be even and at least 2")
         if len(weights) != order:
@@ -92,15 +94,37 @@ class CyclotomicMeasure:
             if isinstance(w, (int, Fraction)):
                 w = CyclotomicNumber.from_rational(w, 1)
             ws.append(cyclo_embed(w, order))
-        half = order // 2
+        n = order // 2
         for j, w in enumerate(ws):
             if not w.is_real():
                 raise SymmetryViolation(f"weight at position {j} is not real")
-            if w != ws[(-j) % order] or w != ws[(j + half) % order]:
+            if w != ws[(-j) % order] or w != ws[(j + n) % order]:
                 raise SymmetryViolation(f"orbit of position {j} has unequal weights")
-        self.order = order
-        self.reps = tuple(ws[: order // 4 + 1])
-        self._block = None
+        # moment 2k = sum_j w_j z^(2jk) over the common denominator of the
+        # weights, for k <= n/2; the reflection identity gives the rest
+        wden = math.lcm(*[w.den for w in ws])
+        coords = [(i, j, v * (wden // w.den)) for j, w in enumerate(ws)
+                  for i, v in enumerate(w.nums) if v]
+        block = [cyclo_as_rational(cyclo_from_integers(
+            order, [(i + 2 * j * k, v) for i, j, v in coords], wden))
+            for k in range(n // 2 + 1)]
+        nums, den = _over_lcm(block[min(k, n - k)] for k in range(n))
+        self.order, self.moments, self.den = order, tuple(nums), den
+        self._reps = tuple(ws[: order // 4 + 1])
+
+    @property
+    def reps(self) -> Tuple[CyclotomicNumber, ...]:
+        """reps[r] is the weight shared by the atoms at the powers r, -r,
+        r + N/2 and N/2 - r of the primitive N-th root z, for 0 <= r <= N/4,
+        a real element of the N-th cyclotomic field.  Derived on first read
+        by the inverse transform w(z^r) = (1/N) sum_k M_k z^(-2rk), M_k the
+        moment 2k, one cyclo_from_integers per orbit."""
+        if self._reps is None:
+            order, scale = self.order, self.order * self.den
+            terms = [(k, v) for k, v in enumerate(self.moments) if v]
+            self._reps = tuple(cyclo_from_integers(order, [(-2 * r * k, v) for k, v in terms],
+                                                   scale) for r in range(order // 4 + 1))
+        return self._reps
 
     @property
     def weights(self) -> Tuple[CyclotomicNumber, ...]:
@@ -117,11 +141,10 @@ class CyclotomicMeasure:
         return 2 if r == 0 or 4 * r == self.order else 4
 
     def mass(self) -> Fraction:
-        nums, den = _even_moments(self, 0)
-        return Fraction(nums[0], den)
+        return Fraction(self.moments[0], self.den)
 
     def is_zero(self) -> bool:
-        return all(w.is_zero() for w in self.reps)
+        return not any(self.moments)
 
     def is_probability(self) -> bool:
         if self.mass() != 1:
@@ -129,30 +152,24 @@ class CyclotomicMeasure:
         return all(sign_of_real(w) >= 0 for w in self.reps)
 
     def embed(self, order: int) -> "CyclotomicMeasure":
+        """The same measure at a multiple of its order: the period repeated."""
         if order % self.order:
             raise ValueError(f"{order} is not a multiple of {self.order}")
         if order == self.order:
             return self
-        step = order // self.order
-        reps = [CyclotomicNumber.zero(order)] * (order // 4 + 1)
-        for r, w in enumerate(self.reps):
-            if not w.is_zero():
-                reps[r * step] = cyclo_embed(w, order)
-        return _from_reps(order, reps)
+        return _from_moments(order, self.moments * (order // self.order), self.den)
 
     def minimal_support_order(self) -> Optional[int]:
         """Smallest even N such that every atom is an N-th root; None if zero.
 
-        An orbit holds u and -u, and one of their orders is even, so the
-        least common multiple of the atom orders is already even."""
-        order, half = self.order, self.order // 2
-        acc, found = 1, False
-        for r, w in enumerate(self.reps):
-            if not w.is_zero():
-                found = True
-                for j in (r, r + half):
-                    acc = math.lcm(acc, order // math.gcd(order, j))
-        return acc if found else None
+        It is twice the least period p of the even moments: by the linear
+        independence of the characters k -> s^k, period p holds exactly when
+        every atom u has (u^2)^p = 1."""
+        m = self.moments
+        if not any(m):
+            return None
+        n = len(m)
+        return 2 * next(p for p in range(1, n + 1) if n % p == 0 and m == m[:p] * (n // p))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclotomicMeasure):
@@ -166,13 +183,15 @@ class CyclotomicMeasure:
         return f"CyclotomicMeasure(order={self.order}, atoms={nz})"
 
 
-def _from_reps(order: int, reps: Sequence[CyclotomicNumber]) -> CyclotomicMeasure:
-    """Internal constructor from the order // 4 + 1 orbit weights, each real
-    and already at the given order."""
+def _from_moments(order: int, moments: Sequence[int], den: int) -> CyclotomicMeasure:
+    """Internal constructor from den times the moments 2k, k < order / 2,
+    with den positive; divides out the common factor."""
+    g = math.gcd(den, *moments)
     e = object.__new__(CyclotomicMeasure)
     e.order = order
-    e.reps = tuple(reps)
-    e._block = None
+    e.moments = tuple(moments) if g == 1 else tuple(v // g for v in moments)
+    e.den = den // g
+    e._reps = None
     return e
 
 
@@ -199,7 +218,7 @@ class RealMeasure:
         """Moments 0..count at the circular measure's order.  With M_i =
         moment 2i = M_-i of the circular measure, multiplying by 2 + u^2 +
         u^-2 maps M_i to 2 M_i + M_(i-1) + M_(i+1); moment k is M_0 after k
-        steps.  NotRational unless the even moments 0 .. 2 count are rational."""
+        steps."""
         m, den = _even_moments(self.circular, count)
         out = [m[0]]
         for _ in range(count):
@@ -228,16 +247,14 @@ def basic_measure(kind: str, n: int) -> CyclotomicMeasure:
     """The four uniform families: on the 2n-th roots, the odd 4n-th roots,
     and the two ternary variants obtained from the order-3n refinements.
 
+    Moment 2k of d_n is [n | k], and that of d'_n is (-1)^(k/n) [n | k].
     Memoized: the result is shared and must not be mutated."""
     if n < 1:
         raise ValueError("parameter must be positive")
     if kind == "d":
-        w = CyclotomicNumber.from_rational(Fraction(1, 2 * n), 2 * n)
-        return _from_reps(2 * n, [w] * (n // 2 + 1))
+        return _from_moments(2 * n, [int(k == 0) for k in range(n)], 1)
     if kind == "dprime":
-        w = CyclotomicNumber.from_rational(Fraction(1, 2 * n), 4 * n)
-        zero = CyclotomicNumber.zero(4 * n)
-        return _from_reps(4 * n, [w if r % 2 else zero for r in range(n + 1)])
+        return _from_moments(4 * n, [0 if k % n else (-1) ** (k // n) for k in range(2 * n)], 1)
     if kind == "ddoubleprime":
         return _combine([(3 * _H, "d", "dprime", 3 * n), (-_H, "d", "dprime", n)])
     if kind == "dtripleprime":
@@ -249,51 +266,44 @@ def basic_measure(kind: str, n: int) -> CyclotomicMeasure:
 def density_measure(poly: QPolynomial, kind: str, n: int) -> CyclotomicMeasure:
     """Multiply a base uniform measure by the density Re(P(u^2)) atom by atom.
 
-    At the atom u = z^r, z the primitive root, the weight is w/2 times the
-    sum of c_i (z^(2ir) + z^(-2ir)) over the coefficients c_i of P, built by
-    one cyclo_from_integers over the denominators of P and of the rational
-    w.  Signed, null and sub-probability results are allowed (these arise
-    for n <= deg P, where the density vanishes or folds onto smaller
-    supports).  Memoized: the result is shared and must not be mutated.
+    The density is the sum of c_i (u^(2i) + u^(-2i)) / 2 over the
+    coefficients c_i of P, so moment 2k becomes the sum of
+    c_i (M_(k+i) + M_(k-i)) / 2, M_j the moment 2j of the base measure, in
+    integers over the denominators of P and of the base moments.  Signed,
+    null and sub-probability results are allowed (these arise for
+    n <= deg P, where the density vanishes or folds onto smaller supports).
+    Memoized: the result is shared and must not be mutated.
     """
     base = basic_measure(kind, n)
     pnums, pden = _over_lcm(poly.coeffs)
-    reps = []
-    for r, w in enumerate(base.reps):
-        terms = [(s * i * r, c * w.nums[0]) for i, c in enumerate(pnums) if c for s in (2, -2)]
-        reps.append(cyclo_from_integers(base.order, terms, 2 * pden * w.den))
-    return _from_reps(base.order, reps)
+    m, period = base.moments, len(base.moments)
+    terms = [(i, c) for i, c in enumerate(pnums) if c]
+    return _from_moments(base.order, [sum(c * (m[(k + i) % period] + m[(k - i) % period])
+                                          for i, c in terms) for k in range(period)],
+                         2 * pden * base.den)
 
 
 def lincomb(terms: Sequence[Tuple[Fraction, CyclotomicMeasure]]) -> CyclotomicMeasure:
-    """Exact linear combination, lifted to the least common support order.
-
-    Every product of a scalar and an orbit weight is lifted to integers over
-    one common denominator, the terms are collected per target orbit, and
-    each orbit with terms is reduced by one cyclo_from_integers."""
+    """Exact linear combination, lifted to the least common support order:
+    the moment sequences, each repeated to the common period, summed in
+    integers over one common denominator."""
     if not terms:
         raise ValueError("empty combination")
-    order = 1
-    for _, m in terms:
-        order = math.lcm(order, m.order)
+    order = math.lcm(*[m.order for _, m in terms])
     scaled = [(Fraction(scalar), m) for scalar, m in terms]
-    den = math.lcm(*[c.denominator * w.den for c, m in scaled for w in m.reps])
-    collected: Dict[int, list] = {}
+    den = math.lcm(*[c.denominator * m.den for c, m in scaled])
+    acc = [0] * (order // 2)
     for c, m in scaled:
-        step = order // m.order
-        for r, w in enumerate(m.reps):
-            if not w.is_zero():
-                lift = c.numerator * (den // (c.denominator * w.den))
-                collected.setdefault(r * step, []).extend(
-                    (i * step, v * lift) for i, v in enumerate(w.nums) if v)
-    zero = CyclotomicNumber.zero(order)
-    return _from_reps(order, [cyclo_from_integers(order, collected[r], den) if r in collected
-                              else zero for r in range(order // 4 + 1)])
+        lift = c.numerator * (den // (c.denominator * m.den))
+        if lift:
+            acc = [a + lift * v for a, v in zip(acc, m.moments * (order // m.order))]
+    return _from_moments(order, acc, den)
 
 
 def measure_equal(a: CyclotomicMeasure, b: CyclotomicMeasure) -> bool:
-    """Atom-by-atom field equality after lifting to the common support order."""
-    return first_atom_difference(a, b) is None
+    """Equal moment sequences after lifting to the common support order."""
+    order = math.lcm(a.order, b.order)
+    return a.den == b.den and a.embed(order).moments == b.embed(order).moments
 
 
 def first_atom_difference(a: CyclotomicMeasure, b: CyclotomicMeasure):
@@ -301,110 +311,37 @@ def first_atom_difference(a: CyclotomicMeasure, b: CyclotomicMeasure):
     common support order.  Each representative r is the least position of
     its orbit, so the first differing representative is the first
     differing position."""
+    if measure_equal(a, b):
+        return None
     order = math.lcm(a.order, b.order)
-    a, b = a.embed(order), b.embed(order)
-    for r, (x, y) in enumerate(zip(a.reps, b.reps)):
-        if x != y:
-            return r, x, y
-    return None
+    pairs = zip(a.embed(order).reps, b.embed(order).reps)
+    return next((r, x, y) for r, (x, y) in enumerate(pairs) if x != y)
 
 
 # ---------------------------------------------------------------------------
 # Moments, T series, pushforward
 # ---------------------------------------------------------------------------
 
-def _scaled_weights(e: CyclotomicMeasure):
-    """(terms, den): each nonzero orbit weight w_r as (r, [(i, v)]), its
-    nonzero coordinates i over the common denominator den of the weights,
-    times half the orbit size."""
-    den = math.lcm(*[w.den for w in e.reps])
-    terms = []
-    for r, w in enumerate(e.reps):
-        scale = e.orbit_size(r) // 2 * (den // w.den)
-        coords = [(i, v * scale) for i, v in enumerate(w.nums) if v]
-        if coords:
-            terms.append((r, coords))
-    return terms, den
-
-
-def _moment_powers(order: int, terms, k: int) -> List[int]:
-    """The one moment kernel: den times the moment k (k even) over the
-    powers 0 .. N-1 of the primitive root, not yet reduced; the orbit of r
-    adds w_r (z^(rk) + z^(-rk)) times half its size."""
-    acc = [0] * order
-    for r, coords in terms:
-        for shift in ((r * k) % order, (-r * k) % order):
-            for i, v in coords:
-                acc[(i + shift) % order] += v
-    return acc
-
-
 def moment(e: CyclotomicMeasure, k: int) -> CyclotomicNumber:
-    """The k-th moment: the weighted sum of k-th powers of the atoms.
-
-    Each orbit holds u and -u, so an odd moment is exactly zero.  An even
-    moment is summed in integers over the common denominator of the weights.
-    """
+    """The k-th moment: the weighted sum of k-th powers of the atoms, read
+    off the stored sequence.  Each orbit holds u and -u, so an odd moment is
+    exactly zero."""
     if k % 2:
         return CyclotomicNumber.zero(e.order)
-    terms, den = _scaled_weights(e)
-    return cyclo_from_integers(e.order, enumerate(_moment_powers(e.order, terms, k)), den)
+    m = e.moments
+    return CyclotomicNumber.from_rational(Fraction(m[k // 2 % len(m)], e.den), e.order)
 
 
 def _even_moments(e: CyclotomicMeasure, count: int) -> Tuple[List[int], int]:
-    """(nums, den) with moment 2k = nums[k] / den for k = 0 .. count.
-
-    The first call fills e._block with the block k = 0 .. floor(n/2),
-    n = N/2, each moment reduced over the phi(N) power basis, and stops at
-    the first irrational moment, keeping the message that
-    cyclo_as_rational(moment(e, 2k)) gives for it; every call reads the
-    block.  The rest of the moments are read off it by the reflection
-    identity of the module docstring, so a count that reaches the first
-    irrational k raises NotRational with that message: by the identity,
-    that k is the first irrational one up to count.
-    """
-    if e._block is None:
-        e._block = _moment_block(e)
-    block, den, irrational = e._block
-    if irrational is not None and count >= len(block):
-        raise NotRational(irrational)
-    if count < len(block):
-        return block[: count + 1], den
-    n = e.order // 2
-    period = block + block[n - n // 2 - 1:0:-1]
-    return (period * (count // n + 1))[: count + 1], den
-
-
-def _moment_block(e: CyclotomicMeasure) -> Tuple[List[int], int, Optional[str]]:
-    """(block, den, message): den times the moments 2k for k = 0, 1, ...
-    up to floor(n/2) or up to the first irrational one, whose NotRational
-    message is the third entry (None when every moment is rational)."""
-    order, n = e.order, e.order // 2
-    terms, den = _scaled_weights(e)
-    rows, phi = _reduction_rows(order), euler_phi(order)
-    block = []
-    for k in range(n // 2 + 1):
-        acc = _moment_powers(order, terms, 2 * k)
-        out = acc[:phi]
-        for t in range(phi, order):
-            if acc[t]:
-                for i, c in rows[t]:
-                    out[i] += acc[t] * c
-        if any(out[1:]):
-            try:
-                cyclo_as_rational(cyclo_from_integers(order, enumerate(out), den))
-            except NotRational as err:
-                return block, den, str(err)
-        block.append(out[0])
-    return block, den, None
+    """(nums, den) with moment 2k = nums[k] / den for k = 0 .. count: the
+    stored period, repeated by the reflection identity."""
+    m = e.moments
+    return list((m * (count // len(m) + 1))[: count + 1]), e.den
 
 
 def t_series_of_measure(e: CyclotomicMeasure, order: int) -> PowerSeries:
-    """The T series of the measure from its even moments.
-
-    Coefficient r of 1 + T(q)(1-q) is twice the 2r-th moment, and every one
-    must be rational (NotRational otherwise).
-    """
+    """The T series of the measure from its even moments: coefficient r of
+    1 + T(q)(1-q) is twice the 2r-th moment."""
     nums, den = _even_moments(e, order)
     doubled = [2 * v for v in nums]
     doubled[0] -= den
@@ -557,8 +494,7 @@ def _level_expansion(e: CyclotomicMeasure, limit: int):
     moments 2k, k < n (an inverse DFT in u^2, by the symmetry u -> -u), and
     so by this block (the reflection identity): the map to the rows is
     Q-linear and injective, so the pivots and the canonical solution are
-    those of the system over the weights.  The basis moments are rational,
-    so an irrational moment means no expansion.  One elimination takes the
+    those of the system over the weights.  One elimination takes the
     uniform columns, then those of degree 1, 2, ..., and stops at the first
     consistent block: a consistent prefix's canonical solution is every
     longer system's, padded with zeros."""
@@ -568,10 +504,7 @@ def _level_expansion(e: CyclotomicMeasure, limit: int):
     if limit < 0:
         return None
     n = support // 2
-    try:
-        nums, den = _even_moments(e, n // 2)
-    except NotRational:
-        return None
+    nums, den = _even_moments(e, n // 2)
     divisors = [m for m in range(1, n + 1) if n % m == 0]
     elim = _ColumnElimination([2 * v for v in nums], den)
     labels: List[Tuple[int, int]] = []
@@ -603,8 +536,8 @@ def expand_over_level(e: CyclotomicMeasure, limit: int) -> Optional[dict]:
 def level(e: CyclotomicMeasure) -> int:
     """Smallest density degree needed to express the measure over uniform
     measures and polynomial densities supported inside its root group; one
-    elimination pass, as every degree that can occur is below e.order."""
-    found = _level_expansion(e, e.order)
-    if found is None:
-        raise ArithmeticError("measure admits no rational expansion")
-    return found[0]
+    elimination pass.  It always succeeds, by degree floor(n/2) at the
+    latest, n half the support order: the moments are rational, and the
+    columns of d_n and of its densities of degree 1 .. floor(n/2) are
+    triangular, so they span the rows."""
+    return _level_expansion(e, e.order)[0]

@@ -76,10 +76,6 @@ class CheckResult:
     elapsed: float
     details: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
 
 @dataclass
 class VerificationReport:
@@ -221,12 +217,12 @@ def _theta_cases(ctx: RunContext, fam: GraphFamily):
 
 
 def _prop33_cases(ctx: RunContext, fam: GraphFamily):
-    # the four-fold symmetry holds by construction: measures store one
-    # weight per orbit, and odd moments vanish, as each orbit holds u and -u
+    # the four-fold symmetry holds by construction: a measure is stored as
+    # its even moments over one period, and odd moments vanish, as each
+    # orbit holds u and -u
     e = ctx.candidate(fam, "thm71")
-    nums, den = _even_moments(e, e.order // 2 - 1)
-    for j, v in enumerate(nums):
-        yield f"denominator of twice even moment {2 * j}", Fraction(2 * v, den).denominator, 1
+    for j, v in enumerate(e.moments):
+        yield f"denominator of twice even moment {2 * j}", Fraction(2 * v, e.den).denominator, 1
 
 
 _PROP34_FAMILIES = (GraphFamily("A", 4), GraphFamily("Dtilde", 6), GraphFamily("E7"))
@@ -643,13 +639,18 @@ def _run_one(check_id: str, runner, ctx: RunContext) -> CheckResult:
 
 def run_all(order: int = 64, size_matrix: Optional[Dict[str, Sequence[int]]] = None,
             only: Optional[str] = None) -> VerificationReport:
-    """Run every registered check (or those matching the glob) and report;
-    a glob that matches no check id is a ValueError, not an empty report."""
+    """Run every registered check (or those matching the glob) and report.
+    A glob that matches no check id is a ValueError, not an empty report; so
+    is a size matrix with an unknown tag or a parameter out of range, found
+    by building every family of it before any check runs."""
     checks = [(check_id, runner) for check_id, runner in registry().items()
               if not only or fnmatch.fnmatchcase(check_id, only)]
     if only and not checks:
         raise ValueError(f"no check id matches {only!r}")
     ctx = RunContext(order, size_matrix)
+    for tag, params in ctx.sizes.items():
+        for m in params:
+            GraphFamily(tag, m)
     report = VerificationReport(order)
     for check_id, runner in checks:
         report.results.append(_run_one(check_id, runner, ctx))

@@ -5,11 +5,13 @@ echelon solve, the level solver that rebuilds and re-solves its whole basis
 for each degree limit, cyclotomic polynomials by polynomial division, the
 two-product loop counts, both theta routes as an integer binomial sum and
 as Horner's rule with running alternating sums, the closed-form T series in
-Fraction lists, the T series and the expansion from one moment call per
-coefficient, pushforward moments by cyclotomic powering, and the sign of a
-real cyclotomic number at 60 digits.  Only tests use them.
+Fraction lists, the T series and the expansion from one moment per
+coefficient, each a dense sum over the weights, pushforward moments by
+cyclotomic powering, and the sign of a real cyclotomic number at 60 digits.
+Only tests use them.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -22,10 +24,11 @@ from cyclade.exact import (
     PowerSeries,
     QPolynomial,
     cyclo_as_rational,
+    cyclo_from_integers,
     euler_phi,
     series_from_integers,
 )
-from cyclade.measures import ExpansionResult, basic_measure, density_measure, moment
+from cyclade.measures import ExpansionResult, basic_measure, density_measure
 
 
 def rref_solve(rows, rhs):
@@ -203,12 +206,30 @@ def t_closed_form_by_fractions(poly, n, variant, order):
     return PowerSeries(order, out)
 
 
+def moment_by_dense_sum(order, weights, k):
+    """Moment k of the measure with the given N = order weights w_j, the sum
+    of w_j z^(jk), z the primitive N-th root, in one cyclo_from_integers:
+    computed from the weights, not read off a stored moment sequence."""
+    den = math.lcm(*[w.den for w in weights])
+    return cyclo_from_integers(order, [(i + j * k, v * (den // w.den))
+                                         for j, w in enumerate(weights)
+                                         for i, v in enumerate(w.nums) if v], den)
+
+
+def _doubled_moments(e, count):
+    """Twice the moments 0, 2, ..., 2 (count - 1) of e as Fractions, each a
+    dense sum over its weights."""
+    weights = e.weights
+    return [2 * cyclo_as_rational(moment_by_dense_sum(e.order, weights, 2 * k))
+            for k in range(count)]
+
+
 def t_series_by_moments(e, order):
-    """Twice moment 2k for k up to min(order, N/2 - 1), one moment call
-    each, repeated with period N/2; the first entry less 1, then Fraction
-    prefix sums."""
+    """Twice moment 2k for k up to min(order, N/2 - 1), one dense moment
+    sum each, repeated with period N/2; the first entry less 1, then
+    Fraction prefix sums."""
     period = e.order // 2
-    block = [2 * cyclo_as_rational(moment(e, 2 * k)) for k in range(min(order, period - 1) + 1)]
+    block = _doubled_moments(e, min(order, period - 1) + 1)
     doubled = [block[k % period] for k in range(order + 1)]
     doubled[0] -= 1
     return PowerSeries(order, accumulate(doubled))
@@ -216,9 +237,9 @@ def t_series_by_moments(e, order):
 
 def expansion_by_moments(e, n):
     """The expansion over the uniform measure and the densities 1 - u^(2l)
-    at support parameter n, from one moment call per row and one RREF solve
-    of the whole system; the caller checks that the support order of e
-    divides 2n."""
+    at support parameter n, from one dense moment sum per row and one RREF
+    solve of the whole system; the caller checks that the support order of
+    e divides 2n."""
     labels = [0] + list(range(1, n // 2 + 1))
     rows = []
     for k in range(n):
@@ -227,7 +248,7 @@ def expansion_by_moments(e, n):
             if l and k in (l, n - l):
                 row[j] -= 2 if 2 * l == n else 1
         rows.append(row)
-    sol = rref_solve(rows, [2 * cyclo_as_rational(moment(e, 2 * k)) for k in range(n)])
+    sol = rref_solve(rows, _doubled_moments(e, n))
     return ExpansionResult(n, {} if sol is None else dict(zip(labels, sol)), sol is not None)
 
 

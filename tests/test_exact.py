@@ -141,8 +141,9 @@ def test_sign_of_real_below_the_old_cutoff():
 def _real_cyclo(draw):
     """z + conj(z) for a random z at a random order, less a rational
     approximation of its value to a drawn number of digits, so that values
-    near zero occur; kept when its value is above 1e-30, where a 60-digit
-    evaluation certifies the sign."""
+    near zero occur; kept when its value is above 1e-30 times 1 plus the sum
+    of its absolute coordinates, where a 60-digit evaluation, whose error
+    grows with the coordinates, certifies the sign."""
     order = draw(st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24, 30, 60]))
     z = cyclo_make(order, draw(st.dictionaries(
         st.integers(0, order - 1), st.fractions(max_denominator=10**6).filter(bool),
@@ -152,7 +153,8 @@ def _real_cyclo(draw):
     with mpmath.workdps(60):
         if digits is not None:
             x = x - Fraction(int(mpmath.nint(x.numeric(dps=60).real * 10**digits)), 10**digits)
-        assume(abs(x.numeric(dps=60).real) > mpmath.mpf("1e-30"))
+        scale = 1 + mpmath.mpf(sum(map(abs, x.nums))) / x.den
+        assume(abs(x.numeric(dps=60).real) > mpmath.mpf("1e-30") * scale)
     return x
 
 
@@ -160,6 +162,18 @@ def _real_cyclo(draw):
 @given(_real_cyclo())
 def test_sign_of_real_matches_60_digit_oracle(x):
     assert sign_of_real(x) == sign_at_60_digits(x)
+
+
+def test_sign_of_real_below_the_60_digit_error():
+    # coordinates near 4e33 cancel to about -1.7e-28, below the error of a
+    # 60-digit evaluation, which reads it as positive; 200 digits agree with
+    # the fixed-point sign
+    b = Fraction(15597921100178076515202865192501247, 7)
+    x = CyclotomicNumber(24, [Fraction(-2690434790550214577557977726147563461544022620263278861731577,
+                                       625000000000000000000000000), b, 0, b, 0, 0, 0, -b])
+    assert sign_of_real(x) == -1
+    with mpmath.workdps(200):
+        assert mpmath.mpf("-2e-28") < x.numeric(dps=200).real < mpmath.mpf("-1e-28")
 
 
 def test_arithmetic_coordinates_are_fractions():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,7 @@ from oracles import (
     expand_over_level_loop,
     expansion_by_moments,
     level_loop,
+    moment_by_dense_sum,
     pushforward_moments_by_powering,
     t_series_by_moments,
 )
@@ -165,13 +167,13 @@ def test_memoized_atoms_are_shared_and_unchanged():
     assert density_measure(DENSITY_POLYS["alpha"], "d", 6) is a
     assert basic_measure("dprime", 3) is d
     assert parse_measure_expr("alpha_6") is a
-    before = [(m.order, m.reps, [w.coeffs for w in m.reps]) for m in (a, d)]
+    before = [(m.order, m.moments, m.den, [w.coeffs for w in m.reps]) for m in (a, d)]
     lincomb([(Fraction(-2), a), (Fraction(3), d)])
     a.embed(36)
     d.embed(24)
     parse_measure_expr("2*alpha_6 - d'_3 + alpha_6/5")
     moment(a, 4)
-    assert [(m.order, m.reps, [w.coeffs for w in m.reps]) for m in (a, d)] == before
+    assert [(m.order, m.moments, m.den, [w.coeffs for w in m.reps]) for m in (a, d)] == before
 
 
 def test_symmetry_enforced():
@@ -434,6 +436,18 @@ def test_level_matches_per_limit_loop(e):
     _assert_level_matches_loop(e)
 
 
+@settings(max_examples=30, deadline=None)
+@given(_atom_sums())
+def test_support_order_and_constructor_round_trip(e):
+    # twice the least period of the moments is the lcm of the atom orders,
+    # and the public constructor, given the derived weights, recomputes the
+    # stored sequence
+    atoms = [e.order // math.gcd(e.order, j) for j, w in enumerate(e.weights) if not w.is_zero()]
+    assert e.minimal_support_order() == (math.lcm(*atoms) if atoms else None)
+    rebuilt = CyclotomicMeasure(e.order, e.weights)
+    assert (rebuilt.moments, rebuilt.den) == (e.moments, e.den)
+
+
 def _assert_series_matches_oracle(e, order):
     got, want = t_series_of_measure(e, order), t_series_by_moments(e, order)
     assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
@@ -472,41 +486,69 @@ def test_even_moment_block_below_half_period(text):
         _assert_series_matches_oracle(e, order)
 
 
-def _sqrt3_measure(*orbits):
-    """The real symmetric measure at N = 24 with weight sqrt(3) = z^2 + z^22
-    on the first orbit given and -sqrt(3) on the others."""
+def _sqrt3_weights(*orbits):
+    """The real symmetric weights at N = 24 with sqrt(3) = z^2 + z^22 on the
+    first orbit given and -sqrt(3) on the others."""
     sqrt3 = cyclo_make(24, {2: 1, 22: 1})
-    weights = [Fraction(0)] * 24
+    weights = [CyclotomicNumber.zero(24)] * 24
     for i, r in enumerate(orbits):
         for j in (r, -r, 12 + r, 12 - r):
             weights[j % 24] = sqrt3 if i == 0 else -sqrt3
-    return CyclotomicMeasure(24, weights)
+    return weights
+
+
+def _sqrt3_measure(*orbits):
+    return CyclotomicMeasure(24, _sqrt3_weights(*orbits))
 
 
 def test_irrational_moments_raise_as_before():
-    e = _sqrt3_measure(1)  # weight sqrt(3) at the positions 1, 11, 13, 23
+    # weight sqrt(3) at the positions 1, 11, 13, 23: moment 0 is 4 sqrt(3),
+    # and the constructor refuses the measure with the message that
+    # cyclo_as_rational gives for that moment
     message = ("nonzero non-constant coordinates in CyclotomicNumber(order=24, "
                "coeffs=['0', '0', '8', '0', '0', '0', '-4', '0'])")
-    for call in (lambda: t_series_of_measure(e, 3), lambda: t_series_of_measure(e, 40),
-                 lambda: cyclotomic_expansion(e, 12), lambda: cyclo_as_rational(moment(e, 0))):
-        with pytest.raises(NotRational) as info:
-            call()
-        assert str(info.value) == message
+    with pytest.raises(NotRational) as info:
+        _sqrt3_measure(1)
+    assert str(info.value) == message
 
 
 def test_irrational_measure_has_no_level():
-    # moment 0 is 4 sqrt(3), irrational, and every basis column has
-    # rational moments, so no limit admits an expansion
-    e = _sqrt3_measure(1)
-    with pytest.raises(ArithmeticError) as info:
-        level(e)
-    assert type(info.value) is ArithmeticError
-    assert str(info.value) == "measure admits no rational expansion"
-    with pytest.raises(ArithmeticError, match="^measure admits no rational expansion$"):
-        level_loop(e)
+    # a measure with an irrational moment cannot be built, so level never
+    # meets one; the rational sqrt(3) combination has a level, the oracle's
+    with pytest.raises(NotRational):
+        level(_sqrt3_measure(1))
+    e = _sqrt3_measure(1, 5)
+    assert level(e) == level_loop(e)
     for k in range(4):
-        assert expand_over_level(e, k) is None
-        assert expand_over_level_loop(e, k) is None
+        assert expand_over_level(e, k) == expand_over_level_loop(e, k)
+
+
+@pytest.mark.parametrize("orbits", [(1, 2), (2, 5), (3, 1), (1, 5), (4, 2)])
+def test_irrational_moment_after_moment_zero(orbits):
+    # moment 0 cancels; the constructor raises at the first irrational
+    # moment with the message of its dense sum over the weights, or, when
+    # every moment is rational, keeps the dense sums as its sequence
+    weights = _sqrt3_weights(*orbits)
+    dense = [moment_by_dense_sum(24, weights, 2 * k) for k in range(12)]
+    first = next((z for z in dense if not z.is_rational()), None)
+    if first is None:
+        e = CyclotomicMeasure(24, weights)
+        assert [Fraction(v, e.den) for v in e.moments] == list(map(cyclo_as_rational, dense))
+        for order in (0, 1, 2, 3, 6, 40):
+            assert t_series_of_measure(e, order) == t_series_by_moments(e, order)
+    else:
+        with pytest.raises(NotRational) as info:
+            CyclotomicMeasure(24, weights)
+        assert str(info.value) == f"nonzero non-constant coordinates in {first!r}"
+
+
+def test_rational_sqrt3_combination_builds():
+    # sqrt(3) on the orbit of 1 and -sqrt(3) on that of 5: every moment is
+    # rational, and the weights derived from the sequence are those given
+    e = _sqrt3_measure(1, 5)
+    assert (e.moments, e.den) == ((0, 12, 0, 0, 0, -12, 0, -12, 0, 0, 0, 12), 1)
+    derived = lincomb([(Fraction(1), e)])
+    assert derived.weights == e.weights == tuple(_sqrt3_weights(1, 5))
 
 
 def test_negative_limit_allows_no_columns():
@@ -518,38 +560,9 @@ def test_negative_limit_allows_no_columns():
         assert expand_over_level(e, 0) is not None
 
 
-def _assert_t_series_as_per_moment(e, orders):
-    # each order in turn returns the per-moment T series or raises its message
-    for order in orders:
-        try:
-            want = t_series_by_moments(e, order)
-        except NotRational as err:
-            with pytest.raises(NotRational) as info:
-                t_series_of_measure(e, order)
-            assert str(info.value) == str(err)
-        else:
-            assert t_series_of_measure(e, order) == want
-
-
-@pytest.mark.parametrize("orbits", [(1, 2), (2, 5), (3, 1), (1, 5), (4, 2)])
-def test_irrational_moment_after_moment_zero(orbits):
-    # moment 0 cancels; the first irrational moment, if any, comes later,
-    # and the block raises there with the message of the per-moment route
-    _assert_t_series_as_per_moment(_sqrt3_measure(*orbits), (0, 1, 2, 3, 6, 40))
-
-
-@pytest.mark.parametrize("orbits", [(1, 2), (2, 5), (3, 1), (1, 5), (4, 2)])
-def test_irrational_moment_after_moment_zero_long_call_first(orbits):
-    # the longest call fills the cached block, and every shorter call reads
-    # it: each returns or raises as on a fresh measure
-    e = _sqrt3_measure(*orbits)
-    _assert_t_series_as_per_moment(e, (40,))
-    assert e._block is not None
-    _assert_t_series_as_per_moment(e, (6, 3, 2, 1, 0))
-
-
 def test_irrational_pushforward_moment_raises():
-    # the mass is 4 sqrt(3), so pushforward moment 0 is already irrational
+    # the mass would be 4 sqrt(3): the measure is refused before any
+    # pushforward moment is taken
     with pytest.raises(NotRational):
         pushforward_real(_sqrt3_measure(1)).moments(2)
 

@@ -150,6 +150,13 @@ def test_scalar_case_reports_both_values_and_stops(monkeypatch):
 
 
 def test_exceptional_parameter_other_than_its_digit_fails():
-    (result,) = run_all(order=8, size_matrix={"E7": (7, 99)}, only="thm2.5/E7").results
-    assert result.status == "fail"
-    assert "E7 has parameter 7" in result.details
+    # the size matrix is checked before any check runs
+    with pytest.raises(ValueError, match="E7 has parameter 7"):
+        run_all(order=8, size_matrix={"E7": (7, 99)}, only="thm2.5/E7")
+
+
+@pytest.mark.parametrize("sizes,message", [({"F4": (4,)}, "unknown family tag 'F4'"),
+                                           ({"A": (1,)}, "A needs at least 2 vertices")])
+def test_bad_size_matrix_is_a_value_error(sizes, message):
+    with pytest.raises(ValueError, match=message):
+        run_all(order=8, size_matrix=sizes, only="prop5.7/*")
