@@ -10,8 +10,6 @@ import json
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from .exact import CyclotomicNumber, series_from_integers
 from .exprs import MAX_ORDER, MAX_VERTICES, parse_measure_expr, parse_xi_expr
 from .graphs import EXCEPTIONAL_TAGS, FAMILY_TAGS, GraphFamily, build_ade, loop_counts
@@ -47,6 +45,8 @@ def format_cyclo(z: CyclotomicNumber) -> str:
 
 
 def format_decimal(z: CyclotomicNumber) -> str:
+    import mpmath  # kept off the import path: only decimal display needs it
+
     v = z.numeric(dps=30)
     with mpmath.workdps(30):
         if abs(mpmath.im(v)) < mpmath.mpf("1e-25"):
@@ -198,8 +198,9 @@ def _dispatch(args, parser, out) -> int:
         return 0
     if cmd == "measure-show":
         e = parse_measure_expr(args.expr)
-        rows = [[j, e.order, format_cyclo(w), format_decimal(w)]
-                for j, w in enumerate(e.weights) if not w.is_zero()]
+        # each orbit's weight formatted once, for all its positions
+        shown = [None if w.is_zero() else [format_cyclo(w), format_decimal(w)] for w in e.reps]
+        rows = [[j, e.order, *text] for j in range(e.order) if (text := shown[e.orbit(j)])]
         _emit_table(["position", "order", "weight", "weight_decimal"], rows, args.format, out)
         return 0
     if cmd == "measure-moments":

@@ -22,8 +22,6 @@ from itertools import zip_longest
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
-import mpmath
-
 Rational = Fraction
 
 
@@ -158,7 +156,10 @@ _ZERO = Fraction(0)
 
 def _over_lcm(values: Iterable) -> Tuple[list, int]:
     """Rationals as integers over their least common denominator."""
-    fs = [v if type(v) is Fraction else Fraction(v) for v in values]
+    fs = list(values)
+    if not fs or type(fs[0]) is int and all(type(v) is int for v in fs):
+        return fs, 1
+    fs = [v if type(v) is Fraction else Fraction(v) for v in fs]
     den = math.lcm(*[f.denominator for f in fs])
     return [f.numerator * (den // f.denominator) for f in fs], den
 
@@ -310,6 +311,8 @@ class CyclotomicNumber(_IntegersOverDenominator):
 
     def numeric(self, dps: int = 30):
         """Complex value at the given working precision (mpmath)."""
+        import mpmath  # kept off the import path: only decimal display needs it
+
         with mpmath.workdps(dps):
             total = mpmath.mpc(0)
             for j, c in enumerate(self.coeffs):
@@ -390,21 +393,82 @@ COS_TABLE_CACHE_SIZE = 128
 
 
 @lru_cache(maxsize=COS_TABLE_CACHE_SIZE)
+def _pi_fixed(p: int) -> int:
+    """An integer within 4p + 30 of 2^p pi, by Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239).
+
+    arctan(1/x) = sum_k (-1)^k / ((2k+1) x^(2k+1)); nested floor divisions
+    by positive integers make each term floor(2^p / ((2k+1) x^(2k+1))),
+    within 1 of its value.  The sum stops at the first K with
+    x^(2K+1) > 2^p, where the alternating tail of decreasing terms is below
+    1, so each arctan is within K + 1 of 2^p arctan(1/x), with
+    K <= (p / log2(x) + 1) / 2: below 0.22p + 0.5 for x = 5 and 0.07p + 0.5
+    for x = 239, and 16 (0.22p + 1.5) + 4 (0.07p + 1.5) < 4p + 30."""
+    def arctan_inverse(x: int) -> int:
+        total, power, k = 0, (1 << p) // x, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k % 2 else term
+            power //= x * x
+            k += 1
+        return total
+    return 16 * arctan_inverse(5) - 4 * arctan_inverse(239)
+
+
+@lru_cache(maxsize=COS_TABLE_CACHE_SIZE)
 def _cos_table(order: int, bits: int) -> Tuple[int, ...]:
-    """round(2^bits cos(2 pi j / order)) for j < phi(order), each within 1
-    of the true value: evaluated with mpmath at bits + 40 bits, which leaves
-    an error far below the 1/2 of the final rounding."""
-    with mpmath.workprec(bits + 40):
-        return tuple(int(mpmath.nint(mpmath.ldexp(mpmath.cospi(mpmath.mpf(2 * j) / order), bits)))
-                     for j in range(euler_phi(order)))
+    """T_j within 1 of 2^b cos(2 pi j / N) for j < phi(N), b = bits,
+    N = order, in integer fixed point at p = b + g bits, g = bitlen(b) + 6.
+
+    Reduction: with k = round(4j / N) and a = 4j - kN, |a| <= N/2 and
+    2 pi j / N = k pi/2 + phi with phi = pi a / (2N), |phi| <= pi/4; so
+    cos(2 pi j / N) is cos|phi|, -sgn(a) sin|phi|, -cos|phi| or
+    sgn(a) sin|phi| for k = 0, 1, 2, 3 mod 4.  X = floor(P |a| / (2N)), P
+    from _pi_fixed(p), is within (4p + 30) / 4 + 1 = p + 8.5 of 2^p |phi|,
+    and X < 2^p as p >= 8.
+
+    Taylor series at x = X / 2^p: the terms c_n = 2^p x^n / n! (n even for
+    cos, odd for sin) are computed as t = c exactly for the first and
+    t' = floor(t X^2 / (2^2p (n+1)(n+2))) after it (a shift, then a floor
+    division by (n+1)(n+2): nested floors); the ratio is below 1/2,
+    so by induction c - 2 < t <= c, and the terms decrease.  The sum stops
+    at the first t = 0, where c < 2 bounds the alternating tail; a nonzero
+    t needs c >= 1, so n! <= 2^p, n <= p + 1 and there are at most
+    p/2 + 1.5 terms.  The sum is within 2 (p/2 + 1.5) + 2 = p + 5 of
+    2^p cos x or 2^p sin x, and both are 1-Lipschitz, so the signed sum V
+    is within E < 2p + 13.5 of 2^p cos(2 pi j / N).
+
+    Rounding: with L = bitlen(b) >= 1, b and L are at most 2^L - 1, so
+    p <= 2^(L+1) + 4 and E < 4 2^L + 21.5 < 16 2^L = 2^(g-2); T_j, V / 2^g
+    rounded, is then within 1/4 + 1/2 < 1 of 2^b cos(2 pi j / N)."""
+    guard = bits.bit_length() + 6
+    p = bits + guard
+    pi, one, half = _pi_fixed(p), 1 << p, 1 << (guard - 1)
+    table = []
+    for j in range(euler_phi(order)):
+        k = (8 * j + order) // (2 * order)
+        a = 4 * j - k * order
+        x = pi * abs(a) // (2 * order)
+        n = k % 2  # the first Taylor exponent: 0 for cos, 1 for sin
+        term, total, square = x if n else one, 0, x * x
+        while term:
+            total += -term if n % 4 >= 2 else term
+            term = (term * square >> 2 * p) // ((n + 1) * (n + 2))
+            n += 2
+        if k % 4 in ((1, 2) if a >= 0 else (2, 3)):
+            total = -total
+        table.append((total + half) >> guard)
+    return tuple(table)
 
 
 def sign_of_real(z: CyclotomicNumber) -> int:
     """Sign of a real cyclotomic number, certified in fixed point.
 
     With z = sum v_j zeta^j / den real, x = den z = sum v_j cos(2 pi j / N).
-    S = sum v_j T_j, with T_j from _cos_table at b bits, is within
-    V = sum |v_j| of 2^b x, so |S| > V gives the sign; otherwise b doubles.
+    Each T_j from _cos_table at b bits is within 1 of 2^b cos(2 pi j / N),
+    by the integer fixed-point error bound proved there, so S = sum v_j T_j
+    is within V = sum |v_j| of 2^b x, and |S| > V gives the sign; otherwise
+    b doubles.
     The cap b = phi(N) bitlen(V) + 2 always succeeds: x is a nonzero
     algebraic integer, so its norm has modulus at least 1, and each of its
     other phi(N) - 1 conjugates has modulus at most V, so |x| >= V^-(phi-1),
@@ -447,7 +511,7 @@ class PowerSeries(_IntegersOverDenominator):
         if order is None:
             order = len(coeffs) - 1
         cs = list(coeffs[: order + 1])
-        cs += [Fraction(0)] * (order + 1 - len(cs))
+        cs += [0] * (order + 1 - len(cs))
         return cls(order, cs)
 
     @classmethod

@@ -131,10 +131,14 @@ class CyclotomicMeasure:
         """All N weights, position j holding the atom at the j-th power."""
         return tuple(self.weight(j) for j in range(self.order))
 
-    def weight(self, j: int) -> CyclotomicNumber:
+    def orbit(self, j: int) -> int:
+        """The r with the weight at position j in reps[r]."""
         half = self.order // 2
         r = j % half
-        return self.reps[min(r, half - r)]
+        return min(r, half - r)
+
+    def weight(self, j: int) -> CyclotomicNumber:
+        return self.reps[self.orbit(j)]
 
     def orbit_size(self, r: int) -> int:
         """Number of atoms sharing the weight reps[r]."""

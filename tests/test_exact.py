@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -24,6 +29,9 @@ from cyclade.exact import (
     sign_of_real,
     solve_linear_system,
     _ColumnElimination,
+    _cos_table,
+    _pi_fixed,
+    euler_phi,
 )
 from oracles import cyclotomic_poly_by_division, divide_monic, rref_solve, sign_at_60_digits
 
@@ -174,6 +182,51 @@ def test_sign_of_real_below_the_60_digit_error():
     assert sign_of_real(x) == -1
     with mpmath.workdps(200):
         assert mpmath.mpf("-2e-28") < x.numeric(dps=200).real < mpmath.mpf("-1e-28")
+
+
+@pytest.mark.parametrize("bits", [64, 128, 1024])
+def test_cos_table_within_one_of_200_bit_oracle(bits):
+    # the one property sign_of_real's certificate uses, against mpmath at
+    # 200 bits beyond the table's precision
+    for order in [*range(1, 261), 498, 996]:
+        table = _cos_table.__wrapped__(order, bits)
+        assert len(table) == euler_phi(order)
+        with mpmath.workprec(bits + 200):
+            for j, t in enumerate(table):
+                assert abs(t - mpmath.ldexp(mpmath.cospi(mpmath.mpf(2 * j) / order), bits)) < 1
+
+
+def test_pi_fixed_within_its_bound():
+    for p in [8, 9, 64, 75, 1035, 4000]:
+        with mpmath.workprec(p + 100):
+            assert abs(_pi_fixed(p) - mpmath.ldexp(mpmath.pi, p)) < 4 * p + 30
+
+
+def test_library_and_non_display_commands_leave_mpmath_unloaded():
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import cyclade
+        from cyclade import cli
+        from cyclade.verify import run_all
+        assert not run_all(order=8).failures
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["graph-tseries", "--family", "E8", "--order", "32"],
+                         ["graph-loops", "--family", "D", "--param", "9"],
+                         ["xi-expand", "--expr", "xi(2:3)"],
+                         ["measure-moments", "--expr", "gamma''_7"],
+                         ["measure-tseries", "--expr", "alpha'_9 + d_4"],
+                         ["expand", "--expr", "beta_5"],
+                         ["level", "--expr", "alpha_12"],
+                         ["verify", "--order", "8", "--only", "thm7.1/*"]):
+                assert cli.main(argv) == 0, argv
+        print("mpmath" in sys.modules)
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_arithmetic_coordinates_are_fractions():
