@@ -234,8 +234,9 @@ class RealMeasure:
 @dataclass(frozen=True)
 class ExpansionResult:
     """Coefficients of a measure over the uniform measure (index 0) and the
-    degree-l polynomial densities (index l) at one support parameter;
-    residual_ok says whether the exact system has a solution."""
+    degree-l polynomial densities (index l) at one support parameter.
+    residual_ok is always True for an admissible n; it is kept for the CLI's
+    residual_ok row and for existing callers."""
 
     n: int
     coefficients: Dict[int, Fraction]
@@ -431,7 +432,7 @@ def one_minus_power(l: int) -> QPolynomial:
 
 def cyclotomic_expansion(e: CyclotomicMeasure, n: int) -> ExpansionResult:
     """Expand e over the uniform measure and the densities 1 - u^(2l) at one
-    support parameter n, by exact linear algebra on the moment vector.
+    support parameter n, read off the even moments of e.
 
     Index l and n - l give the same density contribution, so the coefficient
     map is indexed 0..n//2 with 0 naming the uniform term.
@@ -445,9 +446,13 @@ def cyclotomic_expansion(e: CyclotomicMeasure, n: int) -> ExpansionResult:
     W(s) (s^n - 1) s^k vanishes for every k, and the characters k -> s^k of
     distinct s are linearly independent, so every W(s) (s^n - 1) is zero:
     every atom u has u^(2n) = 1, which is N dividing 2n.  So the test is
-    exact.  With u^(2n) = 1 for every atom, the reflection identity of the
-    module docstring holds for this n, so the elimination reads only the
-    moments 0, 2, ..., 2 floor(n/2), the rows _level_expansion uses.
+    exact.  Then e and each basis measure are fixed by the rows of
+    _level_expansion, the doubled moments 2k, k <= n/2, and on them the
+    system is triangular: the uniform column is 2 e_0 and column l >= 1 is
+    2 e_0 - c_l e_l, c_l = 2 when 2l = n and 1 otherwise, as n divides
+    k - l only at k = l and k + l only at k = l = n/2.  The one solution is
+    x_l = -2 M_l / c_l and x_0 = M_0 - sum x_l = sum_(k<n) M_k, M_k the
+    moment 2k.
     """
     if n < 1:
         raise ValueError("support parameter must be positive")
@@ -456,28 +461,22 @@ def cyclotomic_expansion(e: CyclotomicMeasure, n: int) -> ExpansionResult:
         raise SupportTooLarge(
             f"support order {support} does not divide {2 * n}, so the moments lack period {n}")
     nums, den = _even_moments(e, n // 2)
-    labels = list(range(n // 2 + 1))
-    elim = _ColumnElimination([2 * v for v in nums], den)
-    for l in labels:
-        elim.add_column(_moment_column(l, n, n // 2))
-    sol = elim.solution()
-    return ExpansionResult(n, {} if sol is None else dict(zip(labels, sol)), sol is not None)
+    # w[l] / den is the sum of the moments 2k over k < n with k = +-l mod n
+    w = [v if l == 0 or 2 * l == n else 2 * v for l, v in enumerate(nums)]
+    coefficients = [Fraction(sum(w), den)] + [Fraction(-v, den) for v in w[1:]]
+    return ExpansionResult(n, dict(enumerate(coefficients)), True)
 
 
 def reconstruct_expansion(result: ExpansionResult) -> CyclotomicMeasure:
-    """Rebuild the measure described by an expansion result."""
+    """Rebuild the measure of an expansion result: the doubled moment
+    columns of its nonzero terms, summed over one common denominator."""
     n = result.n
-    terms: List[Tuple[Fraction, CyclotomicMeasure]] = []
-    for l, r in sorted(result.coefficients.items()):
-        if r == 0:
-            continue
-        if l == 0:
-            terms.append((r, basic_measure("d", n)))
-        else:
-            terms.append((r, density_measure(one_minus_power(l), "d", n)))
-    if not terms:
-        terms = [(Fraction(0), basic_measure("d", n))]
-    return lincomb(terms)
+    labels = [l for l, c in result.coefficients.items() if c]
+    xs, den = _over_lcm(result.coefficients[l] for l in labels)
+    acc = [0] * n
+    for l, x in zip(labels, xs):
+        acc = [a + x * v for a, v in zip(acc, _moment_column(l, n, n - 1))]
+    return _from_moments(2 * n, acc, 2 * den)
 
 
 def _moment_column(l: int, m: int, count: int) -> List[int]:
@@ -541,7 +540,5 @@ def level(e: CyclotomicMeasure) -> int:
     """Smallest density degree needed to express the measure over uniform
     measures and polynomial densities supported inside its root group; one
     elimination pass.  It always succeeds, by degree floor(n/2) at the
-    latest, n half the support order: the moments are rational, and the
-    columns of d_n and of its densities of degree 1 .. floor(n/2) are
-    triangular, so they span the rows."""
+    latest, n half the support order, as cyclotomic_expansion shows."""
     return _level_expansion(e, e.order)[0]

@@ -333,10 +333,7 @@ def _check_thm46(ctx: RunContext):
     def cases():
         for e in measures:
             n = e.minimal_support_order() // 2
-            res = cyclotomic_expansion(e, n)
-            yield f"exact solution n={n}", res.residual_ok, True
-            yield (f"round trip n={n}", t_series_of_measure(reconstruct_expansion(res), ctx.order),
-                   t_series_of_measure(e, ctx.order))
+            yield f"round trip n={n}", reconstruct_expansion(cyclotomic_expansion(e, n)), e
     return _verdict(cases(), f"{len(measures)} measure(s)")
 
 
@@ -411,11 +408,15 @@ def _support_cases(ctx: RunContext):
 
 
 def _check_etilde_constant(ctx: RunContext):
+    # forms on the N-th roots with equal doubled moments 0..N/4 are equal (the
+    # reflection identity), so from order N/4 on at most one constant matches
+    forms = {tag: [(c, etilde_ternary(ell, c)) for c in (Fraction(1, 2), Fraction(1, 3))]
+             for tag, ell in ETILDE_ELL.items()}
+    order = max(ctx.order, *[e.order // 4 for pair in forms.values() for _, e in pair])
     winners = []
-    for tag, ell in ETILDE_ELL.items():
-        t = ctx.graph_t(GraphFamily(tag))
-        matches = [c for c in (Fraction(1, 2), Fraction(1, 3))
-                   if t_series_of_measure(etilde_ternary(ell, c), ctx.order) == t]
+    for tag, pair in forms.items():
+        t = (ctx if order == ctx.order else RunContext(order)).graph_t(GraphFamily(tag))
+        matches = [c for c, e in pair if t_series_of_measure(e, order) == t]
         if len(matches) != 1:
             return "fail", f"{tag}: {len(matches)} constants match"
         winners.append(matches[0])

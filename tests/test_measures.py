@@ -463,6 +463,7 @@ def test_even_moment_block_matches_per_moment_route(e):
     support = e.minimal_support_order() or 2
     for n in (support // 2, support, 3 * support // 2):
         assert cyclotomic_expansion(e, n) == expansion_by_moments(e, n)
+        assert reconstruct_expansion(cyclotomic_expansion(e, n)) == e
 
 
 @pytest.mark.parametrize("text", ["d_1", "alpha_1", "d_2", "d'_1", "beta_2", "d_1 + d'_1"])

@@ -43,10 +43,13 @@ def test_report_determinism():
     assert not first.failures
 
 
-def test_small_order_still_passes():
-    report = run_all(order=8, size_matrix=SMALL_MATRIX)
+@pytest.mark.parametrize("order", range(9))
+def test_small_order_still_passes(order):
+    # below order 5 the two affine-E constants agree with the graph T series,
+    # so the discrepancy check compares at the order that tells them apart
+    report = run_all(order=order, size_matrix=SMALL_MATRIX)
     assert not report.failures
-    assert all(r.order == 8 for r in report.results)
+    assert all(r.order == order for r in report.results)
 
 
 # SHA-256 of the timing-free order-8 report on SMALL_MATRIX; any changed id,
