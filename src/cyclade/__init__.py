@@ -58,9 +58,6 @@ from .measures import (
 from .exprs import (
     EvaluationError,
     ParseError,
-    format_measure_expr,
-    format_xi,
-    parse_measure_ast,
     parse_measure_expr,
     parse_xi_expr,
 )
@@ -71,8 +68,6 @@ from .verify import (
     VerificationReport,
     all_check_ids,
     run_all,
-    verify_graph_measure,
-    verify_graph_t,
     verify_identity,
 )
 

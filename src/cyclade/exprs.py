@@ -1,9 +1,9 @@
 """Recursive-descent parsers for the xi and measure expression languages.
 
-Both parsers report failures with the source position and the tokens they
-would have accepted there.  The measure parser first builds a small syntax
-tree (so expressions can be pretty-printed and normalized) and evaluates it
-to a CyclotomicMeasure on demand.
+Both parsers report syntax errors with the source position and the tokens they
+would have accepted there.  The measure parser builds no syntax tree: it
+evaluates the expression left to right as it parses it, so of a syntax error
+and an evaluation error the one further left is reported.
 """
 
 from __future__ import annotations
@@ -123,56 +123,54 @@ def _xi_factor_list(s: _Scanner) -> List[XiFactor]:
             return factors
 
 
-def format_xi(expr: XiExpression) -> str:
-    return expr.text()
-
-
 # ---------------------------------------------------------------------------
 # measure expressions
 # ---------------------------------------------------------------------------
 
-# syntax tree nodes:
-#   ("sum", first, [(op, node), ...])   op in "+-"
-#   ("term", [node, ...], divisor or None)
-#   ("rat", Fraction)
-#   ("atom", name, primes, n)
-#   ("paren", node)
+# Largest support order (the order of the roots of unity carrying the atoms)
+# of one parsed atom, and of a sum, which lives on the lcm of its terms'
+# supports; beyond it one measure takes seconds and then runs away.
+MAX_ATOM_SUPPORT = 1000
 
-def parse_measure_ast(text: str):
-    s = _Scanner(text)
-    node = _sum(s)
-    if not s.at_end():
-        raise ParseError(f"unexpected {s.describe()}", s.pos, ("end of input",))
-    return node
+# support order of an atom over its parameter n, by number of primes
+_SUPPORT_FACTOR = (2, 4, 12, 6)
+
+# Each rule returns a Fraction, or a measure as (support order,
+# [(coefficient, atom), ...]); the terms are combined once, by
+# parse_measure_expr.
 
 
 def _sum(s: _Scanner):
-    first = _term(s)
-    rest = []
+    value = _term(s)
     while s.peek() in ("+", "-"):
         op = s.peek()
         s.pos += 1
-        rest.append((op, _term(s)))
-    return ("sum", first, rest)
+        rhs = _term(s)
+        if op == "-":
+            rhs = _mul(rhs, Fraction(-1))
+        value = _add(value, rhs)
+    return value
 
 
 def _term(s: _Scanner):
-    factors = [_factor(s)]
+    value = _factor(s)
     while s.take("*"):
-        factors.append(_factor(s))
-    divisor = None
+        value = _mul(value, _factor(s))
     if s.take("/"):
         divisor = s.integer()
-    return ("term", factors, divisor)
+        if divisor == 0:
+            raise EvaluationError("division by zero")
+        value = _mul(value, Fraction(1, divisor))
+    return value
 
 
 def _factor(s: _Scanner):
     c = s.peek()
     if c == "(":
         s.pos += 1
-        inner = _sum(s)
+        value = _sum(s)
         s.expect(")")
-        return ("paren", inner)
+        return value
     if c.isdigit():
         value = Fraction(s.integer())
         if s.peek() == "/":
@@ -187,7 +185,7 @@ def _factor(s: _Scanner):
                 value /= divisor
             else:
                 s.pos = save
-        return ("rat", value)
+        return value
     if c.isalpha():
         pos = s.pos
         name = s.name()
@@ -196,52 +194,10 @@ def _factor(s: _Scanner):
                              ("'d'", "'alpha'", "'beta'", "'gamma'"))
         primes = s.primes()
         s.expect("_")
-        n = s.integer()
-        return ("atom", name, primes, n)
+        atom = _eval_atom(name, primes, s.integer())
+        return atom.order, [(Fraction(1), atom)]
     raise ParseError(f"unexpected {s.describe()}", s.pos,
                      ("integer", "atom", "'('"))
-
-
-def format_measure_expr(node) -> str:
-    """Canonical text for a measure syntax tree (spaces around + and -)."""
-    kind = node[0]
-    if kind == "sum":
-        out = format_measure_expr(node[1])
-        for op, term in node[2]:
-            out += f" {op} {format_measure_expr(term)}"
-        return out
-    if kind == "term":
-        text = "*".join(format_measure_expr(f) for f in node[1])
-        if node[2] is not None:
-            text += f"/{node[2]}"
-        return text
-    if kind == "paren":
-        return f"({format_measure_expr(node[1])})"
-    if kind == "rat":
-        v = node[1]
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if kind == "atom":
-        _, name, primes, n = node
-        marks = "'" * primes
-        return f"{name}{marks}_{n}"
-    raise ValueError(f"bad node {node!r}")
-
-
-# Largest support order (the order of the roots of unity carrying the atoms)
-# of one parsed atom, and of a sum, which lives on the lcm of its terms'
-# supports; beyond it one measure takes seconds and then runs away.
-MAX_ATOM_SUPPORT = 1000
-
-# Largest graph parameter (the vertex count; one less for Dtilde) and the
-# largest series order or moment count the CLI accepts.  At the caps
-# verify --order 512 takes about 2.5 s and graph-tseries at both caps about
-# 0.25 s (2-vCPU VM, Python 3.11); a graph is stored as neighbour lists, so
-# graph-tseries peaks at about 23 MB RSS at the caps.
-MAX_VERTICES = 4000
-MAX_ORDER = 512
-
-# support order of an atom over its parameter n, by number of primes
-_SUPPORT_FACTOR = (2, 4, 12, 6)
 
 
 def _eval_atom(name: str, primes: int, n: int):
@@ -258,37 +214,6 @@ def _eval_atom(name: str, primes: int, n: int):
             f"atom {name}{marks}_{n} has support order {support}, "
             f"above the limit {MAX_ATOM_SUPPORT}")
     return atom_measure(name, BASE_KINDS[primes], n)
-
-
-def _eval(node):
-    """A Fraction, or a measure as (support order, [(coefficient, atom), ...]);
-    the terms are combined once, by parse_measure_expr."""
-    kind = node[0]
-    if kind == "rat":
-        return node[1]
-    if kind == "atom":
-        atom = _eval_atom(node[1], node[2], node[3])
-        return atom.order, [(Fraction(1), atom)]
-    if kind == "paren":
-        return _eval(node[1])
-    if kind == "term":
-        value = _eval(node[1][0])
-        for f in node[1][1:]:
-            value = _mul(value, _eval(f))
-        if node[2] is not None:
-            if node[2] == 0:
-                raise EvaluationError("division by zero")
-            value = _mul(value, Fraction(1, node[2]))
-        return value
-    if kind == "sum":
-        value = _eval(node[1])
-        for op, term in node[2]:
-            rhs = _eval(term)
-            if op == "-":
-                rhs = _mul(rhs, Fraction(-1))
-            value = _add(value, rhs)
-        return value
-    raise ValueError(f"bad node {node!r}")
 
 
 def _mul(a, b):
@@ -309,7 +234,8 @@ def _add(a, b):
         if support > MAX_ATOM_SUPPORT:
             raise EvaluationError(
                 f"sum has support order {support}, above the limit {MAX_ATOM_SUPPORT}")
-        # every term list is built fresh by _eval, so a's may grow in place
+        # every term list is built fresh by _factor or _mul, so a's may
+        # grow in place
         a[1].extend(b[1])
         return support, a[1]
     raise EvaluationError("cannot add a scalar and a measure")
@@ -318,7 +244,10 @@ def _add(a, b):
 def parse_measure_expr(text: str) -> CyclotomicMeasure:
     """Parse and evaluate a measure expression; a lone atom with coefficient 1
     is the memoized atom itself."""
-    value = _eval(parse_measure_ast(text))
+    s = _Scanner(text)
+    value = _sum(s)
+    if not s.at_end():
+        raise ParseError(f"unexpected {s.describe()}", s.pos, ("end of input",))
     if not isinstance(value, tuple):
         raise EvaluationError("expression evaluates to a scalar, not a measure")
     terms = value[1]

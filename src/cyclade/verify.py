@@ -18,7 +18,6 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact import PowerSeries, QPolynomial, cyclo_make, series_from_integers
@@ -664,17 +663,3 @@ def verify_identity(check_id: str, order: int = 64) -> CheckResult:
     if check_id not in reg:
         raise UnknownCheckId(check_id)
     return _run_one(check_id, reg[check_id], RunContext(order))
-
-
-def verify_graph_t(family: GraphFamily, order: int = 64) -> CheckResult:
-    """The loop-count pipeline against the closed-form T table, one family."""
-    ctx = RunContext(order, {family.tag: (family.param,)})
-    return _run_one(f"thm2.5/{family.tag}", _graph_check(family.tag, _thm25_cases), ctx)
-
-
-def verify_graph_measure(family: GraphFamily, order: int = 64) -> CheckResult:
-    """The closed-form measures against the pipeline, one family: T series of
-    both variants, atomwise equality, probability, pushforward moments."""
-    ctx = RunContext(order, {family.tag: (family.param,)})
-    cases = lambda ctx, fam: chain(_thm71_cases(ctx, fam), _thm87_cases(ctx, fam))
-    return _run_one(f"measure/{family.tag}", _graph_check(family.tag, cases), ctx)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclade import cli
+from cyclade.cli import MAX_ORDER, MAX_VERTICES
 from cyclade.exact import cyclo_as_rational
-from cyclade.exprs import MAX_ORDER, MAX_VERTICES, parse_measure_expr
+from cyclade.exprs import parse_measure_expr
 from oracles import moment_by_dense_sum
 
 DATA = Path(__file__).parent / "data"

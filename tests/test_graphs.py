@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from cyclade import cli
-from cyclade.exprs import MAX_VERTICES
+from cyclade.cli import MAX_VERTICES
 from cyclade.graphs import (
     FAMILY_TAGS,
     GraphFamily,

@@ -4,16 +4,12 @@ from cyclade.exprs import (
     MAX_ATOM_SUPPORT,
     EvaluationError,
     ParseError,
-    format_measure_expr,
-    format_xi,
-    parse_measure_ast,
     parse_measure_expr,
     parse_xi_expr,
 )
 from cyclade.graphs import GraphFamily
 from cyclade.measures import basic_measure, candidate_measure, measure_equal
 from cyclade.transforms import XiExpression, XiFactor, theorem_2_5_lookup, xi_expand
-from cyclade.verify import CORRECTED_IDENTITIES, MEASURE_IDENTITIES
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +53,8 @@ def test_xi_round_trip_corpus():
     ]
     for text in corpus:
         parsed = parse_xi_expr(text)
-        assert format_xi(parsed) == text
-        assert parse_xi_expr(format_xi(parsed)) == parsed
+        assert parsed.text() == text
+        assert parse_xi_expr(parsed.text()) == parsed
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +107,17 @@ def test_parse_measure_errors():
         parse_measure_expr("(d_1")
     with pytest.raises(ParseError):
         parse_measure_expr("")
+    # the expression is evaluated as it is parsed, so of a syntax error and an
+    # evaluation error the one further left is reported
+    with pytest.raises(EvaluationError, match="must be positive"):
+        parse_measure_expr("alpha_0 + )")
+    with pytest.raises(EvaluationError, match="support order 1200"):
+        parse_measure_expr("d'_300 +")
+    with pytest.raises(EvaluationError, match="cannot multiply"):
+        parse_measure_expr("d_1 * d_2 +")
+    with pytest.raises(ParseError) as err:
+        parse_measure_expr("d_1 + )")
+    assert err.value.position == 6
 
 
 def test_parse_error_position():
@@ -118,29 +125,3 @@ def test_parse_error_position():
         parse_measure_expr("d_1 + %")
     assert err.value.position == 6
     assert err.value.expected
-
-
-def test_measure_normalize_round_trip():
-    corpus = [lhs for _, lhs, _ in MEASURE_IDENTITIES]
-    corpus += [rhs for _, _, rhs in MEASURE_IDENTITIES]
-    corpus += [printed for _, _, printed, _ in CORRECTED_IDENTITIES]
-    corpus += [fixed for _, _, _, fixed in CORRECTED_IDENTITIES]
-    corpus += [
-        "alpha_12 + (d_12 - d_6 - d_4 + d_3)/2",
-        "beta'_9 + (d'_1 - d'_3)/2",
-        "alpha'_15 + gamma'_15 - (d'_5 + d'_3)/2",
-        "(d''_2 + 2*alpha''_2 + 3*d'''_1)/6",
-        "(2*beta''_3 + d'_1)/3",
-        "(2*alpha''_5 + 2*gamma''_5 - d''_1)/3",
-        "(d_5 + d_3 + d_2 - d_1)/2",
-    ]
-    for text in corpus:
-        normalized = format_measure_expr(parse_measure_ast(text))
-        # normalization is idempotent and meaning-preserving
-        assert format_measure_expr(parse_measure_ast(normalized)) == normalized
-        assert measure_equal(parse_measure_expr(normalized), parse_measure_expr(text))
-
-
-def test_measure_format_canonical_spacing():
-    assert format_measure_expr(parse_measure_ast("2*d_2-d_1")) == "2*d_2 - d_1"
-    assert format_measure_expr(parse_measure_ast("( d_3+d'_1 ) / 2")) == "(d_3 + d'_1)/2"

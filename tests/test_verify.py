@@ -4,15 +4,12 @@ from pathlib import Path
 import pytest
 
 from cyclade import verify
-from cyclade.graphs import GraphFamily
 from cyclade.measures import atom_measure, basic_measure
 from cyclade.verify import (
     DEFAULT_SIZE_MATRIX,
     UnknownCheckId,
     all_check_ids,
     run_all,
-    verify_graph_measure,
-    verify_graph_t,
     verify_identity,
 )
 
@@ -96,10 +93,13 @@ def test_etilde_constant_adjudication():
 
 
 def test_single_family_operations():
-    assert verify_graph_t(GraphFamily("Dtilde", 6), order=24).status == "pass"
-    assert verify_graph_t(GraphFamily("A", 4), order=24).status == "pass"
-    assert verify_graph_measure(GraphFamily("E8", 8), order=24).status == "pass"
-    assert verify_graph_measure(GraphFamily("Atilde", 6), order=24).status == "pass"
+    for tag, param, names in (("Dtilde", 6, ("thm2.5",)), ("A", 4, ("thm2.5",)),
+                              ("E8", 8, ("thm7.1", "thm8.7")),
+                              ("Atilde", 6, ("thm7.1", "thm8.7"))):
+        for name in names:
+            (result,) = run_all(order=24, size_matrix={tag: (param,)},
+                                only=f"{name}/{tag}").results
+            assert result.status == "pass", (name, tag)
 
 
 def test_markdown_report():
@@ -129,8 +129,8 @@ def test_graph_checks_report_the_first_differing_coefficient(monkeypatch):
         ("thm7.1/A", "fail", "A param 3: T series: coefficient 3: 0 != -1"),
         ("thm8.7/A", "fail", "A param 3: ternary T series: coefficient 3: 0 != -1"),
     ]
-    assert verify_graph_measure(GraphFamily("A", 3), order=8).details == (
-        "A param 3: T series: coefficient 3: 0 != -1")
+    (result,) = run_all(order=8, size_matrix={"A": (3,)}, only="thm7.1/A").results
+    assert result.details == "A param 3: T series: coefficient 3: 0 != -1"
 
 
 def test_measure_case_reports_the_first_differing_atom(monkeypatch):
