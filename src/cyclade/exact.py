@@ -645,57 +645,75 @@ def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
 # ---------------------------------------------------------------------------
 
 class _ColumnElimination:
-    """Gaussian elimination of A x = b / den fed one integer column of A at
-    a time, so a caller can ask for a solution after any prefix of the
-    columns.  A column is reduced against the pivot vectors kept so far,
-    each followed by its integer combination of the columns, by
+    """The column phase of a fraction-free Gaussian elimination of
+    A x = b / den; _Reduction is the right-hand-side phase.
+
+    add_column takes one integer column of A at a time and never reads b.
+    The column is reduced against the pivot vectors kept so far, each
+    followed by its integer combination of the columns, by
     cross-multiplication, then divided by its content; a nonzero remainder
-    becomes a pivot, and b is reduced against it at once, keeping
-    b = A x + residual with x in Fractions.  A column is a pivot exactly
-    when it is independent of those before it, so the solution depends only
-    on the linear relations among the columns and b, and any injective
-    Q-linear map of the rows leaves it unchanged.
+    becomes a pivot, so a column is a pivot exactly when it is independent
+    of those before it.  The pivots are immutable tuples, so an elimination
+    can start from a kept list and add further columns: the level solver in
+    measures caches the pivots of its basis, which depends only on the
+    support and the degree, and extends them a degree at a time.
     """
 
-    def __init__(self, rhs: Sequence[int], den: int):
-        self._ncols = 0
-        self._pivots: list = []  # (pivot row, vector then its combination of the columns)
-        self._residual, self._den = list(rhs), den
-        self._x: dict = {}
+    def __init__(self, pivots: Sequence = (), ncols: int = 0):
+        self.pivots = list(pivots)  # (pivot row, vector then its combination of the columns)
+        self.ncols = ncols
 
     def add_column(self, col: Sequence[int]) -> None:
-        size = len(self._residual)
-        vec = [*col, *[0] * self._ncols, 1]
-        self._ncols += 1
-        for row, pvec in self._pivots:
+        vec = [*col, *[0] * self.ncols, 1]
+        self.ncols += 1
+        for row, pvec in self.pivots:
             a = vec[row]
             if a:
                 g = math.gcd(a, pvec[row])
                 a, b = a // g, pvec[row] // g
                 vec = [b * v - a * w for v, w in zip_longest(vec, pvec, fillvalue=0)]
         g = math.gcd(*vec)
-        vec = [v // g for v in vec]
-        row = next((i for i in range(size) if vec[i]), None)
-        if row is None:
-            return
-        self._pivots.append((row, vec))
-        r, p = self._residual[row], vec[row]
-        if r:
-            # b - (r / (den p)) times the pivot vector and its combination
-            den = self._den * p
-            for j, c in enumerate(vec[size:]):
-                if c:
-                    self._x[j] = self._x.get(j, _ZERO) + Fraction(r * c, den)
-            res = [p * v - r * w for v, w in zip(self._residual, vec)]
-            g = math.gcd(den, *res) * (1 if den > 0 else -1)
-            self._residual, self._den = [v // g for v in res], den // g
+        row = next((i for i in range(len(col)) if vec[i]), None)
+        if row is not None:
+            self.pivots.append((row, tuple(v // g for v in vec)))
 
-    def solution(self) -> Optional[list]:
-        """The canonical solution over the columns added so far, free
-        variables zero, or None while the system is inconsistent."""
-        if any(self._residual):
-            return None
-        return [self._x.get(j, _ZERO) for j in range(self._ncols)]
+
+class _Reduction:
+    """The right-hand-side phase: b / den reduced against the pivots of a
+    _ColumnElimination in the order they were found, keeping
+    b = A x + residual, by cross-multiplication, then division by the gcd
+    with the denominator.  Reducing against a prefix of the pivots solves
+    the system over the columns up to the last of them, so a caller can ask
+    for a solution after any prefix.  The solution depends only on the
+    linear relations among the columns and b, and any injective Q-linear map
+    of the rows leaves it unchanged.  With solve false x is not kept, and
+    only the residual test is answered."""
+
+    def __init__(self, rhs: Sequence[int], den: int, solve: bool = True):
+        self._residual, self._den = list(rhs), den
+        self._x = {} if solve else None
+
+    def reduce(self, pivots: Iterable) -> bool:
+        """Reduce against the pivots in order; whether the residual is zero."""
+        size = len(self._residual)
+        for row, vec in pivots:
+            r, p = self._residual[row], vec[row]
+            if r:
+                # b - (r / (den p)) times the pivot vector and its combination
+                den = self._den * p
+                if self._x is not None:
+                    for j, c in enumerate(vec[size:]):
+                        if c:
+                            self._x[j] = self._x.get(j, _ZERO) + Fraction(r * c, den)
+                res = [p * v - r * w for v, w in zip(self._residual, vec)]
+                g = math.gcd(den, *res) * (1 if den > 0 else -1)
+                self._residual, self._den = [v // g for v in res], den // g
+        return not any(self._residual)
+
+    def solution(self, ncols: int) -> list:
+        """The canonical solution over ncols columns, free variables zero,
+        once reduce has found the residual zero."""
+        return [self._x.get(j, _ZERO) for j in range(ncols)]
 
 
 def solve_linear_system(rows: Sequence[Sequence[Fraction]],
@@ -708,8 +726,10 @@ def solve_linear_system(rows: Sequence[Sequence[Fraction]],
     system is inconsistent; no rows give [].
     """
     cols = [_over_lcm(col) for col in zip(*rows)]
-    elim = _ColumnElimination(*_over_lcm(rhs))
+    elim = _ColumnElimination()
     for col, _ in cols:
         elim.add_column(col)
-    sol = elim.solution()
-    return None if sol is None else [x * scale for x, (_, scale) in zip(sol, cols)]
+    reduction = _Reduction(*_over_lcm(rhs))
+    if not reduction.reduce(elim.pivots):
+        return None
+    return [x * scale for x, (_, scale) in zip(reduction.solution(elim.ncols), cols)]

@@ -3,7 +3,9 @@
 Both parsers report syntax errors with the source position and the tokens they
 would have accepted there.  The measure parser builds no syntax tree: it
 evaluates the expression left to right as it parses it, so of a syntax error
-and an evaluation error the one further left is reported.
+and an evaluation error the one further left is reported.  An evaluation
+error gives a source position too: the atom's first character, the operator
+or the divisor it was raised at, or 0 for a scalar result.
 """
 
 from __future__ import annotations
@@ -26,7 +28,11 @@ class ParseError(ValueError):
 
 class EvaluationError(ValueError):
     """Structurally valid expression with no meaning (bad atom, scalar result,
-    product of two measures, ...)."""
+    product of two measures, ...), with the source position it was found at."""
+
+    def __init__(self, message: str, position: int):
+        self.position = position
+        super().__init__(f"{message} at position {position}")
 
 
 class _Scanner:
@@ -143,25 +149,35 @@ _SUPPORT_FACTOR = (2, 4, 12, 6)
 def _sum(s: _Scanner):
     value = _term(s)
     while s.peek() in ("+", "-"):
-        op = s.peek()
+        op, pos = s.peek(), s.pos
         s.pos += 1
         rhs = _term(s)
         if op == "-":
-            rhs = _mul(rhs, Fraction(-1))
-        value = _add(value, rhs)
+            rhs = _mul(rhs, Fraction(-1), pos)
+        value = _add(value, rhs, pos)
     return value
 
 
 def _term(s: _Scanner):
     value = _factor(s)
-    while s.take("*"):
-        value = _mul(value, _factor(s))
+    while s.peek() == "*":
+        pos = s.pos
+        s.pos += 1
+        value = _mul(value, _factor(s), pos)
     if s.take("/"):
-        divisor = s.integer()
-        if divisor == 0:
-            raise EvaluationError("division by zero")
-        value = _mul(value, Fraction(1, divisor))
+        pos, divisor = _divisor(s)
+        value = _mul(value, Fraction(1, divisor), pos)
     return value
+
+
+def _divisor(s: _Scanner):
+    """(position, value) of a nonzero integer divisor."""
+    s.skip_ws()
+    pos = s.pos
+    divisor = s.integer()
+    if divisor == 0:
+        raise EvaluationError("division by zero", pos)
+    return pos, divisor
 
 
 def _factor(s: _Scanner):
@@ -179,10 +195,7 @@ def _factor(s: _Scanner):
             save = s.pos
             s.pos += 1
             if s.peek().isdigit():
-                divisor = s.integer()
-                if divisor == 0:
-                    raise EvaluationError("division by zero")
-                value /= divisor
+                value /= _divisor(s)[1]
             else:
                 s.pos = save
         return value
@@ -194,51 +207,51 @@ def _factor(s: _Scanner):
                              ("'d'", "'alpha'", "'beta'", "'gamma'"))
         primes = s.primes()
         s.expect("_")
-        atom = _eval_atom(name, primes, s.integer())
+        atom = _eval_atom(name, primes, s.integer(), pos)
         return atom.order, [(Fraction(1), atom)]
     raise ParseError(f"unexpected {s.describe()}", s.pos,
                      ("integer", "atom", "'('"))
 
 
-def _eval_atom(name: str, primes: int, n: int):
+def _eval_atom(name: str, primes: int, n: int, pos: int):
     if n < 1:
-        raise EvaluationError(f"atom parameter must be positive: {name}_{n}")
+        raise EvaluationError(f"atom parameter must be positive: {name}_{n}", pos)
     if name == "d" and primes > 3:
-        raise EvaluationError(f"'d' takes at most three primes, got {primes}")
+        raise EvaluationError(f"'d' takes at most three primes, got {primes}", pos)
     if name != "d" and primes > 2:
-        raise EvaluationError(f"{name!r} takes at most two primes, got {primes}")
+        raise EvaluationError(f"{name!r} takes at most two primes, got {primes}", pos)
     support = _SUPPORT_FACTOR[primes] * n
     if support > MAX_ATOM_SUPPORT:
         marks = "'" * primes
         raise EvaluationError(
             f"atom {name}{marks}_{n} has support order {support}, "
-            f"above the limit {MAX_ATOM_SUPPORT}")
+            f"above the limit {MAX_ATOM_SUPPORT}", pos)
     return atom_measure(name, BASE_KINDS[primes], n)
 
 
-def _mul(a, b):
+def _mul(a, b, pos: int):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
     if isinstance(a, Fraction):
         a, b = b, a
     if isinstance(b, Fraction):
         return a[0], [(c * b, m) for c, m in a[1]]
-    raise EvaluationError("cannot multiply two measures")
+    raise EvaluationError("cannot multiply two measures", pos)
 
 
-def _add(a, b):
+def _add(a, b, pos: int):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
     if isinstance(a, tuple) and isinstance(b, tuple):
         support = math.lcm(a[0], b[0])
         if support > MAX_ATOM_SUPPORT:
             raise EvaluationError(
-                f"sum has support order {support}, above the limit {MAX_ATOM_SUPPORT}")
+                f"sum has support order {support}, above the limit {MAX_ATOM_SUPPORT}", pos)
         # every term list is built fresh by _factor or _mul, so a's may
         # grow in place
         a[1].extend(b[1])
         return support, a[1]
-    raise EvaluationError("cannot add a scalar and a measure")
+    raise EvaluationError("cannot add a scalar and a measure", pos)
 
 
 def parse_measure_expr(text: str) -> CyclotomicMeasure:
@@ -249,7 +262,7 @@ def parse_measure_expr(text: str) -> CyclotomicMeasure:
     if not s.at_end():
         raise ParseError(f"unexpected {s.describe()}", s.pos, ("end of input",))
     if not isinstance(value, tuple):
-        raise EvaluationError("expression evaluates to a scalar, not a measure")
+        raise EvaluationError("expression evaluates to a scalar, not a measure", 0)
     terms = value[1]
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]

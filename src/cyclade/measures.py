@@ -41,6 +41,7 @@ from .exact import (
     series_from_integers,
     sign_of_real,
     _ColumnElimination,
+    _Reduction,
     _over_lcm,
 )
 from .graphs import GraphFamily
@@ -487,20 +488,52 @@ def _moment_column(l: int, m: int, count: int) -> List[int]:
             for k in range(count + 1)]
 
 
-def _level_expansion(e: CyclotomicMeasure, limit: int):
+# (n, l) entries of _level_pivots kept.  One level query at half support
+# order n fills one entry per degree up to its level, at most 4 for the
+# measures the parser builds; run_all(order=64) fills 44 entries (23
+# supports, about 50 kB), so none is evicted there.
+LEVEL_PIVOT_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=LEVEL_PIVOT_CACHE_SIZE)
+def _level_pivots(n: int, l: int) -> Tuple[tuple, tuple]:
+    """(labels, pivots) of the level basis at half support order n up to
+    degree l: the labels (l', m) of the columns of degree l' <= l, the
+    uniform measures first, each degree over its divisor supports m > l',
+    and the pivots of their column elimination, as immutable tuples.
+
+    The basis depends only on n and l, never on the measure, so its
+    elimination is kept and reused; this pays off only when the same
+    support comes back across level queries.  It extends the (n, l - 1)
+    entry by the degree-l columns, and a degree is built only when it is
+    asked for."""
+    labels, pivots = _level_pivots(n, l - 1) if l else ((), ())
+    elim = _ColumnElimination(pivots, len(labels))
+    degree = tuple((l, m) for m in range(l + 1, n + 1) if n % m == 0)
+    for _, m in degree:
+        elim.add_column(_moment_column(l, m, n // 2))
+    return labels + degree, tuple(elim.pivots)
+
+
+def _level_expansion(e: CyclotomicMeasure, limit: int, solve: bool):
     """(l, coefficients) for the least l <= limit with e in the span of the
     uniform measures and the degree <= l densities on its divisor supports,
-    or None; a negative limit allows no columns.
+    or None; a negative limit allows no columns.  With solve false the
+    coefficients are not computed (None, or {} for the zero measure), and
+    only l is found.
 
     The rows are the doubled even moments 0, 2, ..., 2 floor(n/2), with n
     half the support order.  A measure on the 2n-th roots is fixed by its
     moments 2k, k < n (an inverse DFT in u^2, by the symmetry u -> -u), and
     so by this block (the reflection identity): the map to the rows is
     Q-linear and injective, so the pivots and the canonical solution are
-    those of the system over the weights.  One elimination takes the
-    uniform columns, then those of degree 1, 2, ..., and stops at the first
-    consistent block: a consistent prefix's canonical solution is every
-    longer system's, padded with zeros."""
+    those of the system over the weights.  The column phase of the
+    elimination comes from _level_pivots; here only the doubled moments of
+    e are reduced, against the uniform pivots, then those of degree 1, 2,
+    ..., stopping at the first degree whose residual is zero.  Pivots are
+    found in column order, so each degree's pivots extend the previous
+    list, and a consistent prefix's canonical solution is every longer
+    system's, padded with zeros."""
     support = e.minimal_support_order()
     if support is None:
         return 0, {}
@@ -508,19 +541,15 @@ def _level_expansion(e: CyclotomicMeasure, limit: int):
         return None
     n = support // 2
     nums, den = _even_moments(e, n // 2)
-    divisors = [m for m in range(1, n + 1) if n % m == 0]
-    elim = _ColumnElimination([2 * v for v in nums], den)
-    labels: List[Tuple[int, int]] = []
-    for l in range(n):
-        for m in divisors:
-            if m > l:
-                elim.add_column(_moment_column(l, m, n // 2))
-                labels.append((l, m))
-        sol = elim.solution()
-        if sol is not None:
-            return l, {lab: c for lab, c in zip(labels, sol) if c}
-        if l >= limit:
-            break
+    reduction = _Reduction([2 * v for v in nums], den, solve)
+    done = 0
+    for l in range(min(limit, n - 1) + 1):
+        labels, pivots = _level_pivots(n, l)
+        if reduction.reduce(pivots[done:]):
+            if not solve:
+                return l, None
+            return l, {lab: c for lab, c in zip(labels, reduction.solution(len(labels))) if c}
+        done = len(pivots)
     return None
 
 
@@ -532,13 +561,18 @@ def expand_over_level(e: CyclotomicMeasure, limit: int) -> Optional[dict]:
     and the support parameter m; its values are the nonzero coefficients of
     the canonical solution (free coefficients zero).
     """
-    found = _level_expansion(e, limit)
+    found = _level_expansion(e, limit, True)
     return None if found is None else found[1]
 
 
 def level(e: CyclotomicMeasure) -> int:
     """Smallest density degree needed to express the measure over uniform
-    measures and polynomial densities supported inside its root group; one
-    elimination pass.  It always succeeds, by degree floor(n/2) at the
-    latest, n half the support order, as cyclotomic_expansion shows."""
-    return _level_expansion(e, e.order)[0]
+    measures and polynomial densities supported inside its root group.  The
+    basis columns are eliminated once per support and degree and kept (see
+    _level_pivots); each call reduces only the measure's doubled moments
+    against them, degree by degree, and keeps no coefficients, so a call on
+    a new support costs the elimination of the degrees up to the level and
+    a call on a support seen before only the reduction.  It always
+    succeeds, by degree floor(n/2) at the latest, n half the support order,
+    as cyclotomic_expansion shows."""
+    return _level_expansion(e, e.order, False)[0]

@@ -216,7 +216,7 @@ def test_sum_support_limit(capsys):
     assert code == 2
     assert out == ""
     assert err.strip().splitlines() == [
-        "error: sum has support order 19594, above the limit 1000"]
+        "error: sum has support order 19594, above the limit 1000 at position 5"]
 
 
 @pytest.mark.parametrize("expr,support,order", [
@@ -238,12 +238,13 @@ def test_expression_error_exit(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("expr", ["1/0*d_1", "d_1/0"])
-def test_division_by_zero_exit(capsys, expr):
+@pytest.mark.parametrize("expr,position", [("1/0*d_1", 2), ("d_1/0", 4)],
+                         ids=["1/0*d_1", "d_1/0"])
+def test_division_by_zero_exit(capsys, expr, position):
     code, out, err = run_cli(capsys, "measure-tseries", "--expr", expr)
     assert code == 2
     assert out == ""
-    assert err.splitlines() == ["error: division by zero"]
+    assert err.splitlines() == [f"error: division by zero at position {position}"]
 
 
 def test_exceptional_family_param_optional(capsys):

@@ -29,6 +29,7 @@ from cyclade.exact import (
     sign_of_real,
     solve_linear_system,
     _ColumnElimination,
+    _Reduction,
     _cos_table,
     _pi_fixed,
     euler_phi,
@@ -506,14 +507,20 @@ def _integer_columns(draw):
 @example(([[1, 0], [0, 0], [1, 2]], [1, 4], 3))
 @example(([[2, 4], [1, 2]], [1, 3], 5))
 def test_column_elimination_matches_rref_on_every_prefix(system):
-    # one column at a time: after each, the solution is that of the prefix
+    # the column phase one column at a time, the right-hand side reduced
+    # against each new pivot: after each column the solution is that of the
+    # prefix, and the residual test without x agrees with it
     cols, rhs, den = system
-    elim = _ColumnElimination(rhs, den)
+    elim = _ColumnElimination()
+    reduction, test_only = _Reduction(rhs, den), _Reduction(rhs, den, solve=False)
     target = [Fraction(b, den) for b in rhs]
     for j in range(len(cols) + 1):
+        done = len(elim.pivots)
         if j:
             elim.add_column(cols[j - 1])
-        sol = elim.solution()
+        consistent = reduction.reduce(elim.pivots[done:])
+        assert test_only.reduce(elim.pivots[done:]) == consistent
+        sol = reduction.solution(j) if consistent else None
         assert sol == rref_solve([[c[i] for c in cols[:j]] for i in range(len(rhs))], target)
         if sol is not None:
             assert len(sol) == j

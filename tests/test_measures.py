@@ -33,6 +33,7 @@ from cyclade.measures import (
     pushforward_real,
     reconstruct_expansion,
     t_series_of_measure,
+    _level_pivots,
 )
 from cyclade.transforms import xi_expand
 from cyclade.verify import DEFAULT_SIZE_MATRIX
@@ -434,6 +435,32 @@ def _atom_sums(draw):
 @given(_atom_sums())
 def test_level_matches_per_limit_loop(e):
     _assert_level_matches_loop(e)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_atom_sums())
+def test_level_pivot_cache_does_not_change_answers(e):
+    # from a cleared cache the limits are asked falling, then rising, so
+    # each query finds the cache holding more, or fewer, degrees than it needs
+    want = level_loop(e)
+    limits = list(range(want + 1, -2, -1))
+    for order in (limits, limits[::-1]):
+        _level_pivots.cache_clear()
+        for k in order:
+            assert expand_over_level(e, k) == expand_over_level_loop(e, k)
+        assert level(e) == want
+
+
+def test_level_builds_no_degree_above_the_level():
+    # gamma''_83 lives on the 996th roots, n = 498, and has level 3: the
+    # degrees 0..3 are built and nothing else
+    _level_pivots.cache_clear()
+    assert level(parse_measure_expr("gamma''_83")) == 3
+    filled = _level_pivots.cache_info()
+    assert filled.currsize == 4
+    for l in range(4):
+        _level_pivots(498, l)
+    assert _level_pivots.cache_info().misses == filled.misses
 
 
 @settings(max_examples=30, deadline=None)

@@ -95,7 +95,7 @@ def test_parse_measure_errors():
         parse_measure_expr("3/2")
     with pytest.raises(EvaluationError):
         parse_measure_expr("d_1 + 2")
-    with pytest.raises(EvaluationError, match="^division by zero$"):
+    with pytest.raises(EvaluationError, match="^division by zero at position 2$"):
         parse_measure_expr("1/0*d_1")
     with pytest.raises(EvaluationError, match="support order 1002"):
         parse_measure_expr("d'''_167")
@@ -118,6 +118,11 @@ def test_parse_measure_errors():
     with pytest.raises(ParseError) as err:
         parse_measure_expr("d_1 + )")
     assert err.value.position == 6
+    # an evaluation error names the atom, the operator or the divisor
+    for text, position in [("d_1 + alpha_0", 6), ("d_1 * d_2", 4), ("d_97 + d_101", 5)]:
+        with pytest.raises(EvaluationError, match=f" at position {position}$") as err:
+            parse_measure_expr(text)
+        assert err.value.position == position
 
 
 def test_parse_error_position():
