@@ -12,7 +12,6 @@ from .exact import (
     cyclo_embed,
     cyclo_make,
     cyclotomic_poly,
-    root_of_unity,
     series_compose,
     series_invert,
 )

@@ -49,9 +49,7 @@ def format_decimal(z: CyclotomicNumber) -> str:
 
     v = z.numeric(dps=30)
     with mpmath.workdps(30):
-        if abs(mpmath.im(v)) < mpmath.mpf("1e-25"):
-            return mpmath.nstr(mpmath.re(v), 15)
-        return mpmath.nstr(v, 15)
+        return mpmath.nstr(mpmath.re(v) if z.is_real() else v, 15)
 
 
 def _emit_series(values, fmt: str, out) -> None:

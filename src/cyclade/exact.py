@@ -361,10 +361,6 @@ def cyclo_from_integers(order: int, terms: Iterable[Tuple[int, int]],
     return _normalized(CyclotomicNumber, order, out, denominator)
 
 
-def root_of_unity(order: int, exponent: int = 1) -> CyclotomicNumber:
-    return cyclo_make(order, {exponent: 1})
-
-
 def cyclo_embed(z: CyclotomicNumber, order: int) -> CyclotomicNumber:
     """The same field element expressed at a multiple of its order."""
     if order % z.order != 0:
@@ -653,15 +649,15 @@ class _ColumnElimination:
     followed by its integer combination of the columns, by
     cross-multiplication, then divided by its content; a nonzero remainder
     becomes a pivot, so a column is a pivot exactly when it is independent
-    of those before it.  The pivots are immutable tuples, so an elimination
-    can start from a kept list and add further columns: the level solver in
-    measures caches the pivots of its basis, which depends only on the
-    support and the degree, and extends them a degree at a time.
+    of those before it.  Pivots are appended in column order, so a caller
+    that adds the columns a block at a time reduces b against each block's
+    new pivots only: expand_over_level in measures does so a degree at a
+    time.
     """
 
-    def __init__(self, pivots: Sequence = (), ncols: int = 0):
-        self.pivots = list(pivots)  # (pivot row, vector then its combination of the columns)
-        self.ncols = ncols
+    def __init__(self):
+        self.pivots: list = []  # (pivot row, vector then its combination of the columns)
+        self.ncols = 0
 
     def add_column(self, col: Sequence[int]) -> None:
         vec = [*col, *[0] * self.ncols, 1]
@@ -681,17 +677,16 @@ class _ColumnElimination:
 class _Reduction:
     """The right-hand-side phase: b / den reduced against the pivots of a
     _ColumnElimination in the order they were found, keeping
-    b = A x + residual, by cross-multiplication, then division by the gcd
-    with the denominator.  Reducing against a prefix of the pivots solves
-    the system over the columns up to the last of them, so a caller can ask
-    for a solution after any prefix.  The solution depends only on the
-    linear relations among the columns and b, and any injective Q-linear map
-    of the rows leaves it unchanged.  With solve false x is not kept, and
-    only the residual test is answered."""
+    b = A x + residual with x in Fractions, by cross-multiplication, then
+    division by the gcd with the denominator.  Reducing against a prefix of
+    the pivots solves the system over the columns up to the last of them,
+    so a caller can ask for a solution after any prefix.  The solution
+    depends only on the linear relations among the columns and b, and any
+    injective Q-linear map of the rows leaves it unchanged."""
 
-    def __init__(self, rhs: Sequence[int], den: int, solve: bool = True):
+    def __init__(self, rhs: Sequence[int], den: int):
         self._residual, self._den = list(rhs), den
-        self._x = {} if solve else None
+        self._x: dict = {}
 
     def reduce(self, pivots: Iterable) -> bool:
         """Reduce against the pivots in order; whether the residual is zero."""
@@ -701,10 +696,9 @@ class _Reduction:
             if r:
                 # b - (r / (den p)) times the pivot vector and its combination
                 den = self._den * p
-                if self._x is not None:
-                    for j, c in enumerate(vec[size:]):
-                        if c:
-                            self._x[j] = self._x.get(j, _ZERO) + Fraction(r * c, den)
+                for j, c in enumerate(vec[size:]):
+                    if c:
+                        self._x[j] = self._x.get(j, _ZERO) + Fraction(r * c, den)
                 res = [p * v - r * w for v, w in zip(self._residual, vec)]
                 g = math.gcd(den, *res) * (1 if den > 0 else -1)
                 self._residual, self._den = [v // g for v in res], den // g

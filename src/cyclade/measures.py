@@ -38,6 +38,8 @@ from .exact import (
     cyclo_as_rational,
     cyclo_embed,
     cyclo_from_integers,
+    cyclotomic_poly,
+    euler_phi,
     series_from_integers,
     sign_of_real,
     _ColumnElimination,
@@ -448,7 +450,7 @@ def cyclotomic_expansion(e: CyclotomicMeasure, n: int) -> ExpansionResult:
     distinct s are linearly independent, so every W(s) (s^n - 1) is zero:
     every atom u has u^(2n) = 1, which is N dividing 2n.  So the test is
     exact.  Then e and each basis measure are fixed by the rows of
-    _level_expansion, the doubled moments 2k, k <= n/2, and on them the
+    expand_over_level, the doubled moments 2k, k <= n/2, and on them the
     system is triangular: the uniform column is 2 e_0 and column l >= 1 is
     2 e_0 - c_l e_l, c_l = 2 when 2l = n and 1 otherwise, as n divides
     k - l only at k = l and k + l only at k = l = n/2.  The one solution is
@@ -488,91 +490,97 @@ def _moment_column(l: int, m: int, count: int) -> List[int]:
             for k in range(count + 1)]
 
 
-# (n, l) entries of _level_pivots kept.  One level query at half support
-# order n fills one entry per degree up to its level, at most 4 for the
-# measures the parser builds; run_all(order=64) fills 44 entries (23
-# supports, about 50 kB), so none is evicted there.
-LEVEL_PIVOT_CACHE_SIZE = 64
+def expand_over_level(e: CyclotomicMeasure, limit: int) -> Optional[dict]:
+    """Try to write e over the uniform measures on divisor supports plus the
+    degree <= limit polynomial densities on them; None when infeasible, and
+    a negative limit allows no columns, so only the zero measure has an
+    expansion then.
 
-
-@lru_cache(maxsize=LEVEL_PIVOT_CACHE_SIZE)
-def _level_pivots(n: int, l: int) -> Tuple[tuple, tuple]:
-    """(labels, pivots) of the level basis at half support order n up to
-    degree l: the labels (l', m) of the columns of degree l' <= l, the
-    uniform measures first, each degree over its divisor supports m > l',
-    and the pivots of their column elimination, as immutable tuples.
-
-    The basis depends only on n and l, never on the measure, so its
-    elimination is kept and reused; this pays off only when the same
-    support comes back across level queries.  It extends the (n, l - 1)
-    entry by the degree-l columns, and a degree is built only when it is
-    asked for."""
-    labels, pivots = _level_pivots(n, l - 1) if l else ((), ())
-    elim = _ColumnElimination(pivots, len(labels))
-    degree = tuple((l, m) for m in range(l + 1, n + 1) if n % m == 0)
-    for _, m in degree:
-        elim.add_column(_moment_column(l, m, n // 2))
-    return labels + degree, tuple(elim.pivots)
-
-
-def _level_expansion(e: CyclotomicMeasure, limit: int, solve: bool):
-    """(l, coefficients) for the least l <= limit with e in the span of the
-    uniform measures and the degree <= l densities on its divisor supports,
-    or None; a negative limit allows no columns.  With solve false the
-    coefficients are not computed (None, or {} for the zero measure), and
-    only l is found.
+    Keys of the returned map are (l, m): the density degree (0 for uniform)
+    and the support parameter m; its values are the nonzero coefficients of
+    the canonical solution (free coefficients zero).
 
     The rows are the doubled even moments 0, 2, ..., 2 floor(n/2), with n
     half the support order.  A measure on the 2n-th roots is fixed by its
     moments 2k, k < n (an inverse DFT in u^2, by the symmetry u -> -u), and
     so by this block (the reflection identity): the map to the rows is
     Q-linear and injective, so the pivots and the canonical solution are
-    those of the system over the weights.  The column phase of the
-    elimination comes from _level_pivots; here only the doubled moments of
-    e are reduced, against the uniform pivots, then those of degree 1, 2,
-    ..., stopping at the first degree whose residual is zero.  Pivots are
-    found in column order, so each degree's pivots extend the previous
-    list, and a consistent prefix's canonical solution is every longer
-    system's, padded with zeros."""
+    those of the system over the weights.  One elimination takes the
+    uniform columns, then those of degree 1, 2, ..., reducing the doubled
+    moments of e against each degree's new pivots, and stops at the first
+    degree whose residual is zero: pivots are found in column order, so a
+    consistent prefix's canonical solution is every longer system's, padded
+    with zeros.
+    """
     support = e.minimal_support_order()
     if support is None:
-        return 0, {}
-    if limit < 0:
-        return None
+        return {}
     n = support // 2
     nums, den = _even_moments(e, n // 2)
-    reduction = _Reduction([2 * v for v in nums], den, solve)
-    done = 0
+    elim, reduction = _ColumnElimination(), _Reduction([2 * v for v in nums], den)
+    labels = []
     for l in range(min(limit, n - 1) + 1):
-        labels, pivots = _level_pivots(n, l)
-        if reduction.reduce(pivots[done:]):
-            if not solve:
-                return l, None
-            return l, {lab: c for lab, c in zip(labels, reduction.solution(len(labels))) if c}
-        done = len(pivots)
+        done = len(elim.pivots)
+        for m in range(l + 1, n + 1):
+            if n % m == 0:
+                elim.add_column(_moment_column(l, m, n // 2))
+                labels.append((l, m))
+        if reduction.reduce(elim.pivots[done:]):
+            return {lab: c for lab, c in zip(labels, reduction.solution(len(labels))) if c}
     return None
-
-
-def expand_over_level(e: CyclotomicMeasure, limit: int) -> Optional[dict]:
-    """Try to write e over the uniform measures on divisor supports plus the
-    degree <= limit polynomial densities on them; None when infeasible.
-
-    Keys of the returned map are (l, m): the density degree (0 for uniform)
-    and the support parameter m; its values are the nonzero coefficients of
-    the canonical solution (free coefficients zero).
-    """
-    found = _level_expansion(e, limit, True)
-    return None if found is None else found[1]
 
 
 def level(e: CyclotomicMeasure) -> int:
     """Smallest density degree needed to express the measure over uniform
-    measures and polynomial densities supported inside its root group.  The
-    basis columns are eliminated once per support and degree and kept (see
-    _level_pivots); each call reduces only the measure's doubled moments
-    against them, degree by degree, and keeps no coefficients, so a call on
-    a new support costs the elimination of the degrees up to the level and
-    a call on a support seen before only the reduction.  It always
-    succeeds, by degree floor(n/2) at the latest, n half the support order,
-    as cyclotomic_expansion shows."""
-    return _level_expansion(e, e.order, False)[0]
+    measures and polynomial densities supported inside its root group, in
+    closed form from the moments, one primitive stratum at a time.
+
+    Let n be half the minimal support order, W(s) the total weight at the
+    atoms +-u with u^2 = s, and C_t(s + 1/s) = s^t + s^-t, C_0 = 2.  The
+    densities of degree <= l on the divisor supports span the sums of
+    [s^m = 1] q_m(s) over m | n, each q_m a rational combination of
+    C_0 .. C_l (a degree above m - 1 folds onto a lower one on the m-th
+    roots).  The n-th roots split into the primitive d-th roots P_d,
+    d | n, and [s^m = 1] is the sum of [s in P_d] over d | m, so by Moebius
+    inversion the span is every independent choice of one such q on each
+    P_d.  W(s) = (1/n) sum_k M_k s^-k, M_k the moment 2k, has rational
+    coefficients, so W commutes with Galois and fits on P_d exactly when it
+    fits at z = zeta_d.  With b_t the sum of M_k over k < n with
+    k = +-t mod d, and M_k = M_(n-k), 2n W(z) = 2 b_0 + sum_(t>=1) b_t C_t(x),
+    x = z + 1/z.  With h = phi(d)/2 the C_t(x), t < h, are a basis of
+    Q(x), so d asks for the degree of this sum reduced modulo the minimal
+    polynomial of x; in the C basis that polynomial is
+    c_h + sum_(j>=1) c_(h+j) C_j, c_i the coefficients of the d-th
+    cyclotomic polynomial, which is palindromic.  Reducing from the top
+    with C_a C_b = C_(a+b) + C_|a-b| rewrites C_(a+h) over lower indices.
+    The constant term never changes the degree, so index 0 is not read
+    (nor kept exact), and d with h < 2 asks for degree 0.  The level is the
+    largest of these degrees.  The d are taken by falling phi(d), so the
+    first whose h - 1 cannot beat the best found so far ends the search.
+    """
+    support = e.minimal_support_order()
+    if support is None:
+        return 0
+    n = support // 2
+    m = e.moments[:n]
+    best = 0
+    for d in sorted((d for d in range(1, n + 1) if n % d == 0), key=euler_phi, reverse=True):
+        h = euler_phi(d) // 2
+        if h - 1 <= best:
+            break
+        a = [sum(m[r::d]) for r in range(d)]
+        v = [a[t] + a[d - t] if 0 < 2 * t < d else a[t] for t in range(d // 2 + 1)]
+        c = cyclotomic_poly(d).coeffs
+        upper = [(j, int(c[h + j])) for j in range(1, h + 1) if c[h + j]]
+        for top in range(d // 2, h - 1, -1):
+            f, lo = v[top], top - h
+            if f:
+                # f C_lo times the minimal polynomial, whose term j = h
+                # cancels f C_top
+                v[lo] -= f * int(c[h])
+                for j, cj in upper:
+                    v[lo + j] -= f * cj
+                    if lo:
+                        v[abs(lo - j)] -= f * cj
+        best = max(best, next((t for t in range(h - 1, 0, -1) if v[t]), 0))
+    return best

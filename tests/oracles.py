@@ -7,7 +7,8 @@ two-product loop counts, both theta routes as an integer binomial sum and
 as Horner's rule with running alternating sums, the closed-form T series in
 Fraction lists, the T series and the expansion from one moment per
 coefficient, each a dense sum over the weights, pushforward moments by
-cyclotomic powering, and the sign of a real cyclotomic number at 60 digits.
+cyclotomic powering, and the sign of a real cyclotomic number at 60 digits;
+and root_of_unity, which builds the powers of a root that tests start from.
 Only tests use them.
 """
 
@@ -25,10 +26,16 @@ from cyclade.exact import (
     QPolynomial,
     cyclo_as_rational,
     cyclo_from_integers,
+    cyclo_make,
     euler_phi,
     series_from_integers,
 )
 from cyclade.measures import ExpansionResult, basic_measure, density_measure
+
+
+def root_of_unity(order, exponent=1):
+    """The exponent-th power of the primitive order-th root of unity."""
+    return cyclo_make(order, {exponent: 1})
 
 
 def rref_solve(rows, rhs):
@@ -88,9 +95,11 @@ def expand_over_level_loop(e, limit):
     phi = euler_phi(order)
     rows, rhs = [], []
     for j in positions:
+        coords = [b.reps[j].coeffs for b in basis]
+        target = e.reps[j].coeffs
         for i in range(phi):
-            row = [b.reps[j].coeffs[i] for b in basis]
-            value = e.reps[j].coeffs[i]
+            row = [c[i] for c in coords]
+            value = target[i]
             if any(row) or value:
                 rows.append(row)
                 rhs.append(value)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclade import cli
 from cyclade.cli import MAX_ORDER, MAX_VERTICES
-from cyclade.exact import cyclo_as_rational
+from cyclade.exact import cyclo_as_rational, cyclo_make
 from cyclade.exprs import parse_measure_expr
 from oracles import moment_by_dense_sum
 
@@ -330,3 +331,10 @@ def test_random_argv_never_tracebacks(tmp_path_factory, data):
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+def test_format_decimal_decides_realness_exactly():
+    # an imaginary part of 1e-30 sits below any 30-digit threshold, yet the
+    # value is not real, so it prints as a complex number
+    assert cli.format_decimal(cyclo_make(4, {1: Fraction(1, 10**30)})) == "(0.0 + 1.0e-30j)"
+    assert cli.format_decimal(cyclo_make(8, {1: 1, 7: 1})) == "1.4142135623731"

@@ -11,7 +11,6 @@ from cyclade.exact import (
     cyclo_as_rational,
     cyclo_conj,
     cyclo_make,
-    root_of_unity,
 )
 from cyclade.exprs import parse_measure_expr, parse_xi_expr
 from cyclade.graphs import GraphFamily, build_ade, loop_counts
@@ -30,10 +29,10 @@ from cyclade.measures import (
     lincomb,
     measure_equal,
     moment,
+    one_minus_power,
     pushforward_real,
     reconstruct_expansion,
     t_series_of_measure,
-    _level_pivots,
 )
 from cyclade.transforms import xi_expand
 from cyclade.verify import DEFAULT_SIZE_MATRIX
@@ -43,6 +42,7 @@ from oracles import (
     level_loop,
     moment_by_dense_sum,
     pushforward_moments_by_powering,
+    root_of_unity,
     t_series_by_moments,
 )
 
@@ -437,30 +437,23 @@ def test_level_matches_per_limit_loop(e):
     _assert_level_matches_loop(e)
 
 
-@settings(max_examples=25, deadline=None)
-@given(_atom_sums())
-def test_level_pivot_cache_does_not_change_answers(e):
-    # from a cleared cache the limits are asked falling, then rising, so
-    # each query finds the cache holding more, or fewer, degrees than it needs
-    want = level_loop(e)
-    limits = list(range(want + 1, -2, -1))
-    for order in (limits, limits[::-1]):
-        _level_pivots.cache_clear()
-        for k in order:
-            assert expand_over_level(e, k) == expand_over_level_loop(e, k)
-        assert level(e) == want
+@pytest.mark.parametrize("kind", ["d", "dprime"])
+@pytest.mark.parametrize("m", range(1, 17))
+def test_level_of_every_power_density(kind, m):
+    # the densities 1 - u^(2l) reach levels 0..7, where _atom_sums stops
+    # at 3, so the reduction modulo each minimal polynomial runs its upper
+    # steps; l = m and m + 1 fold onto lower degrees on the support
+    for l in range(1, m + 2):
+        _assert_level_matches_loop(density_measure(one_minus_power(l), kind, m))
 
 
-def test_level_builds_no_degree_above_the_level():
-    # gamma''_83 lives on the 996th roots, n = 498, and has level 3: the
-    # degrees 0..3 are built and nothing else
-    _level_pivots.cache_clear()
-    assert level(parse_measure_expr("gamma''_83")) == 3
-    filled = _level_pivots.cache_info()
-    assert filled.currsize == 4
-    for l in range(4):
-        _level_pivots(498, l)
-    assert _level_pivots.cache_info().misses == filled.misses
+@pytest.mark.parametrize("text", ["gamma''_83", "gamma_420", "alpha_420 + 2*gamma'_210 + beta''_35"])
+def test_level_is_the_least_feasible_limit_at_the_caps(text):
+    # the closed form against the elimination at the largest supports
+    e = parse_measure_expr(text)
+    value = level(e)
+    assert expand_over_level(e, value) is not None
+    assert expand_over_level(e, value - 1) is None
 
 
 @settings(max_examples=30, deadline=None)
