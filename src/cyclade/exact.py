@@ -372,7 +372,10 @@ def cyclo_embed(z: CyclotomicNumber, order: int) -> CyclotomicNumber:
 
 
 def cyclo_conj(z: CyclotomicNumber) -> CyclotomicNumber:
-    """Complex conjugation: the automorphism sending the root to its inverse."""
+    """Complex conjugation, the field automorphism zeta -> zeta^-1 of
+    Q(zeta_N), reduced at the order of z.  It fixes exactly the real
+    elements, the rationals among them, so `is_real` is z == cyclo_conj(z)
+    and z + cyclo_conj(z) is twice the real part of z."""
     n = z.order
     return cyclo_from_integers(n, [((n - j) % n, v) for j, v in enumerate(z.nums) if v], z.den)
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import islice
 from operator import mul
 from typing import Tuple
+
+from ._value import FrozenValue
 
 # the four parametrized series: (least parameter, must be even, error message)
 _SERIES = {
@@ -39,26 +40,29 @@ class ParameterOutOfRange(UnsupportedFamily):
     """Family parameter violates its lower bound or parity constraint."""
 
 
-@dataclass(frozen=True)
-class GraphFamily:
+class GraphFamily(FrozenValue):
     """One of the ten graph shapes; param is the vertex count for the four
     parametrized series and the digit in the tag for an exceptional one
     (E7tilde: 7), which the default 0 stands for."""
 
-    tag: str
-    param: int = 0
+    __slots__ = ("tag", "param")
 
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise UnsupportedFamily(f"unknown family tag {self.tag!r}")
-        if self.tag in _SERIES:
-            least, even, message = _SERIES[self.tag]
-            if self.param < least or (even and self.param % 2):
+    def __init__(self, tag: str, param: int = 0):
+        if tag not in FAMILY_TAGS:
+            raise UnsupportedFamily(f"unknown family tag {tag!r}")
+        if tag in _SERIES:
+            least, even, message = _SERIES[tag]
+            if param < least or (even and param % 2):
                 raise ParameterOutOfRange(message)
-        elif self.param in (0, int(self.tag[1])):
-            object.__setattr__(self, "param", int(self.tag[1]))
+        elif param in (0, int(tag[1])):
+            param = int(tag[1])
         else:
-            raise ParameterOutOfRange(f"{self.tag} has parameter {self.tag[1]}")
+            raise ParameterOutOfRange(f"{tag} has parameter {tag[1]}")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "param", param)
+
+    def _key(self):
+        return self.tag, self.param
 
     @property
     def label(self) -> str:
@@ -67,15 +71,21 @@ class GraphFamily:
         return f"{self.tag}{self.param}"
 
 
-@dataclass(frozen=True)
-class RootedBipartiteGraph:
+class RootedBipartiteGraph(FrozenValue):
     """Multigraph with a distinguished root of parity 0; neighbours[v] lists
     each neighbour of v once per edge between them."""
 
-    vertex_count: int
-    neighbours: Tuple[Tuple[int, ...], ...]
-    root: int
-    parity: Tuple[int, ...]
+    __slots__ = ("vertex_count", "neighbours", "root", "parity")
+
+    def __init__(self, vertex_count: int, neighbours: Tuple[Tuple[int, ...], ...],
+                 root: int, parity: Tuple[int, ...]):
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "neighbours", neighbours)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "parity", parity)
+
+    def _key(self):
+        return self.vertex_count, self.neighbours, self.root, self.parity
 
     def degree(self, v: int) -> int:
         return len(self.neighbours[v])

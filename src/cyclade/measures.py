@@ -25,12 +25,12 @@ predicate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._value import FrozenValue
 from .exact import (
     CyclotomicNumber,
     PowerSeries,
@@ -202,13 +202,18 @@ def _from_moments(order: int, moments: Sequence[int], den: int) -> CyclotomicMea
     return e
 
 
-@dataclass(frozen=True)
-class RealMeasure:
+class RealMeasure(FrozenValue):
     """The pushforward of a circular measure by u -> (u + 1/u)^2, a view of
     the measure it stores; for a graph's circular measure, the spectral
     measure of A^2 at the root."""
 
-    circular: CyclotomicMeasure
+    __slots__ = ("circular",)
+
+    def __init__(self, circular: CyclotomicMeasure):
+        object.__setattr__(self, "circular", circular)
+
+    def _key(self):
+        return (self.circular,)
 
     @property
     def atoms(self) -> Tuple[Tuple[CyclotomicNumber, CyclotomicNumber], ...]:
@@ -234,16 +239,21 @@ class RealMeasure:
         return [CyclotomicNumber.from_rational(Fraction(v, den), self.circular.order) for v in out]
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(FrozenValue):
     """Coefficients of a measure over the uniform measure (index 0) and the
     degree-l polynomial densities (index l) at one support parameter.
     residual_ok is always True for an admissible n; it is kept for the CLI's
     residual_ok row and for existing callers."""
 
-    n: int
-    coefficients: Dict[int, Fraction]
-    residual_ok: bool
+    __slots__ = ("n", "coefficients", "residual_ok")
+
+    def __init__(self, n: int, coefficients: Dict[int, Fraction], residual_ok: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "residual_ok", residual_ok)
+
+    def _key(self):
+        return self.n, self.coefficients, self.residual_ok
 
 
 # ---------------------------------------------------------------------------

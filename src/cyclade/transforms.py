@@ -3,11 +3,11 @@ functions built from (1 - q^n) and (1 + q^n) factors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 from typing import NamedTuple, Tuple
 
+from ._value import FrozenValue
 from .exact import PowerSeries, QPolynomial, _over_lcm, series_from_integers
 from .graphs import GraphFamily
 
@@ -27,8 +27,7 @@ class XiFactor(NamedTuple):
 NORMALIZERS = ("", "prime", "doubleprime")
 
 
-@dataclass(frozen=True)
-class XiExpression:
+class XiExpression(FrozenValue):
     """A formal product of (1 +- q^n) factors over another, with an optional
     extra (1 - q) or (1 - q^2) divisor.
 
@@ -36,16 +35,21 @@ class XiExpression:
     as rational functions is `equivalent`, decided by series expansion.
     """
 
-    numerator: Tuple[XiFactor, ...] = ()
-    denominator: Tuple[XiFactor, ...] = ()
-    normalizer: str = ""
+    __slots__ = ("numerator", "denominator", "normalizer")
 
-    def __post_init__(self):
-        if self.normalizer not in NORMALIZERS:
-            raise ValueError(f"bad normalizer {self.normalizer!r}")
-        for f in self.numerator + self.denominator:
+    def __init__(self, numerator: Tuple[XiFactor, ...] = (),
+                 denominator: Tuple[XiFactor, ...] = (), normalizer: str = ""):
+        if normalizer not in NORMALIZERS:
+            raise ValueError(f"bad normalizer {normalizer!r}")
+        for f in numerator + denominator:
             if f.exponent < 1:
                 raise ValueError("factor exponents must be positive")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "normalizer", normalizer)
+
+    def _key(self):
+        return self.numerator, self.denominator, self.normalizer
 
     def text(self) -> str:
         mark = {"": "", "prime": "'", "doubleprime": "''"}[self.normalizer]

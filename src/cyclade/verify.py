@@ -14,12 +14,11 @@ matrix mapping family tags to parameter lists, prefix each label with
 from __future__ import annotations
 
 import fnmatch
-import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ._value import Value
 from .exact import PowerSeries, QPolynomial, cyclo_make, series_from_integers
 from .graphs import EXCEPTIONAL_TAGS, FAMILY_TAGS, GraphFamily, build_ade, loop_counts
 from .transforms import (
@@ -67,19 +66,30 @@ DEFAULT_SIZE_MATRIX: Dict[str, Tuple[int, ...]] = {
 }
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    status: str  # pass | fail | skipped
-    order: int
-    elapsed: float
-    details: str = ""
+class CheckResult(Value):
+    __slots__ = ("check_id", "status", "order", "elapsed", "details")
+
+    def __init__(self, check_id: str, status: str, order: int, elapsed: float,
+                 details: str = ""):
+        self.check_id = check_id
+        self.status = status  # pass | fail | skipped
+        self.order = order
+        self.elapsed = elapsed
+        self.details = details
+
+    def _key(self):
+        return self.check_id, self.status, self.order, self.elapsed, self.details
 
 
-@dataclass
-class VerificationReport:
-    order: int
-    results: List[CheckResult] = field(default_factory=list)
+class VerificationReport(Value):
+    __slots__ = ("order", "results")
+
+    def __init__(self, order: int, results: Optional[List[CheckResult]] = None):
+        self.order = order
+        self.results = [] if results is None else results
+
+    def _key(self):
+        return self.order, self.results
 
     @property
     def failures(self) -> List[CheckResult]:
@@ -96,6 +106,8 @@ class VerificationReport:
         return {"order": self.order, "failures": len(self.failures), "checks": checks}
 
     def to_json(self, include_timing: bool = True) -> str:
+        import json  # only a serialised report needs it
+
         return json.dumps(self.to_json_obj(include_timing), indent=2) + "\n"
 
     def to_markdown(self) -> str:

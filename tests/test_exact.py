@@ -235,6 +235,25 @@ def test_library_and_non_display_commands_leave_mpmath_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_import_leaves_dataclasses_inspect_and_json_unloaded():
+    # the value classes are plain slotted classes and json is imported by
+    # the one method that serialises a report; modules the interpreter
+    # loads at start-up do not count
+    script = textwrap.dedent("""
+        import sys
+        before = set(sys.modules)
+        import cyclade
+        cyclade.all_check_ids()
+        print(sorted({"dataclasses", "inspect", "json"} & (set(sys.modules) - before)))
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_arithmetic_coordinates_are_fractions():
     a = cyclo_make(12, {0: 3, 1: 2, 5: -1})  # int weights
     b = cyclo_make(8, {0: Fraction(1, 2), 3: 1})

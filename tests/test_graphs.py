@@ -208,3 +208,29 @@ def test_exceptional_family_has_one_value():
     for param in (99, -5, 8):
         with pytest.raises(ParameterOutOfRange, match="^E7 has parameter 7$"):
             GraphFamily("E7", param)
+
+
+def test_family_and_graph_are_hashable_frozen_values():
+    # equal families hash equally, the exceptional default included, so a
+    # family built either way finds the same dict entry (as in the verify
+    # run's memo); no field can be reassigned
+    e7 = GraphFamily("E7")
+    assert e7 == GraphFamily("E7", 7) == GraphFamily(tag="E7", param=0)
+    assert hash(e7) == hash(GraphFamily("E7", 7))
+    assert e7 != GraphFamily("E8") and e7 != ("E7", 7)
+    assert {("counts", e7): 1}[("counts", GraphFamily("E7", 7))] == 1
+    assert repr(e7) == "GraphFamily(tag='E7', param=7)"
+    g = build_ade(GraphFamily("D", 4))
+    assert g == build_ade(GraphFamily("D", 4)) and hash(g) == hash(build_ade(GraphFamily("D", 4)))
+    assert g != build_ade(GraphFamily("Dtilde", 4))
+    assert {g: 1}[build_ade(GraphFamily("D", 4))] == 1
+    assert repr(g) == ("RootedBipartiteGraph(vertex_count=4, neighbours=((1,), (0, 2, 3), (1,), "
+                       "(1,)), root=0, parity=(0, 1, 0, 0))")
+    for value, name in ((e7, "param"), (g, "root"), (g, "vertex_count")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert (e7.param, g.root, g.vertex_count) == (7, 0, 4)
+    with pytest.raises(UnsupportedFamily, match="unknown family tag 'F4'"):
+        GraphFamily("F4")

@@ -364,6 +364,25 @@ def test_expansion_e6_at_12():
     assert t_series_of_measure(rebuilt, 40) == t_series_of_measure(e6, 40)
 
 
+def test_expansion_and_pushforward_are_frozen_unhashable_values():
+    # both compare field by field; a dict of coefficients and a measure are
+    # unhashable, so neither value is, and no field can be reassigned
+    res = cyclotomic_expansion(basic_measure("d", 3), 3)
+    assert res == cyclotomic_expansion(basic_measure("d", 3), 3)
+    assert res != cyclotomic_expansion(basic_measure("d", 3), 6)
+    assert repr(res) == ("ExpansionResult(n=3, coefficients={0: Fraction(1, 1), "
+                         "1: Fraction(0, 1)}, residual_ok=True)")
+    pushed = pushforward_real(basic_measure("d", 2))
+    assert pushed == pushforward_real(basic_measure("d", 2))
+    assert pushed != pushforward_real(basic_measure("d", 3))
+    assert repr(pushed) == "RealMeasure(circular=CyclotomicMeasure(order=4, atoms=4))"
+    for value, name in ((res, "n"), (pushed, "circular")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 def test_expansion_round_trip_uniform():
     res = cyclotomic_expansion(basic_measure("d", 6), 6)
     assert res.residual_ok
@@ -408,9 +427,13 @@ def test_alpha12_uniform_infeasibility():
 
 def _assert_level_matches_loop(e):
     value = level(e)
-    assert value == level_loop(e)
-    for k in (value - 1, value, value + 1):
-        assert expand_over_level(e, k) == expand_over_level_loop(e, k)
+    loop = {k: expand_over_level_loop(e, k) for k in (value - 1, value, value + 1)}
+    # feasibility only grows with the limit, so an infeasible value - 1 and a
+    # feasible value prove that value is the least feasible limit
+    assert value == 0 or loop[value - 1] is None
+    assert loop[value] is not None
+    for k, want in loop.items():
+        assert expand_over_level(e, k) == want
 
 
 _SUPPORT_FACTOR = {"d": 2, "dprime": 4, "ddoubleprime": 12, "dtripleprime": 6}

@@ -61,10 +61,28 @@ def test_xi_cancellation():
 
 
 def test_xi_constructor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="factor exponents must be positive"):
         XiExpression((XiFactor(0, False),), (), "")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad normalizer 'triple'"):
         XiExpression((), (), "triple")
+
+
+def test_xi_expression_is_a_hashable_frozen_value():
+    # structural equality and equal hashes make expressions table keys; the
+    # defaults are the empty factor lists and no normalizer
+    e = xi([2, (3, True)], [5], normalizer="prime")
+    same = XiExpression((XiFactor(2, False), XiFactor(3, True)), (XiFactor(5, False),), "prime")
+    assert e == same and hash(e) == hash(same)
+    assert XiExpression() == XiExpression((), (), "") == parse_xi_expr("xi(:)")
+    assert e != xi([2, (3, True)], [5]) and e != xi([(3, True), 2], [5], normalizer="prime")
+    assert {e: "E"}[same] == "E"
+    assert repr(XiExpression((XiFactor(2, True),))) == (
+        "XiExpression(numerator=(XiFactor(exponent=2, plus=True),), denominator=(), "
+        "normalizer='')")
+    for name in ("numerator", "normalizer"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, ())
+    assert e.normalizer == "prime"
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,14 @@ from pathlib import Path
 import pytest
 
 from cyclade import verify
+from cyclade.graphs import GraphFamily
 from cyclade.measures import atom_measure, basic_measure
 from cyclade.verify import (
     DEFAULT_SIZE_MATRIX,
+    CheckResult,
+    RunContext,
     UnknownCheckId,
+    VerificationReport,
     all_check_ids,
     run_all,
     verify_identity,
@@ -163,3 +167,27 @@ def test_exceptional_parameter_other_than_its_digit_fails():
 def test_bad_size_matrix_is_a_value_error(sizes, message):
     with pytest.raises(ValueError, match=message):
         run_all(order=8, size_matrix=sizes, only="prop5.7/*")
+
+
+def test_report_records_are_mutable_values():
+    # a report compares field by field and is not hashable, as a mutable
+    # record should be; its results list starts empty and is its own
+    first, second = VerificationReport(8), VerificationReport(8)
+    assert first == second and first.results == [] and first.results is not second.results
+    result = CheckResult("prop5.4/alpha6", "pass", 8, 0.25)
+    first.results.append(result)
+    assert first != second
+    assert first == VerificationReport(8, [CheckResult("prop5.4/alpha6", "pass", 8, 0.25, "")])
+    assert repr(result) == ("CheckResult(check_id='prop5.4/alpha6', status='pass', order=8, "
+                            "elapsed=0.25, details='')")
+    result.details = "1 case(s)"
+    assert first.to_json_obj(include_timing=False)["checks"][0]["details"] == "1 case(s)"
+    for value in (first, result):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_run_context_memo_keys_on_family_value():
+    # the exceptional default and the explicit digit are one memo entry
+    ctx = RunContext(8)
+    assert ctx.counts(GraphFamily("E7")) is ctx.counts(GraphFamily("E7", 7))
