@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from fractions import Fraction
 
@@ -54,6 +53,7 @@ def format_decimal(z: CyclotomicNumber) -> str:
 
 def _emit_series(values, fmt: str, out) -> None:
     if fmt == "json":
+        import json  # only --format json needs it
         out.write(json.dumps({"values": [_fr(v) for v in values]}, indent=2) + "\n")
     elif fmt == "csv":
         out.write(",".join(str(_fr(v)) for v in values) + "\n")
@@ -63,6 +63,7 @@ def _emit_series(values, fmt: str, out) -> None:
 
 def _emit_table(columns, rows, fmt: str, out) -> None:
     if fmt == "json":
+        import json  # only --format json needs it
         out.write(json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n")
     elif fmt == "csv":
         buf = io.StringIO()
@@ -131,15 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", help="write output to a file")
         return p
 
-    p = add("graph-loops", "closed walk counts at the root of an ADE graph")
-    p.add_argument("--family", required=True)
-    p.add_argument("--param", type=_PARAM)
-    p.add_argument("--order", type=_ORDER, default=64)
-
-    p = add("graph-tseries", "T series of an ADE graph via the loop pipeline")
-    p.add_argument("--family", required=True)
-    p.add_argument("--param", type=_PARAM)
-    p.add_argument("--order", type=_ORDER, default=64)
+    for name, help_text in (("graph-loops", "closed walk counts at the root of an ADE graph"),
+                            ("graph-tseries", "T series of an ADE graph via the loop pipeline")):
+        p = add(name, help_text)
+        p.add_argument("--family", required=True)
+        p.add_argument("--param", type=_PARAM)
+        p.add_argument("--order", type=_ORDER, default=64)
 
     p = add("xi-expand", "series expansion of a xi expression")
     p.add_argument("--expr", required=True)
@@ -175,16 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(args, parser) -> int:
-    out = sys.stdout
-    sink = None
-    if args.out:
-        sink = open(args.out, "w", encoding="utf-8", newline="")
-        out = sink
-    try:
-        return _dispatch(args, parser, out)
-    finally:
-        if sink is not None:
-            sink.close()
+    if not args.out:
+        return _dispatch(args, parser, sys.stdout)
+    with open(args.out, "w", encoding="utf-8", newline="") as sink:
+        return _dispatch(args, parser, sink)
 
 
 def _dispatch(args, parser, out) -> int:

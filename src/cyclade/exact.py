@@ -135,11 +135,7 @@ def _reduction_rows(order: int):
     phi = euler_phi(order)
     tail = [int(c) for c in cyclotomic_poly(order).coeffs[:phi]]
     top = max(order - 1, 2 * phi - 2)
-    dense = []
-    for e in range(phi):
-        row = [0] * phi
-        row[e] = 1
-        dense.append(row)
+    dense = [[int(i == e) for i in range(phi)] for e in range(phi)]
     for e in range(phi, top + 1):
         prev = dense[e - 1]
         row = [0] + prev[: phi - 1]
@@ -288,10 +284,7 @@ class CyclotomicNumber(_IntegersOverDenominator):
         return self + (-other)
 
     def __rsub__(self, other) -> "CyclotomicNumber":
-        other = _as_cyclo(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return (-self).__add__(other)  # NotImplemented for what __add__ rejects
 
     def __mul__(self, other) -> "CyclotomicNumber":
         if isinstance(other, (int, Fraction)):

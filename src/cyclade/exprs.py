@@ -79,11 +79,10 @@ class _Scanner:
         return self.text[start:self.pos]
 
     def primes(self) -> int:
-        count = 0
+        start = self.pos
         while self.pos < len(self.text) and self.text[self.pos] == "'":
             self.pos += 1
-            count += 1
-        return count
+        return self.pos - start
 
     def at_end(self) -> bool:
         self.skip_ws()

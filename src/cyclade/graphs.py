@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import islice
-from operator import mul
+from operator import add, itemgetter, mul
 from typing import Tuple
 
 from ._value import FrozenValue
@@ -156,14 +156,17 @@ def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:
 
     Entry k counts the 2k-walks, (A^(2k))_rr.  The adjacency A is symmetric,
     so that is |A^k e_r|^2: one exact product of A with the vector per entry
-    and a sum of squares.  Each vertex sums over its neighbour list, in which
-    a neighbour appears once per edge.
+    and a sum of squares.
 
     A^k e_r lives on the parity class k mod 2 and within distance k of the
     root.  One BFS lists each class by distance, so step k recomputes only
     a prefix of class k mod 2, reading the other class, whose entries
     beyond its own ball are still zero; once the ball holds the whole
-    class, every step takes all of it.
+    class, every step takes all of it.  A step adds two gathers in C, the
+    first and the second neighbours (map over islice on a prefix, a prebuilt
+    itemgetter on a whole class); a missing one reads the zero that each
+    class keeps in a last row with no neighbours, and a branch vertex adds
+    its further neighbours one by one.
     """
     nbrs = graph.neighbours
     dist = [-1] * graph.vertex_count
@@ -179,9 +182,14 @@ def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:
     for cls in classes:
         for i, v in enumerate(cls):
             pos[v] = i
-    rows = [[[pos[u] for u in nbrs[v]] for v in cls] for cls in classes]
+    slots, extra = [], []
+    for cls, pad in zip(classes, (len(classes[1]), len(classes[0]))):
+        rows = [[pos[u] for u in nbrs[v]] + [pad] for v in cls] + [[pad, pad]]
+        slots.append(tuple(zip(*rows)))  # the shortest rows have two entries
+        extra.append([(i, p) for i, r in enumerate(rows) for p in r[2:-1]])
+    gets = [[itemgetter(*slot) for slot in pair] for pair in slots]
     radii = [[dist[v] for v in cls] for cls in classes]
-    vals = [[0] * len(cls) for cls in classes]
+    vals = [[0] * (len(cls) + 1) for cls in classes]
     vals[0][0] = 1
     depth = dist[bfs[-1]]
     out = [1]
@@ -190,9 +198,15 @@ def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:
         old = vals[1 - c]
         if k < depth:
             cut = bisect_right(radii[c], k)
-            new = [sum([old[p] for p in row]) for row in islice(rows[c], cut)]
-            vals[c][:cut] = new
+            first, second = (map(old.__getitem__, islice(slot, cut)) for slot in slots[c])
+            new = list(map(add, first, second))
         else:
-            vals[c] = new = [sum([old[p] for p in row]) for row in rows[c]]
+            first, second = gets[c]
+            vals[c] = new = list(map(add, first(old), second(old)))
+        for i, p in extra[c]:
+            if i < len(new):
+                new[i] += old[p]
+        if k < depth:  # the prefix is a copy, written back once complete
+            vals[c][:cut] = new
         out.append(sum(map(mul, new, new)))
     return out

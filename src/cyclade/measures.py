@@ -28,6 +28,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._value import FrozenValue
@@ -227,16 +228,9 @@ class RealMeasure(FrozenValue):
                      for r, w in reversed(list(enumerate(e.reps))) if not w.is_zero())
 
     def moments(self, count: int) -> List[CyclotomicNumber]:
-        """Moments 0..count at the circular measure's order.  With M_i =
-        moment 2i = M_-i of the circular measure, multiplying by 2 + u^2 +
-        u^-2 maps M_i to 2 M_i + M_(i-1) + M_(i+1); moment k is M_0 after k
-        steps."""
-        m, den = _even_moments(self.circular, count)
-        out = [m[0]]
-        for _ in range(count):
-            m = [2 * (m[0] + m[1])] + [2 * b + a + c for a, b, c in zip(m, m[1:], m[2:])]
-            out.append(m[0])
-        return [CyclotomicNumber.from_rational(Fraction(v, den), self.circular.order) for v in out]
+        """Moments 0..count at the circular measure's order."""
+        nums, den = _pushforward_moments(self.circular, count)
+        return [CyclotomicNumber.from_rational(Fraction(v, den), self.circular.order) for v in nums]
 
 
 class ExpansionResult(FrozenValue):
@@ -355,6 +349,19 @@ def _even_moments(e: CyclotomicMeasure, count: int) -> Tuple[List[int], int]:
     stored period, repeated by the reflection identity."""
     m = e.moments
     return list((m * (count // len(m) + 1))[: count + 1]), e.den
+
+
+def _pushforward_moments(e: CyclotomicMeasure, count: int) -> Tuple[List[int], int]:
+    """(nums, den) with moment k of RealMeasure(e) = nums[k] / den, k <= count.
+    With M_i = moment 2i = M_-i of e, multiplying by 2 + u^2 + u^-2 maps M_i
+    to (M_(i-1) + M_i) + (M_i + M_(i+1)); moment k is M_0 after k steps."""
+    m, den = _even_moments(e, count)
+    out = [m[0]]
+    for _ in range(count):
+        pairs = list(map(add, m, m[1:]))
+        m = [2 * pairs[0], *map(add, pairs, pairs[1:])]
+        out.append(m[0])
+    return out, den
 
 
 def t_series_of_measure(e: CyclotomicMeasure, order: int) -> PowerSeries:

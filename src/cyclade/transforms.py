@@ -69,20 +69,13 @@ class XiExpression(FrozenValue):
         return xi_expand(self, order) == xi_expand(other, order)
 
 
-def xi(*args, **kwargs) -> XiExpression:
-    """Convenience constructor: xi([n1, (n2, True), ...], [m1, ...], normalizer)."""
-    num, den = (), ()
-    if args:
-        num = tuple(_factor(f) for f in args[0])
-    if len(args) > 1:
-        den = tuple(_factor(f) for f in args[1])
-    return XiExpression(num, den, kwargs.get("normalizer", ""))
+def xi(num=(), den=(), *, normalizer: str = "") -> XiExpression:
+    """Convenience constructor: xi([n1, (n2, True), ...], [m1, ...], normalizer=...)."""
+    return XiExpression(tuple(map(_factor, num)), tuple(map(_factor, den)), normalizer)
 
 
 def _factor(f) -> XiFactor:
-    if isinstance(f, XiFactor):
-        return f
-    if isinstance(f, tuple):
+    if isinstance(f, tuple):  # an XiFactor too
         return XiFactor(int(f[0]), bool(f[1]))
     return XiFactor(int(f), False)
 
@@ -95,12 +88,9 @@ def xi_expand(expr: XiExpression, order: int) -> PowerSeries:
         sign = 1 if plus else -1
         for i in range(order, n - 1, -1):
             out[i] += sign * out[i - n]
-    divisors = [(f.exponent, f.plus) for f in expr.denominator]
-    if expr.normalizer == "prime":
-        divisors.append((1, False))
-    elif expr.normalizer == "doubleprime":
-        divisors.append((2, False))
-    for n, plus in divisors:
+    # the normalizer divides by 1 - q^i, i its index in NORMALIZERS
+    extra = [XiFactor(NORMALIZERS.index(expr.normalizer), False)] if expr.normalizer else []
+    for n, plus in expr.denominator + tuple(extra):
         _divide(out, n, plus)
     return series_from_integers(out)
 

@@ -44,10 +44,10 @@ from .measures import (
     level,
     lincomb,
     one_minus_power,
-    pushforward_real,
     reconstruct_expansion,
     t_series_of_measure,
     _even_moments,
+    _pushforward_moments,
 )
 from . import exprs
 
@@ -258,9 +258,12 @@ def _thm71_cases(ctx: RunContext, fam: GraphFamily):
     e = ctx.candidate(fam, "thm71")
     yield "T series", ctx.candidate_t(fam, "thm71"), ctx.graph_t(fam)
     yield "probability measure", e.is_probability(), True
+    # cross-multiplied over the two denominators; only an unequal pair is a case
+    nums, den = _pushforward_moments(e, ctx.order // 2)
     counts = ctx.counts(fam)
-    for k, mu in enumerate(pushforward_real(e).moments(ctx.order // 2)):
-        yield f"pushforward moment {k}", mu, counts[k]
+    for k, (a, b) in enumerate(zip(nums, counts.nums)):
+        if a * counts.den != b * den:
+            yield f"pushforward moment {k}", Fraction(a, den), counts[k]
 
 
 def _thm87_cases(ctx: RunContext, fam: GraphFamily):

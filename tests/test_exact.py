@@ -254,6 +254,22 @@ def test_import_leaves_dataclasses_inspect_and_json_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_import_leaves_json_unloaded():
+    # only --format json output imports it
+    script = textwrap.dedent("""
+        import sys
+        before = set(sys.modules)
+        import cyclade.cli
+        print("json" in set(sys.modules) - before)
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_arithmetic_coordinates_are_fractions():
     a = cyclo_make(12, {0: 3, 1: 2, 5: -1})  # int weights
     b = cyclo_make(8, {0: Fraction(1, 2), 3: 1})

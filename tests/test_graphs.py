@@ -44,6 +44,19 @@ def test_loop_counts_match_two_product_oracle(tag, param):
     assert loop_counts(g, 160) == loop_counts_two_products(g, 160)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 40])
+@pytest.mark.parametrize("tag,param", [
+    ("A", 2), ("A", 3), ("D", 3), ("D", 4), ("Atilde", 2), ("Atilde", 4), ("Dtilde", 4),
+    ("Dtilde", 5),
+])
+def test_loop_counts_at_the_least_parameters(tag, param, order):
+    # one-vertex parity classes (A2, Atilde2, D3, Dtilde4), a double edge
+    # (Atilde2) and a degree-4 vertex (Dtilde4); the orders run from inside
+    # the ball depth (at most 3 here) to well past it
+    g = build_ade(GraphFamily(tag, param))
+    assert loop_counts(g, order) == loop_counts_two_products(g, order)
+
+
 @pytest.mark.parametrize("tag,param,order", [
     ("A", MAX_VERTICES, 64), ("Atilde", MAX_VERTICES, 64), ("D", MAX_VERTICES, 64),
     ("Dtilde", MAX_VERTICES - 1, 64), ("E6", 0, 512), ("E7", 0, 512), ("E8", 0, 512),

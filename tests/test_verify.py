@@ -137,6 +137,22 @@ def test_graph_checks_report_the_first_differing_coefficient(monkeypatch):
     assert result.details == "A param 3: T series: coefficient 3: 0 != -1"
 
 
+def test_pushforward_case_reports_both_moments_as_rationals(monkeypatch):
+    # pushforward moment 2 of A3's measure raised by one: 3 where the graph
+    # has 2 closed 4-walks at the root
+    real = verify._pushforward_moments
+
+    def shifted(e, count):
+        nums, den = real(e, count)
+        nums[2] += den
+        return nums, den
+
+    monkeypatch.setattr(verify, "_pushforward_moments", shifted)
+    (result,) = run_all(order=8, size_matrix={"A": (3,)}, only="thm7.1/A").results
+    assert (result.status, result.details) == (
+        "fail", "A param 3: pushforward moment 2: Fraction(3, 1) != Fraction(2, 1)")
+
+
 def test_measure_case_reports_the_first_differing_atom(monkeypatch):
     # the affine-A measure on the 4th roots replaced by the one on the 2nd
     monkeypatch.setattr(verify, "candidate_measure",
