@@ -41,6 +41,12 @@ class OrderMismatch(ValueError):
     """Truncated series of different orders were compared."""
 
 
+def _check_order(order: int) -> None:
+    """The one refusal of a negative order by the series and count routines."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+
+
 # ---------------------------------------------------------------------------
 # Polynomials over Q
 # ---------------------------------------------------------------------------
@@ -53,13 +59,14 @@ class QPolynomial:
     empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._hash = hash(self.coeffs)  # a memo key: hashing Fractions is slow
 
     @property
     def degree(self) -> int:
@@ -74,7 +81,7 @@ class QPolynomial:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return self._hash
 
     def __repr__(self):
         return f"QPolynomial({list(self.coeffs)!r})"
@@ -192,10 +199,9 @@ class _IntegersOverDenominator:
         return _normalized(type(self), min(self.order, other.order),
                            [x * fa + y * fb for x, y in zip(self.nums, other.nums)], den)
 
-    def _times_rational(self, value):
-        f = Fraction(value)
-        return _normalized(type(self), self.order, [v * f.numerator for v in self.nums],
-                           self.den * f.denominator)
+    def _times_rational(self, value):  # an int or a Fraction
+        return _normalized(type(self), self.order, [v * value.numerator for v in self.nums],
+                           self.den * value.denominator)
 
 
 def _normalized(cls, order: int, nums, den: int):
@@ -237,17 +243,17 @@ class CyclotomicNumber(_IntegersOverDenominator):
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CyclotomicNumber":
-        v = Fraction(value)
-        return _normalized(cls, order, (v.numerator,) + (0,) * (euler_phi(order) - 1),
-                           v.denominator)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return _cyclo_rational(order, value.numerator, value.denominator)
 
     @classmethod
     def zero(cls, order: int = 1) -> "CyclotomicNumber":
-        return cls.from_rational(0, order)
+        return _cyclo_rational(order, 0)
 
     @classmethod
     def one(cls, order: int = 1) -> "CyclotomicNumber":
-        return cls.from_rational(1, order)
+        return _cyclo_rational(order, 1)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -259,9 +265,8 @@ class CyclotomicNumber(_IntegersOverDenominator):
         return self == cyclo_conj(self)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(other, 1)
-        if not isinstance(other, CyclotomicNumber):
+        other = _as_cyclo(other)
+        if other is None:
             return NotImplemented
         a, b = _common_order(self, other)
         return a.nums == b.nums and a.den == b.den
@@ -352,6 +357,14 @@ def cyclo_from_integers(order: int, terms: Iterable[Tuple[int, int]],
             for i, c in rows[e % order]:
                 out[i] += v * c
     return _normalized(CyclotomicNumber, order, out, denominator)
+
+
+def _cyclo_rational(order: int, num: int, den: int = 1) -> CyclotomicNumber:
+    """num / den, den > 0, in the order-th field, in lowest terms: no Fraction made."""
+    g = math.gcd(num, den)
+    z = object.__new__(CyclotomicNumber)
+    z.order, z.nums, z.den = order, (num // g,) + (0,) * (euler_phi(order) - 1), den // g
+    return z
 
 
 def cyclo_embed(z: CyclotomicNumber, order: int) -> CyclotomicNumber:

@@ -140,9 +140,9 @@ MAX_ATOM_SUPPORT = 1000
 # support order of an atom over its parameter n, by number of primes
 _SUPPORT_FACTOR = (2, 4, 12, 6)
 
-# Each rule returns a Fraction, or a measure as (support order,
-# [(coefficient, atom), ...]); the terms are combined once, by
-# parse_measure_expr.
+# Each rule returns a scalar, an int until a division makes it a Fraction,
+# or a measure as (support order, [(coefficient, atom), ...]); the terms
+# are combined once, by parse_measure_expr.
 
 
 def _sum(s: _Scanner):
@@ -152,7 +152,7 @@ def _sum(s: _Scanner):
         s.pos += 1
         rhs = _term(s)
         if op == "-":
-            rhs = _mul(rhs, Fraction(-1), pos)
+            rhs = _mul(rhs, -1, pos)
         value = _add(value, rhs, pos)
     return value
 
@@ -187,16 +187,12 @@ def _factor(s: _Scanner):
         s.expect(")")
         return value
     if c.isdigit():
-        value = Fraction(s.integer())
-        if s.peek() == "/":
-            # a rational scalar like 3/2; leave the slash to the term when a
-            # non-integer follows (that case is a parse error anyway)
-            save = s.pos
-            s.pos += 1
-            if s.peek().isdigit():
-                value /= _divisor(s)[1]
-            else:
-                s.pos = save
+        value, save = s.integer(), s.pos
+        # a rational scalar like 3/2; leave the slash to the term when a
+        # non-integer follows (that case is a parse error anyway)
+        if s.take("/") and s.peek().isdigit():
+            return Fraction(value, _divisor(s)[1])
+        s.pos = save
         return value
     if c.isalpha():
         pos = s.pos
@@ -207,7 +203,7 @@ def _factor(s: _Scanner):
         primes = s.primes()
         s.expect("_")
         atom = _eval_atom(name, primes, s.integer(), pos)
-        return atom.order, [(Fraction(1), atom)]
+        return atom.order, [(1, atom)]
     raise ParseError(f"unexpected {s.describe()}", s.pos,
                      ("integer", "atom", "'('"))
 
@@ -229,17 +225,17 @@ def _eval_atom(name: str, primes: int, n: int, pos: int):
 
 
 def _mul(a, b, pos: int):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    if isinstance(a, Fraction):
+    if not isinstance(a, tuple):
+        if not isinstance(b, tuple):
+            return a * b
         a, b = b, a
-    if isinstance(b, Fraction):
+    if not isinstance(b, tuple):
         return a[0], [(c * b, m) for c, m in a[1]]
     raise EvaluationError("cannot multiply two measures", pos)
 
 
 def _add(a, b, pos: int):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
+    if not isinstance(a, tuple) and not isinstance(b, tuple):
         return a + b
     if isinstance(a, tuple) and isinstance(b, tuple):
         support = math.lcm(a[0], b[0])

@@ -8,6 +8,7 @@ from operator import add, itemgetter, mul
 from typing import Tuple
 
 from ._value import FrozenValue
+from .exact import _check_order
 
 # the four parametrized series: (least parameter, must be even, error message)
 _SERIES = {
@@ -168,6 +169,7 @@ def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:
     class keeps in a last row with no neighbours, and a branch vertex adds
     its further neighbours one by one.
     """
+    _check_order(count)
     nbrs = graph.neighbours
     dist = [-1] * graph.vertex_count
     dist[graph.root] = 0

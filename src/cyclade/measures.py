@@ -45,6 +45,8 @@ from .exact import (
     sign_of_real,
     _ColumnElimination,
     _Reduction,
+    _check_order,
+    _cyclo_rational,
     _over_lcm,
 )
 from .graphs import GraphFamily
@@ -93,11 +95,8 @@ class CyclotomicMeasure:
             raise ValueError("support order must be even and at least 2")
         if len(weights) != order:
             raise ValueError(f"need {order} weights, got {len(weights)}")
-        ws = []
-        for w in weights:
-            if isinstance(w, (int, Fraction)):
-                w = CyclotomicNumber.from_rational(w, 1)
-            ws.append(cyclo_embed(w, order))
+        ws = [_cyclo_rational(order, w.numerator, w.denominator) if isinstance(w, (int, Fraction))
+              else cyclo_embed(w, order) for w in weights]
         n = order // 2
         for j, w in enumerate(ws):
             if not w.is_real():
@@ -230,7 +229,7 @@ class RealMeasure(FrozenValue):
     def moments(self, count: int) -> List[CyclotomicNumber]:
         """Moments 0..count at the circular measure's order."""
         nums, den = _pushforward_moments(self.circular, count)
-        return [CyclotomicNumber.from_rational(Fraction(v, den), self.circular.order) for v in nums]
+        return [_cyclo_rational(self.circular.order, v, den) for v in nums]
 
 
 class ExpansionResult(FrozenValue):
@@ -302,7 +301,7 @@ def lincomb(terms: Sequence[Tuple[Fraction, CyclotomicMeasure]]) -> CyclotomicMe
     if not terms:
         raise ValueError("empty combination")
     order = math.lcm(*[m.order for _, m in terms])
-    scaled = [(Fraction(scalar), m) for scalar, m in terms]
+    scaled = [(c if isinstance(c, (int, Fraction)) else Fraction(c), m) for c, m in terms]
     den = math.lcm(*[c.denominator * m.den for c, m in scaled])
     acc = [0] * (order // 2)
     for c, m in scaled:
@@ -338,15 +337,14 @@ def moment(e: CyclotomicMeasure, k: int) -> CyclotomicNumber:
     """The k-th moment: the weighted sum of k-th powers of the atoms, read
     off the stored sequence.  Each orbit holds u and -u, so an odd moment is
     exactly zero."""
-    if k % 2:
-        return CyclotomicNumber.zero(e.order)
     m = e.moments
-    return CyclotomicNumber.from_rational(Fraction(m[k // 2 % len(m)], e.den), e.order)
+    return _cyclo_rational(e.order, 0 if k % 2 else m[k // 2 % len(m)], e.den)
 
 
 def _even_moments(e: CyclotomicMeasure, count: int) -> Tuple[List[int], int]:
     """(nums, den) with moment 2k = nums[k] / den for k = 0 .. count: the
     stored period, repeated by the reflection identity."""
+    _check_order(count)
     m = e.moments
     return list((m * (count // len(m) + 1))[: count + 1]), e.den
 

@@ -8,7 +8,7 @@ from operator import add
 from typing import NamedTuple, Tuple
 
 from ._value import FrozenValue
-from .exact import PowerSeries, QPolynomial, _over_lcm, series_from_integers
+from .exact import PowerSeries, QPolynomial, _check_order, _over_lcm, series_from_integers
 from .graphs import GraphFamily
 
 
@@ -82,6 +82,7 @@ def _factor(f) -> XiFactor:
 
 def xi_expand(expr: XiExpression, order: int) -> PowerSeries:
     """Exact series expansion of the rational function to the given order."""
+    _check_order(order)
     out = [0] * (order + 1)
     out[0] = 1
     for n, plus in expr.numerator:
@@ -111,6 +112,7 @@ def _scaled_counts(counts: PowerSeries, order: int) -> Tuple[tuple, int]:
     """Validate the loop counts and return (c, D): the counts up to the order
     as the integers c_i = D * counts_i over their denominator D, which is 1
     for genuine loop counts."""
+    _check_order(order)
     if counts.order < order:
         raise ValueError("need loop counts up to the requested order")
     if counts.nums[0] != counts.den:
@@ -191,6 +193,7 @@ def t_closed_form(poly: QPolynomial, n: int, variant: str,
     into an integer list over the common denominator of P, coefficient s of
     P at s and, with the sign, at n - s; the two divisions are running sums.
     """
+    _check_order(order)
     if variant not in ("unprimed", "primed"):
         raise ValueError(f"unknown variant {variant!r}")
     if poly.degree >= n:

@@ -8,7 +8,8 @@ as Horner's rule with running alternating sums, the closed-form T series in
 Fraction lists, the T series and the expansion from one moment per
 coefficient, each a dense sum over the weights, pushforward moments by
 cyclotomic powering, and the sign of a real cyclotomic number at 60 digits;
-and root_of_unity, which builds the powers of a root that tests start from.
+root_of_unity, which builds the powers of a root that tests start from, and
+rational_by_constructor, a rational element through the public constructor.
 Only tests use them.
 """
 
@@ -36,6 +37,12 @@ from cyclade.measures import ExpansionResult, basic_measure, density_measure
 def root_of_unity(order, exponent=1):
     """The exponent-th power of the primitive order-th root of unity."""
     return cyclo_make(order, {exponent: 1})
+
+
+def rational_by_constructor(value, order):
+    """The rational value in the order-th cyclotomic field, built by the
+    public CyclotomicNumber constructor from its full coordinate list."""
+    return CyclotomicNumber(order, [Fraction(value)] + [0] * (euler_phi(order) - 1))
 
 
 def rref_solve(rows, rhs):

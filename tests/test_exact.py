@@ -36,6 +36,7 @@ from cyclade.exact import (
 from oracles import (
     cyclotomic_poly_by_division,
     divide_monic,
+    rational_by_constructor,
     root_of_unity,
     rref_solve,
     sign_at_60_digits,
@@ -373,6 +374,31 @@ def test_cyclo_storage_is_canonical(values):
             m = math.lcm(x.order, y.order)
             same = cyclo_embed(x, m).coeffs == cyclo_embed(y, m).coeffs
             assert (x == y) == same
+
+
+@pytest.mark.parametrize("order", [1, 7, 240])
+@pytest.mark.parametrize("value", [0, 5, -5, Fraction(-6, 4), "3/6", 0.5])
+def test_from_rational_storage_is_canonical(value, order):
+    # ints and Fractions are read as they are, any other value through
+    # Fraction; every one is stored as the public constructor stores it
+    got, want = CyclotomicNumber.from_rational(value, order), rational_by_constructor(value, order)
+    assert _canonical(got)
+    assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
+    assert len(got.nums) == euler_phi(order) and not any(got.nums[1:])
+
+
+@pytest.mark.parametrize("order", [1, 7, 240])
+def test_zero_and_one_storage_is_canonical(order):
+    for got, value in ((CyclotomicNumber.zero(order), 0), (CyclotomicNumber.one(order), 1)):
+        want = rational_by_constructor(value, order)
+        assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
+
+
+def test_qpolynomial_hash_is_kept_and_equality_unchanged():
+    p, q = QPolynomial([1, 0, 0, -1]), QPolynomial([Fraction(2, 2), 0, 0, -1, 0])
+    assert p == q and hash(p) == hash(q) == hash(p.coeffs)
+    assert p != QPolynomial([1, 0, -1]) and QPolynomial([]) == QPolynomial([0, 0])
+    assert {p: 1}[q] == 1
 
 
 @st.composite

@@ -42,6 +42,7 @@ from oracles import (
     level_loop,
     moment_by_dense_sum,
     pushforward_moments_by_powering,
+    rational_by_constructor,
     root_of_unity,
     t_series_by_moments,
 )
@@ -638,6 +639,38 @@ def test_level_matches_per_limit_loop_on_graph_measures():
     for tag, params in DEFAULT_SIZE_MATRIX.items():
         for m in params:
             _assert_level_matches_loop(candidate_measure(GraphFamily(tag, m), "thm71"))
+
+
+def _fields(z):
+    # == lifts across orders, so the stored fields are compared one by one
+    return z.order, z.nums, z.den
+
+
+@settings(max_examples=25, deadline=None)
+@given(_atom_sums())
+def test_rational_moments_stored_as_the_public_constructor_stores_them(e):
+    # moment and RealMeasure.moments build each value from the stored
+    # integers; the oracle takes the value from the weights and builds it
+    # through CyclotomicNumber(order, coeffs)
+    weights = e.weights
+    for k in range(-3, 2 * e.order + 2):
+        want = cyclo_as_rational(moment_by_dense_sum(e.order, weights, k))
+        assert _fields(moment(e, k)) == _fields(rational_by_constructor(want, e.order)), k
+    want = [_fields(rational_by_constructor(cyclo_as_rational(z), e.order))
+            for z in pushforward_moments_by_powering(pushforward_real(e), 40)]
+    for count in range(41):
+        assert [_fields(z) for z in pushforward_real(e).moments(count)] == want[:count + 1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.sampled_from([("d", 1), ("d", 3), ("dprime", 2),
+                                                               ("alpha", 4), ("gamma", 6)])),
+                min_size=1, max_size=3))
+def test_lincomb_takes_int_scalars_as_they_are(terms):
+    by_int = lincomb([(c, _build_atom(a)) for c, a in terms])
+    by_fraction = lincomb([(Fraction(c), _build_atom(a)) for c, a in terms])
+    assert (by_int.order, by_int.moments, by_int.den) == \
+        (by_fraction.order, by_fraction.moments, by_fraction.den)
 
 
 _atoms = st.sampled_from([("d", 1), ("d", 2), ("d", 3), ("d", 4), ("d", 6),

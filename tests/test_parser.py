@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cyclade.exprs import (
@@ -8,7 +10,7 @@ from cyclade.exprs import (
     parse_xi_expr,
 )
 from cyclade.graphs import GraphFamily
-from cyclade.measures import basic_measure, candidate_measure, measure_equal
+from cyclade.measures import basic_measure, candidate_measure, lincomb, measure_equal
 from cyclade.transforms import XiExpression, XiFactor, theorem_2_5_lookup, xi_expand
 
 
@@ -73,6 +75,22 @@ def test_parse_measure_scalars():
     a = parse_measure_expr("3/2*d_2 - 1/2*d_1")
     b = parse_measure_expr("(3*d_2 - d_1)/2")
     assert measure_equal(a, b)
+
+
+@pytest.mark.parametrize("text,terms", [
+    ("2*3*d_1", [(Fraction(6), "d_1")]),
+    ("(6/4)*d_1", [(Fraction(3, 2), "d_1")]),
+    ("d_1*2/4", [(Fraction(1, 2), "d_1")]),
+    ("3/2*d_2 - d_2", [(Fraction(3, 2), "d_2"), (Fraction(-1), "d_2")]),
+    ("2*(d_2 - 3*d'_1)/4 - d_1", [(Fraction(1, 2), "d_2"), (Fraction(-3, 2), "d'_1"),
+                                  (Fraction(-1), "d_1")]),
+])
+def test_scalar_products_and_quotients(text, terms):
+    # scalars stay ints until a division makes a Fraction; the measure is
+    # the one lincomb builds from Fraction coefficients
+    got = parse_measure_expr(text)
+    want = lincomb([(c, parse_measure_expr(atom)) for c, atom in terms])
+    assert (got.order, got.moments, got.den) == (want.order, want.moments, want.den)
 
 
 def test_atom_support_limit_is_inclusive():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cyclade.exact import PowerSeries, QPolynomial, series_compose, series_invert
 from cyclade.exprs import parse_xi_expr
 from cyclade.graphs import FAMILY_TAGS, GraphFamily, UnsupportedFamily, build_ade, loop_counts
+from cyclade.measures import basic_measure, pushforward_real, t_series_of_measure
 from cyclade.transforms import (
     DegreeTooLarge,
     XiExpression,
@@ -195,6 +196,28 @@ def test_theta_routes_boundary_orders(order):
     theta = theta_from_poincare_subst(counts, order)
     assert theta == theta_from_poincare_formula(counts, order)
     assert theta.order == order and theta.coeffs[0] == 1
+
+
+_COUNTS = PowerSeries.from_list([1, 1, 2, 5, 14])
+_NEGATIVE_ORDER_CALLS = {
+    "xi_expand": lambda order: xi_expand(parse_xi_expr("xi(1:2)"), order),
+    "t_series_of_measure": lambda order: t_series_of_measure(basic_measure("d", 2), order),
+    "RealMeasure.moments": lambda order: pushforward_real(basic_measure("d", 2)).moments(order),
+    "theta_from_poincare_formula": lambda order: theta_from_poincare_formula(_COUNTS, order),
+    "theta_from_poincare_subst": lambda order: theta_from_poincare_subst(_COUNTS, order),
+    "loop_counts": lambda order: loop_counts(build_ade(GraphFamily("A", 3)), order),
+    "t_closed_form": lambda order: t_closed_form(QPolynomial([1, -1]), 3, "unprimed", order),
+}
+
+
+@pytest.mark.parametrize("name", _NEGATIVE_ORDER_CALLS)
+@pytest.mark.parametrize("order", [-1, -5])
+def test_negative_order_is_refused(name, order):
+    # every series and count routine refuses a negative order with one
+    # ValueError and one message; order 0 still works
+    with pytest.raises(ValueError, match=f"^order must be nonnegative, got {order}$"):
+        _NEGATIVE_ORDER_CALLS[name](order)
+    assert _NEGATIVE_ORDER_CALLS[name](0) is not None
 
 
 @pytest.mark.parametrize("tag", FAMILY_TAGS)
