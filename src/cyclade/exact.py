@@ -509,6 +509,7 @@ class PowerSeries(_IntegersOverDenominator):
     def __init__(self, order: int, coeffs: Iterable):
         """Public constructor: takes any rationals and checks the length;
         arithmetic inside this module builds through _normalized."""
+        _check_order(order)
         self._fill(order, coeffs, order + 1)
 
     @classmethod
@@ -521,6 +522,7 @@ class PowerSeries(_IntegersOverDenominator):
 
     @classmethod
     def zero(cls, order: int) -> "PowerSeries":
+        _check_order(order)
         return series_from_integers([0] * (order + 1))
 
     @classmethod
@@ -529,12 +531,14 @@ class PowerSeries(_IntegersOverDenominator):
 
     @classmethod
     def monomial(cls, k: int, order: int) -> "PowerSeries":
+        _check_order(order)
         cs = [0] * (order + 1)
         if k <= order:
             cs[k] = 1
         return series_from_integers(cs)
 
     def truncate(self, order: int) -> "PowerSeries":
+        _check_order(order)
         if order > self.order:
             raise OrderMismatch(f"cannot extend order {self.order} to {order}")
         return series_from_integers(self.nums[: order + 1], self.den)
@@ -649,90 +653,60 @@ def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
 # Exact linear algebra
 # ---------------------------------------------------------------------------
 
-class _ColumnElimination:
-    """The column phase of a fraction-free Gaussian elimination of
-    A x = b / den; _Reduction is the right-hand-side phase.
+def _solve_columns(cols: Sequence[Sequence[int]], rhs: Sequence[int],
+                   den: int) -> Optional[list]:
+    """Solve A x = rhs / den, A given by its integer columns, by one
+    fraction-free Gaussian elimination.
 
-    add_column takes one integer column of A at a time and never reads b.
-    The column is reduced against the pivot vectors kept so far, each
-    followed by its integer combination of the columns, by
-    cross-multiplication, then divided by its content; a nonzero remainder
-    becomes a pivot, so a column is a pivot exactly when it is independent
-    of those before it.  Pivots are appended in column order, so a caller
-    that adds the columns a block at a time reduces b against each block's
-    new pivots only: expand_over_level in measures does so a degree at a
-    time.
+    Each column, followed by its integer combination of the columns, is
+    reduced against the pivot vectors found so far by cross-multiplication,
+    then divided by its content; a nonzero remainder becomes a pivot, so a
+    column is a pivot exactly when it is independent of those before it.
+    rhs / den is then reduced against the pivots in column order, keeping
+    rhs / den = A x + residual with x in Fractions, by cross-multiplication,
+    then division by the gcd with the denominator.
+
+    Returns the canonical solution, Fractions with the free variables zero
+    and the greedy pivot columns carrying the coefficients, or None when
+    the residual is not zero.  Pivots come in column order, so a consistent
+    prefix's solution, padded with zeros, is every longer system's.  The
+    solution depends only on the linear relations among the columns and
+    rhs, and any injective Q-linear map of the rows leaves it unchanged.
     """
-
-    def __init__(self):
-        self.pivots: list = []  # (pivot row, vector then its combination of the columns)
-        self.ncols = 0
-
-    def add_column(self, col: Sequence[int]) -> None:
-        vec = [*col, *[0] * self.ncols, 1]
-        self.ncols += 1
-        for row, pvec in self.pivots:
+    pivots = []  # (pivot row, vector then its combination of the columns)
+    for j, col in enumerate(cols):
+        vec = [*col, *[0] * j, 1]
+        for row, pvec in pivots:
             a = vec[row]
             if a:
                 g = math.gcd(a, pvec[row])
                 a, b = a // g, pvec[row] // g
                 vec = [b * v - a * w for v, w in zip_longest(vec, pvec, fillvalue=0)]
-        g = math.gcd(*vec)
         row = next((i for i in range(len(col)) if vec[i]), None)
         if row is not None:
-            self.pivots.append((row, tuple(v // g for v in vec)))
-
-
-class _Reduction:
-    """The right-hand-side phase: b / den reduced against the pivots of a
-    _ColumnElimination in the order they were found, keeping
-    b = A x + residual with x in Fractions, by cross-multiplication, then
-    division by the gcd with the denominator.  Reducing against a prefix of
-    the pivots solves the system over the columns up to the last of them,
-    so a caller can ask for a solution after any prefix.  The solution
-    depends only on the linear relations among the columns and b, and any
-    injective Q-linear map of the rows leaves it unchanged."""
-
-    def __init__(self, rhs: Sequence[int], den: int):
-        self._residual, self._den = list(rhs), den
-        self._x: dict = {}
-
-    def reduce(self, pivots: Iterable) -> bool:
-        """Reduce against the pivots in order; whether the residual is zero."""
-        size = len(self._residual)
-        for row, vec in pivots:
-            r, p = self._residual[row], vec[row]
-            if r:
-                # b - (r / (den p)) times the pivot vector and its combination
-                den = self._den * p
-                for j, c in enumerate(vec[size:]):
-                    if c:
-                        self._x[j] = self._x.get(j, _ZERO) + Fraction(r * c, den)
-                res = [p * v - r * w for v, w in zip(self._residual, vec)]
-                g = math.gcd(den, *res) * (1 if den > 0 else -1)
-                self._residual, self._den = [v // g for v in res], den // g
-        return not any(self._residual)
-
-    def solution(self, ncols: int) -> list:
-        """The canonical solution over ncols columns, free variables zero,
-        once reduce has found the residual zero."""
-        return [self._x.get(j, _ZERO) for j in range(ncols)]
+            g = math.gcd(*vec)
+            pivots.append((row, [v // g for v in vec]))
+    size, x = len(rhs), [_ZERO] * len(cols)
+    for row, vec in pivots:
+        r, p = rhs[row], vec[row]
+        if r:
+            # rhs - (r / (den p)) times the pivot vector and its combination
+            den *= p
+            for j, c in enumerate(vec[size:]):
+                if c:
+                    x[j] += Fraction(r * c, den)
+            rhs = [p * v - r * w for v, w in zip(rhs, vec)]
+            g = math.gcd(den, *rhs) * (1 if den > 0 else -1)
+            rhs, den = [v // g for v in rhs], den // g
+    return None if any(rhs) else x
 
 
 def solve_linear_system(rows: Sequence[Sequence[Fraction]],
                         rhs: Sequence[Fraction]) -> Optional[list]:
-    """Solve A x = b over the rationals by column-at-a-time elimination,
-    each column scaled to integers and the solution scaled back.
-
-    Returns the canonical solution, Fractions with the free variables zero
-    and the greedy pivot columns carrying the coefficients, or None when the
-    system is inconsistent; no rows give [].
+    """Solve A x = b over the rationals by _solve_columns, each column
+    scaled to integers and the solution scaled back: the canonical
+    solution, or None when the system is inconsistent; no rows give [].
     """
     cols = [_over_lcm(col) for col in zip(*rows)]
-    elim = _ColumnElimination()
-    for col, _ in cols:
-        elim.add_column(col)
-    reduction = _Reduction(*_over_lcm(rhs))
-    if not reduction.reduce(elim.pivots):
-        return None
-    return [x * scale for x, (_, scale) in zip(reduction.solution(elim.ncols), cols)]
+    x = _solve_columns([col for col, _ in cols], *_over_lcm(rhs))
+    return None if x is None else [v * scale for v, (_, scale) in zip(x, cols)]

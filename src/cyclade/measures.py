@@ -43,11 +43,10 @@ from .exact import (
     euler_phi,
     series_from_integers,
     sign_of_real,
-    _ColumnElimination,
-    _Reduction,
     _check_order,
     _cyclo_rational,
     _over_lcm,
+    _solve_columns,
 )
 from .graphs import GraphFamily
 
@@ -160,8 +159,8 @@ class CyclotomicMeasure:
 
     def embed(self, order: int) -> "CyclotomicMeasure":
         """The same measure at a multiple of its order: the period repeated."""
-        if order % self.order:
-            raise ValueError(f"{order} is not a multiple of {self.order}")
+        if order <= 0 or order % self.order:
+            raise ValueError(f"{order} is not a positive multiple of {self.order}")
         if order == self.order:
             return self
         return _from_moments(order, self.moments * (order // self.order), self.den)
@@ -520,29 +519,22 @@ def expand_over_level(e: CyclotomicMeasure, limit: int) -> Optional[dict]:
     moments 2k, k < n (an inverse DFT in u^2, by the symmetry u -> -u), and
     so by this block (the reflection identity): the map to the rows is
     Q-linear and injective, so the pivots and the canonical solution are
-    those of the system over the weights.  One elimination takes the
-    uniform columns, then those of degree 1, 2, ..., reducing the doubled
-    moments of e against each degree's new pivots, and stops at the first
-    degree whose residual is zero: pivots are found in column order, so a
-    consistent prefix's canonical solution is every longer system's, padded
-    with zeros.
+    those of the system over the weights.  The columns are the uniform
+    ones, then those of degree 1, 2, ..., up to min(limit, n - 1), and one
+    elimination solves them all at once; pivots are found in column order,
+    so the canonical solution is that of the first consistent degree,
+    padded with zeros.
     """
     support = e.minimal_support_order()
     if support is None:
         return {}
     n = support // 2
     nums, den = _even_moments(e, n // 2)
-    elim, reduction = _ColumnElimination(), _Reduction([2 * v for v in nums], den)
-    labels = []
-    for l in range(min(limit, n - 1) + 1):
-        done = len(elim.pivots)
-        for m in range(l + 1, n + 1):
-            if n % m == 0:
-                elim.add_column(_moment_column(l, m, n // 2))
-                labels.append((l, m))
-        if reduction.reduce(elim.pivots[done:]):
-            return {lab: c for lab, c in zip(labels, reduction.solution(len(labels))) if c}
-    return None
+    labels = [(l, m) for l in range(min(limit, n - 1) + 1)
+              for m in range(l + 1, n + 1) if n % m == 0]
+    x = _solve_columns([_moment_column(l, m, n // 2) for l, m in labels],
+                       [2 * v for v in nums], den)
+    return None if x is None else {lab: c for lab, c in zip(labels, x) if c}
 
 
 def level(e: CyclotomicMeasure) -> int:

@@ -27,10 +27,9 @@ from cyclade.exact import (
     series_invert,
     sign_of_real,
     solve_linear_system,
-    _ColumnElimination,
-    _Reduction,
     _cos_table,
     _pi_fixed,
+    _solve_columns,
     euler_phi,
 )
 from oracles import (
@@ -483,6 +482,25 @@ def test_series_order_discipline():
     assert b.truncate(4) == a
 
 
+_NEGATIVE_ORDER_SERIES = {
+    "PowerSeries": lambda order: PowerSeries(order, [1] * (order + 1)),
+    "from_list": lambda order: PowerSeries.from_list([1] * (order + 1)),
+    "zero": PowerSeries.zero,
+    "one": PowerSeries.one,
+    "monomial": lambda order: PowerSeries.monomial(0, order),
+    "truncate": lambda order: PowerSeries.one(4).truncate(order),
+}
+
+
+@pytest.mark.parametrize("name", _NEGATIVE_ORDER_SERIES)
+def test_negative_series_order_is_refused(name):
+    # the constructors and truncate refuse order -1 with the message of the
+    # other series routines; order 0 still works
+    with pytest.raises(ValueError, match="^order must be nonnegative, got -1$"):
+        _NEGATIVE_ORDER_SERIES[name](-1)
+    assert _NEGATIVE_ORDER_SERIES[name](0).order == 0
+
+
 # ---------------------------------------------------------------------------
 # linear solver
 # ---------------------------------------------------------------------------
@@ -573,19 +591,15 @@ def _integer_columns(draw):
 @example(([[1, 0], [0, 0], [1, 2]], [1, 4], 3))
 @example(([[2, 4], [1, 2]], [1, 3], 5))
 def test_column_elimination_matches_rref_on_every_prefix(system):
-    # the column phase one column at a time, the right-hand side reduced
-    # against each new pivot: after each column the solution is that of the
-    # prefix
+    # each prefix of the columns solved as a system of its own; a consistent
+    # prefix's solution, padded with zeros, is also the whole system's
     cols, rhs, den = system
-    elim, reduction = _ColumnElimination(), _Reduction(rhs, den)
     target = [Fraction(b, den) for b in rhs]
+    whole = _solve_columns(cols, rhs, den)
     for j in range(len(cols) + 1):
-        done = len(elim.pivots)
-        if j:
-            elim.add_column(cols[j - 1])
-        consistent = reduction.reduce(elim.pivots[done:])
-        sol = reduction.solution(j) if consistent else None
+        sol = _solve_columns(cols[:j], rhs, den)
         assert sol == rref_solve([[c[i] for c in cols[:j]] for i in range(len(rhs))], target)
         if sol is not None:
             assert len(sol) == j
             assert all(type(c) is Fraction for c in sol)
+            assert whole == sol + [0] * (len(cols) - j)

@@ -435,6 +435,11 @@ def _assert_level_matches_loop(e):
     assert loop[value] is not None
     for k, want in loop.items():
         assert expand_over_level(e, k) == want
+    # from the level on, the canonical solution only gains zero columns, up
+    # to n, past which the column list stops growing
+    support = e.minimal_support_order()
+    for k in range(value + 2, (support or 0) // 2 + 1):
+        assert expand_over_level(e, k) == loop[value]
 
 
 _SUPPORT_FACTOR = {"d": 2, "dprime": 4, "ddoubleprime": 12, "dtripleprime": 6}
@@ -741,3 +746,9 @@ def test_minimal_support_order():
     assert embedded.minimal_support_order() == 6
     zero = lincomb([(Fraction(0), basic_measure("d", 3))])
     assert zero.minimal_support_order() is None
+
+
+@pytest.mark.parametrize("order", [0, -4, 6])
+def test_embed_needs_a_positive_multiple(order):
+    with pytest.raises(ValueError, match=f"^{order} is not a positive multiple of 4$"):
+        basic_measure("d", 2).embed(order)
