@@ -19,8 +19,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Rational = Fraction
 
@@ -41,10 +40,10 @@ class OrderMismatch(ValueError):
     """Truncated series of different orders were compared."""
 
 
-def _check_order(order: int) -> None:
-    """The one refusal of a negative order by the series and count routines."""
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+def _check_order(value: int, name: str = "order") -> None:
+    """The one refusal of a negative order, or of a negative power of q."""
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +86,15 @@ class QPolynomial:
         return f"QPolynomial({list(self.coeffs)!r})"
 
 
+def _mobius_pairs(order: int) -> List[Tuple[int, int]]:
+    """(q, mu(q)) for the squarefree divisors q of order, 1 first."""
+    pairs = [(1, 1)]
+    for p in range(2, order + 1):
+        if order % p == 0 and all(p % f for f in range(2, p)):
+            pairs += [(q * p, -mu) for q, mu in pairs]
+    return pairs
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_poly(order: int) -> QPolynomial:
     """The monic polynomial whose roots are the primitive order-th roots of
@@ -102,14 +110,8 @@ def cyclotomic_poly(order: int) -> QPolynomial:
         raise ValueError("order must be positive")
     if order == 1:
         return QPolynomial([-1, 1])
-    primes = [p for p in range(2, order + 1)
-              if order % p == 0 and all(p % f for f in range(2, p))]
-    phi = order
-    for p in primes:
-        phi = phi // p * (p - 1)
-    mobius = [(1, 1)]  # (q, mu(q)) for the squarefree divisors q
-    for p in primes:
-        mobius += [(q * p, -mu) for q, mu in mobius]
+    mobius = _mobius_pairs(order)
+    phi = sum(mu * (order // q) for q, mu in mobius)
     out = [1] + [0] * phi
     for q, mu in mobius:
         d = order // q
@@ -393,106 +395,6 @@ def cyclo_as_rational(z: CyclotomicNumber) -> Fraction:
     return Fraction(z.nums[0], z.den)
 
 
-# tables of _cos_table kept; a registry run signs weights at about 40 orders
-COS_TABLE_CACHE_SIZE = 128
-
-
-@lru_cache(maxsize=COS_TABLE_CACHE_SIZE)
-def _pi_fixed(p: int) -> int:
-    """An integer within 4p + 30 of 2^p pi, by Machin's formula
-    pi = 16 arctan(1/5) - 4 arctan(1/239).
-
-    arctan(1/x) = sum_k (-1)^k / ((2k+1) x^(2k+1)); nested floor divisions
-    by positive integers make each term floor(2^p / ((2k+1) x^(2k+1))),
-    within 1 of its value.  The sum stops at the first K with
-    x^(2K+1) > 2^p, where the alternating tail of decreasing terms is below
-    1, so each arctan is within K + 1 of 2^p arctan(1/x), with
-    K <= (p / log2(x) + 1) / 2: below 0.22p + 0.5 for x = 5 and 0.07p + 0.5
-    for x = 239, and 16 (0.22p + 1.5) + 4 (0.07p + 1.5) < 4p + 30."""
-    def arctan_inverse(x: int) -> int:
-        total, power, k = 0, (1 << p) // x, 0
-        while power:
-            term = power // (2 * k + 1)
-            total += -term if k % 2 else term
-            power //= x * x
-            k += 1
-        return total
-    return 16 * arctan_inverse(5) - 4 * arctan_inverse(239)
-
-
-@lru_cache(maxsize=COS_TABLE_CACHE_SIZE)
-def _cos_table(order: int, bits: int) -> Tuple[int, ...]:
-    """T_j within 1 of 2^b cos(2 pi j / N) for j < phi(N), b = bits,
-    N = order, in integer fixed point at p = b + g bits, g = bitlen(b) + 6.
-
-    Reduction: with k = round(4j / N) and a = 4j - kN, |a| <= N/2 and
-    2 pi j / N = k pi/2 + phi with phi = pi a / (2N), |phi| <= pi/4; so
-    cos(2 pi j / N) is cos|phi|, -sgn(a) sin|phi|, -cos|phi| or
-    sgn(a) sin|phi| for k = 0, 1, 2, 3 mod 4.  X = floor(P |a| / (2N)), P
-    from _pi_fixed(p), is within (4p + 30) / 4 + 1 = p + 8.5 of 2^p |phi|,
-    and X < 2^p as p >= 8.
-
-    Taylor series at x = X / 2^p: the terms c_n = 2^p x^n / n! (n even for
-    cos, odd for sin) are computed as t = c exactly for the first and
-    t' = floor(t X^2 / (2^2p (n+1)(n+2))) after it (a shift, then a floor
-    division by (n+1)(n+2): nested floors); the ratio is below 1/2,
-    so by induction c - 2 < t <= c, and the terms decrease.  The sum stops
-    at the first t = 0, where c < 2 bounds the alternating tail; a nonzero
-    t needs c >= 1, so n! <= 2^p, n <= p + 1 and there are at most
-    p/2 + 1.5 terms.  The sum is within 2 (p/2 + 1.5) + 2 = p + 5 of
-    2^p cos x or 2^p sin x, and both are 1-Lipschitz, so the signed sum V
-    is within E < 2p + 13.5 of 2^p cos(2 pi j / N).
-
-    Rounding: with L = bitlen(b) >= 1, b and L are at most 2^L - 1, so
-    p <= 2^(L+1) + 4 and E < 4 2^L + 21.5 < 16 2^L = 2^(g-2); T_j, V / 2^g
-    rounded, is then within 1/4 + 1/2 < 1 of 2^b cos(2 pi j / N)."""
-    guard = bits.bit_length() + 6
-    p = bits + guard
-    pi, one, half = _pi_fixed(p), 1 << p, 1 << (guard - 1)
-    table = []
-    for j in range(euler_phi(order)):
-        k = (8 * j + order) // (2 * order)
-        a = 4 * j - k * order
-        x = pi * abs(a) // (2 * order)
-        n = k % 2  # the first Taylor exponent: 0 for cos, 1 for sin
-        term, total, square = x if n else one, 0, x * x
-        while term:
-            total += -term if n % 4 >= 2 else term
-            term = (term * square >> 2 * p) // ((n + 1) * (n + 2))
-            n += 2
-        if k % 4 in ((1, 2) if a >= 0 else (2, 3)):
-            total = -total
-        table.append((total + half) >> guard)
-    return tuple(table)
-
-
-def sign_of_real(z: CyclotomicNumber) -> int:
-    """Sign of a real cyclotomic number, certified in fixed point.
-
-    With z = sum v_j zeta^j / den real, x = den z = sum v_j cos(2 pi j / N).
-    Each T_j from _cos_table at b bits is within 1 of 2^b cos(2 pi j / N),
-    by the integer fixed-point error bound proved there, so S = sum v_j T_j
-    is within V = sum |v_j| of 2^b x, and |S| > V gives the sign; otherwise
-    b doubles.
-    The cap b = phi(N) bitlen(V) + 2 always succeeds: x is a nonzero
-    algebraic integer, so its norm has modulus at least 1, and each of its
-    other phi(N) - 1 conjugates has modulus at most V, so |x| >= V^-(phi-1),
-    2^b |x| > 4 V and |S| > 3 V."""
-    if z.is_zero():
-        return 0
-    if not z.is_real():
-        raise ValueError("sign is defined for real elements only")
-    bound = sum(map(abs, z.nums))
-    cap = len(z.nums) * bound.bit_length() + 2
-    bits = min(64, cap)
-    while True:
-        s = sum(map(mul, z.nums, _cos_table(z.order, bits)))
-        if abs(s) > bound:
-            return 1 if s > 0 else -1
-        assert bits < cap, "sign not separated at the norm bound"
-        bits = min(2 * bits, cap)
-
-
 # ---------------------------------------------------------------------------
 # Truncated power series over Q
 # ---------------------------------------------------------------------------
@@ -531,6 +433,7 @@ class PowerSeries(_IntegersOverDenominator):
 
     @classmethod
     def monomial(cls, k: int, order: int) -> "PowerSeries":
+        _check_order(k, "power")
         _check_order(order)
         cs = [0] * (order + 1)
         if k <= order:
@@ -592,7 +495,8 @@ class PowerSeries(_IntegersOverDenominator):
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "PowerSeries":
-        """Multiply by q**k, truncating at the same order."""
+        """Multiply by q**k, k >= 0, truncating at the same order."""
+        _check_order(k, "power")
         return series_from_integers(([0] * k + list(self.nums))[: self.order + 1], self.den)
 
     def __repr__(self):

@@ -11,10 +11,10 @@ and moment 2(n - k) = moment -2k = moment 2k: the stored period gives them
 all.  The weights are derived on read by the inverse transform, one orbit
 weight for the atoms u, 1/u, -u and -1/u.
 
-Every operation but display and the sign test of is_probability runs on the
-sequences: the uniform measures have closed forms, a density convolves the
-base sequence with its coefficients, a combination adds the sequences
-repeated to a common period, and equality compares them.
+Only display reads the weights; all else runs on the sequences: the
+uniform measures have closed forms, a density convolves the base sequence
+with its coefficients, a combination adds the sequences repeated to a
+common period, equality compares them, is_probability reads the signs.
 The one place that validates symmetry and realness is the public
 constructor CyclotomicMeasure(N, weights), which takes the full list of N
 weights and raises NotRational for a measure with an irrational moment.
@@ -42,9 +42,9 @@ from .exact import (
     cyclotomic_poly,
     euler_phi,
     series_from_integers,
-    sign_of_real,
     _check_order,
     _cyclo_rational,
+    _mobius_pairs,
     _over_lcm,
     _solve_columns,
 )
@@ -153,9 +153,38 @@ class CyclotomicMeasure:
         return not any(self.moments)
 
     def is_probability(self) -> bool:
+        """Whether the mass is 1 and every weight is at least 0, the signs
+        decided in integers from the moments, one primitive stratum at a time.
+
+        In the notation of level, the weight at u is W(u^2)/2, and on the
+        primitive d-th roots s, d | n, n W(s) = sum_r a_r s^-r, where a_r,
+        the sum of the M_k over k < n with k = r mod d, equals a_(-r).  So
+        the weights there are the conjugates sigma_j(f), sigma_j: z -> z^j,
+        of f = sum_r a_r z^r, z = zeta_d, over 2n.  f lies in the totally
+        real field K = Q(z + 1/z) of degree h = max(1, phi(d)/2), and as
+        Tr_K(f y^2) = sum_sigma sigma(f) sigma(y)^2 with K dense in its real
+        span, they are all >= 0 exactly when y -> Tr_K(f y^2) is positive
+        semidefinite.  On the basis C_t = z^t + z^-t, t < h, of K (C_0 = 2,
+        C_t monic of degree t in C_1), C_i C_j = C_(i+j) + C_|i-j| makes its
+        Gram matrix t(i+j) + t(|i-j|) up to a positive factor:
+        t(m) = sum_r a_r c_d(r + m) is the trace of f z^m over Q(z), twice
+        that over K for d >= 3 and even in m as f is real, and c_d(k), the
+        trace of z^k, is the Ramanujan sum over the squarefree q | d of
+        mu(q) (d/q) [(d/q) | k]; c_d(0) = phi(d).  _is_psd decides each.
+        """
         if self.mass() != 1:
             return False
-        return all(sign_of_real(w) >= 0 for w in self.reps)
+        n = self.minimal_support_order() // 2
+        m = self.moments[:n]
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            a = [sum(m[r::d]) for r in range(d)]
+            pairs = _mobius_pairs(d)
+            c = [sum(mu * (d // q) for q, mu in pairs if k % (d // q) == 0) for k in range(d)]
+            h = max(1, c[0] // 2)
+            t = [sum(x * c[(r + k) % d] for r, x in enumerate(a) if x) for k in range(2 * h - 1)]
+            if not _is_psd([[t[i + j] + t[abs(i - j)] for j in range(h)] for i in range(h)]):
+                return False
+        return True
 
     def embed(self, order: int) -> "CyclotomicMeasure":
         """The same measure at a multiple of its order: the period repeated."""
@@ -439,7 +468,7 @@ def candidate_measure(family: GraphFamily, variant: str) -> CyclotomicMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Expansion over polynomial densities and the level invariant
+# Expansion over polynomial densities, the level invariant and nonnegativity
 # ---------------------------------------------------------------------------
 
 def one_minus_power(l: int) -> QPolynomial:
@@ -591,3 +620,19 @@ def level(e: CyclotomicMeasure) -> int:
                         v[abs(lo - j)] -= f * cj
         best = max(best, next((t for t in range(h - 1, 0, -1) if v[t]), 0))
     return best
+
+
+def _is_psd(rows: List[List[int]]) -> bool:
+    """Whether a symmetric integer matrix is positive semidefinite, by
+    fraction-free symmetric elimination: a pivot p < 0, or p = 0 with a
+    nonzero row a, refutes it; p = 0 with a = 0 drops the row; p > 0 leaves
+    p A_22 - a a^T, the Schur complement times p, over its content."""
+    while rows:
+        p, *a = rows.pop(0)
+        if p < 0 or p == 0 and any(a):
+            return False
+        rows = [row[1:] if p == 0 else [p * v - x * y for v, y in zip(row[1:], a)]
+                for x, row in zip(a, rows)]
+        g = math.gcd(*[v for row in rows for v in row]) or 1
+        rows = [[v // g for v in row] for row in rows]
+    return True

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._value import Value
-from .exact import PowerSeries, QPolynomial, cyclo_make, series_from_integers
+from .exact import PowerSeries, QPolynomial, _check_order, cyclo_make, series_from_integers
 from .graphs import EXCEPTIONAL_TAGS, FAMILY_TAGS, GraphFamily, build_ade, loop_counts
 from .transforms import (
     t_closed_form,
@@ -39,7 +39,6 @@ from .measures import (
     cyclotomic_expansion,
     density_measure,
     etilde_ternary,
-    expand_over_level,
     first_atom_difference,
     level,
     lincomb,
@@ -125,6 +124,7 @@ class RunContext:
     """Shared inputs plus a cache of per-family pipeline results."""
 
     def __init__(self, order: int, sizes: Optional[Dict[str, Sequence[int]]] = None):
+        _check_order(order)
         self.order = order
         self.sizes = DEFAULT_SIZE_MATRIX if sizes is None else sizes
         self._cache: Dict[tuple, object] = {}
@@ -379,9 +379,9 @@ def _alpha12_weight_cases(ctx: RunContext):
 
 
 def _n12_infeasible_cases(ctx: RunContext):
-    alpha12 = atom_measure("alpha", "d", 12)
-    yield "uniform-only expansion", expand_over_level(alpha12, 0), None
-    yield "expansion with degree-1 densities", expand_over_level(alpha12, 1) is None, False
+    value = level(atom_measure("alpha", "d", 12))
+    yield "uniform-only expansion", None if value > 0 else f"level {value}", None
+    yield "expansion with degree-1 densities", value > 1, False
 
 
 def _check_level_ade(ctx: RunContext):
@@ -655,9 +655,9 @@ def _run_one(check_id: str, runner, ctx: RunContext) -> CheckResult:
 def run_all(order: int = 64, size_matrix: Optional[Dict[str, Sequence[int]]] = None,
             only: Optional[str] = None) -> VerificationReport:
     """Run every registered check (or those matching the glob) and report.
-    A glob that matches no check id is a ValueError, not an empty report; so
-    is a size matrix with an unknown tag or a parameter out of range, found
-    by building every family of it before any check runs."""
+    A glob that matches no check id, a negative order and a size matrix with
+    an unknown tag or a parameter out of range (each family of it is built)
+    are ValueErrors raised before any check runs, not an empty report."""
     checks = [(check_id, runner) for check_id, runner in registry().items()
               if not only or fnmatch.fnmatchcase(check_id, only)]
     if only and not checks:
@@ -673,7 +673,7 @@ def run_all(order: int = 64, size_matrix: Optional[Dict[str, Sequence[int]]] = N
 
 
 def verify_identity(check_id: str, order: int = 64) -> CheckResult:
-    """Run one registered check by its identifier."""
+    """Run one registered check by its identifier at a nonnegative order."""
     reg = registry()
     if check_id not in reg:
         raise UnknownCheckId(check_id)

@@ -7,17 +7,17 @@ two-product loop counts, both theta routes as an integer binomial sum and
 as Horner's rule with running alternating sums, the closed-form T series in
 Fraction lists, the T series and the expansion from one moment per
 coefficient, each a dense sum over the weights, pushforward moments by
-cyclotomic powering, and the sign of a real cyclotomic number at 60 digits;
-root_of_unity, which builds the powers of a root that tests start from, and
-rational_by_constructor, a rational element through the public constructor.
-Only tests use them.
+cyclotomic powering, the sign of a real cyclotomic number at 60 digits and
+positive semidefiniteness by principal minors; root_of_unity, which builds
+the powers of a root that tests start from, and rational_by_constructor, a
+rational element through the public constructor.  Only tests use them.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import mpmath
 
@@ -295,3 +295,19 @@ def sign_at_60_digits(z):
         if abs(v) < mpmath.mpf("1e-40"):
             raise ArithmeticError("cannot certify sign numerically")
         return 1 if v > 0 else -1
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * v * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, v in enumerate(rows[0]) if v)
+
+
+def is_psd_by_minors(rows):
+    """A symmetric matrix is positive semidefinite exactly when every
+    principal minor is at least 0."""
+    h = len(rows)
+    return all(_det([[rows[i][j] for j in idx] for i in idx]) >= 0
+               for size in range(1, h + 1) for idx in combinations(range(h), size))

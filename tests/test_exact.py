@@ -8,7 +8,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclade.exact import (
     CyclotomicNumber,
@@ -25,10 +25,7 @@ from cyclade.exact import (
     cyclotomic_poly,
     series_compose,
     series_invert,
-    sign_of_real,
     solve_linear_system,
-    _cos_table,
-    _pi_fixed,
     _solve_columns,
     euler_phi,
 )
@@ -38,7 +35,6 @@ from oracles import (
     rational_by_constructor,
     root_of_unity,
     rref_solve,
-    sign_at_60_digits,
 )
 
 
@@ -129,83 +125,6 @@ def test_cyclo_as_rational_errors():
     sqrt2 = cyclo_make(8, {1: 1, 7: 1})
     with pytest.raises(NotRational):
         cyclo_as_rational(sqrt2)
-
-
-def test_sign_of_real():
-    sqrt2 = cyclo_make(8, {1: 1, 7: 1})
-    assert sign_of_real(sqrt2) == 1
-    assert sign_of_real(-sqrt2) == -1
-    assert sign_of_real(CyclotomicNumber.zero(8)) == 0
-    with pytest.raises(ValueError):
-        sign_of_real(root_of_unity(4))
-
-
-def test_sign_of_real_below_the_old_cutoff():
-    # 2 cos(2 pi / 7) less its continued-fraction convergent p/q: about
-    # -2e-43, below the 1e-40 where a 60-digit evaluation gives up
-    c = cyclo_make(7, {1: 1, 6: 1})
-    z = c - Fraction(2242447542050952017134, 1798303304533465276219)
-    assert sign_of_real(z) == -1
-    assert sign_of_real(-z) == 1
-    with pytest.raises(ArithmeticError):
-        sign_at_60_digits(z)
-
-
-@st.composite
-def _real_cyclo(draw):
-    """z + conj(z) for a random z at a random order, less a rational
-    approximation of its value to a drawn number of digits, so that values
-    near zero occur; kept when its value is above 1e-30 times 1 plus the sum
-    of its absolute coordinates, where a 60-digit evaluation, whose error
-    grows with the coordinates, certifies the sign."""
-    order = draw(st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24, 30, 60]))
-    z = cyclo_make(order, draw(st.dictionaries(
-        st.integers(0, order - 1), st.fractions(max_denominator=10**6).filter(bool),
-        min_size=1, max_size=6)))
-    x = z + cyclo_conj(z)
-    digits = draw(st.none() | st.integers(0, 28))
-    with mpmath.workdps(60):
-        if digits is not None:
-            x = x - Fraction(int(mpmath.nint(x.numeric(dps=60).real * 10**digits)), 10**digits)
-        scale = 1 + mpmath.mpf(sum(map(abs, x.nums))) / x.den
-        assume(abs(x.numeric(dps=60).real) > mpmath.mpf("1e-30") * scale)
-    return x
-
-
-@settings(max_examples=100, deadline=None)
-@given(_real_cyclo())
-def test_sign_of_real_matches_60_digit_oracle(x):
-    assert sign_of_real(x) == sign_at_60_digits(x)
-
-
-def test_sign_of_real_below_the_60_digit_error():
-    # coordinates near 4e33 cancel to about -1.7e-28, below the error of a
-    # 60-digit evaluation, which reads it as positive; 200 digits agree with
-    # the fixed-point sign
-    b = Fraction(15597921100178076515202865192501247, 7)
-    x = CyclotomicNumber(24, [Fraction(-2690434790550214577557977726147563461544022620263278861731577,
-                                       625000000000000000000000000), b, 0, b, 0, 0, 0, -b])
-    assert sign_of_real(x) == -1
-    with mpmath.workdps(200):
-        assert mpmath.mpf("-2e-28") < x.numeric(dps=200).real < mpmath.mpf("-1e-28")
-
-
-@pytest.mark.parametrize("bits", [64, 128, 1024])
-def test_cos_table_within_one_of_200_bit_oracle(bits):
-    # the one property sign_of_real's certificate uses, against mpmath at
-    # 200 bits beyond the table's precision
-    for order in [*range(1, 261), 498, 996]:
-        table = _cos_table.__wrapped__(order, bits)
-        assert len(table) == euler_phi(order)
-        with mpmath.workprec(bits + 200):
-            for j, t in enumerate(table):
-                assert abs(t - mpmath.ldexp(mpmath.cospi(mpmath.mpf(2 * j) / order), bits)) < 1
-
-
-def test_pi_fixed_within_its_bound():
-    for p in [8, 9, 64, 75, 1035, 4000]:
-        with mpmath.workprec(p + 100):
-            assert abs(_pi_fixed(p) - mpmath.ldexp(mpmath.pi, p)) < 4 * p + 30
 
 
 def test_library_and_non_display_commands_leave_mpmath_unloaded():
@@ -499,6 +418,23 @@ def test_negative_series_order_is_refused(name):
     with pytest.raises(ValueError, match="^order must be nonnegative, got -1$"):
         _NEGATIVE_ORDER_SERIES[name](-1)
     assert _NEGATIVE_ORDER_SERIES[name](0).order == 0
+
+
+_NEGATIVE_POWER_SERIES = {
+    "monomial": lambda k: PowerSeries.monomial(k, 5),
+    "shift": lambda k: PowerSeries.from_list([1, 2, 3]).shift(k),
+}
+
+
+@pytest.mark.parametrize("k", [-1, -7])
+@pytest.mark.parametrize("name", _NEGATIVE_POWER_SERIES)
+def test_negative_power_of_q_is_refused(name, k):
+    # one message from both, not q^5, an unshifted series or an IndexError;
+    # power 0 is the identity or the constant 1
+    with pytest.raises(ValueError, match=f"^power must be nonnegative, got {k}$"):
+        _NEGATIVE_POWER_SERIES[name](k)
+    assert PowerSeries.monomial(0, 5) == PowerSeries.one(5)
+    assert PowerSeries.from_list([1, 2, 3]).shift(0) == PowerSeries.from_list([1, 2, 3])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cyclade.exact import (
     CyclotomicNumber,
@@ -33,17 +34,20 @@ from cyclade.measures import (
     pushforward_real,
     reconstruct_expansion,
     t_series_of_measure,
+    _is_psd,
 )
 from cyclade.transforms import xi_expand
 from cyclade.verify import DEFAULT_SIZE_MATRIX
 from oracles import (
     expand_over_level_loop,
     expansion_by_moments,
+    is_psd_by_minors,
     level_loop,
     moment_by_dense_sum,
     pushforward_moments_by_powering,
     rational_by_constructor,
     root_of_unity,
+    sign_at_60_digits,
     t_series_by_moments,
 )
 
@@ -446,14 +450,14 @@ _SUPPORT_FACTOR = {"d": 2, "dprime": 4, "ddoubleprime": 12, "dtripleprime": 6}
 
 
 @st.composite
-def _atom_sums(draw):
+def _atom_sums(draw, low=-3):
     """A signed sum of up to three atoms whose supports divide one support
-    order <= 60; terms may cancel."""
+    order <= 60, with coefficients in [low, 3]; terms may cancel."""
     support = draw(st.sampled_from([12, 20, 24, 30, 40, 60]))
     atoms = [(name, kind, m) for name in ("d", "alpha", "beta", "gamma")
              for kind, factor in _SUPPORT_FACTOR.items() if support % factor == 0
              for m in range(1, support // factor + 1) if (support // factor) % m == 0]
-    terms = draw(st.lists(st.tuples(st.fractions(-3, 3, max_denominator=4),
+    terms = draw(st.lists(st.tuples(st.fractions(low, 3, max_denominator=4),
                                     st.sampled_from(atoms)), min_size=1, max_size=3))
     return lincomb([(c, basic_measure(kind, m) if name == "d"
                      else density_measure(DENSITY_POLYS[name], kind, m))
@@ -752,3 +756,133 @@ def test_minimal_support_order():
 def test_embed_needs_a_positive_multiple(order):
     with pytest.raises(ValueError, match=f"^{order} is not a positive multiple of 4$"):
         basic_measure("d", 2).embed(order)
+
+
+# ---------------------------------------------------------------------------
+# is_probability, decided from the moments
+# ---------------------------------------------------------------------------
+
+def _signs_at_60_digits(e):
+    return [sign_at_60_digits(w) for w in e.reps]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_atom_sums(low=-1))
+def test_is_probability_matches_60_digit_signs(e):
+    # rescaled to mass 1 where the mass is not 0; a draw is skipped only
+    # where the oracle cannot tell a weight's sign
+    if e.mass():
+        e = lincomb([(1 / e.mass(), e)])
+    try:
+        signs = _signs_at_60_digits(e)
+    except ArithmeticError:
+        assume(False)
+    assert e.is_probability() == (e.mass() == 1 and min(signs) >= 0)
+
+
+def test_every_default_candidate_is_a_probability_measure():
+    for tag, params in DEFAULT_SIZE_MATRIX.items():
+        for m in params:
+            for variant in ("thm71", "thm87"):
+                e = candidate_measure(GraphFamily(tag, m), variant)
+                assert e.is_probability(), (tag, m, variant)
+                assert min(_signs_at_60_digits(e)) >= 0
+
+
+def _on_strata(n, f, point_mass):
+    """The measure on the 2n-th roots with weights F(s + 1/s) at the atoms
+    +-u, s = u^2, F = f[0] + f[1] x + f[2] x^2, plus point_mass times the
+    point masses at +-1, rescaled to mass 1.  The density Re(P(s)) of
+    P = (f0 + 2 f2) + 2 f1 s + 2 f2 s^2 is F, as x^2 = s^2 + s^-2 + 2."""
+    f0, f1, f2 = f
+    e = lincomb([(1, density_measure(QPolynomial([f0 + 2 * f2, 2 * f1, 2 * f2]), "d", n)),
+                 (point_mass, basic_measure("d", 1))])
+    return lincomb([(1 / e.mass(), e)])
+
+
+# the convergent p/q of 2 cos(2 pi / 7) = 1.2469..., which it exceeds by
+# about 2e-43
+_CONVERGENT_7 = Fraction(2242447542050952017134, 1798303304533465276219)
+
+
+@pytest.mark.parametrize("f,expected", [
+    # p/q - x: its conjugates are about 2e-43, 1.69 and 3.05
+    ((_CONVERGENT_7, -1, 0), True),
+    # x (x - p/q): about -2.5e-43, 0.75 and 5.5
+    ((0, -_CONVERGENT_7, 1), False),
+], ids=["nonnegative", "negative"])
+def test_is_probability_below_the_60_digit_cutoff(f, expected):
+    # the weight at 2 cos(2 pi / 7) is below the 1e-40 where a 60-digit
+    # evaluation gives up; 200 digits agree with the exact answer
+    e = _on_strata(7, f, 1)
+    assert e.is_probability() is expected
+    with pytest.raises(ArithmeticError):
+        sign_at_60_digits(e.reps[1])
+    with mpmath.workdps(200):
+        value = e.reps[1].numeric(dps=200).real
+        assert (value > 0) is expected and abs(value) < mpmath.mpf("1e-43")
+    assert min(sign_at_60_digits(w) for r, w in enumerate(e.reps) if r != 1) > 0
+
+
+_B = Fraction(15597921100178076515202865192501247, 7)
+_A = Fraction(2690434790550214577557977726147563461544022620263278861731577,
+              625000000000000000000000000)
+
+
+@pytest.mark.parametrize("f,expected", [
+    # A - B x, x = 2 cos(pi/12): coordinates near 4e33 cancel to about 1.7e-28
+    ((_A, -_B, 0), True),
+    # (B x - A)(x - 9/5): negative at that conjugate only
+    ((Fraction(9, 5) * _A, -_A - Fraction(9, 5) * _B, _B), False),
+], ids=["nonnegative", "negative"])
+def test_is_probability_below_the_60_digit_error(f, expected):
+    # the weight at 2 cos(pi / 12) is below the error of a 60-digit
+    # evaluation, whose error grows with the coordinates; 200 digits agree
+    # with the exact answer
+    e = _on_strata(24, f, _B)
+    assert e.is_probability() is expected
+    with mpmath.workdps(200):
+        value = e.reps[1].numeric(dps=200).real
+        assert (value > 0) is expected and abs(value) < mpmath.mpf("1e-28")
+
+
+@pytest.mark.parametrize("n,f,negative", [
+    # (x + 2)(x + 1): negative at x = -sqrt(2) only
+    (8, (2, 3, 1), [3]),
+    # (x + 2)(x + 3/2): zero at x = -2, positive elsewhere
+    (8, (3, Fraction(7, 2), 1), []),
+    # 2x + 1 = +-sqrt(5) on the primitive fifth roots, whose trace is 0
+    (5, (1, 2, 0), [2]),
+], ids=["sqrt2-negative", "sqrt2-nonnegative", "sqrt5-trace-zero"])
+def test_is_probability_on_a_quadratic_stratum(n, f, negative):
+    e = _on_strata(n, f, 0)
+    assert e.is_probability() is not negative
+    assert [r for r, w in enumerate(e.reps) if sign_at_60_digits(w) < 0] == negative
+
+
+@pytest.mark.parametrize("c,expected", [(Fraction(199, 100), False), (2, True)],
+                         ids=["negative", "nonnegative"])
+def test_is_probability_on_a_large_prime_stratum(c, expected):
+    # c - x on the 83rd roots: 2 cos(2 pi / 83) = 1.9943 exceeds 1.99, and
+    # no other conjugate does, so at c = 1.99 the two weights at
+    # s = zeta^+-1 are the only negative ones; c = 2 is 2 alpha_83
+    e = _on_strata(83, (c, -1, 0), 1)
+    assert e.is_probability() is expected
+    assert [r for r, w in enumerate(e.reps) if sign_at_60_digits(w) < 0] == ([] if expected else [1])
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """B B^T for an integer B of up to four rows, often singular, plus a
+    diagonal in {-1, 0, 1} that may break semidefiniteness."""
+    h, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    b = [draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)) for _ in range(h)]
+    diag = draw(st.lists(st.sampled_from([0, 0, 0, -1, 1]), min_size=h, max_size=h))
+    return [[sum(x * y for x, y in zip(b[i], b[j])) + (diag[i] if i == j else 0)
+             for j in range(h)] for i in range(h)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_matrices())
+def test_is_psd_matches_principal_minors(rows):
+    assert _is_psd([list(row) for row in rows]) == is_psd_by_minors(rows)

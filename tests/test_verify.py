@@ -185,6 +185,17 @@ def test_bad_size_matrix_is_a_value_error(sizes, message):
         run_all(order=8, size_matrix=sizes, only="prop5.7/*")
 
 
+@pytest.mark.parametrize("run", [lambda: run_all(order=-1),
+                                 lambda: run_all(order=-1, only="prop3.3/*"),
+                                 lambda: verify_identity("prop3.3/A", order=-1)],
+                         ids=["run_all", "run_all-only", "verify_identity"])
+def test_negative_order_is_refused_up_front(run):
+    # refused before any check runs, not reported as a mix of passes and
+    # failed checks
+    with pytest.raises(ValueError, match="^order must be nonnegative, got -1$"):
+        run()
+
+
 def test_report_records_are_mutable_values():
     # a report compares field by field and is not hashable, as a mutable
     # record should be; its results list starts empty and is its own
