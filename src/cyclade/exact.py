@@ -106,14 +106,11 @@ def cyclotomic_poly(order: int) -> QPolynomial:
     series truncated at that degree: multiplying by 1 - x^d is a difference
     and dividing by it a running sum with stride d.
     """
-    if order < 1:
-        raise ValueError("order must be positive")
+    phi = euler_phi(order)
     if order == 1:
         return QPolynomial([-1, 1])
-    mobius = _mobius_pairs(order)
-    phi = sum(mu * (order // q) for q, mu in mobius)
     out = [1] + [0] * phi
-    for q, mu in mobius:
+    for q, mu in _mobius_pairs(order):
         d = order // q
         if d > phi:
             continue
@@ -128,7 +125,10 @@ def cyclotomic_poly(order: int) -> QPolynomial:
 
 @lru_cache(maxsize=None)
 def euler_phi(order: int) -> int:
-    return cyclotomic_poly(order).degree
+    """The number of k in 1..order coprime to order, sum mu(q) order/q."""
+    if order < 1:
+        raise ValueError("order must be positive")
+    return sum(mu * (order // q) for q, mu in _mobius_pairs(order))
 
 
 @lru_cache(maxsize=None)

@@ -121,7 +121,10 @@ class VerificationReport(Value):
 
 
 class RunContext:
-    """Shared inputs plus a cache of per-family pipeline results."""
+    """One run's order and size matrix, and a memo of what its checks share:
+    per family the loop counts, thetas, graph T series and candidates; each
+    xi expansion, keyed by its text; each measure T series, keyed by the
+    moment sequence.  A check is timed with the shared values it computes."""
 
     def __init__(self, order: int, sizes: Optional[Dict[str, Sequence[int]]] = None):
         _check_order(order)
@@ -161,9 +164,14 @@ class RunContext:
         return self._memo(("measure", fam, variant),
                           lambda: candidate_measure(fam, variant))
 
-    def candidate_t(self, fam: GraphFamily, variant: str) -> PowerSeries:
-        return self._memo(("measure-t", fam, variant), lambda: t_series_of_measure(
-            self.candidate(fam, variant), self.order))
+    def xi(self, text: str) -> PowerSeries:
+        return self._memo(("xi", text), lambda: xi_expand(exprs.parse_xi_expr(text),
+                                                          self.order))
+
+    def measure_t(self, e: CyclotomicMeasure) -> PowerSeries:
+        # the only fields t_series_of_measure reads, so equal measures share it
+        return self._memo(("measure-t", e.moments, e.den),
+                          lambda: t_series_of_measure(e, self.order))
 
 
 # --- the runner: every check is a table of (label, got, expected) cases -----
@@ -251,12 +259,12 @@ def _prop34_cases(ctx: RunContext):
 def _prop36_cases(ctx: RunContext, fam: GraphFamily):
     uniform = basic_measure("d", fam.param // 2)
     yield "candidate vs uniform measure", ctx.candidate(fam, "thm71"), uniform
-    yield "uniform measure T", t_series_of_measure(uniform, ctx.order), ctx.graph_t(fam)
+    yield "uniform measure T", ctx.measure_t(uniform), ctx.graph_t(fam)
 
 
 def _thm71_cases(ctx: RunContext, fam: GraphFamily):
     e = ctx.candidate(fam, "thm71")
-    yield "T series", ctx.candidate_t(fam, "thm71"), ctx.graph_t(fam)
+    yield "T series", ctx.measure_t(e), ctx.graph_t(fam)
     yield "probability measure", e.is_probability(), True
     # cross-multiplied over the two denominators; only an unequal pair is a case
     nums, den = _pushforward_moments(e, ctx.order // 2)
@@ -267,15 +275,11 @@ def _thm71_cases(ctx: RunContext, fam: GraphFamily):
 
 
 def _thm87_cases(ctx: RunContext, fam: GraphFamily):
-    yield "ternary T series", ctx.candidate_t(fam, "thm87"), ctx.graph_t(fam)
+    yield "ternary T series", ctx.measure_t(ctx.candidate(fam, "thm87")), ctx.graph_t(fam)
     yield "ternary vs binary form", ctx.candidate(fam, "thm87"), ctx.candidate(fam, "thm71")
 
 
 # --- series tables ----------------------------------------------------------
-
-def _xi(text: str, order: int) -> PowerSeries:
-    return xi_expand(exprs.parse_xi_expr(text), order)
-
 
 _SAMPLE_POLYS = tuple(QPolynomial(c) for c in (
     [1], [1, -1], [1, Fraction(1, 2)], [1, -1, 1], [1, 0, 0, -1], [1, -2, 1]))
@@ -288,8 +292,7 @@ def _closed_form_cases(instances):
     def cases(ctx: RunContext):
         for label, poly, n, variant in instances:
             e = density_measure(poly, "d" if variant == "unprimed" else "dprime", n)
-            yield (label, t_closed_form(poly, n, variant, ctx.order),
-                   t_series_of_measure(e, ctx.order))
+            yield label, t_closed_form(poly, n, variant, ctx.order), ctx.measure_t(e)
     return cases
 
 
@@ -310,8 +313,7 @@ def _measure_xi_cases(instances):
     density P, base kind, n, xi text), P = 1 for the base measure itself."""
     def cases(ctx: RunContext):
         for label, poly, kind, n, text in instances:
-            yield (label, t_series_of_measure(density_measure(poly, kind, n), ctx.order),
-                   _xi(text, ctx.order))
+            yield label, ctx.measure_t(density_measure(poly, kind, n)), ctx.xi(text)
     return cases
 
 
@@ -427,10 +429,10 @@ def _check_etilde_constant(ctx: RunContext):
     forms = {tag: [(c, etilde_ternary(ell, c)) for c in (Fraction(1, 2), Fraction(1, 3))]
              for tag, ell in ETILDE_ELL.items()}
     order = max(ctx.order, *[e.order // 4 for pair in forms.values() for _, e in pair])
+    at = ctx if order == ctx.order else RunContext(order)
     winners = []
     for tag, pair in forms.items():
-        t = (ctx if order == ctx.order else RunContext(order)).graph_t(GraphFamily(tag))
-        matches = [c for c, e in pair if t_series_of_measure(e, order) == t]
+        matches = [c for c, e in pair if at.measure_t(e) == at.graph_t(GraphFamily(tag))]
         if len(matches) != 1:
             return "fail", f"{tag}: {len(matches)} constants match"
         winners.append(matches[0])
@@ -532,20 +534,18 @@ def _corrected_identity(lhs: str, printed: str, corrected: str) -> Callable:
 
 # --- xi identity catalog ----------------------------------------------------
 
-def _xi_sum(order: int, terms) -> PowerSeries:
-    total = PowerSeries.zero(order)
+def _xi_sum(ctx: RunContext, terms) -> PowerSeries:
+    total = PowerSeries.zero(ctx.order)
     for coef, text, shift in terms:
-        series = _xi(text, order)
-        if shift:
-            series = series.shift(shift)
-        total = total + series * Fraction(coef)
+        series = ctx.xi(text)
+        total = total + (series.shift(shift) if shift else series) * Fraction(coef)
     return total
 
 
 def _xi_cases(table):
     """table: list of (label, lhs_terms, rhs_terms); terms are
     (coefficient, xi text, monomial shift)."""
-    return lambda ctx: ((label, _xi_sum(ctx.order, lhs), _xi_sum(ctx.order, rhs))
+    return lambda ctx: ((label, _xi_sum(ctx, lhs), _xi_sum(ctx, rhs))
                         for label, lhs, rhs in table)
 
 

@@ -66,6 +66,14 @@ def test_cyclotomic_poly_matches_division_oracle():
         assert cyclotomic_poly(n) == cyclotomic_poly_by_division(n)
 
 
+def test_euler_phi_counts_the_coprime_residues():
+    for d in range(1, 1001):
+        assert euler_phi(d) == sum(math.gcd(k, d) == 1 for k in range(1, d + 1)), d
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="^order must be positive$"):
+            euler_phi(bad)
+
+
 def _convolve(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

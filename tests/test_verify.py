@@ -1,9 +1,10 @@
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from cyclade import verify
+from cyclade import exprs, verify
 from cyclade.graphs import GraphFamily
 from cyclade.measures import atom_measure, basic_measure
 from cyclade.verify import (
@@ -218,3 +219,33 @@ def test_run_context_memo_keys_on_family_value():
     # the exceptional default and the explicit digit are one memo entry
     ctx = RunContext(8)
     assert ctx.counts(GraphFamily("E7")) is ctx.counts(GraphFamily("E7", 7))
+
+
+@pytest.mark.parametrize("order", [8, 64])
+def test_a_check_alone_answers_as_in_a_full_run(order, full_report):
+    # the run's memo is shared between checks, so no answer may depend on
+    # which checks ran before it
+    report = full_report if order == 64 else run_all(order=order)
+    for r in report.results:
+        alone = verify_identity(r.check_id, order)
+        assert (alone.status, alone.details) == (r.status, r.details), r.check_id
+
+
+def test_each_shared_series_is_computed_once(monkeypatch):
+    parsed, t_series = Counter(), Counter()
+    parse, t_of = exprs.parse_xi_expr, verify.t_series_of_measure
+
+    def counting_parse(text):
+        parsed[text] += 1
+        return parse(text)
+
+    def counting_t(e, order):
+        # discrepancy/Etilde-constant reads T series at an order of its own
+        t_series[e.moments, e.den, order] += 1
+        return t_of(e, order)
+
+    monkeypatch.setattr(exprs, "parse_xi_expr", counting_parse)
+    monkeypatch.setattr(verify, "t_series_of_measure", counting_t)
+    assert not run_all(order=8, size_matrix=SMALL_MATRIX).failures
+    assert parsed and max(parsed.values()) == 1
+    assert t_series and max(t_series.values()) == 1
