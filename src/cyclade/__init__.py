@@ -5,15 +5,12 @@ from .exact import (
     CyclotomicNumber,
     NotRational,
     PowerSeries,
-    QPolynomial,
     Rational,
     cyclo_as_rational,
     cyclo_conj,
     cyclo_embed,
     cyclo_make,
     cyclotomic_poly,
-    series_compose,
-    series_invert,
 )
 from .graphs import (
     FAMILY_TAGS,

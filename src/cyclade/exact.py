@@ -1,6 +1,5 @@
-"""Exact arithmetic substrate: rational polynomials as coefficient records,
-truncated power series, and cyclotomic field elements in canonically
-reduced form.
+"""Exact arithmetic substrate: cyclotomic polynomials, truncated power
+series, and cyclotomic field elements in canonically reduced form.
 
 Everything here is immutable and pure.  Rational numbers are
 ``fractions.Fraction`` (re-exported as ``Rational``); cyclotomic field
@@ -8,9 +7,10 @@ elements are coordinate vectors over the power basis of the N-th cyclotomic
 field, reduced modulo the N-th cyclotomic polynomial.  Cyclotomic numbers
 and power series store their coordinates as integers over one positive
 denominator in lowest terms, so structural equality decides field equality;
-``.coeffs`` derives the Fractions.  A polynomial is only a record of its
-coefficients: all arithmetic, polynomial arithmetic included, runs on
-integer lists over one denominator.
+``.coeffs`` derives the Fractions.  A polynomial is the tuple of its
+coefficients, constant term first (ints for a cyclotomic polynomial); all
+arithmetic, polynomial arithmetic included, runs on integer lists over one
+denominator.
 """
 
 from __future__ import annotations
@@ -47,44 +47,8 @@ def _check_order(value: int, name: str = "order") -> None:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over Q
+# Cyclotomic polynomials
 # ---------------------------------------------------------------------------
-
-class QPolynomial:
-    """Dense rational coefficients, constant term first: a plain value with
-    no arithmetic, read by its consumers through ``coeffs``.
-
-    Trailing zeros are stripped on construction; the zero polynomial has an
-    empty coefficient tuple and degree -1.
-    """
-
-    __slots__ = ("coeffs", "_hash")
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-        self._hash = hash(self.coeffs)  # a memo key: hashing Fractions is slow
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"QPolynomial({list(self.coeffs)!r})"
-
 
 def _mobius_pairs(order: int) -> List[Tuple[int, int]]:
     """(q, mu(q)) for the squarefree divisors q of order, 1 first."""
@@ -96,9 +60,9 @@ def _mobius_pairs(order: int) -> List[Tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(order: int) -> QPolynomial:
+def cyclotomic_poly(order: int) -> Tuple[int, ...]:
     """The monic polynomial whose roots are the primitive order-th roots of
-    unity.
+    unity, as its integer coefficients, constant term first.
 
     For order > 1 it is the product of (1 - x^d)^mu(order/d) over the
     divisors d, a polynomial of degree phi(order).  Only the d with
@@ -108,7 +72,7 @@ def cyclotomic_poly(order: int) -> QPolynomial:
     """
     phi = euler_phi(order)
     if order == 1:
-        return QPolynomial([-1, 1])
+        return (-1, 1)
     out = [1] + [0] * phi
     for q, mu in _mobius_pairs(order):
         d = order // q
@@ -120,7 +84,7 @@ def cyclotomic_poly(order: int) -> QPolynomial:
         else:
             for i in range(d, phi + 1):
                 out[i] += out[i - d]
-    return QPolynomial(out)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +106,7 @@ def _reduction_rows(order: int):
     an int.
     """
     phi = euler_phi(order)
-    tail = [int(c) for c in cyclotomic_poly(order).coeffs[:phi]]
+    tail = cyclotomic_poly(order)[:phi]
     top = max(order - 1, 2 * phi - 2)
     dense = [[int(i == e) for i in range(phi)] for e in range(phi)]
     for e in range(phi, top + 1):
@@ -430,21 +394,6 @@ class PowerSeries(_IntegersOverDenominator):
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
         return cls.from_list([1], order)
-
-    @classmethod
-    def monomial(cls, k: int, order: int) -> "PowerSeries":
-        _check_order(k, "power")
-        _check_order(order)
-        cs = [0] * (order + 1)
-        if k <= order:
-            cs[k] = 1
-        return series_from_integers(cs)
-
-    def truncate(self, order: int) -> "PowerSeries":
-        _check_order(order)
-        if order > self.order:
-            raise OrderMismatch(f"cannot extend order {self.order} to {order}")
-        return series_from_integers(self.nums[: order + 1], self.den)
 
     def __getitem__(self, i: int) -> Fraction:
         return Fraction(self.nums[i], self.den)

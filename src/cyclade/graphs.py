@@ -51,6 +51,8 @@ class GraphFamily(FrozenValue):
     def __init__(self, tag: str, param: int = 0):
         if tag not in FAMILY_TAGS:
             raise UnsupportedFamily(f"unknown family tag {tag!r}")
+        if not isinstance(param, int):
+            raise ParameterOutOfRange(f"{tag} parameter must be an int, got {param!r}")
         if tag in _SERIES:
             least, even, message = _SERIES[tag]
             if param < least or (even and param % 2):
@@ -73,20 +75,18 @@ class GraphFamily(FrozenValue):
 
 
 class RootedBipartiteGraph(FrozenValue):
-    """Multigraph with a distinguished root of parity 0; neighbours[v] lists
-    each neighbour of v once per edge between them."""
+    """Connected bipartite multigraph with a distinguished root;
+    neighbours[v] lists each neighbour of v once per edge between them."""
 
-    __slots__ = ("vertex_count", "neighbours", "root", "parity")
+    __slots__ = ("vertex_count", "neighbours", "root")
 
-    def __init__(self, vertex_count: int, neighbours: Tuple[Tuple[int, ...], ...],
-                 root: int, parity: Tuple[int, ...]):
+    def __init__(self, vertex_count: int, neighbours: Tuple[Tuple[int, ...], ...], root: int):
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "neighbours", neighbours)
         object.__setattr__(self, "root", root)
-        object.__setattr__(self, "parity", parity)
 
     def _key(self):
-        return self.vertex_count, self.neighbours, self.root, self.parity
+        return self.vertex_count, self.neighbours, self.root
 
     def degree(self, v: int) -> int:
         return len(self.neighbours[v])
@@ -114,7 +114,7 @@ def _finish(edges, n, root) -> RootedBipartiteGraph:
             raise ValueError("self-loop in adjacency")
         if parity[u] == parity[v]:
             raise ValueError("edge inside one parity class")
-    return RootedBipartiteGraph(n, tuple(map(tuple, neighbours)), root, tuple(parity))
+    return RootedBipartiteGraph(n, tuple(map(tuple, neighbours)), root)
 
 
 def build_ade(family: GraphFamily) -> RootedBipartiteGraph:

@@ -35,7 +35,6 @@ from ._value import FrozenValue
 from .exact import (
     CyclotomicNumber,
     PowerSeries,
-    QPolynomial,
     cyclo_as_rational,
     cyclo_embed,
     cyclo_from_integers,
@@ -61,10 +60,11 @@ class SupportTooLarge(ValueError):
 
 BASE_KINDS = ("d", "dprime", "ddoubleprime", "dtripleprime")
 
+# the density polynomials P, as their coefficients, constant term first
 DENSITY_POLYS = {
-    "alpha": QPolynomial([1, -1]),
-    "beta": QPolynomial([1, 0, -1]),
-    "gamma": QPolynomial([1, 0, 0, -1]),
+    "alpha": (1, -1),
+    "beta": (1, 0, -1),
+    "gamma": (1, 0, 0, -1),
 }
 
 # memo size for basic_measure and density_measure; a registry run uses about
@@ -302,19 +302,20 @@ def basic_measure(kind: str, n: int) -> CyclotomicMeasure:
 
 
 @lru_cache(maxsize=ATOM_CACHE_SIZE)
-def density_measure(poly: QPolynomial, kind: str, n: int) -> CyclotomicMeasure:
+def density_measure(poly: Tuple, kind: str, n: int) -> CyclotomicMeasure:
     """Multiply a base uniform measure by the density Re(P(u^2)) atom by atom.
 
-    The density is the sum of c_i (u^(2i) + u^(-2i)) / 2 over the
-    coefficients c_i of P, so moment 2k becomes the sum of
-    c_i (M_(k+i) + M_(k-i)) / 2, M_j the moment 2j of the base measure, in
-    integers over the denominators of P and of the base moments.  Signed,
-    null and sub-probability results are allowed (these arise for
-    n <= deg P, where the density vanishes or folds onto smaller supports).
+    P is the tuple of its rational coefficients c_i, constant term first,
+    and the density is the sum of c_i (u^(2i) + u^(-2i)) / 2, so moment 2k
+    becomes the sum of c_i (M_(k+i) + M_(k-i)) / 2, M_j the moment 2j of
+    the base measure, in integers over the denominators of P and of the
+    base moments.  Signed, null and sub-probability results are allowed
+    (these arise for n <= deg P, where the density vanishes or folds onto
+    smaller supports).
     Memoized: the result is shared and must not be mutated.
     """
     base = basic_measure(kind, n)
-    pnums, pden = _over_lcm(poly.coeffs)
+    pnums, pden = _over_lcm(poly)
     m, period = base.moments, len(base.moments)
     terms = [(i, c) for i, c in enumerate(pnums) if c]
     return _from_moments(base.order, [sum(c * (m[(k + i) % period] + m[(k - i) % period])
@@ -471,9 +472,9 @@ def candidate_measure(family: GraphFamily, variant: str) -> CyclotomicMeasure:
 # Expansion over polynomial densities, the level invariant and nonnegativity
 # ---------------------------------------------------------------------------
 
-def one_minus_power(l: int) -> QPolynomial:
+def one_minus_power(l: int) -> Tuple[int, ...]:
     """The polynomial 1 - x^l, whose density Re(1 - u^(2l)) has degree l."""
-    return QPolynomial([1] + [0] * (l - 1) + [-1])
+    return (1,) + (0,) * (l - 1) + (-1,)
 
 
 def cyclotomic_expansion(e: CyclotomicMeasure, n: int) -> ExpansionResult:
@@ -606,14 +607,14 @@ def level(e: CyclotomicMeasure) -> int:
             break
         a = [sum(m[r::d]) for r in range(d)]
         v = [a[t] + a[d - t] if 0 < 2 * t < d else a[t] for t in range(d // 2 + 1)]
-        c = cyclotomic_poly(d).coeffs
-        upper = [(j, int(c[h + j])) for j in range(1, h + 1) if c[h + j]]
+        c = cyclotomic_poly(d)
+        upper = [(j, c[h + j]) for j in range(1, h + 1) if c[h + j]]
         for top in range(d // 2, h - 1, -1):
             f, lo = v[top], top - h
             if f:
                 # f C_lo times the minimal polynomial, whose term j = h
                 # cancels f C_top
-                v[lo] -= f * int(c[h])
+                v[lo] -= f * c[h]
                 for j, cj in upper:
                     v[lo + j] -= f * cj
                     if lo:

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import add
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from ._value import FrozenValue
-from .exact import PowerSeries, QPolynomial, _check_order, _over_lcm, series_from_integers
+from .exact import PowerSeries, _check_order, _over_lcm, series_from_integers
 from .graphs import GraphFamily
 
 
@@ -183,25 +183,28 @@ def graph_t_series(counts: PowerSeries, order: int) -> PowerSeries:
     return t_from_theta(theta_from_poincare_subst(counts, order))
 
 
-def t_closed_form(poly: QPolynomial, n: int, variant: str,
+def t_closed_form(poly: Sequence, n: int, variant: str,
                   order: int = 64) -> PowerSeries:
-    """Expansion of (P(q) +- q^n P(1/q)) / ((1-q)(1 -+ q^n)).
+    """Expansion of (P(q) +- q^n P(1/q)) / ((1-q)(1 -+ q^n)), P given by its
+    rational coefficients, constant term first.
 
     The unprimed variant takes + and (1 - q^n); the primed variant takes -
     and (1 + q^n).  Requires deg P < n and P(0) = 1, which makes the
-    numerator a genuine polynomial.  The numerator is written straight
-    into an integer list over the common denominator of P, coefficient s of
-    P at s and, with the sign, at n - s; the two divisions are running sums.
+    numerator a genuine polynomial; deg P is the index of the last nonzero
+    coefficient.  The numerator is written straight into an integer list
+    over the common denominator of P, coefficient s of P at s and, with the
+    sign, at n - s; the two divisions are running sums.
     """
     _check_order(order)
     if variant not in ("unprimed", "primed"):
         raise ValueError(f"unknown variant {variant!r}")
-    if poly.degree >= n:
-        raise DegreeTooLarge(f"deg {poly.degree} >= {n}")
-    if poly.is_zero() or poly.coeffs[0] != 1:
+    degree = max((s for s, v in enumerate(poly) if v), default=-1)
+    if degree >= n:
+        raise DegreeTooLarge(f"deg {degree} >= {n}")
+    if degree < 0 or poly[0] != 1:
         raise ValueError("polynomial must have constant term 1")
     sign = 1 if variant == "unprimed" else -1
-    nums, den = _over_lcm(poly.coeffs)
+    nums, den = _over_lcm(poly[: degree + 1])
     out = [0] * (order + 1)
     for s, v in enumerate(nums):
         if s <= order:

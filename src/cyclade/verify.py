@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._value import Value
-from .exact import PowerSeries, QPolynomial, _check_order, cyclo_make, series_from_integers
+from .exact import PowerSeries, _check_order, cyclo_make, series_from_integers
 from .graphs import EXCEPTIONAL_TAGS, FAMILY_TAGS, GraphFamily, build_ade, loop_counts
 from .transforms import (
     t_closed_form,
@@ -281,8 +281,7 @@ def _thm87_cases(ctx: RunContext, fam: GraphFamily):
 
 # --- series tables ----------------------------------------------------------
 
-_SAMPLE_POLYS = tuple(QPolynomial(c) for c in (
-    [1], [1, -1], [1, Fraction(1, 2)], [1, -1, 1], [1, 0, 0, -1], [1, -2, 1]))
+_SAMPLE_POLYS = ((1,), (1, -1), (1, Fraction(1, 2)), (1, -1, 1), (1, 0, 0, -1), (1, -2, 1))
 
 
 def _closed_form_cases(instances):
@@ -297,15 +296,15 @@ def _closed_form_cases(instances):
 
 
 def _lemma_cases(variant: str):
-    return _closed_form_cases([(f"P={list(poly.coeffs)} n={n}", poly, n, variant)
-                               for poly in _SAMPLE_POLYS for n in {poly.degree + 1, 7, 10}
-                               if n > poly.degree])
+    return _closed_form_cases([(f"P={list(map(Fraction, poly))} n={n}", poly, n, variant)
+                               for poly in _SAMPLE_POLYS for n in {len(poly), 7, 10}
+                               if n >= len(poly)])
 
 
 _SWEEP_CASES = _closed_form_cases([(f"{name} {variant} n={n}", poly, n, variant)
                                    for name, poly in DENSITY_POLYS.items()
                                    for variant in ("unprimed", "primed")
-                                   for n in range(poly.degree + 1, 21)])
+                                   for n in range(len(poly), 21)])
 
 
 def _measure_xi_cases(instances):
@@ -334,7 +333,7 @@ _DENSITY_XI_ROWS = (
 
 def _density_table_cases(kind: str):
     return _measure_xi_cases([
-        (f"{name} n={n}", DENSITY_POLYS.get(name, QPolynomial([1])), kind, n,
+        (f"{name} n={n}", DENSITY_POLYS.get(name, (1,)), kind, n,
          (on_d if kind == "d" else on_dprime).format(n=n, m1=n - 1, m2=n - 2, m3=n - 3))
         for name, start, on_d, on_dprime in _DENSITY_XI_ROWS for n in range(start, 21)])
 

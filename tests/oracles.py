@@ -9,8 +9,9 @@ Fraction lists, the T series and the expansion from one moment per
 coefficient, each a dense sum over the weights, pushforward moments by
 cyclotomic powering, the sign of a real cyclotomic number at 60 digits and
 positive semidefiniteness by principal minors; root_of_unity, which builds
-the powers of a root that tests start from, and rational_by_constructor, a
-rational element through the public constructor.  Only tests use them.
+the powers of a root that tests start from, rational_by_constructor, a
+rational element through the public constructor, and the series q^k and
+the truncation to a lower order.  Only tests use them.
 """
 
 import math
@@ -23,15 +24,34 @@ import mpmath
 
 from cyclade.exact import (
     CyclotomicNumber,
+    OrderMismatch,
     PowerSeries,
-    QPolynomial,
     cyclo_as_rational,
     cyclo_from_integers,
     cyclo_make,
     euler_phi,
     series_from_integers,
+    _check_order,
 )
 from cyclade.measures import ExpansionResult, basic_measure, density_measure
+
+
+def monomial(k, order):
+    """The power series q^k truncated at the order, 0 when k > order."""
+    _check_order(k, "power")
+    _check_order(order)
+    cs = [0] * (order + 1)
+    if k <= order:
+        cs[k] = 1
+    return series_from_integers(cs)
+
+
+def truncate(s, order):
+    """The series s cut down to a smaller or equal order."""
+    _check_order(order)
+    if order > s.order:
+        raise OrderMismatch(f"cannot extend order {s.order} to {order}")
+    return series_from_integers(s.nums[: order + 1], s.den)
 
 
 def root_of_unity(order, exponent=1):
@@ -96,7 +116,7 @@ def expand_over_level_loop(e, limit):
         if l == 0:
             basis.append(basic_measure("d", m).embed(order))
         else:
-            poly = QPolynomial([1] + [0] * (l - 1) + [-1])
+            poly = (1,) + (0,) * (l - 1) + (-1,)
             basis.append(density_measure(poly, "d", m).embed(order))
     positions = [t * (order // support) for t in range(support // 4 + 1)]
     phi = euler_phi(order)
@@ -155,7 +175,7 @@ def _cyclotomic_ints_by_division(order):
 def cyclotomic_poly_by_division(order):
     """x**order - 1 divided by the cyclotomic polynomials of the lower
     divisors, each a monic integer list, by integer long division."""
-    return QPolynomial(_cyclotomic_ints_by_division(order))
+    return tuple(_cyclotomic_ints_by_division(order))
 
 
 def loop_counts_two_products(graph, count):
@@ -212,7 +232,7 @@ def t_closed_form_by_fractions(poly, n, variant, order):
     to length n + 1 plus or minus its reversal, truncated or padded to the
     order, then one running sum and one running sum with stride n."""
     sign = 1 if variant == "unprimed" else -1
-    p = list(poly.coeffs) + [Fraction(0)] * (n + 1 - len(poly.coeffs))
+    p = list(map(Fraction, poly)) + [Fraction(0)] * (n + 1 - len(poly))
     out = [p[s] + sign * p[n - s] for s in range(n + 1)]
     out = (out + [Fraction(0)] * order)[: order + 1]
     for i in range(1, order + 1):

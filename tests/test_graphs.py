@@ -148,9 +148,16 @@ def test_bipartite_odd_powers_vanish():
             vec = [sum(vec[v] for v in g.neighbours[u]) for u in range(n)]
             if step % 2:
                 assert vec[g.root] == 0
-        assert all(g.parity[u] != g.parity[v]
-                   for u in range(n) for v in g.neighbours[u])
-        assert g.parity[g.root] == 0
+        # a two-colouring by distance from the root has no edge inside a class
+        side = {g.root: 0}
+        queue = [g.root]
+        for u in queue:
+            for v in g.neighbours[u]:
+                if v not in side:
+                    side[v] = 1 - side[u]
+                    queue.append(v)
+        assert len(side) == n
+        assert all(side[u] != side[v] for u in range(n) for v in g.neighbours[u])
 
 
 def test_count_bounds():
@@ -223,6 +230,14 @@ def test_exceptional_family_has_one_value():
             GraphFamily("E7", param)
 
 
+@pytest.mark.parametrize("tag,param", [("A", 3.5), ("A", "3"), ("Atilde", 4.0), ("E7", 7.0)])
+def test_non_int_parameter_is_refused(tag, param):
+    # refused by GraphFamily itself, not a TypeError from the bound check or
+    # a float that reaches build_ade
+    with pytest.raises(ParameterOutOfRange, match=f"^{tag} parameter must be an int, got "):
+        GraphFamily(tag, param)
+
+
 def test_family_and_graph_are_hashable_frozen_values():
     # equal families hash equally, the exceptional default included, so a
     # family built either way finds the same dict entry (as in the verify
@@ -238,7 +253,7 @@ def test_family_and_graph_are_hashable_frozen_values():
     assert g != build_ade(GraphFamily("Dtilde", 4))
     assert {g: 1}[build_ade(GraphFamily("D", 4))] == 1
     assert repr(g) == ("RootedBipartiteGraph(vertex_count=4, neighbours=((1,), (0, 2, 3), (1,), "
-                       "(1,)), root=0, parity=(0, 1, 0, 0))")
+                       "(1,)), root=0)")
     for value, name in ((e7, "param"), (g, "root"), (g, "vertex_count")):
         with pytest.raises(AttributeError):
             setattr(value, name, 0)

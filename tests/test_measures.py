@@ -8,12 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 from cyclade.exact import (
     CyclotomicNumber,
     NotRational,
-    QPolynomial,
     cyclo_as_rational,
     cyclo_conj,
     cyclo_make,
 )
-from cyclade.exprs import parse_measure_expr, parse_xi_expr
+from cyclade.exprs import _SUPPORT_FACTOR, parse_measure_expr, parse_xi_expr
 from cyclade.graphs import GraphFamily, build_ade, loop_counts
 from cyclade.measures import (
     BASE_KINDS,
@@ -21,6 +20,7 @@ from cyclade.measures import (
     CyclotomicMeasure,
     SupportTooLarge,
     SymmetryViolation,
+    atom_measure,
     basic_measure,
     candidate_measure,
     cyclotomic_expansion,
@@ -145,7 +145,7 @@ def _density_by_horner(poly, kind, n):
             continue
         x = root_of_unity(base.order, (2 * j) % base.order)
         value = None
-        for c in reversed(poly.coeffs):
+        for c in map(Fraction, reversed(poly)):
             value = c if value is None else value * x + c
         if not isinstance(value, Fraction):
             value = (value + cyclo_conj(value)) * Fraction(1, 2)
@@ -156,8 +156,7 @@ def _density_by_horner(poly, kind, n):
 @pytest.mark.parametrize("kind", BASE_KINDS)
 def test_density_matches_horner_oracle(kind):
     # alpha, beta, gamma are 1 - u^2, 1 - u^4, 1 - u^6; add higher 1 - u^(2l)
-    polys = list(DENSITY_POLYS.values()) + [QPolynomial([1] + [0] * (l - 1) + [-1])
-                                            for l in (5, 8)]
+    polys = list(DENSITY_POLYS.values()) + [one_minus_power(l) for l in (5, 8)]
     for poly in polys:
         for n in range(1, 21):
             e = density_measure(poly, kind, n)
@@ -246,7 +245,7 @@ def test_density_mass_table():
     # masses implied by their exceptional identities
     for name, poly in DENSITY_POLYS.items():
         for kind in ("d", "dprime", "ddoubleprime", "dtripleprime"):
-            for n in (poly.degree + 1, 8):
+            for n in (len(poly), 8):
                 e = density_measure(poly, kind, n)
                 assert e.mass() == 1
                 assert e.is_probability()
@@ -446,7 +445,13 @@ def _assert_level_matches_loop(e):
         assert expand_over_level(e, k) == loop[value]
 
 
-_SUPPORT_FACTOR = {"d": 2, "dprime": 4, "ddoubleprime": 12, "dtripleprime": 6}
+def test_support_factor_gives_each_atom_order():
+    # the parser caps an atom's support order at MAX_ATOM_SUPPORT through
+    # this table, so it must be the order atom_measure builds
+    for name in ("d", *DENSITY_POLYS):
+        for k, kind in enumerate(BASE_KINDS):
+            for n in range(1, 21):
+                assert _SUPPORT_FACTOR[k] * n == atom_measure(name, kind, n).order, (name, kind, n)
 
 
 @st.composite
@@ -455,7 +460,7 @@ def _atom_sums(draw, low=-3):
     order <= 60, with coefficients in [low, 3]; terms may cancel."""
     support = draw(st.sampled_from([12, 20, 24, 30, 40, 60]))
     atoms = [(name, kind, m) for name in ("d", "alpha", "beta", "gamma")
-             for kind, factor in _SUPPORT_FACTOR.items() if support % factor == 0
+             for kind, factor in zip(BASE_KINDS, _SUPPORT_FACTOR) if support % factor == 0
              for m in range(1, support // factor + 1) if (support // factor) % m == 0]
     terms = draw(st.lists(st.tuples(st.fractions(low, 3, max_denominator=4),
                                     st.sampled_from(atoms)), min_size=1, max_size=3))
@@ -795,7 +800,7 @@ def _on_strata(n, f, point_mass):
     point masses at +-1, rescaled to mass 1.  The density Re(P(s)) of
     P = (f0 + 2 f2) + 2 f1 s + 2 f2 s^2 is F, as x^2 = s^2 + s^-2 + 2."""
     f0, f1, f2 = f
-    e = lincomb([(1, density_measure(QPolynomial([f0 + 2 * f2, 2 * f1, 2 * f2]), "d", n)),
+    e = lincomb([(1, density_measure((f0 + 2 * f2, 2 * f1, 2 * f2), "d", n)),
                  (point_mass, basic_measure("d", 1))])
     return lincomb([(1 / e.mass(), e)])
 

@@ -180,7 +180,9 @@ def test_exceptional_parameter_other_than_its_digit_fails():
 
 
 @pytest.mark.parametrize("sizes,message", [({"F4": (4,)}, "unknown family tag 'F4'"),
-                                           ({"A": (1,)}, "A needs at least 2 vertices")])
+                                           ({"A": (1,)}, "A needs at least 2 vertices"),
+                                           ({"A": (3.5,)}, "A parameter must be an int, got 3.5"),
+                                           ({"A": ("3",)}, "A parameter must be an int, got '3'")])
 def test_bad_size_matrix_is_a_value_error(sizes, message):
     with pytest.raises(ValueError, match=message):
         run_all(order=8, size_matrix=sizes, only="prop5.7/*")
