@@ -1,12 +1,16 @@
 """Bases of the plain value classes: slotted, with the equality and repr a
-dataclass would give, and no import beyond the builtins."""
+dataclass would give, and no import beyond the builtins.  A subclass
+declares its fields once, as ``__slots__``, which all of these read."""
 
 
 class Value:
-    """Equality by the field tuple ``_key()`` that each subclass defines;
-    the repr lists the fields in ``__slots__`` order."""
+    """Equality by the field tuple ``_key()``, and the repr, in ``__slots__``
+    order."""
 
     __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -19,10 +23,15 @@ class Value:
 
 
 class FrozenValue(Value):
-    """A hashable Value; its __init__ sets the fields with
-    object.__setattr__, and assignment after that raises AttributeError."""
+    """A hashable Value, hashed as its field tuple; its __init__ sets the
+    fields through _freeze, and assignment after that raises AttributeError."""
 
     __slots__ = ()
+
+    def _freeze(self, *values) -> None:
+        """Set the __slots__ fields in order, one value each, else ValueError."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __hash__(self):
         return hash(self._key())

@@ -10,7 +10,9 @@ denominator in lowest terms, so structural equality decides field equality;
 ``.coeffs`` derives the Fractions.  A polynomial is the tuple of its
 coefficients, constant term first (ints for a cyclotomic polynomial); all
 arithmetic, polynomial arithmetic included, runs on integer lists over one
-denominator.
+denominator.  The two classes share one set of operators, and one in-place
+kernel multiplies or divides such a list by (1 +- q^d): the Mobius product
+of cyclotomic_poly and the xi forms and closed forms of transforms.
 """
 
 from __future__ import annotations
@@ -67,24 +69,31 @@ def cyclotomic_poly(order: int) -> Tuple[int, ...]:
     For order > 1 it is the product of (1 - x^d)^mu(order/d) over the
     divisors d, a polynomial of degree phi(order).  Only the d with
     order/d squarefree contribute, and the product runs in integers as power
-    series truncated at that degree: multiplying by 1 - x^d is a difference
-    and dividing by it a running sum with stride d.
+    series truncated at that degree, by the (1 +- x^d) factor kernel that
+    the xi forms share.
     """
-    phi = euler_phi(order)
     if order == 1:
         return (-1, 1)
-    out = [1] + [0] * phi
+    out = [1] + [0] * euler_phi(order)
     for q, mu in _mobius_pairs(order):
-        d = order // q
-        if d > phi:
-            continue
-        if mu == 1:
-            for i in range(phi, d - 1, -1):
-                out[i] -= out[i - d]
-        else:
-            for i in range(d, phi + 1):
-                out[i] += out[i - d]
+        (_times_factor if mu == 1 else _divide_factor)(out, order // q, False)
     return tuple(out)
+
+
+def _times_factor(out: list, d: int, plus: bool) -> None:
+    """out <- out * (1 +- q^d) in place, + if plus, truncated at its
+    length: a difference with stride d, from the top down."""
+    sign = 1 if plus else -1
+    for i in range(len(out) - 1, d - 1, -1):
+        out[i] += sign * out[i - d]
+
+
+def _divide_factor(out: list, d: int, plus: bool) -> None:
+    """out <- out / (1 +- q^d) in place, + if plus, truncated at its
+    length: a running sum with stride d."""
+    sign = -1 if plus else 1
+    for i in range(d, len(out)):
+        out[i] += sign * out[i - d]
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +146,10 @@ class _IntegersOverDenominator:
     """Storage shared by CyclotomicNumber and PowerSeries: the coordinates
     are the integers nums over one positive denominator den, with
     gcd(den, *nums) = 1, so the stored form is canonical and equal values
-    have equal fields."""
+    have equal fields.  It defines + - * and their reflected forms once, on
+    two hooks of each class: _align(other) gives both operands in one form,
+    or None for an operand of another type, and _product multiplies two
+    aligned ones."""
 
     __slots__ = ("order", "nums", "den")
 
@@ -165,9 +177,28 @@ class _IntegersOverDenominator:
         return _normalized(type(self), min(self.order, other.order),
                            [x * fa + y * fb for x, y in zip(self.nums, other.nums)], den)
 
-    def _times_rational(self, value):  # an int or a Fraction
-        return _normalized(type(self), self.order, [v * value.numerator for v in self.nums],
-                           self.den * value.denominator)
+    def __add__(self, other):
+        pair = self._align(other)
+        return NotImplemented if pair is None else pair[0]._plus(pair[1])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        pair = self._align(other)
+        return NotImplemented if pair is None else pair[0]._plus(pair[1], -1)
+
+    def __rsub__(self, other):
+        pair = self._align(other)
+        return NotImplemented if pair is None else pair[1]._plus(pair[0], -1)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _normalized(type(self), self.order, [v * other.numerator for v in self.nums],
+                               self.den * other.denominator)
+        pair = self._align(other)
+        return NotImplemented if pair is None else pair[0]._product(pair[1])
+
+    __rmul__ = __mul__
 
 
 def _normalized(cls, order: int, nums, den: int):
@@ -231,47 +262,34 @@ class CyclotomicNumber(_IntegersOverDenominator):
         return self == cyclo_conj(self)
 
     def __eq__(self, other) -> bool:
-        other = _as_cyclo(other)
-        if other is None:
+        pair = self._align(other)
+        if pair is None:
             return NotImplemented
-        a, b = _common_order(self, other)
+        a, b = pair
         return a.nums == b.nums and a.den == b.den
 
     __hash__ = None  # equality lifts across orders; use .coeffs at a fixed order as a key
 
-    def __add__(self, other) -> "CyclotomicNumber":
-        other = _as_cyclo(other)
-        if other is None:
-            return NotImplemented
-        a, b = _common_order(self, other)
-        return a._plus(b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "CyclotomicNumber":
-        other = _as_cyclo(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "CyclotomicNumber":
-        return (-self).__add__(other)  # NotImplemented for what __add__ rejects
-
-    def __mul__(self, other) -> "CyclotomicNumber":
+    def _align(self, other):
+        """Both operands at their least common order, a rational read at
+        the order of self; None for an operand of another type."""
         if isinstance(other, (int, Fraction)):
-            return self._times_rational(other)
+            return self, _cyclo_rational(self.order, other.numerator, other.denominator)
         if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        a, b = _common_order(self, other)
-        ys = [(j, y) for j, y in enumerate(b.nums) if y]
-        conv = [0] * (2 * euler_phi(a.order) - 1)
-        for i, x in enumerate(a.nums):
+            return None
+        if self.order == other.order:
+            return self, other
+        m = math.lcm(self.order, other.order)
+        return cyclo_embed(self, m), cyclo_embed(other, m)
+
+    def _product(self, other) -> "CyclotomicNumber":
+        ys = [(j, y) for j, y in enumerate(other.nums) if y]
+        conv = [0] * (2 * euler_phi(self.order) - 1)
+        for i, x in enumerate(self.nums):
             if x:
                 for j, y in ys:
                     conv[i + j] += x * y
-        return cyclo_from_integers(a.order, enumerate(conv), a.den * b.den)
-
-    __rmul__ = __mul__
+        return cyclo_from_integers(self.order, enumerate(conv), self.den * other.den)
 
     def numeric(self, dps: int = 30):
         """Complex value at the given working precision (mpmath)."""
@@ -286,21 +304,6 @@ class CyclotomicNumber(_IntegersOverDenominator):
 
     def __repr__(self):
         return f"CyclotomicNumber(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"
-
-
-def _as_cyclo(x) -> Optional[CyclotomicNumber]:
-    if isinstance(x, CyclotomicNumber):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CyclotomicNumber.from_rational(x, 1)
-    return None
-
-
-def _common_order(a: CyclotomicNumber, b: CyclotomicNumber):
-    if a.order == b.order:
-        return a, b
-    m = math.lcm(a.order, b.order)
-    return cyclo_embed(a, m), cyclo_embed(b, m)
 
 
 def cyclo_make(order: int, exponent_weights: Mapping[int, object]) -> CyclotomicNumber:
@@ -407,29 +410,15 @@ class PowerSeries(_IntegersOverDenominator):
 
     __hash__ = None
 
-    def _combine(self, other, sign: int) -> "PowerSeries":
+    def _align(self, other):
+        """A rational is read as the constant series of the order of self;
+        None for an operand of another type."""
         if isinstance(other, (int, Fraction)):
-            other = PowerSeries.from_list([other], self.order)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self._plus(other, sign)
+            return self, series_from_integers([other.numerator] + [0] * self.order,
+                                              other.denominator)
+        return (self, other) if isinstance(other, PowerSeries) else None
 
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._times_rational(other)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
+    def _product(self, other) -> "PowerSeries":
         k = min(self.order, other.order)
         ys = [(j, y) for j, y in enumerate(other.nums[: k + 1]) if y]
         out = [0] * (k + 1)
@@ -440,8 +429,6 @@ class PowerSeries(_IntegersOverDenominator):
                         break
                     out[i + j] += x * y
         return series_from_integers(out, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def shift(self, k: int) -> "PowerSeries":
         """Multiply by q**k, k >= 0, truncating at the same order."""

@@ -35,6 +35,10 @@ class EvaluationError(ValueError):
         super().__init__(f"{message} at position {position}")
 
 
+def _is_digit(c: str) -> bool:
+    return "0" <= c <= "9"  # not str.isdigit, which takes any script's digits
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -65,11 +69,15 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"unexpected {self.describe()}", start, ("integer",))
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # beyond the interpreter's integer conversion limit
+            raise ParseError(f"integer literal of {self.pos - start} digits is too long",
+                             start) from None
 
     def name(self) -> str:
         self.skip_ws()
@@ -186,11 +194,11 @@ def _factor(s: _Scanner):
         value = _sum(s)
         s.expect(")")
         return value
-    if c.isdigit():
+    if _is_digit(c):
         value, save = s.integer(), s.pos
         # a rational scalar like 3/2; leave the slash to the term when a
         # non-integer follows (that case is a parse error anyway)
-        if s.take("/") and s.peek().isdigit():
+        if s.take("/") and _is_digit(s.peek()):
             return Fraction(value, _divisor(s)[1])
         s.pos = save
         return value

@@ -61,11 +61,7 @@ class GraphFamily(FrozenValue):
             param = int(tag[1])
         else:
             raise ParameterOutOfRange(f"{tag} has parameter {tag[1]}")
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "param", param)
-
-    def _key(self):
-        return self.tag, self.param
+        self._freeze(tag, param)
 
     @property
     def label(self) -> str:
@@ -81,15 +77,24 @@ class RootedBipartiteGraph(FrozenValue):
     __slots__ = ("vertex_count", "neighbours", "root")
 
     def __init__(self, vertex_count: int, neighbours: Tuple[Tuple[int, ...], ...], root: int):
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "neighbours", neighbours)
-        object.__setattr__(self, "root", root)
-
-    def _key(self):
-        return self.vertex_count, self.neighbours, self.root
+        self._freeze(vertex_count, neighbours, root)
 
     def degree(self, v: int) -> int:
         return len(self.neighbours[v])
+
+
+def _distances(neighbours, root) -> Tuple[list, list]:
+    """The distance of each vertex from the root, -1 if unreached, and the
+    reached vertices in breadth-first order."""
+    dist = [-1] * len(neighbours)
+    dist[root] = 0
+    order = [root]
+    for u in order:
+        for v in neighbours[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                order.append(v)
+    return dist, order
 
 
 def _finish(edges, n, root) -> RootedBipartiteGraph:
@@ -97,22 +102,14 @@ def _finish(edges, n, root) -> RootedBipartiteGraph:
     for u, v, mult in edges:
         neighbours[u] += [v] * mult
         neighbours[v] += [u] * mult
-    # two-coloring by distance from the root; also certifies connectivity
-    parity = [-1] * n
-    parity[root] = 0
-    queue = [root]
-    while queue:
-        u = queue.pop()
-        for v in neighbours[u]:
-            if parity[v] == -1:
-                parity[v] = 1 - parity[u]
-                queue.append(v)
-    if -1 in parity:
+    # two-coloring by the parity of the distance; also certifies connectivity
+    dist = _distances(neighbours, root)[0]
+    if -1 in dist:
         raise ValueError("graph is not connected")
     for u, v, _ in edges:
         if u == v:
             raise ValueError("self-loop in adjacency")
-        if parity[u] == parity[v]:
+        if (dist[u] - dist[v]) % 2 == 0:
             raise ValueError("edge inside one parity class")
     return RootedBipartiteGraph(n, tuple(map(tuple, neighbours)), root)
 
@@ -171,14 +168,7 @@ def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:
     """
     _check_order(count)
     nbrs = graph.neighbours
-    dist = [-1] * graph.vertex_count
-    dist[graph.root] = 0
-    bfs = [graph.root]
-    for u in bfs:
-        for v in nbrs[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                bfs.append(v)
+    dist, bfs = _distances(nbrs, graph.root)
     classes = [[v for v in bfs if dist[v] % 2 == c] for c in (0, 1)]
     pos = [0] * graph.vertex_count
     for cls in classes:

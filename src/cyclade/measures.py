@@ -238,10 +238,7 @@ class RealMeasure(FrozenValue):
     __slots__ = ("circular",)
 
     def __init__(self, circular: CyclotomicMeasure):
-        object.__setattr__(self, "circular", circular)
-
-    def _key(self):
-        return (self.circular,)
+        self._freeze(circular)
 
     @property
     def atoms(self) -> Tuple[Tuple[CyclotomicNumber, CyclotomicNumber], ...]:
@@ -269,12 +266,7 @@ class ExpansionResult(FrozenValue):
     __slots__ = ("n", "coefficients", "residual_ok")
 
     def __init__(self, n: int, coefficients: Dict[int, Fraction], residual_ok: bool):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "residual_ok", residual_ok)
-
-    def _key(self):
-        return self.n, self.coefficients, self.residual_ok
+        self._freeze(n, coefficients, residual_ok)
 
 
 # ---------------------------------------------------------------------------

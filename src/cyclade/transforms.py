@@ -8,7 +8,8 @@ from operator import add
 from typing import NamedTuple, Sequence, Tuple
 
 from ._value import FrozenValue
-from .exact import PowerSeries, _check_order, _over_lcm, series_from_integers
+from .exact import (PowerSeries, _check_order, _divide_factor, _over_lcm, _times_factor,
+                    series_from_integers)
 from .graphs import GraphFamily
 
 
@@ -44,12 +45,7 @@ class XiExpression(FrozenValue):
         for f in numerator + denominator:
             if f.exponent < 1:
                 raise ValueError("factor exponents must be positive")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "normalizer", normalizer)
-
-    def _key(self):
-        return self.numerator, self.denominator, self.normalizer
+        self._freeze(numerator, denominator, normalizer)
 
     def text(self) -> str:
         mark = {"": "", "prime": "'", "doubleprime": "''"}[self.normalizer]
@@ -83,25 +79,14 @@ def _factor(f) -> XiFactor:
 def xi_expand(expr: XiExpression, order: int) -> PowerSeries:
     """Exact series expansion of the rational function to the given order."""
     _check_order(order)
-    out = [0] * (order + 1)
-    out[0] = 1
+    out = [1] + [0] * order
     for n, plus in expr.numerator:
-        sign = 1 if plus else -1
-        for i in range(order, n - 1, -1):
-            out[i] += sign * out[i - n]
-    # the normalizer divides by 1 - q^i, i its index in NORMALIZERS
-    extra = [XiFactor(NORMALIZERS.index(expr.normalizer), False)] if expr.normalizer else []
-    for n, plus in expr.denominator + tuple(extra):
-        _divide(out, n, plus)
+        _times_factor(out, n, plus)
+    for n, plus in expr.denominator:
+        _divide_factor(out, n, plus)
+    if expr.normalizer:  # a division by 1 - q^i, i its index in NORMALIZERS
+        _divide_factor(out, NORMALIZERS.index(expr.normalizer), False)
     return series_from_integers(out)
-
-
-def _divide(out: list, n: int, plus: bool) -> None:
-    """out <- out / (1 +- q^n) in place, truncated at its length: a running
-    sum with stride n."""
-    sign = -1 if plus else 1
-    for i in range(n, len(out)):
-        out[i] += sign * out[i - n]
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +196,8 @@ def t_closed_form(poly: Sequence, n: int, variant: str,
             out[s] += v
         if n - s <= order:
             out[n - s] += sign * v
-    _divide(out, 1, False)
-    _divide(out, n, variant == "primed")
+    _divide_factor(out, 1, False)
+    _divide_factor(out, n, variant == "primed")
     return series_from_integers(out, den)
 
 

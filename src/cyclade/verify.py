@@ -76,9 +76,6 @@ class CheckResult(Value):
         self.elapsed = elapsed
         self.details = details
 
-    def _key(self):
-        return self.check_id, self.status, self.order, self.elapsed, self.details
-
 
 class VerificationReport(Value):
     __slots__ = ("order", "results")
@@ -86,9 +83,6 @@ class VerificationReport(Value):
     def __init__(self, order: int, results: Optional[List[CheckResult]] = None):
         self.order = order
         self.results = [] if results is None else results
-
-    def _key(self):
-        return self.order, self.results
 
     @property
     def failures(self) -> List[CheckResult]:
@@ -188,18 +182,13 @@ def _difference(got, expected) -> str:
     return f"{got!r} != {expected!r}"
 
 
-def _first_failure(cases) -> Optional[str]:
-    """"label: difference" for the first (label, got, expected) case with
-    got != expected, or None; the cases after it are never computed."""
+def _verdict(cases, summary: str) -> Tuple[str, str]:
+    """("fail", "label: difference") at the first (label, got, expected)
+    case with got != expected, computing no later case; else ("pass", summary)."""
     for label, got, expected in cases:
         if got != expected:
-            return f"{label}: {_difference(got, expected)}"
-    return None
-
-
-def _verdict(cases, summary: str) -> Tuple[str, str]:
-    failure = _first_failure(cases)
-    return ("pass", summary) if failure is None else ("fail", failure)
+            return "fail", f"{label}: {_difference(got, expected)}"
+    return "pass", summary
 
 
 def _equal_check(cases, summary: str) -> Callable:

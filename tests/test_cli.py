@@ -239,6 +239,20 @@ def test_expression_error_exit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,position", [
+    (["level", "--expr", "d_\u00b2"], 2),
+    (["measure-tseries", "--expr", "d_\u0663"], 2),
+    (["xi-expand", "--expr", "xi(\u00b2:1)"], 3),
+], ids=["level", "measure-tseries", "xi-expand"])
+def test_non_ascii_digit_exit(capsys, argv, position):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    char = argv[-1][position]
+    assert err.splitlines() == [
+        f"error: unexpected character {char!r} at position {position} (expected integer)"]
+
+
 @pytest.mark.parametrize("expr,position", [("1/0*d_1", 2), ("d_1/0", 4)],
                          ids=["1/0*d_1", "d_1/0"])
 def test_division_by_zero_exit(capsys, expr, position):

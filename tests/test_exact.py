@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -25,7 +26,9 @@ from cyclade.exact import (
     series_compose,
     series_invert,
     solve_linear_system,
+    _divide_factor,
     _solve_columns,
+    _times_factor,
     euler_phi,
 )
 from cyclade.measures import density_measure
@@ -457,6 +460,101 @@ def test_negative_power_of_q_is_refused(name, k):
         _NEGATIVE_POWER_SERIES[name](k)
     assert monomial(0, 5) == PowerSeries.one(5)
     assert PowerSeries.from_list([1, 2, 3]).shift(0) == PowerSeries.from_list([1, 2, 3])
+
+
+# ---------------------------------------------------------------------------
+# the operators shared by cyclotomic numbers and series, and the (1 +- q^d)
+# factor kernel
+# ---------------------------------------------------------------------------
+
+# two operands of each class, as (order, {exponent: weight}) for a
+# cyclotomic number and (order, coefficients) for a series
+_OPERANDS = {
+    "cyclotomic": ((12, {0: Fraction(1, 2), 1: -3, 5: Fraction(2, 7)}),
+                   (8, {1: 2, 3: Fraction(-1, 3)})),
+    "series": ((5, [Fraction(1, 2), -3, 0, Fraction(2, 7), 1, 4]),
+               (3, [2, 0, Fraction(-1, 3), 5])),
+}
+_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+# an operand of the other class
+_FOREIGN = {"cyclotomic": PowerSeries.one(3), "series": CyclotomicNumber.one(4)}
+
+
+def _cyclo_oracle(op, x, y):
+    """op on two (order, {exponent: weight}) operands, by adding or
+    convolving the weights at the lcm of the orders, built by cyclo_make."""
+    m = math.lcm(x[0], y[0])
+    a, b = ({e * (m // n): w for e, w in ws.items()} for n, ws in (x, y))
+    out = {} if op is operator.mul else dict(a)
+    for j, v in b.items():
+        if op is operator.mul:
+            for i, u in a.items():
+                out[(i + j) % m] = out.get((i + j) % m, 0) + u * v
+        else:
+            out[j] = out.get(j, 0) + (v if op is operator.add else -v)
+    return cyclo_make(m, out)
+
+
+def _series_oracle(op, x, y):
+    """op on two (order, coefficients) operands, truncated at the smaller
+    order, in Fractions."""
+    k = min(x[0], y[0])
+    a, b = x[1][: k + 1], y[1][: k + 1]
+    if op is operator.mul:
+        return PowerSeries(k, [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(k + 1)])
+    return PowerSeries(k, [op(u, v) for u, v in zip(a, b)])
+
+
+_KINDS = {
+    "cyclotomic": (lambda x: cyclo_make(*x), lambda r, order: (1, {0: r}), _cyclo_oracle),
+    "series": (lambda x: PowerSeries(*x), lambda r, order: (order, [r] + [0] * order),
+               _series_oracle),
+}
+
+
+@pytest.mark.parametrize("operand", ["int", "Fraction", "same class", "float", "other class"])
+@pytest.mark.parametrize("reflected", [False, True], ids=["forward", "reflected"])
+@pytest.mark.parametrize("name", _OPS)
+@pytest.mark.parametrize("kind", _KINDS)
+def test_shared_operators(kind, name, reflected, operand):
+    op = _OPS[name]
+    build, rational, oracle = _KINDS[kind]
+    x_raw, y_raw = _OPERANDS[kind]
+    x = build(x_raw)
+    if operand in ("float", "other class"):
+        other = 0.5 if operand == "float" else _FOREIGN[kind]
+        with pytest.raises(TypeError):
+            op(other, x) if reflected else op(x, other)
+        assert getattr(x, f"__{'r' if reflected else ''}{name}__")(other) is NotImplemented
+        return
+    if operand == "same class":
+        other = build(y_raw)
+    else:
+        other = -3 if operand == "int" else Fraction(5, 6)
+        y_raw = rational(other, x.order)
+    if reflected:
+        got = getattr(x, f"__r{name}__")(other)
+        assert op(other, x) == got
+        expected = oracle(op, y_raw, x_raw)
+    else:
+        got = op(x, other)
+        expected = oracle(op, x_raw, y_raw)
+    assert type(got) is type(x)
+    assert (got.order, got.nums, got.den) == (expected.order, expected.nums, expected.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-1000, 1000), max_size=40), st.integers(1, 45), st.booleans())
+def test_factor_kernel_round_trip(coeffs, d, plus):
+    sign = 1 if plus else -1
+    out = list(coeffs)
+    _times_factor(out, d, plus)
+    assert out == [c + sign * coeffs[i - d] if i >= d else c for i, c in enumerate(coeffs)]
+    _divide_factor(out, d, plus)
+    assert out == coeffs
+    _divide_factor(out, d, plus)
+    _times_factor(out, d, plus)
+    assert out == coeffs
 
 
 # ---------------------------------------------------------------------------

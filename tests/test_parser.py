@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,39 @@ def test_parse_measure_errors():
         with pytest.raises(EvaluationError, match=f" at position {position}$") as err:
             parse_measure_expr(text)
         assert err.value.position == position
+
+
+@pytest.mark.parametrize("parse,text,position", [
+    (parse_measure_expr, "d_\u00b2", 2),  # superscript two
+    (parse_measure_expr, "d_\u0663", 2),  # Arabic-Indic three, once read as 3
+    (parse_measure_expr, "\u00b2*d_1", 0),
+    (parse_measure_expr, "3/\u00b2*d_1", 2),
+    (parse_measure_expr, "d_1/\uff12", 4),  # fullwidth two
+    (parse_xi_expr, "xi(\u00b2:1)", 3),
+    (parse_xi_expr, "xi(1:2,\u0663)", 7),
+], ids=["superscript", "arabic-indic", "leading", "scalar-divisor", "fullwidth",
+        "xi-numerator", "xi-denominator"])
+def test_only_ascii_digits_are_integers(parse, text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+    assert str(err.value).startswith(f"unexpected character {text[position]!r} at position")
+    assert "integer" in err.value.expected
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no integer string conversion limit")
+@pytest.mark.parametrize("parse,prefix,suffix", [
+    (parse_measure_expr, "d_", ""), (parse_measure_expr, "", "*d_1"),
+    (parse_measure_expr, "d_1/", ""), (parse_xi_expr, "xi(", ":1)"),
+], ids=["atom", "scalar", "divisor", "xi"])
+def test_integer_beyond_the_conversion_limit(parse, prefix, suffix):
+    digits = sys.get_int_max_str_digits() + 1
+    with pytest.raises(ParseError) as err:
+        parse(prefix + "1" * digits + suffix)
+    assert err.value.position == len(prefix)
+    assert str(err.value) == (f"integer literal of {digits} digits is too long "
+                              f"at position {len(prefix)}")
 
 
 def test_parse_error_position():
