@@ -38,7 +38,6 @@ from .measures import (
     ExpansionResult,
     RealMeasure,
     basic_measure,
-    candidate_measure,
     cyclotomic_expansion,
     density_measure,
     expand_over_level,
@@ -63,6 +62,7 @@ from .verify import (
     UnknownCheckId,
     VerificationReport,
     all_check_ids,
+    candidate_measure,
     run_all,
     verify_identity,
 )

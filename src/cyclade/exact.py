@@ -146,10 +146,10 @@ class _IntegersOverDenominator:
     """Storage shared by CyclotomicNumber and PowerSeries: the coordinates
     are the integers nums over one positive denominator den, with
     gcd(den, *nums) = 1, so the stored form is canonical and equal values
-    have equal fields.  It defines + - * and their reflected forms once, on
-    two hooks of each class: _align(other) gives both operands in one form,
-    or None for an operand of another type, and _product multiplies two
-    aligned ones."""
+    have equal fields.  It defines == and + - * and their reflected forms
+    once, on two hooks of each class: _align(other) gives both operands in
+    one form, or None for an operand of another type, and _product
+    multiplies two aligned ones."""
 
     __slots__ = ("order", "nums", "den")
 
@@ -165,6 +165,19 @@ class _IntegersOverDenominator:
         """The coordinates as Fractions, derived on each read."""
         den = self.den
         return tuple([Fraction(v, den) if v else _ZERO for v in self.nums])
+
+    def __eq__(self, other) -> bool:
+        """Equal stored fields once aligned; only series can be left at two
+        orders, and comparing them raises OrderMismatch."""
+        pair = self._align(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        if a.order != b.order:
+            raise OrderMismatch(f"comparing order {a.order} with {b.order}")
+        return a.nums == b.nums and a.den == b.den
+
+    __hash__ = None  # equality lifts across orders; use .coeffs at a fixed order as a key
 
     def __neg__(self):
         return _normalized(type(self), self.order, [-v for v in self.nums], self.den)
@@ -260,15 +273,6 @@ class CyclotomicNumber(_IntegersOverDenominator):
 
     def is_real(self) -> bool:
         return self == cyclo_conj(self)
-
-    def __eq__(self, other) -> bool:
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a.nums == b.nums and a.den == b.den
-
-    __hash__ = None  # equality lifts across orders; use .coeffs at a fixed order as a key
 
     def _align(self, other):
         """Both operands at their least common order, a rational read at
@@ -369,8 +373,9 @@ def cyclo_as_rational(z: CyclotomicNumber) -> Fraction:
 class PowerSeries(_IntegersOverDenominator):
     """Power series truncated at an explicit order (inclusive).
 
-    Arithmetic truncates to the smaller order of its operands; comparing two
-    series of different orders raises OrderMismatch.
+    Arithmetic truncates to the smaller order of its operands, and both it
+    and == read a rational as the constant series; comparing two series of
+    different orders raises OrderMismatch.
     """
 
     __slots__ = ()
@@ -400,15 +405,6 @@ class PowerSeries(_IntegersOverDenominator):
 
     def __getitem__(self, i: int) -> Fraction:
         return Fraction(self.nums[i], self.den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        if self.order != other.order:
-            raise OrderMismatch(f"comparing order {self.order} with {other.order}")
-        return self.nums == other.nums and self.den == other.den
-
-    __hash__ = None
 
     def _align(self, other):
         """A rational is read as the constant series of the order of self;

@@ -111,7 +111,6 @@ def parse_xi_expr(text: str) -> XiExpression:
     marks = s.primes()
     if marks > 2:
         raise ParseError("too many prime marks", s.pos, ("at most ''",))
-    normalizer = ("", "prime", "doubleprime")[marks]
     s.expect("(")
     num = _xi_factor_list(s)
     s.expect(":")
@@ -119,7 +118,7 @@ def parse_xi_expr(text: str) -> XiExpression:
     s.expect(")")
     if not s.at_end():
         raise ParseError(f"unexpected {s.describe()}", s.pos, ("end of input",))
-    return XiExpression(tuple(num), tuple(den), normalizer)
+    return XiExpression(tuple(num), tuple(den), marks)
 
 
 def _xi_factor_list(s: _Scanner) -> List[XiFactor]:

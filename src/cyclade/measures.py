@@ -47,7 +47,6 @@ from .exact import (
     _over_lcm,
     _solve_columns,
 )
-from .graphs import GraphFamily
 
 
 class SymmetryViolation(ValueError):
@@ -70,10 +69,6 @@ DENSITY_POLYS = {
 # memo size for basic_measure and density_measure; a registry run uses about
 # 310 distinct atoms
 ATOM_CACHE_SIZE = 512
-
-# the constant in the level-1 affine-E formula; the printed /3 variant fails
-# the series check (see the discrepancy check in the verify registry)
-ETILDE_THM87_CONSTANT = Fraction(1, 2)
 
 
 class CyclotomicMeasure:
@@ -286,10 +281,10 @@ def basic_measure(kind: str, n: int) -> CyclotomicMeasure:
         return _from_moments(2 * n, [int(k == 0) for k in range(n)], 1)
     if kind == "dprime":
         return _from_moments(4 * n, [0 if k % n else (-1) ** (k // n) for k in range(2 * n)], 1)
-    if kind == "ddoubleprime":
-        return _combine([(3 * _H, "d", "dprime", 3 * n), (-_H, "d", "dprime", n)])
-    if kind == "dtripleprime":
-        return _combine([(3 * _H, "d", "d", 3 * n), (-_H, "d", "d", n)])
+    if kind in ("ddoubleprime", "dtripleprime"):
+        base = "dprime" if kind == "ddoubleprime" else "d"
+        return lincomb([(Fraction(3, 2), basic_measure(base, 3 * n)),
+                        (Fraction(-1, 2), basic_measure(base, n))])
     raise ValueError(f"unknown base kind {kind!r}")
 
 
@@ -313,6 +308,14 @@ def density_measure(poly: Tuple, kind: str, n: int) -> CyclotomicMeasure:
     return _from_moments(base.order, [sum(c * (m[(k + i) % period] + m[(k - i) % period])
                                           for i, c in terms) for k in range(period)],
                          2 * pden * base.den)
+
+
+def atom_measure(name: str, kind: str, n: int) -> CyclotomicMeasure:
+    """The atom name_n over the base kind: the uniform measure for "d", else
+    its product with the density DENSITY_POLYS[name].  Memoized."""
+    if name == "d":
+        return basic_measure(kind, n)
+    return density_measure(DENSITY_POLYS[name], kind, n)
 
 
 def lincomb(terms: Sequence[Tuple[Fraction, CyclotomicMeasure]]) -> CyclotomicMeasure:
@@ -395,69 +398,6 @@ def t_series_of_measure(e: CyclotomicMeasure, order: int) -> PowerSeries:
 def pushforward_real(e: CyclotomicMeasure) -> RealMeasure:
     """RealMeasure(e), the pushforward of e by u -> (u + 1/u)^2."""
     return RealMeasure(e)
-
-
-# ---------------------------------------------------------------------------
-# The measure table for the ten graph families
-# ---------------------------------------------------------------------------
-
-def atom_measure(name: str, kind: str, n: int) -> CyclotomicMeasure:
-    """The atom name_n over the base kind: the uniform measure for "d", else
-    its product with the density DENSITY_POLYS[name].  Memoized."""
-    if name == "d":
-        return basic_measure(kind, n)
-    return density_measure(DENSITY_POLYS[name], kind, n)
-
-
-def _combine(rows) -> CyclotomicMeasure:
-    """lincomb over rows of (coefficient, atom name, base kind, parameter)."""
-    return lincomb([(c, atom_measure(name, kind, n)) for c, name, kind, n in rows])
-
-
-def etilde_ternary(ell: int, c: Fraction) -> CyclotomicMeasure:
-    """The affine-E ternary form alpha_(l+1) + c d_l - c d_(l+1)."""
-    return _combine([(1, "alpha", "d", ell + 1), (c, "d", "d", ell), (-c, "d", "d", ell + 1)])
-
-
-# l of each affine-E ternary form (thm87)
-ETILDE_ELL = {"E6tilde": 2, "E7tilde": 3, "E8tilde": 5}
-
-_H, _T = Fraction(1, 2), Fraction(1, 3)
-_EXCEPTIONAL_ROWS = {
-    ("E6", "thm71"): [(1, "alpha", "d", 12), (_H, "d", "d", 12), (-_H, "d", "d", 6),
-                      (-_H, "d", "d", 4), (_H, "d", "d", 3)],
-    ("E6", "thm87"): [(Fraction(1, 6), "d", "ddoubleprime", 2),
-                      (_T, "alpha", "ddoubleprime", 2), (_H, "d", "dtripleprime", 1)],
-    ("E7", "thm71"): [(1, "beta", "dprime", 9), (_H, "d", "dprime", 1), (-_H, "d", "dprime", 3)],
-    ("E7", "thm87"): [(2 * _T, "beta", "ddoubleprime", 3), (_T, "d", "dprime", 1)],
-    ("E8", "thm71"): [(1, "alpha", "dprime", 15), (1, "gamma", "dprime", 15),
-                      (-_H, "d", "dprime", 5), (-_H, "d", "dprime", 3)],
-    ("E8", "thm87"): [(2 * _T, "alpha", "ddoubleprime", 5), (2 * _T, "gamma", "ddoubleprime", 5),
-                      (-_T, "d", "ddoubleprime", 1)],
-}
-
-
-def candidate_measure(family: GraphFamily, variant: str) -> CyclotomicMeasure:
-    """The closed-form circular measure of the family, in the level-0/binary
-    table (thm71) or the ternary table (thm87)."""
-    if variant not in ("thm71", "thm87"):
-        raise ValueError(f"unknown variant {variant!r}")
-    tag, m = family.tag, family.param
-    if tag == "A":
-        return atom_measure("alpha", "d", m + 1)
-    if tag == "Atilde":
-        return atom_measure("d", "d", m // 2)
-    if tag == "D":
-        return atom_measure("alpha", "dprime", m - 1)
-    if tag == "Dtilde":
-        return _combine([(_H, "d", "d", m - 2), (_H, "d", "dprime", 1)])
-    if tag not in ETILDE_ELL:
-        return _combine(_EXCEPTIONAL_ROWS[tag, variant])
-    if variant == "thm87":
-        return etilde_ternary(ETILDE_ELL[tag], ETILDE_THM87_CONSTANT)
-    # the affine-E binary form (d_n + d_3 + d_2 - d_1)/2
-    n = {"E6tilde": 3, "E7tilde": 4, "E8tilde": 5}[tag]
-    return _combine([(_H, "d", "d", n), (_H, "d", "d", 3), (_H, "d", "d", 2), (-_H, "d", "d", 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,10 @@ class XiFactor(NamedTuple):
         return f"{self.exponent}+" if self.plus else str(self.exponent)
 
 
-NORMALIZERS = ("", "prime", "doubleprime")
-
-
 class XiExpression(FrozenValue):
     """A formal product of (1 +- q^n) factors over another, with an optional
-    extra (1 - q) or (1 - q^2) divisor.
+    extra (1 - q) or (1 - q^2) divisor: normalizer 1 or 2, the number of
+    prime marks on xi, and 0 for none.
 
     Structural equality is intentional (expressions are table keys); equality
     as rational functions is `equivalent`, decided by series expansion.
@@ -39,8 +37,8 @@ class XiExpression(FrozenValue):
     __slots__ = ("numerator", "denominator", "normalizer")
 
     def __init__(self, numerator: Tuple[XiFactor, ...] = (),
-                 denominator: Tuple[XiFactor, ...] = (), normalizer: str = ""):
-        if normalizer not in NORMALIZERS:
+                 denominator: Tuple[XiFactor, ...] = (), normalizer: int = 0):
+        if type(normalizer) is not int or not 0 <= normalizer <= 2:
             raise ValueError(f"bad normalizer {normalizer!r}")
         for f in numerator + denominator:
             if f.exponent < 1:
@@ -48,7 +46,7 @@ class XiExpression(FrozenValue):
         self._freeze(numerator, denominator, normalizer)
 
     def text(self) -> str:
-        mark = {"": "", "prime": "'", "doubleprime": "''"}[self.normalizer]
+        mark = "'" * self.normalizer
         num = ",".join(f.text() for f in self.numerator)
         den = ",".join(f.text() for f in self.denominator)
         return f"xi{mark}({num}:{den})"
@@ -57,15 +55,15 @@ class XiExpression(FrozenValue):
         """Equality as rational functions: N1/D1 = N2/D2 is the identity
         N1 D2 = N2 D1 of degree at most max(deg N1 + deg D2, deg N2 + deg D1),
         and each D has constant term 1, so the series to that order decide
-        it.  The normalizer adds its index in NORMALIZERS to deg D."""
+        it.  The normalizer adds itself to deg D."""
         (n1, d1), (n2, d2) = [(sum(f.exponent for f in x.numerator),
-                               sum(f.exponent for f in x.denominator)
-                               + NORMALIZERS.index(x.normalizer)) for x in (self, other)]
+                               sum(f.exponent for f in x.denominator) + x.normalizer)
+                              for x in (self, other)]
         order = max(n1 + d2, n2 + d1)
         return xi_expand(self, order) == xi_expand(other, order)
 
 
-def xi(num=(), den=(), *, normalizer: str = "") -> XiExpression:
+def xi(num=(), den=(), *, normalizer: int = 0) -> XiExpression:
     """Convenience constructor: xi([n1, (n2, True), ...], [m1, ...], normalizer=...)."""
     return XiExpression(tuple(map(_factor, num)), tuple(map(_factor, den)), normalizer)
 
@@ -84,8 +82,8 @@ def xi_expand(expr: XiExpression, order: int) -> PowerSeries:
         _times_factor(out, n, plus)
     for n, plus in expr.denominator:
         _divide_factor(out, n, plus)
-    if expr.normalizer:  # a division by 1 - q^i, i its index in NORMALIZERS
-        _divide_factor(out, NORMALIZERS.index(expr.normalizer), False)
+    if expr.normalizer:  # a division by 1 - q^normalizer
+        _divide_factor(out, expr.normalizer, False)
     return series_from_integers(out)
 
 
@@ -224,8 +222,8 @@ def theorem_2_5_lookup(family: GraphFamily) -> XiExpression:
         return xi([(m - 2, True)], [(m - 1, True)])
     if tag == "Atilde":
         n = m // 2
-        return xi([(n, True)], [n], normalizer="prime")
+        return xi([(n, True)], [n], normalizer=1)
     if tag == "Dtilde":
         n = m - 2
-        return xi([(n + 1, True)], [n], normalizer="doubleprime")
+        return xi([(n + 1, True)], [n], normalizer=2)
     return _EXCEPTIONAL_T[tag]

@@ -8,7 +8,8 @@ first unequal case fails the check with "<label>: <difference>", the first
 differing coefficient of two series, the first differing atom of two
 measures, else both values.  Graph checks draw their instances from a size
 matrix mapping family tags to parameter lists, prefix each label with
-"<tag> param <m>: ", and skip the check when the list is empty.
+"<tag> param <m>: ", and skip the check when the list is empty.  The
+measure table that the graph checks read, candidate_measure, is here too.
 """
 
 from __future__ import annotations
@@ -31,14 +32,11 @@ from .transforms import (
 )
 from .measures import (
     DENSITY_POLYS,
-    ETILDE_ELL,
     CyclotomicMeasure,
     atom_measure,
     basic_measure,
-    candidate_measure,
     cyclotomic_expansion,
     density_measure,
-    etilde_ternary,
     first_atom_difference,
     level,
     lincomb,
@@ -63,6 +61,46 @@ DEFAULT_SIZE_MATRIX: Dict[str, Tuple[int, ...]] = {
     # one graph each, its parameter fixed by the tag
     **{tag: (GraphFamily(tag).param,) for tag in EXCEPTIONAL_TAGS},
 }
+
+
+def _etilde_ternary(ell: int, den: int) -> str:
+    """The affine-E ternary form alpha_(l+1) + (d_l - d_(l+1))/den."""
+    return f"alpha_{ell + 1} + (d_{ell} - d_{ell + 1})/{den}"
+
+
+# l of each affine-E ternary form
+_ETILDE_ELL = {"E6tilde": 2, "E7tilde": 3, "E8tilde": 5}
+
+# each exceptional family's circular measure as the paper prints it, in the
+# binary form of Theorem 7.1 and the ternary form of Theorem 8.7; the
+# affine-E ternary forms divide by 2, as the printed 3 fails the series
+# check (discrepancy/Etilde-constant)
+EXCEPTIONAL_MEASURES: Dict[str, Tuple[str, str]] = {
+    "E6": ("alpha_12 + (d_12 - d_6 - d_4 + d_3)/2", "d''_2/6 + alpha''_2/3 + d'''_1/2"),
+    "E7": ("beta'_9 + (d'_1 - d'_3)/2", "(2*beta''_3 + d'_1)/3"),
+    "E8": ("alpha'_15 + gamma'_15 - (d'_5 + d'_3)/2", "(2*alpha''_5 + 2*gamma''_5 - d''_1)/3"),
+    **{tag: (f"(d_{n} + d_3 + d_2 - d_1)/2", _etilde_ternary(_ETILDE_ELL[tag], 2))
+       for tag, n in (("E6tilde", 3), ("E7tilde", 4), ("E8tilde", 5))},
+}
+
+
+def candidate_measure(family: GraphFamily, variant: str) -> CyclotomicMeasure:
+    """The closed-form circular measure of the family, in the level-0/binary
+    table (thm71) or the ternary table (thm87); the two agree on the four
+    parametrized series."""
+    if variant not in ("thm71", "thm87"):
+        raise ValueError(f"unknown variant {variant!r}")
+    tag, m = family.tag, family.param
+    if tag == "A":
+        return atom_measure("alpha", "d", m + 1)
+    if tag == "Atilde":
+        return atom_measure("d", "d", m // 2)
+    if tag == "D":
+        return atom_measure("alpha", "dprime", m - 1)
+    if tag == "Dtilde":
+        half = Fraction(1, 2)
+        return lincomb([(half, basic_measure("d", m - 2)), (half, basic_measure("dprime", 1))])
+    return exprs.parse_measure_expr(EXCEPTIONAL_MEASURES[tag][variant == "thm87"])
 
 
 class CheckResult(Value):
@@ -115,7 +153,7 @@ class VerificationReport(Value):
 
 
 class RunContext:
-    """One run's order and size matrix, and a memo of what its checks share:
+    """One run's order and graph families, and a memo of what its checks share:
     per family the loop counts, thetas, graph T series and candidates; each
     xi expansion, keyed by its text; each measure T series, keyed by the
     moment sequence.  A check is timed with the shared values it computes."""
@@ -123,22 +161,18 @@ class RunContext:
     def __init__(self, order: int, sizes: Optional[Dict[str, Sequence[int]]] = None):
         _check_order(order)
         self.order = order
-        self.sizes = DEFAULT_SIZE_MATRIX if sizes is None else sizes
+        # each tag's families, in FAMILY_TAGS order; building them refuses an
+        # unknown tag or a parameter out of range before any check runs
+        built = {tag: tuple(GraphFamily(tag, m) for m in params)
+                 for tag, params in (DEFAULT_SIZE_MATRIX if sizes is None else sizes).items()}
+        self.families = {tag: built[tag] for tag in FAMILY_TAGS if tag in built}
         self._cache: Dict[tuple, object] = {}
 
-    def params(self, tag: str) -> Tuple[int, ...]:
-        return tuple(self.sizes.get(tag, ()))
-
-    def families(self) -> List[GraphFamily]:
-        out = []
-        for tag in FAMILY_TAGS:
-            out.extend(GraphFamily(tag, m) for m in self.params(tag))
-        return out
-
     def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
+        value = self._cache.get(key)  # no memoized value is None
+        if value is None:
+            value = self._cache[key] = fn()
+        return value
 
     def counts(self, fam: GraphFamily) -> PowerSeries:
         return self._memo(("counts", fam), lambda: series_from_integers(
@@ -200,12 +234,12 @@ def _graph_check(tag: str, cases) -> Callable:
     """cases(ctx, fam) for each family of the tag in the size matrix, each
     label prefixed with "<tag> param <m>: "; no parameters skips the check."""
     def run(ctx: RunContext):
-        params = ctx.params(tag)
-        if not params:
+        fams = ctx.families.get(tag, ())
+        if not fams:
             return "skipped", "no parameters in size matrix"
-        return _verdict(((f"{tag} param {m}: {label}", got, expected) for m in params
-                         for label, got, expected in cases(ctx, GraphFamily(tag, m))),
-                        f"{len(params)} instance(s)")
+        return _verdict(((f"{tag} param {fam.param}: {label}", got, expected) for fam in fams
+                         for label, got, expected in cases(ctx, fam)),
+                        f"{len(fams)} instance(s)")
     return run
 
 
@@ -331,7 +365,7 @@ def _density_table_cases(kind: str):
 
 def _check_thm46(ctx: RunContext):
     # beta_7 and gamma_11 join the graph measures, so the list is never empty
-    measures = [ctx.candidate(fam, "thm71") for fam in ctx.families()]
+    measures = [ctx.candidate(fam, "thm71") for fams in ctx.families.values() for fam in fams]
     measures += [atom_measure("beta", "d", 7), atom_measure("gamma", "d", 11)]
 
     def cases():
@@ -375,7 +409,7 @@ def _n12_infeasible_cases(ctx: RunContext):
 
 
 def _check_level_ade(ctx: RunContext):
-    fams = ctx.families()
+    fams = [fam for fams in ctx.families.values() for fam in fams]
     if not fams:
         return "skipped", "no families in size matrix"
     worst = 0
@@ -414,8 +448,8 @@ def _support_cases(ctx: RunContext):
 def _check_etilde_constant(ctx: RunContext):
     # forms on the N-th roots with equal doubled moments 0..N/4 are equal (the
     # reflection identity), so from order N/4 on at most one constant matches
-    forms = {tag: [(c, etilde_ternary(ell, c)) for c in (Fraction(1, 2), Fraction(1, 3))]
-             for tag, ell in ETILDE_ELL.items()}
+    forms = {tag: [(Fraction(1, den), exprs.parse_measure_expr(_etilde_ternary(ell, den)))
+                   for den in (2, 3)] for tag, ell in _ETILDE_ELL.items()}
     order = max(ctx.order, *[e.order // 4 for pair in forms.values() for _, e in pair])
     at = ctx if order == ctx.order else RunContext(order)
     winners = []
@@ -651,9 +685,6 @@ def run_all(order: int = 64, size_matrix: Optional[Dict[str, Sequence[int]]] = N
     if only and not checks:
         raise ValueError(f"no check id matches {only!r}")
     ctx = RunContext(order, size_matrix)
-    for tag, params in ctx.sizes.items():
-        for m in params:
-            GraphFamily(tag, m)
     report = VerificationReport(order)
     for check_id, runner in checks:
         report.results.append(_run_one(check_id, runner, ctx))

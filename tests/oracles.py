@@ -7,11 +7,13 @@ two-product loop counts, both theta routes as an integer binomial sum and
 as Horner's rule with running alternating sums, the closed-form T series in
 Fraction lists, the T series and the expansion from one moment per
 coefficient, each a dense sum over the weights, pushforward moments by
-cyclotomic powering, the sign of a real cyclotomic number at 60 digits and
-positive semidefiniteness by principal minors; root_of_unity, which builds
-the powers of a root that tests start from, rational_by_constructor, a
-rational element through the public constructor, and the series q^k and
-the truncation to a lower order.  Only tests use them.
+cyclotomic powering, the sign of a real cyclotomic number at 60 digits,
+positive semidefiniteness by principal minors and the graph measure table
+as rows of (coefficient, atom name, base kind, parameter); root_of_unity,
+which builds the powers of a root that tests start from,
+rational_by_constructor, a rational element through the public
+constructor, and the series q^k and the truncation to a lower order.  Only
+tests use them.
 """
 
 import math
@@ -33,7 +35,7 @@ from cyclade.exact import (
     series_from_integers,
     _check_order,
 )
-from cyclade.measures import ExpansionResult, basic_measure, density_measure
+from cyclade.measures import ExpansionResult, atom_measure, basic_measure, density_measure, lincomb
 
 
 def monomial(k, order):
@@ -331,3 +333,41 @@ def is_psd_by_minors(rows):
     h = len(rows)
     return all(_det([[rows[i][j] for j in idx] for i in idx]) >= 0
                for size in range(1, h + 1) for idx in combinations(range(h), size))
+
+
+# the measure table as rows of (coefficient, atom name, base kind, parameter)
+_H, _T = Fraction(1, 2), Fraction(1, 3)
+_EXCEPTIONAL_ROWS = {
+    ("E6", "thm71"): [(1, "alpha", "d", 12), (_H, "d", "d", 12), (-_H, "d", "d", 6),
+                      (-_H, "d", "d", 4), (_H, "d", "d", 3)],
+    ("E6", "thm87"): [(Fraction(1, 6), "d", "ddoubleprime", 2),
+                      (_T, "alpha", "ddoubleprime", 2), (_H, "d", "dtripleprime", 1)],
+    ("E7", "thm71"): [(1, "beta", "dprime", 9), (_H, "d", "dprime", 1), (-_H, "d", "dprime", 3)],
+    ("E7", "thm87"): [(2 * _T, "beta", "ddoubleprime", 3), (_T, "d", "dprime", 1)],
+    ("E8", "thm71"): [(1, "alpha", "dprime", 15), (1, "gamma", "dprime", 15),
+                      (-_H, "d", "dprime", 5), (-_H, "d", "dprime", 3)],
+    ("E8", "thm87"): [(2 * _T, "alpha", "ddoubleprime", 5), (2 * _T, "gamma", "ddoubleprime", 5),
+                      (-_T, "d", "ddoubleprime", 1)],
+    # the affine-E binary form (d_n + d_3 + d_2 - d_1)/2, n = 3, 4, 5, and
+    # the ternary form alpha_(l+1) + (d_l - d_(l+1))/2, l = 2, 3, 5
+    **{(tag, "thm71"): [(_H, "d", "d", n), (_H, "d", "d", 3), (_H, "d", "d", 2),
+                        (-_H, "d", "d", 1)]
+       for tag, n in (("E6tilde", 3), ("E7tilde", 4), ("E8tilde", 5))},
+    **{(tag, "thm87"): [(1, "alpha", "d", ell + 1), (_H, "d", "d", ell), (-_H, "d", "d", ell + 1)]
+       for tag, ell in (("E6tilde", 2), ("E7tilde", 3), ("E8tilde", 5))},
+}
+
+
+def candidate_measure_by_rows(family, variant):
+    """The closed-form circular measure of the family from the measure
+    table written as rows of (coefficient, atom name, base kind, parameter),
+    summed by one lincomb; both variants share the rows of the four
+    parametrized series."""
+    tag, m = family.tag, family.param
+    rows = {
+        "A": [(1, "alpha", "d", m + 1)],
+        "Atilde": [(1, "d", "d", m // 2)],
+        "D": [(1, "alpha", "dprime", m - 1)],
+        "Dtilde": [(_H, "d", "d", m - 2), (_H, "d", "dprime", 1)],
+    }.get(tag) or _EXCEPTIONAL_ROWS[tag, variant]
+    return lincomb([(c, atom_measure(name, kind, n)) for c, name, kind, n in rows])

@@ -475,7 +475,8 @@ _OPERANDS = {
     "series": ((5, [Fraction(1, 2), -3, 0, Fraction(2, 7), 1, 4]),
                (3, [2, 0, Fraction(-1, 3), 5])),
 }
-_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+        "eq": operator.eq, "ne": operator.ne}
 # an operand of the other class
 _FOREIGN = {"cyclotomic": PowerSeries.one(3), "series": CyclotomicNumber.one(4)}
 
@@ -521,6 +522,21 @@ def test_shared_operators(kind, name, reflected, operand):
     build, rational, oracle = _KINDS[kind]
     x_raw, y_raw = _OPERANDS[kind]
     x = build(x_raw)
+    if name in ("eq", "ne"):
+        # a rational compares as a value of the class, as in arithmetic; a
+        # float or the other class is never equal
+        if operand in ("float", "other class"):
+            other = 0.5 if operand == "float" else _FOREIGN[kind]
+            assert x.__eq__(other) is NotImplemented
+            cases = [(x, other, False)]
+        elif operand == "same class":
+            cases = [(x, build(x_raw), True), (x, -x, False)]
+        else:
+            value = -3 if operand == "int" else Fraction(5, 6)
+            cases = [(build(rational(value, x.order)), value, True), (x, value, False)]
+        for a, b, equal in cases:
+            assert (op(b, a) if reflected else op(a, b)) is (equal == (name == "eq"))
+        return
     if operand in ("float", "other class"):
         other = 0.5 if operand == "float" else _FOREIGN[kind]
         with pytest.raises(TypeError):

@@ -22,7 +22,6 @@ from cyclade.measures import (
     SymmetryViolation,
     atom_measure,
     basic_measure,
-    candidate_measure,
     cyclotomic_expansion,
     density_measure,
     expand_over_level,
@@ -37,8 +36,9 @@ from cyclade.measures import (
     _is_psd,
 )
 from cyclade.transforms import xi_expand
-from cyclade.verify import DEFAULT_SIZE_MATRIX
+from cyclade.verify import DEFAULT_SIZE_MATRIX, candidate_measure
 from oracles import (
+    candidate_measure_by_rows,
     expand_over_level_loop,
     expansion_by_moments,
     is_psd_by_minors,
@@ -302,8 +302,8 @@ def test_pushforward_locations_strictly_increase():
 # the measure table
 # ---------------------------------------------------------------------------
 
-# every table entry as measure-expression text, an oracle independent of the
-# term rows: the twelve exceptional entries, then the four series
+# every table entry as measure-expression text, the E6 ternary form spelled
+# over one denominator: the twelve exceptional entries, then the four series
 _EXCEPTIONAL_EXPRESSIONS = {
     ("E6", "thm71"): "alpha_12 + (d_12 - d_6 - d_4 + d_3)/2",
     ("E6", "thm87"): "(d''_2 + 2*alpha''_2 + 3*d'''_1)/6",
@@ -336,6 +336,29 @@ def test_candidate_expressions():
             for variant in ("thm71", "thm87"):
                 assert measure_equal(candidate_measure(GraphFamily(tag, m), variant),
                                      parse_measure_expr(text_at(m))), (tag, m, variant)
+
+
+def _table_families():
+    """Every family of the default size matrix, then the four parametrized
+    series up to parameter 40."""
+    for tag, params in DEFAULT_SIZE_MATRIX.items():
+        yield from (GraphFamily(tag, m) for m in params)
+    for tag, least, step in (("A", 2, 1), ("Atilde", 2, 2), ("D", 3, 1), ("Dtilde", 4, 1)):
+        yield from (GraphFamily(tag, m) for m in range(least, 41, step))
+
+
+@pytest.mark.parametrize("variant", ["thm71", "thm87"])
+def test_candidate_measure_matches_the_row_table(variant):
+    # the same stored fields as the table written as term rows
+    for fam in _table_families():
+        got, expected = candidate_measure(fam, variant), candidate_measure_by_rows(fam, variant)
+        assert (got.order, got.moments, got.den) == (
+            expected.order, expected.moments, expected.den), (fam, variant)
+
+
+def test_candidate_measure_refuses_an_unknown_variant():
+    with pytest.raises(ValueError, match="^unknown variant 'thm99'$"):
+        candidate_measure(GraphFamily("E7"), "thm99")
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from cyclade.exprs import (
     parse_xi_expr,
 )
 from cyclade.graphs import GraphFamily
-from cyclade.measures import basic_measure, candidate_measure, lincomb, measure_equal
+from cyclade.measures import basic_measure, lincomb, measure_equal
 from cyclade.transforms import XiExpression, XiFactor, theorem_2_5_lookup, xi_expand
+from cyclade.verify import candidate_measure
 
 
 # ---------------------------------------------------------------------------
@@ -22,12 +23,14 @@ from cyclade.transforms import XiExpression, XiFactor, theorem_2_5_lookup, xi_ex
 def test_parse_xi_examples():
     e = parse_xi_expr("xi(5+,9+:15+)")
     assert e == XiExpression((XiFactor(5, True), XiFactor(9, True)),
-                             (XiFactor(15, True),), "")
+                             (XiFactor(15, True),), 0)
     assert e == theorem_2_5_lookup(GraphFamily("E8", 8))
-    assert parse_xi_expr("xi(3:)") == XiExpression((XiFactor(3, False),), (), "")
-    assert parse_xi_expr("xi(:3)") == XiExpression((), (XiFactor(3, False),), "")
-    assert parse_xi_expr("xi(:)") == XiExpression((), (), "")
-    assert parse_xi_expr("xi''(5+:4)").normalizer == "doubleprime"
+    assert parse_xi_expr("xi(3:)") == XiExpression((XiFactor(3, False),), (), 0)
+    assert parse_xi_expr("xi(:3)") == XiExpression((), (XiFactor(3, False),), 0)
+    assert parse_xi_expr("xi(:)") == XiExpression((), (), 0)
+    # the normalizer is the number of prime marks
+    for marks in range(3):
+        assert parse_xi_expr("xi" + "'" * marks + "(5+:4)").normalizer == marks
 
 
 def test_parse_xi_series_equalities():

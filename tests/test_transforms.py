@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb
 
@@ -64,27 +65,29 @@ def test_xi_cancellation():
 
 def test_xi_constructor_validation():
     with pytest.raises(ValueError, match="factor exponents must be positive"):
-        XiExpression((XiFactor(0, False),), (), "")
-    with pytest.raises(ValueError, match="bad normalizer 'triple'"):
-        XiExpression((), (), "triple")
+        XiExpression((XiFactor(0, False),), (), 0)
+    # the normalizer is a prime count, an int 0, 1 or 2
+    for bad in (3, -1, 1.0, "", "prime", "doubleprime"):
+        with pytest.raises(ValueError, match=f"^bad normalizer {re.escape(repr(bad))}$"):
+            XiExpression((), (), bad)
 
 
 def test_xi_expression_is_a_hashable_frozen_value():
     # structural equality and equal hashes make expressions table keys; the
     # defaults are the empty factor lists and no normalizer
-    e = xi([2, (3, True)], [5], normalizer="prime")
-    same = XiExpression((XiFactor(2, False), XiFactor(3, True)), (XiFactor(5, False),), "prime")
+    e = xi([2, (3, True)], [5], normalizer=1)
+    same = XiExpression((XiFactor(2, False), XiFactor(3, True)), (XiFactor(5, False),), 1)
     assert e == same and hash(e) == hash(same)
-    assert XiExpression() == XiExpression((), (), "") == parse_xi_expr("xi(:)")
-    assert e != xi([2, (3, True)], [5]) and e != xi([(3, True), 2], [5], normalizer="prime")
+    assert XiExpression() == XiExpression((), (), 0) == parse_xi_expr("xi(:)")
+    assert e != xi([2, (3, True)], [5]) and e != xi([(3, True), 2], [5], normalizer=1)
     assert {e: "E"}[same] == "E"
     assert repr(XiExpression((XiFactor(2, True),))) == (
         "XiExpression(numerator=(XiFactor(exponent=2, plus=True),), denominator=(), "
-        "normalizer='')")
+        "normalizer=0)")
     for name in ("numerator", "normalizer"):
         with pytest.raises(AttributeError):
             setattr(e, name, ())
-    assert e.normalizer == "prime"
+    assert e.normalizer == 1 and e.text() == "xi'(2,3+:5)"
 
 
 # ---------------------------------------------------------------------------
