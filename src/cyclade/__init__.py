@@ -5,7 +5,6 @@ from .exact import (
     CyclotomicNumber,
     NotRational,
     PowerSeries,
-    Rational,
     cyclo_as_rational,
     cyclo_conj,
     cyclo_embed,
@@ -41,7 +40,6 @@ from .measures import (
     cyclotomic_expansion,
     density_measure,
     expand_over_level,
-    first_atom_difference,
     level,
     lincomb,
     measure_equal,

@@ -2,7 +2,7 @@
 series, and cyclotomic field elements in canonically reduced form.
 
 Everything here is immutable and pure.  Rational numbers are
-``fractions.Fraction`` (re-exported as ``Rational``); cyclotomic field
+``fractions.Fraction``; cyclotomic field
 elements are coordinate vectors over the power basis of the N-th cyclotomic
 field, reduced modulo the N-th cyclotomic polynomial.  Cyclotomic numbers
 and power series store their coordinates as integers over one positive
@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
-
-Rational = Fraction
 
 
 class NotRational(ArithmeticError):
@@ -156,7 +154,7 @@ class _IntegersOverDenominator:
     def _fill(self, order: int, coeffs: Iterable, size: int) -> None:
         """The public constructors: any rationals, size of them."""
         nums, den = _over_lcm(coeffs)
-        if order < 0 or len(nums) != size:
+        if len(nums) != size:
             raise ValueError(f"need {size} coordinates at order {order}, got {len(nums)}")
         self.order, self.nums, self.den = order, tuple(nums), den
 
@@ -312,8 +310,6 @@ class CyclotomicNumber(_IntegersOverDenominator):
 
 def cyclo_make(order: int, exponent_weights: Mapping[int, object]) -> CyclotomicNumber:
     """Weighted sum of powers of the primitive order-th root, reduced."""
-    if order < 1:
-        raise ValueError("order must be positive")
     nums, den = _over_lcm(exponent_weights.values())
     return cyclo_from_integers(order, zip(exponent_weights, nums), den)
 

@@ -165,25 +165,21 @@ def _sum(s: _Scanner):
 
 
 def _term(s: _Scanner):
+    """factor (("*" factor) | ("/" integer))*, read left to right."""
     value = _factor(s)
-    while s.peek() == "*":
-        pos = s.pos
+    while s.peek() in ("*", "/"):
+        op, pos = s.peek(), s.pos
         s.pos += 1
-        value = _mul(value, _factor(s), pos)
-    if s.take("/"):
-        pos, divisor = _divisor(s)
-        value = _mul(value, Fraction(1, divisor), pos)
+        if op == "*":
+            value = _mul(value, _factor(s), pos)
+        else:
+            s.skip_ws()
+            pos = s.pos
+            divisor = s.integer()
+            if divisor == 0:
+                raise EvaluationError("division by zero", pos)
+            value = _mul(value, Fraction(1, divisor), pos)
     return value
-
-
-def _divisor(s: _Scanner):
-    """(position, value) of a nonzero integer divisor."""
-    s.skip_ws()
-    pos = s.pos
-    divisor = s.integer()
-    if divisor == 0:
-        raise EvaluationError("division by zero", pos)
-    return pos, divisor
 
 
 def _factor(s: _Scanner):
@@ -194,13 +190,7 @@ def _factor(s: _Scanner):
         s.expect(")")
         return value
     if _is_digit(c):
-        value, save = s.integer(), s.pos
-        # a rational scalar like 3/2; leave the slash to the term when a
-        # non-integer follows (that case is a parse error anyway)
-        if s.take("/") and _is_digit(s.peek()):
-            return Fraction(value, _divisor(s)[1])
-        s.pos = save
-        return value
+        return s.integer()
     if c.isalpha():
         pos = s.pos
         name = s.name()

@@ -341,18 +341,6 @@ def measure_equal(a: CyclotomicMeasure, b: CyclotomicMeasure) -> bool:
     return a.den == b.den and a.embed(order).moments == b.embed(order).moments
 
 
-def first_atom_difference(a: CyclotomicMeasure, b: CyclotomicMeasure):
-    """None when equal; otherwise (position, weight_a, weight_b) at the
-    common support order.  Each representative r is the least position of
-    its orbit, so the first differing representative is the first
-    differing position."""
-    if measure_equal(a, b):
-        return None
-    order = math.lcm(a.order, b.order)
-    pairs = zip(a.embed(order).reps, b.embed(order).reps)
-    return next((r, x, y) for r, (x, y) in enumerate(pairs) if x != y)
-
-
 # ---------------------------------------------------------------------------
 # Moments, T series, pushforward
 # ---------------------------------------------------------------------------

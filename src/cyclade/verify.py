@@ -15,6 +15,7 @@ measure table that the graph checks read, candidate_measure, is here too.
 from __future__ import annotations
 
 import fnmatch
+import math
 import time
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -37,7 +38,6 @@ from .measures import (
     basic_measure,
     cyclotomic_expansion,
     density_measure,
-    first_atom_difference,
     level,
     lincomb,
     one_minus_power,
@@ -211,7 +211,11 @@ def _difference(got, expected) -> str:
                        if x != y)
         return f"coefficient {i}: {x} != {y}"
     if isinstance(got, CyclotomicMeasure):
-        j, x, y = first_atom_difference(got, expected)
+        # each representative r is the least position of its orbit, so the
+        # first differing representative is the first differing position
+        order = math.lcm(got.order, expected.order)
+        pairs = zip(got.embed(order).reps, expected.embed(order).reps)
+        j, x, y = next((r, x, y) for r, (x, y) in enumerate(pairs) if x != y)
         return f"atom {j}: {x!r} != {y!r}"
     return f"{got!r} != {expected!r}"
 

@@ -80,6 +80,12 @@ def test_euler_phi_counts_the_coprime_residues():
             euler_phi(bad)
 
 
+@pytest.mark.parametrize("order,weights", [(0, {}), (-2, {1: 1})])
+def test_cyclo_make_refuses_a_nonpositive_order(order, weights):
+    with pytest.raises(ValueError, match="^order must be positive$"):
+        cyclo_make(order, weights)
+
+
 def _convolve(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -227,6 +233,12 @@ def test_public_constructors_coerce_and_check_length():
     assert all(type(c) is Fraction for c in s.coeffs)
     with pytest.raises(ValueError):
         PowerSeries(2, [1, 0])
+
+
+def test_series_repr_shows_the_first_eight_coefficients():
+    assert repr(PowerSeries.from_list(range(8))) == "PowerSeries(order=7, [0, 1, 2, 3, 4, 5, 6, 7])"
+    assert repr(PowerSeries.from_list(range(10))) == (
+        "PowerSeries(order=9, [0, 1, 2, 3, 4, 5, 6, 7, ...])")
 
 
 _orders = st.sampled_from([1, 2, 3, 4, 6, 8, 12])

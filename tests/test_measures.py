@@ -181,6 +181,21 @@ def test_memoized_atoms_are_shared_and_unchanged():
     assert [(m.order, m.moments, m.den, [w.coeffs for w in m.reps]) for m in (a, d)] == before
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: CyclotomicMeasure(3, [1, 0, 0]), "support order must be even and at least 2"),
+    (lambda: CyclotomicMeasure(4, [1, 0, 0]), "need 4 weights, got 3"),
+    (lambda: basic_measure("d", 0), "parameter must be positive"),
+    (lambda: basic_measure("dquad", 1), "unknown base kind 'dquad'"),
+    (lambda: lincomb([]), "empty combination"),
+    (lambda: cyclotomic_expansion(basic_measure("d", 1), 0),
+     "support parameter must be positive"),
+], ids=["odd-order", "weight-count", "parameter", "base-kind", "empty", "expansion-support"])
+def test_bad_arguments_are_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_symmetry_enforced():
     with pytest.raises(SymmetryViolation):
         CyclotomicMeasure(4, [Fraction(1), Fraction(0), Fraction(0), Fraction(0)])
@@ -302,21 +317,11 @@ def test_pushforward_locations_strictly_increase():
 # the measure table
 # ---------------------------------------------------------------------------
 
-# every table entry as measure-expression text, the E6 ternary form spelled
-# over one denominator: the twelve exceptional entries, then the four series
+# table entries as measure-expression text: the E6 ternary form spelled over
+# one denominator, not as verify.EXCEPTIONAL_MEASURES writes it, then the
+# four series
 _EXCEPTIONAL_EXPRESSIONS = {
-    ("E6", "thm71"): "alpha_12 + (d_12 - d_6 - d_4 + d_3)/2",
     ("E6", "thm87"): "(d''_2 + 2*alpha''_2 + 3*d'''_1)/6",
-    ("E7", "thm71"): "beta'_9 + (d'_1 - d'_3)/2",
-    ("E7", "thm87"): "(2*beta''_3 + d'_1)/3",
-    ("E8", "thm71"): "alpha'_15 + gamma'_15 - (d'_5 + d'_3)/2",
-    ("E8", "thm87"): "(2*alpha''_5 + 2*gamma''_5 - d''_1)/3",
-    ("E6tilde", "thm71"): "(d_3 + d_3 + d_2 - d_1)/2",
-    ("E7tilde", "thm71"): "(d_4 + d_3 + d_2 - d_1)/2",
-    ("E8tilde", "thm71"): "(d_5 + d_3 + d_2 - d_1)/2",
-    ("E6tilde", "thm87"): "alpha_3 + (d_2 - d_3)/2",
-    ("E7tilde", "thm87"): "alpha_4 + (d_3 - d_4)/2",
-    ("E8tilde", "thm87"): "alpha_6 + (d_5 - d_6)/2",
 }
 
 _SERIES_EXPRESSIONS = {

@@ -88,6 +88,11 @@ def test_parse_measure_scalars():
     ("3/2*d_2 - d_2", [(Fraction(3, 2), "d_2"), (Fraction(-1), "d_2")]),
     ("2*(d_2 - 3*d'_1)/4 - d_1", [(Fraction(1, 2), "d_2"), (Fraction(-3, 2), "d'_1"),
                                   (Fraction(-1), "d_1")]),
+    ("(1+2)*d_1", [(Fraction(3), "d_1")]),
+    # * and / read left to right, as in Python
+    ("d_1/2*3", [(Fraction(3, 2), "d_1")]),
+    ("d_1/2/3", [(Fraction(1, 6), "d_1")]),
+    ("2/3/4*d_1", [(Fraction(1, 6), "d_1")]),
 ])
 def test_scalar_products_and_quotients(text, terms):
     # scalars stay ints until a division makes a Fraction; the measure is
@@ -117,8 +122,6 @@ def test_parse_measure_errors():
         parse_measure_expr("3/2")
     with pytest.raises(EvaluationError):
         parse_measure_expr("d_1 + 2")
-    with pytest.raises(EvaluationError, match="^division by zero at position 2$"):
-        parse_measure_expr("1/0*d_1")
     with pytest.raises(EvaluationError, match="support order 1002"):
         parse_measure_expr("d'''_167")
     with pytest.raises(ParseError):
@@ -145,6 +148,22 @@ def test_parse_measure_errors():
         with pytest.raises(EvaluationError, match=f" at position {position}$") as err:
             parse_measure_expr(text)
         assert err.value.position == position
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("1/0*d_1", EvaluationError, "division by zero at position 2"),
+    ("3/\u00b2*d_1", ParseError, "unexpected character '\u00b2' at position 2 (expected integer)"),
+    ("d_1/", ParseError, "unexpected end of input at position 4 (expected integer)"),
+    ("d_1/x", ParseError, "unexpected character 'x' at position 4 (expected integer)"),
+    ("d_1 )", ParseError, "unexpected character ')' at position 4 (expected end of input)"),
+    # the term d_1/2*d_2 is read to its end, so the product is refused
+    ("d_1/2*d_2", EvaluationError, "cannot multiply two measures at position 5"),
+], ids=["zero-divisor", "non-ascii-divisor", "no-divisor", "name-divisor", "trailing",
+        "product-after-division"])
+def test_refusal_messages(text, error, message):
+    with pytest.raises(error) as err:
+        parse_measure_expr(text)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("parse,text,position", [

@@ -224,6 +224,16 @@ def test_negative_order_is_refused(name, order):
     assert _NEGATIVE_ORDER_CALLS[name](0) is not None
 
 
+@pytest.mark.parametrize("route", [theta_from_poincare_formula, theta_from_poincare_subst])
+@pytest.mark.parametrize("counts,message", [
+    (_COUNTS, "need loop counts up to the requested order"),
+    (PowerSeries.from_list([2, 1, 2, 5, 14, 42]), "loop count sequence must start at 1"),
+], ids=["short", "not-one"])
+def test_theta_routes_refuse_bad_counts(route, counts, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        route(counts, 5)
+
+
 @pytest.mark.parametrize("tag", FAMILY_TAGS)
 def test_theta_routes_give_the_table_at_order_160(tag):
     fam = GraphFamily(tag, {"A": 9, "Atilde": 10, "D": 9, "Dtilde": 9}.get(tag, 0))

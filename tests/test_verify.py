@@ -173,6 +173,43 @@ def test_scalar_case_reports_both_values_and_stops(monkeypatch):
     assert len(calls) == 1  # the cases after the first failure are never computed
 
 
+def test_level_check_reports_the_first_family_above_3(monkeypatch):
+    monkeypatch.setattr(verify, "level", lambda e: 4)
+    (result,) = run_all(order=8, size_matrix={"A": (2, 3)}, only="level/ADE").results
+    assert (result.status, result.details) == ("fail", "A2 has level 4")
+
+
+def test_etilde_constant_check_needs_one_match_per_family(monkeypatch):
+    # every form given E6tilde's T series: both constants match E6tilde
+    monkeypatch.setattr(RunContext, "measure_t",
+                        lambda self, e: self.graph_t(GraphFamily("E6tilde")))
+    (result,) = run_all(order=8, only="discrepancy/Etilde-constant").results
+    assert (result.status, result.details) == ("fail", "E6tilde: 2 constants match")
+
+
+def test_etilde_constant_check_needs_one_winner(monkeypatch):
+    # E8tilde's two forms swapped, so its constant 1/3 wins
+    real = verify._etilde_ternary
+    monkeypatch.setattr(verify, "_etilde_ternary",
+                        lambda ell, den: real(ell, 5 - den if ell == 5 else den))
+    (result,) = run_all(order=8, only="discrepancy/Etilde-constant").results
+    assert (result.status, result.details) == (
+        "fail", "inconsistent winners [Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]")
+
+
+def test_a_crashed_check_fails_and_the_run_goes_on(monkeypatch):
+    def crash(ctx):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(verify, "registry", lambda: {"demo/crash": crash,
+                                                     "demo/next": lambda ctx: ("pass", "ok")})
+    report = run_all(order=8)
+    assert [(r.check_id, r.status, r.details) for r in report.results] == [
+        ("demo/crash", "fail", "exception: ZeroDivisionError('boom')"),
+        ("demo/next", "pass", "ok"),
+    ]
+
+
 def test_exceptional_parameter_other_than_its_digit_fails():
     # the size matrix is checked before any check runs
     with pytest.raises(ValueError, match="E7 has parameter 7"):
