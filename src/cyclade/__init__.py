@@ -41,8 +41,6 @@ from .measures import (
     density_measure,
     expand_over_level,
     level,
-    lincomb,
-    measure_equal,
     moment,
     pushforward_real,
     reconstruct_expansion,

@@ -10,9 +10,10 @@ denominator in lowest terms, so structural equality decides field equality;
 ``.coeffs`` derives the Fractions.  A polynomial is the tuple of its
 coefficients, constant term first (ints for a cyclotomic polynomial); all
 arithmetic, polynomial arithmetic included, runs on integer lists over one
-denominator.  The two classes share one set of operators, and one in-place
-kernel multiplies or divides such a list by (1 +- q^d): the Mobius product
-of cyclotomic_poly and the xi forms and closed forms of transforms.
+denominator.  The two classes, and the measures of the measures module,
+share one set of operators, and one in-place kernel multiplies or divides
+such a list by (1 +- q^d): the Mobius product of cyclotomic_poly and the xi
+forms and closed forms of transforms.
 """
 
 from __future__ import annotations
@@ -141,13 +142,14 @@ def _over_lcm(values: Iterable) -> Tuple[list, int]:
 
 
 class _IntegersOverDenominator:
-    """Storage shared by CyclotomicNumber and PowerSeries: the coordinates
-    are the integers nums over one positive denominator den, with
-    gcd(den, *nums) = 1, so the stored form is canonical and equal values
-    have equal fields.  It defines == and + - * and their reflected forms
-    once, on two hooks of each class: _align(other) gives both operands in
-    one form, or None for an operand of another type, and _product
-    multiplies two aligned ones."""
+    """Storage shared by CyclotomicNumber, PowerSeries and
+    measures.CyclotomicMeasure: the coordinates are the integers nums over
+    one positive denominator den, with gcd(den, *nums) = 1, so the stored
+    form is canonical and equal values have equal fields.  It defines ==
+    and + - * and their reflected forms once, on two hooks of each class:
+    _align(other) gives both operands in one form, or None for an operand
+    of another type, and _product multiplies two aligned ones; an int or a
+    Fraction scales any of them."""
 
     __slots__ = ("order", "nums", "den")
 
@@ -213,7 +215,7 @@ class _IntegersOverDenominator:
 
 
 def _normalized(cls, order: int, nums, den: int):
-    """The internal constructor of both classes: nums / den, divided by the
+    """The internal constructor of the three classes: nums / den, divided by the
     gcd of den and nums and with den made positive; the length of nums is
     the caller's to get right."""
     if den != 1:

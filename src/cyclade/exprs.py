@@ -2,10 +2,13 @@
 
 Both parsers report syntax errors with the source position and the tokens they
 would have accepted there.  The measure parser builds no syntax tree: it
-evaluates the expression left to right as it parses it, so of a syntax error
-and an evaluation error the one further left is reported.  An evaluation
-error gives a source position too: the atom's first character, the operator
-or the divisor it was raised at, or 0 for a scalar result.
+evaluates the expression left to right as it parses it, with the operators
+of measures and scalars, and raises the first error it meets.  An operator's
+error is raised once its right operand is read, so an error inside that
+operand comes first: "2 - d_1 * d_2" fails at the "*" (position 8), not at
+the "-".  An evaluation error gives a source position too: the atom's first
+character, the operator or the divisor it was raised at, or 0 for a scalar
+result.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import List
 
-from .measures import BASE_KINDS, CyclotomicMeasure, atom_measure, lincomb
+from .measures import BASE_KINDS, CyclotomicMeasure, atom_measure
 from .transforms import XiExpression, XiFactor
 
 
@@ -148,8 +151,7 @@ MAX_ATOM_SUPPORT = 1000
 _SUPPORT_FACTOR = (2, 4, 12, 6)
 
 # Each rule returns a scalar, an int until a division makes it a Fraction,
-# or a measure as (support order, [(coefficient, atom), ...]); the terms
-# are combined once, by parse_measure_expr.
+# or a measure, whose order is the lcm of its atoms' supports.
 
 
 def _sum(s: _Scanner):
@@ -157,10 +159,7 @@ def _sum(s: _Scanner):
     while s.peek() in ("+", "-"):
         op, pos = s.peek(), s.pos
         s.pos += 1
-        rhs = _term(s)
-        if op == "-":
-            rhs = _mul(rhs, -1, pos)
-        value = _add(value, rhs, pos)
+        value = _add(value, _term(s), pos, op == "-")
     return value
 
 
@@ -199,8 +198,7 @@ def _factor(s: _Scanner):
                              ("'d'", "'alpha'", "'beta'", "'gamma'"))
         primes = s.primes()
         s.expect("_")
-        atom = _eval_atom(name, primes, s.integer(), pos)
-        return atom.order, [(1, atom)]
+        return _eval_atom(name, primes, s.integer(), pos)
     raise ParseError(f"unexpected {s.describe()}", s.pos,
                      ("integer", "atom", "'('"))
 
@@ -222,40 +220,30 @@ def _eval_atom(name: str, primes: int, n: int, pos: int):
 
 
 def _mul(a, b, pos: int):
-    if not isinstance(a, tuple):
-        if not isinstance(b, tuple):
-            return a * b
-        a, b = b, a
-    if not isinstance(b, tuple):
-        return a[0], [(c * b, m) for c, m in a[1]]
-    raise EvaluationError("cannot multiply two measures", pos)
+    if isinstance(a, CyclotomicMeasure) and isinstance(b, CyclotomicMeasure):
+        raise EvaluationError("cannot multiply two measures", pos)
+    return a * b
 
 
-def _add(a, b, pos: int):
-    if not isinstance(a, tuple) and not isinstance(b, tuple):
-        return a + b
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        support = math.lcm(a[0], b[0])
+def _add(a, b, pos: int, subtract: bool):
+    measure = isinstance(a, CyclotomicMeasure)
+    if measure != isinstance(b, CyclotomicMeasure):
+        raise EvaluationError("cannot add a scalar and a measure", pos)
+    if measure:
+        support = math.lcm(a.order, b.order)
         if support > MAX_ATOM_SUPPORT:
             raise EvaluationError(
                 f"sum has support order {support}, above the limit {MAX_ATOM_SUPPORT}", pos)
-        # every term list is built fresh by _factor or _mul, so a's may
-        # grow in place
-        a[1].extend(b[1])
-        return support, a[1]
-    raise EvaluationError("cannot add a scalar and a measure", pos)
+    return a - b if subtract else a + b
 
 
 def parse_measure_expr(text: str) -> CyclotomicMeasure:
-    """Parse and evaluate a measure expression; a lone atom with coefficient 1
-    is the memoized atom itself."""
+    """Parse and evaluate a measure expression; a lone atom is the memoized
+    atom itself."""
     s = _Scanner(text)
     value = _sum(s)
     if not s.at_end():
         raise ParseError(f"unexpected {s.describe()}", s.pos, ("end of input",))
-    if not isinstance(value, tuple):
+    if not isinstance(value, CyclotomicMeasure):
         raise EvaluationError("expression evaluates to a scalar, not a measure", 0)
-    terms = value[1]
-    if len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]
-    return lincomb(terms)
+    return value

@@ -2,8 +2,8 @@
 
 A measure lives on the N-th roots of unity, N even, and is symmetric under
 u -> 1/u and u -> -u.  Every measure built here has rational moments, and it
-is stored as one sequence of integers: moments[k] / den is its moment 2k for
-k < n, n = N/2, with gcd(den, *moments) = 1 so that equal measures at one
+is stored as one sequence of integers: nums[k] / den is its moment 2k for
+k < n, n = N/2, with gcd(den, *nums) = 1 so that equal measures at one
 order have equal fields.  Odd moments vanish, as each orbit holds u and -u.
 Every atom has u^N = 1 and the measure is symmetric under u -> 1/u, so the
 even moments satisfy the reflection identity moment 2(k + n) = moment 2k
@@ -13,8 +13,11 @@ weight for the atoms u, 1/u, -u and -1/u.
 
 Only display reads the weights; all else runs on the sequences: the
 uniform measures have closed forms, a density convolves the base sequence
-with its coefficients, a combination adds the sequences repeated to a
-common period, equality compares them, is_probability reads the signs.
+with its coefficients, is_probability reads the signs.  A measure is a
+value of the operator set that exact gives cyclotomic numbers and series:
+== and + - lift two measures to a common period by repeating their
+sequences, and an int or a Fraction scales one; a product of two measures,
+or a sum with a scalar, is refused.
 The one place that validates symmetry and realness is the public
 constructor CyclotomicMeasure(N, weights), which takes the full list of N
 weights and raises NotRational for a measure with an irrational moment.
@@ -35,6 +38,7 @@ from ._value import FrozenValue
 from .exact import (
     CyclotomicNumber,
     PowerSeries,
+    _IntegersOverDenominator,
     cyclo_as_rational,
     cyclo_embed,
     cyclo_from_integers,
@@ -44,6 +48,7 @@ from .exact import (
     _check_order,
     _cyclo_rational,
     _mobius_pairs,
+    _normalized,
     _over_lcm,
     _solve_columns,
 )
@@ -71,24 +76,29 @@ DENSITY_POLYS = {
 ATOM_CACHE_SIZE = 512
 
 
-class CyclotomicMeasure:
+class CyclotomicMeasure(_IntegersOverDenominator):
     """Finitely supported measure on the N-th roots of unity, N = order.
 
-    moments[k] / den is the moment 2k for 0 <= k < N/2, in lowest terms.
+    nums[k] / den is the moment 2k for 0 <= k < N/2, in lowest terms.
     Instances are immutable; _reps caches the orbit weights that reps
-    derives on first read.
+    derives on first read, and is unset on a measure that arithmetic built.
     """
 
-    __slots__ = ("order", "moments", "den", "_reps")
+    __slots__ = ("_reps",)
 
     def __init__(self, order: int, weights: Sequence):
-        """Build from the full list of N weights, checking that they are real
-        and equal on each orbit; NotRational for the first irrational
-        moment, as cyclo_as_rational reports it."""
+        """Build from the full list of N weights, ints, Fractions or
+        cyclotomic numbers, checking that they are real and equal on each
+        orbit; NotRational for the first irrational moment, as
+        cyclo_as_rational reports it."""
         if order < 2 or order % 2:
             raise ValueError("support order must be even and at least 2")
         if len(weights) != order:
             raise ValueError(f"need {order} weights, got {len(weights)}")
+        for j, w in enumerate(weights):
+            if not isinstance(w, (int, Fraction, CyclotomicNumber)):
+                raise TypeError(f"weight at position {j} is a {type(w).__name__}, "
+                                "not an int, a Fraction or a CyclotomicNumber")
         ws = [_cyclo_rational(order, w.numerator, w.denominator) if isinstance(w, (int, Fraction))
               else cyclo_embed(w, order) for w in weights]
         n = order // 2
@@ -106,7 +116,7 @@ class CyclotomicMeasure:
             order, [(i + 2 * j * k, v) for i, j, v in coords], wden))
             for k in range(n // 2 + 1)]
         nums, den = _over_lcm(block[min(k, n - k)] for k in range(n))
-        self.order, self.moments, self.den = order, tuple(nums), den
+        self.order, self.nums, self.den = order, tuple(nums), den
         self._reps = tuple(ws[: order // 4 + 1])
 
     @property
@@ -116,9 +126,9 @@ class CyclotomicMeasure:
         a real element of the N-th cyclotomic field.  Derived on first read
         by the inverse transform w(z^r) = (1/N) sum_k M_k z^(-2rk), M_k the
         moment 2k, one cyclo_from_integers per orbit."""
-        if self._reps is None:
+        if getattr(self, "_reps", None) is None:
             order, scale = self.order, self.order * self.den
-            terms = [(k, v) for k, v in enumerate(self.moments) if v]
+            terms = [(k, v) for k, v in enumerate(self.nums) if v]
             self._reps = tuple(cyclo_from_integers(order, [(-2 * r * k, v) for k, v in terms],
                                                    scale) for r in range(order // 4 + 1))
         return self._reps
@@ -142,10 +152,10 @@ class CyclotomicMeasure:
         return 2 if r == 0 or 4 * r == self.order else 4
 
     def mass(self) -> Fraction:
-        return Fraction(self.moments[0], self.den)
+        return Fraction(self.nums[0], self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.moments)
+        return not any(self.nums)
 
     def is_probability(self) -> bool:
         """Whether the mass is 1 and every weight is at least 0, the signs
@@ -170,7 +180,7 @@ class CyclotomicMeasure:
         if self.mass() != 1:
             return False
         n = self.minimal_support_order() // 2
-        m = self.moments[:n]
+        m = self.nums[:n]
         for d in (d for d in range(1, n + 1) if n % d == 0):
             a = [sum(m[r::d]) for r in range(d)]
             pairs = _mobius_pairs(d)
@@ -187,7 +197,7 @@ class CyclotomicMeasure:
             raise ValueError(f"{order} is not a positive multiple of {self.order}")
         if order == self.order:
             return self
-        return _from_moments(order, self.moments * (order // self.order), self.den)
+        return _normalized(CyclotomicMeasure, order, self.nums * (order // self.order), self.den)
 
     def minimal_support_order(self) -> Optional[int]:
         """Smallest even N such that every atom is an N-th root; None if zero.
@@ -195,34 +205,26 @@ class CyclotomicMeasure:
         It is twice the least period p of the even moments: by the linear
         independence of the characters k -> s^k, period p holds exactly when
         every atom u has (u^2)^p = 1."""
-        m = self.moments
+        m = self.nums
         if not any(m):
             return None
         n = len(m)
         return 2 * next(p for p in range(1, n + 1) if n % p == 0 and m == m[:p] * (n // p))
 
-    def __eq__(self, other) -> bool:
+    def _align(self, other):
+        """Both measures at the lcm of their orders, by embed; None for an
+        operand of another type, a scalar included."""
         if not isinstance(other, CyclotomicMeasure):
-            return NotImplemented
-        return measure_equal(self, other)
+            return None
+        order = math.lcm(self.order, other.order)
+        return self.embed(order), other.embed(order)
 
-    __hash__ = None
+    def _product(self, other):
+        raise TypeError("cannot multiply two measures")
 
     def __repr__(self):
         nz = sum(self.orbit_size(r) for r, w in enumerate(self.reps) if not w.is_zero())
         return f"CyclotomicMeasure(order={self.order}, atoms={nz})"
-
-
-def _from_moments(order: int, moments: Sequence[int], den: int) -> CyclotomicMeasure:
-    """Internal constructor from den times the moments 2k, k < order / 2,
-    with den positive; divides out the common factor."""
-    g = math.gcd(den, *moments)
-    e = object.__new__(CyclotomicMeasure)
-    e.order = order
-    e.moments = tuple(moments) if g == 1 else tuple(v // g for v in moments)
-    e.den = den // g
-    e._reps = None
-    return e
 
 
 class RealMeasure(FrozenValue):
@@ -278,13 +280,13 @@ def basic_measure(kind: str, n: int) -> CyclotomicMeasure:
     if n < 1:
         raise ValueError("parameter must be positive")
     if kind == "d":
-        return _from_moments(2 * n, [int(k == 0) for k in range(n)], 1)
+        return _normalized(CyclotomicMeasure, 2 * n, [int(k == 0) for k in range(n)], 1)
     if kind == "dprime":
-        return _from_moments(4 * n, [0 if k % n else (-1) ** (k // n) for k in range(2 * n)], 1)
+        return _normalized(CyclotomicMeasure, 4 * n,
+                           [0 if k % n else (-1) ** (k // n) for k in range(2 * n)], 1)
     if kind in ("ddoubleprime", "dtripleprime"):
         base = "dprime" if kind == "ddoubleprime" else "d"
-        return lincomb([(Fraction(3, 2), basic_measure(base, 3 * n)),
-                        (Fraction(-1, 2), basic_measure(base, n))])
+        return Fraction(1, 2) * (3 * basic_measure(base, 3 * n) - basic_measure(base, n))
     raise ValueError(f"unknown base kind {kind!r}")
 
 
@@ -303,11 +305,11 @@ def density_measure(poly: Tuple, kind: str, n: int) -> CyclotomicMeasure:
     """
     base = basic_measure(kind, n)
     pnums, pden = _over_lcm(poly)
-    m, period = base.moments, len(base.moments)
+    m, period = base.nums, len(base.nums)
     terms = [(i, c) for i, c in enumerate(pnums) if c]
-    return _from_moments(base.order, [sum(c * (m[(k + i) % period] + m[(k - i) % period])
-                                          for i, c in terms) for k in range(period)],
-                         2 * pden * base.den)
+    return _normalized(CyclotomicMeasure, base.order,
+                       [sum(c * (m[(k + i) % period] + m[(k - i) % period]) for i, c in terms)
+                        for k in range(period)], 2 * pden * base.den)
 
 
 def atom_measure(name: str, kind: str, n: int) -> CyclotomicMeasure:
@@ -318,29 +320,6 @@ def atom_measure(name: str, kind: str, n: int) -> CyclotomicMeasure:
     return density_measure(DENSITY_POLYS[name], kind, n)
 
 
-def lincomb(terms: Sequence[Tuple[Fraction, CyclotomicMeasure]]) -> CyclotomicMeasure:
-    """Exact linear combination, lifted to the least common support order:
-    the moment sequences, each repeated to the common period, summed in
-    integers over one common denominator."""
-    if not terms:
-        raise ValueError("empty combination")
-    order = math.lcm(*[m.order for _, m in terms])
-    scaled = [(c if isinstance(c, (int, Fraction)) else Fraction(c), m) for c, m in terms]
-    den = math.lcm(*[c.denominator * m.den for c, m in scaled])
-    acc = [0] * (order // 2)
-    for c, m in scaled:
-        lift = c.numerator * (den // (c.denominator * m.den))
-        if lift:
-            acc = [a + lift * v for a, v in zip(acc, m.moments * (order // m.order))]
-    return _from_moments(order, acc, den)
-
-
-def measure_equal(a: CyclotomicMeasure, b: CyclotomicMeasure) -> bool:
-    """Equal moment sequences after lifting to the common support order."""
-    order = math.lcm(a.order, b.order)
-    return a.den == b.den and a.embed(order).moments == b.embed(order).moments
-
-
 # ---------------------------------------------------------------------------
 # Moments, T series, pushforward
 # ---------------------------------------------------------------------------
@@ -349,7 +328,7 @@ def moment(e: CyclotomicMeasure, k: int) -> CyclotomicNumber:
     """The k-th moment: the weighted sum of k-th powers of the atoms, read
     off the stored sequence.  Each orbit holds u and -u, so an odd moment is
     exactly zero."""
-    m = e.moments
+    m = e.nums
     return _cyclo_rational(e.order, 0 if k % 2 else m[k // 2 % len(m)], e.den)
 
 
@@ -357,7 +336,7 @@ def _even_moments(e: CyclotomicMeasure, count: int) -> Tuple[List[int], int]:
     """(nums, den) with moment 2k = nums[k] / den for k = 0 .. count: the
     stored period, repeated by the reflection identity."""
     _check_order(count)
-    m = e.moments
+    m = e.nums
     return list((m * (count // len(m) + 1))[: count + 1]), e.den
 
 
@@ -443,7 +422,7 @@ def reconstruct_expansion(result: ExpansionResult) -> CyclotomicMeasure:
     acc = [0] * n
     for l, x in zip(labels, xs):
         acc = [a + x * v for a, v in zip(acc, _moment_column(l, n, n - 1))]
-    return _from_moments(2 * n, acc, 2 * den)
+    return _normalized(CyclotomicMeasure, 2 * n, acc, 2 * den)
 
 
 def _moment_column(l: int, m: int, count: int) -> List[int]:
@@ -519,7 +498,7 @@ def level(e: CyclotomicMeasure) -> int:
     if support is None:
         return 0
     n = support // 2
-    m = e.moments[:n]
+    m = e.nums[:n]
     best = 0
     for d in sorted((d for d in range(1, n + 1) if n % d == 0), key=euler_phi, reverse=True):
         h = euler_phi(d) // 2

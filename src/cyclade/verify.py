@@ -15,7 +15,6 @@ measure table that the graph checks read, candidate_measure, is here too.
 from __future__ import annotations
 
 import fnmatch
-import math
 import time
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -39,7 +38,6 @@ from .measures import (
     cyclotomic_expansion,
     density_measure,
     level,
-    lincomb,
     one_minus_power,
     reconstruct_expansion,
     t_series_of_measure,
@@ -98,8 +96,7 @@ def candidate_measure(family: GraphFamily, variant: str) -> CyclotomicMeasure:
     if tag == "D":
         return atom_measure("alpha", "dprime", m - 1)
     if tag == "Dtilde":
-        half = Fraction(1, 2)
-        return lincomb([(half, basic_measure("d", m - 2)), (half, basic_measure("dprime", 1))])
+        return Fraction(1, 2) * (basic_measure("d", m - 2) + basic_measure("dprime", 1))
     return exprs.parse_measure_expr(EXCEPTIONAL_MEASURES[tag][variant == "thm87"])
 
 
@@ -198,7 +195,7 @@ class RunContext:
 
     def measure_t(self, e: CyclotomicMeasure) -> PowerSeries:
         # the only fields t_series_of_measure reads, so equal measures share it
-        return self._memo(("measure-t", e.moments, e.den),
+        return self._memo(("measure-t", e.nums, e.den),
                           lambda: t_series_of_measure(e, self.order))
 
 
@@ -212,9 +209,9 @@ def _difference(got, expected) -> str:
         return f"coefficient {i}: {x} != {y}"
     if isinstance(got, CyclotomicMeasure):
         # each representative r is the least position of its orbit, so the
-        # first differing representative is the first differing position
-        order = math.lcm(got.order, expected.order)
-        pairs = zip(got.embed(order).reps, expected.embed(order).reps)
+        # first differing representative, both measures lifted to one
+        # order, is the first differing position
+        pairs = zip(*[m.reps for m in got._align(expected)])
         j, x, y = next((r, x, y) for r, (x, y) in enumerate(pairs) if x != y)
         return f"atom {j}: {x!r} != {y!r}"
     return f"{got!r} != {expected!r}"
@@ -267,7 +264,7 @@ def _prop33_cases(ctx: RunContext, fam: GraphFamily):
     # its even moments over one period, and odd moments vanish, as each
     # orbit holds u and -u
     e = ctx.candidate(fam, "thm71")
-    for j, v in enumerate(e.moments):
+    for j, v in enumerate(e.nums):
         yield f"denominator of twice even moment {2 * j}", Fraction(2 * v, e.den).denominator, 1
 
 
@@ -440,8 +437,7 @@ def _support_cases(ctx: RunContext):
 
     for n in range(1, 5):
         yield (f"odd-roots description n={n}", direct(4 * n, Fraction(1, 2 * n), lambda j: j % 2),
-               lincomb([(Fraction(2), basic_measure("d", 2 * n)),
-                        (Fraction(-1), basic_measure("d", n))]))
+               2 * basic_measure("d", 2 * n) - basic_measure("d", n))
         yield (f"6k+-1 description n={n}",
                direct(12 * n, Fraction(1, 4 * n), lambda j: j % 6 in (1, 5)),
                basic_measure("ddoubleprime", n))

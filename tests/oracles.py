@@ -8,8 +8,10 @@ as Horner's rule with running alternating sums, the closed-form T series in
 Fraction lists, the T series and the expansion from one moment per
 coefficient, each a dense sum over the weights, pushforward moments by
 cyclotomic powering, the sign of a real cyclotomic number at 60 digits,
-positive semidefiniteness by principal minors and the graph measure table
-as rows of (coefficient, atom name, base kind, parameter); root_of_unity,
+positive semidefiniteness by principal minors, a linear combination of
+measures summed in one pass over their moment sequences, and the graph
+measure table as rows of (coefficient, atom name, base kind, parameter);
+root_of_unity,
 which builds the powers of a root that tests start from,
 rational_by_constructor, a rational element through the public
 constructor, and the series q^k and the truncation to a lower order.  Only
@@ -34,8 +36,15 @@ from cyclade.exact import (
     euler_phi,
     series_from_integers,
     _check_order,
+    _normalized,
 )
-from cyclade.measures import ExpansionResult, atom_measure, basic_measure, density_measure, lincomb
+from cyclade.measures import (
+    CyclotomicMeasure,
+    ExpansionResult,
+    atom_measure,
+    basic_measure,
+    density_measure,
+)
 
 
 def monomial(k, order):
@@ -358,16 +367,35 @@ _EXCEPTIONAL_ROWS = {
 }
 
 
-def candidate_measure_by_rows(family, variant):
-    """The closed-form circular measure of the family from the measure
-    table written as rows of (coefficient, atom name, base kind, parameter),
-    summed by one lincomb; both variants share the rows of the four
+def lincomb(terms):
+    """The measure sum c m over the (c, m) terms, c an int or a Fraction, in
+    one pass: the moment sequences, each repeated to the lcm of the orders,
+    summed in integers over one common denominator."""
+    terms = [(Fraction(c), m) for c, m in terms]
+    order = math.lcm(*[m.order for _, m in terms])
+    den = math.lcm(*[c.denominator * m.den for c, m in terms])
+    acc = [0] * (order // 2)
+    for c, m in terms:
+        lift = c.numerator * (den // (c.denominator * m.den))
+        acc = [a + lift * v for a, v in zip(acc, m.nums * (order // m.order))]
+    return _normalized(CyclotomicMeasure, order, acc, den)
+
+
+def measure_rows(family, variant):
+    """The measure table entry of the family as rows of (coefficient, atom
+    name, base kind, parameter); both variants share the rows of the four
     parametrized series."""
     tag, m = family.tag, family.param
-    rows = {
+    return {
         "A": [(1, "alpha", "d", m + 1)],
         "Atilde": [(1, "d", "d", m // 2)],
         "D": [(1, "alpha", "dprime", m - 1)],
         "Dtilde": [(_H, "d", "d", m - 2), (_H, "d", "dprime", 1)],
     }.get(tag) or _EXCEPTIONAL_ROWS[tag, variant]
-    return lincomb([(c, atom_measure(name, kind, n)) for c, name, kind, n in rows])
+
+
+def candidate_measure_by_rows(family, variant):
+    """The closed-form circular measure of the family from its measure_rows,
+    summed by one lincomb."""
+    return lincomb([(c, atom_measure(name, kind, n))
+                    for c, name, kind, n in measure_rows(family, variant)])

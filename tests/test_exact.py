@@ -31,11 +31,12 @@ from cyclade.exact import (
     _times_factor,
     euler_phi,
 )
-from cyclade.measures import density_measure
+from cyclade.measures import atom_measure, density_measure
 from cyclade.transforms import t_closed_form
 from oracles import (
     cyclotomic_poly_by_division,
     divide_monic,
+    lincomb,
     monomial,
     rational_by_constructor,
     root_of_unity,
@@ -345,7 +346,7 @@ def test_trailing_zero_coefficients_change_no_answer():
     short, padded = (1, 0, 0, -1), (Fraction(2, 2), 0, 0, -1, 0, 0)
     for kind, n in (("d", 4), ("dprime", 7), ("d", 2)):
         a, b = density_measure(short, kind, n), density_measure(padded, kind, n)
-        assert (a.order, a.moments, a.den) == (b.order, b.moments, b.den)
+        assert (a.order, a.nums, a.den) == (b.order, b.nums, b.den)
     for variant in ("unprimed", "primed"):
         for n, order in ((4, 0), (4, 16), (9, 30)):
             got = t_closed_form(padded, n, variant, order)
@@ -475,22 +476,26 @@ def test_negative_power_of_q_is_refused(name, k):
 
 
 # ---------------------------------------------------------------------------
-# the operators shared by cyclotomic numbers and series, and the (1 +- q^d)
-# factor kernel
+# the operators shared by cyclotomic numbers, series and measures, and the
+# (1 +- q^d) factor kernel
 # ---------------------------------------------------------------------------
 
 # two operands of each class, as (order, {exponent: weight}) for a
-# cyclotomic number and (order, coefficients) for a series
+# cyclotomic number, (order, coefficients) for a series and rows of
+# (coefficient, atom name, base kind, parameter) for a measure
 _OPERANDS = {
     "cyclotomic": ((12, {0: Fraction(1, 2), 1: -3, 5: Fraction(2, 7)}),
                    (8, {1: 2, 3: Fraction(-1, 3)})),
     "series": ((5, [Fraction(1, 2), -3, 0, Fraction(2, 7), 1, 4]),
                (3, [2, 0, Fraction(-1, 3), 5])),
+    "measure": ([(Fraction(1, 2), "alpha", "d", 6), (-3, "d", "dprime", 1)],
+                [(2, "d", "d", 4), (Fraction(-1, 3), "beta", "dprime", 2)]),
 }
 _OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
         "eq": operator.eq, "ne": operator.ne}
-# an operand of the other class
-_FOREIGN = {"cyclotomic": PowerSeries.one(3), "series": CyclotomicNumber.one(4)}
+# an operand of another class
+_FOREIGN = {"cyclotomic": PowerSeries.one(3), "series": CyclotomicNumber.one(4),
+            "measure": CyclotomicNumber.one(4)}
 
 
 def _cyclo_oracle(op, x, y):
@@ -518,10 +523,26 @@ def _series_oracle(op, x, y):
     return PowerSeries(k, [op(u, v) for u, v in zip(a, b)])
 
 
+def _measure_oracle(op, x, y):
+    """op on two measure operands, rows or a scalar, by the reference
+    lincomb of the joined rows."""
+    if op is operator.mul:
+        rows, scalar = (x, y) if isinstance(x, list) else (y, x)
+        rows = [(c * scalar, *atom) for c, *atom in rows]
+    else:
+        rows = x + [(c if op is operator.add else -c, *atom) for c, *atom in y]
+    return _measure_by_rows(rows)
+
+
+def _measure_by_rows(rows):
+    return lincomb([(c, atom_measure(*atom)) for c, *atom in rows])
+
+
 _KINDS = {
     "cyclotomic": (lambda x: cyclo_make(*x), lambda r, order: (1, {0: r}), _cyclo_oracle),
     "series": (lambda x: PowerSeries(*x), lambda r, order: (order, [r] + [0] * order),
                _series_oracle),
+    "measure": (_measure_by_rows, lambda r, order: r, _measure_oracle),
 }
 
 
@@ -534,31 +555,37 @@ def test_shared_operators(kind, name, reflected, operand):
     build, rational, oracle = _KINDS[kind]
     x_raw, y_raw = _OPERANDS[kind]
     x = build(x_raw)
+    other = {"int": -3, "Fraction": Fraction(5, 6), "same class": build(y_raw), "float": 0.5,
+             "other class": _FOREIGN[kind]}[operand]
+    # a float or another class is never an operand; a measure takes a
+    # rational only as a factor, and no measure as one
+    refused = operand in ("float", "other class") or kind == "measure" and (
+        (operand == "same class") == (name == "mul"))
     if name in ("eq", "ne"):
-        # a rational compares as a value of the class, as in arithmetic; a
-        # float or the other class is never equal
-        if operand in ("float", "other class"):
-            other = 0.5 if operand == "float" else _FOREIGN[kind]
+        # else a rational compares as a value of the class, as in arithmetic
+        if refused:
             assert x.__eq__(other) is NotImplemented
             cases = [(x, other, False)]
         elif operand == "same class":
             cases = [(x, build(x_raw), True), (x, -x, False)]
+            if kind == "measure":
+                # == lifts to the lcm of the orders
+                cases += [(x, x.embed(2 * x.order), True), (x.embed(3 * x.order), x, True)]
         else:
-            value = -3 if operand == "int" else Fraction(5, 6)
-            cases = [(build(rational(value, x.order)), value, True), (x, value, False)]
+            cases = [(build(rational(other, x.order)), other, True), (x, other, False)]
         for a, b, equal in cases:
             assert (op(b, a) if reflected else op(a, b)) is (equal == (name == "eq"))
         return
-    if operand in ("float", "other class"):
-        other = 0.5 if operand == "float" else _FOREIGN[kind]
+    if refused:
         with pytest.raises(TypeError):
             op(other, x) if reflected else op(x, other)
-        assert getattr(x, f"__{'r' if reflected else ''}{name}__")(other) is NotImplemented
+        if operand == "same class":
+            with pytest.raises(TypeError, match="^cannot multiply two measures$"):
+                x * other
+        else:
+            assert getattr(x, f"__{'r' if reflected else ''}{name}__")(other) is NotImplemented
         return
-    if operand == "same class":
-        other = build(y_raw)
-    else:
-        other = -3 if operand == "int" else Fraction(5, 6)
+    if operand != "same class":
         y_raw = rational(other, x.order)
     if reflected:
         got = getattr(x, f"__r{name}__")(other)

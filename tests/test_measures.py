@@ -26,8 +26,6 @@ from cyclade.measures import (
     density_measure,
     expand_over_level,
     level,
-    lincomb,
-    measure_equal,
     moment,
     one_minus_power,
     pushforward_real,
@@ -43,6 +41,8 @@ from oracles import (
     expansion_by_moments,
     is_psd_by_minors,
     level_loop,
+    lincomb,
+    measure_rows,
     moment_by_dense_sum,
     pushforward_moments_by_powering,
     rational_by_constructor,
@@ -80,7 +80,7 @@ def test_twelfth_root_quarter_weights():
 
 
 def test_third_uniform_equals_degree_one_density():
-    assert measure_equal(basic_measure("dtripleprime", 1), alpha(3))
+    assert basic_measure("dtripleprime", 1) == alpha(3)
 
 
 def test_mass_and_probability():
@@ -88,16 +88,15 @@ def test_mass_and_probability():
         e = basic_measure(kind, 3)
         assert e.mass() == 1
         assert e.is_probability()
-    signed = lincomb([(Fraction(2), basic_measure("d", 2)),
-                      (Fraction(-1), basic_measure("d", 1))])
+    signed = 2 * basic_measure("d", 2) - basic_measure("d", 1)
     assert signed.mass() == 1
     assert signed.is_probability()  # the two-root deficit cancels exactly
-    negative = lincomb([(Fraction(-1), basic_measure("d", 1))])
+    negative = -basic_measure("d", 1)
     assert not negative.is_probability()
 
 
 def test_density_non_allowed_cases():
-    assert measure_equal(gamma(2), parse_measure_expr("2*d_2 - d_1"))
+    assert gamma(2) == parse_measure_expr("2*d_2 - d_1")
     assert alpha(1).is_zero()
 
 
@@ -111,26 +110,41 @@ def test_density_alpha12_weight_table():
         assert a12.weights[j] == value
 
 
+def _operator_sum(terms):
+    """sum c m over the (c, m) terms, written with the measure operators;
+    sum's start 0 would be a scalar, which a measure sum refuses."""
+    scaled = [c * m for c, m in terms]
+    return sum(scaled[1:], scaled[0])
+
+
+def _fields(e):
+    # == lifts across orders, so the stored fields are compared one by one
+    return e.order, e.nums, e.den
+
+
 def test_lincomb_examples():
-    combo = lincomb([(Fraction(2), basic_measure("d", 2)),
-                     (Fraction(-1), basic_measure("d", 1))])
+    # linear combinations are written with the operators, lifted to the lcm
+    # of the orders
+    combo = 2 * basic_measure("d", 2) - basic_measure("d", 1)
     assert combo.order == 4
     assert combo.weights[0].is_zero()
     assert combo.weights[1] == Fraction(1, 2)
-    same = lincomb([(Fraction(1), combo)])
-    assert measure_equal(same, combo)
+    assert 1 * combo == combo
+    assert combo * Fraction(1, 3) + combo * Fraction(2, 3) == combo
+    assert -combo + combo == 0 * combo
     dtilde5 = candidate_measure(GraphFamily("Dtilde", 5), "thm71")
-    assert measure_equal(dtilde5, lincomb([(Fraction(1, 2), basic_measure("d", 3)),
-                                           (Fraction(1, 2), basic_measure("dprime", 1))]))
+    half = Fraction(1, 2)
+    assert dtilde5 == half * basic_measure("d", 3) + half * basic_measure("dprime", 1)
 
 
 def test_measure_equal_examples():
-    assert measure_equal(basic_measure("d", 1), basic_measure("d", 1))
-    assert measure_equal(lincomb([(Fraction(2), alpha(3))]),
-                         parse_measure_expr("3*d_3 - d_1"))
-    assert measure_equal(lincomb([(Fraction(2), density_measure(DENSITY_POLYS["beta"], "dprime", 3))]),
-                         parse_measure_expr("3*d'_3 - d'_1"))
-    assert not measure_equal(basic_measure("d", 1), basic_measure("d", 2))
+    assert basic_measure("d", 1) == basic_measure("d", 1)
+    # == lifts to the lcm of the orders
+    assert basic_measure("d", 1) == basic_measure("d", 1).embed(4)
+    assert 2 * alpha(3) == parse_measure_expr("3*d_3 - d_1")
+    assert 2 * density_measure(DENSITY_POLYS["beta"], "dprime", 3) == \
+        parse_measure_expr("3*d'_3 - d'_1")
+    assert basic_measure("d", 1) != basic_measure("d", 2)
 
 
 def _density_by_horner(poly, kind, n):
@@ -172,26 +186,32 @@ def test_memoized_atoms_are_shared_and_unchanged():
     assert density_measure(DENSITY_POLYS["alpha"], "d", 6) is a
     assert basic_measure("dprime", 3) is d
     assert parse_measure_expr("alpha_6") is a
-    before = [(m.order, m.moments, m.den, [w.coeffs for w in m.reps]) for m in (a, d)]
-    lincomb([(Fraction(-2), a), (Fraction(3), d)])
+    before = [(m.order, m.nums, m.den, [w.coeffs for w in m.reps]) for m in (a, d)]
+    -2 * a + 3 * d - a
+    -d
     a.embed(36)
     d.embed(24)
     parse_measure_expr("2*alpha_6 - d'_3 + alpha_6/5")
     moment(a, 4)
-    assert [(m.order, m.moments, m.den, [w.coeffs for w in m.reps]) for m in (a, d)] == before
+    assert [(m.order, m.nums, m.den, [w.coeffs for w in m.reps]) for m in (a, d)] == before
 
 
-@pytest.mark.parametrize("call,message", [
-    (lambda: CyclotomicMeasure(3, [1, 0, 0]), "support order must be even and at least 2"),
-    (lambda: CyclotomicMeasure(4, [1, 0, 0]), "need 4 weights, got 3"),
-    (lambda: basic_measure("d", 0), "parameter must be positive"),
-    (lambda: basic_measure("dquad", 1), "unknown base kind 'dquad'"),
-    (lambda: lincomb([]), "empty combination"),
-    (lambda: cyclotomic_expansion(basic_measure("d", 1), 0),
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: CyclotomicMeasure(3, [1, 0, 0]), ValueError,
+     "support order must be even and at least 2"),
+    (lambda: CyclotomicMeasure(4, [1, 0, 0]), ValueError, "need 4 weights, got 3"),
+    (lambda: CyclotomicMeasure(2, [0.5, 0.5]), TypeError,
+     "weight at position 0 is a float, not an int, a Fraction or a CyclotomicNumber"),
+    (lambda: CyclotomicMeasure(4, [Fraction(1, 2), 0, "1/2", 0]), TypeError,
+     "weight at position 2 is a str, not an int, a Fraction or a CyclotomicNumber"),
+    (lambda: basic_measure("d", 0), ValueError, "parameter must be positive"),
+    (lambda: basic_measure("dquad", 1), ValueError, "unknown base kind 'dquad'"),
+    (lambda: cyclotomic_expansion(basic_measure("d", 1), 0), ValueError,
      "support parameter must be positive"),
-], ids=["odd-order", "weight-count", "parameter", "base-kind", "empty", "expansion-support"])
-def test_bad_arguments_are_refused(call, message):
-    with pytest.raises(ValueError) as err:
+], ids=["odd-order", "weight-count", "float-weight", "str-weight", "parameter", "base-kind",
+        "expansion-support"])
+def test_bad_arguments_are_refused(call, error, message):
+    with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
 
@@ -229,7 +249,7 @@ def test_t_series_examples():
 
 def test_t_additivity():
     a, b = basic_measure("d", 4), alpha(6)
-    combo = lincomb([(Fraction(1, 3), a), (Fraction(2, 3), b)])
+    combo = Fraction(1, 3) * a + Fraction(2, 3) * b
     expected = t_series_of_measure(a, 24) * Fraction(1, 3) + \
         t_series_of_measure(b, 24) * Fraction(2, 3)
     assert t_series_of_measure(combo, 24) == expected
@@ -334,13 +354,13 @@ _SERIES_EXPRESSIONS = {
 
 def test_candidate_expressions():
     for (tag, variant), text in _EXCEPTIONAL_EXPRESSIONS.items():
-        assert measure_equal(candidate_measure(GraphFamily(tag, int(tag[1])), variant),
-                             parse_measure_expr(text)), (tag, variant)
+        assert candidate_measure(GraphFamily(tag, int(tag[1])), variant) == \
+            parse_measure_expr(text), (tag, variant)
     for tag, text_at in _SERIES_EXPRESSIONS.items():
         for m in (4, 6, 10, 16, 40):
             for variant in ("thm71", "thm87"):
-                assert measure_equal(candidate_measure(GraphFamily(tag, m), variant),
-                                     parse_measure_expr(text_at(m))), (tag, m, variant)
+                assert candidate_measure(GraphFamily(tag, m), variant) == \
+                    parse_measure_expr(text_at(m)), (tag, m, variant)
 
 
 def _table_families():
@@ -357,8 +377,22 @@ def test_candidate_measure_matches_the_row_table(variant):
     # the same stored fields as the table written as term rows
     for fam in _table_families():
         got, expected = candidate_measure(fam, variant), candidate_measure_by_rows(fam, variant)
-        assert (got.order, got.moments, got.den) == (
-            expected.order, expected.moments, expected.den), (fam, variant)
+        assert (got.order, got.nums, got.den) == (
+            expected.order, expected.nums, expected.den), (fam, variant)
+
+
+@pytest.mark.parametrize("variant", ["thm71", "thm87"])
+def test_operator_sums_match_lincomb(variant):
+    # every table row, summed with the operators, has the fields of the
+    # one-pass reference sum; so do the d'' and d''' constructions
+    for fam in _table_families():
+        terms = [(c, atom_measure(*row)) for c, *row in measure_rows(fam, variant)]
+        assert _fields(_operator_sum(terms)) == _fields(lincomb(terms)), (fam, variant)
+    for kind, base in (("ddoubleprime", "dprime"), ("dtripleprime", "d")):
+        for n in range(1, 21):
+            terms = [(Fraction(3, 2), basic_measure(base, 3 * n)),
+                     (Fraction(-1, 2), basic_measure(base, n))]
+            assert _fields(basic_measure(kind, n)) == _fields(lincomb(terms)), (kind, n)
 
 
 def test_candidate_measure_refuses_an_unknown_variant():
@@ -379,7 +413,7 @@ def test_expansion_alpha():
 
 
 def test_expansion_zero_measure():
-    zero = lincomb([(Fraction(0), basic_measure("d", 3))])
+    zero = 0 * basic_measure("d", 3)
     res = cyclotomic_expansion(zero, 3)
     assert res.residual_ok
     assert all(v == 0 for v in res.coefficients.values())
@@ -419,7 +453,7 @@ def test_expansion_round_trip_uniform():
     res = cyclotomic_expansion(basic_measure("d", 6), 6)
     assert res.residual_ok
     assert res.coefficients[0] == 1
-    assert measure_equal(reconstruct_expansion(res), basic_measure("d", 6))
+    assert reconstruct_expansion(res) == basic_measure("d", 6)
 
 
 def test_expansion_support_error():
@@ -442,7 +476,7 @@ def test_level_examples():
     assert level(alpha(6)) == 0
     assert level(alpha(12)) == 1
     assert level(gamma(2)) == 0
-    assert level(lincomb([(Fraction(0), basic_measure("d", 5))])) == 0
+    assert level(0 * basic_measure("d", 5)) == 0
 
 
 def test_alpha12_uniform_infeasibility():
@@ -450,11 +484,8 @@ def test_alpha12_uniform_infeasibility():
     assert expand_over_level(a12, 0) is None
     sol = expand_over_level(a12, 1)
     assert sol is not None
-    rebuilt = lincomb([
-        (c, basic_measure("d", m) if l == 0 else density_measure(
-            DENSITY_POLYS["alpha"], "d", m))
-        for (l, m), c in sol.items()])
-    assert measure_equal(rebuilt, a12)
+    terms = [c * (basic_measure("d", m) if l == 0 else alpha(m)) for (l, m), c in sol.items()]
+    assert sum(terms[1:], terms[0]) == a12
 
 
 def _assert_level_matches_loop(e):
@@ -492,9 +523,7 @@ def _atom_sums(draw, low=-3):
              for m in range(1, support // factor + 1) if (support // factor) % m == 0]
     terms = draw(st.lists(st.tuples(st.fractions(low, 3, max_denominator=4),
                                     st.sampled_from(atoms)), min_size=1, max_size=3))
-    return lincomb([(c, basic_measure(kind, m) if name == "d"
-                     else density_measure(DENSITY_POLYS[name], kind, m))
-                    for c, (name, kind, m) in terms])
+    return lincomb([(c, atom_measure(name, kind, m)) for c, (name, kind, m) in terms])
 
 
 @settings(max_examples=40, deadline=None)
@@ -531,7 +560,7 @@ def test_support_order_and_constructor_round_trip(e):
     atoms = [e.order // math.gcd(e.order, j) for j, w in enumerate(e.weights) if not w.is_zero()]
     assert e.minimal_support_order() == (math.lcm(*atoms) if atoms else None)
     rebuilt = CyclotomicMeasure(e.order, e.weights)
-    assert (rebuilt.moments, rebuilt.den) == (e.moments, e.den)
+    assert (rebuilt.nums, rebuilt.den) == (e.nums, e.den)
 
 
 def _assert_series_matches_oracle(e, order):
@@ -620,7 +649,7 @@ def test_irrational_moment_after_moment_zero(orbits):
     first = next((z for z in dense if not z.is_rational()), None)
     if first is None:
         e = CyclotomicMeasure(24, weights)
-        assert [Fraction(v, e.den) for v in e.moments] == list(map(cyclo_as_rational, dense))
+        assert [Fraction(v, e.den) for v in e.nums] == list(map(cyclo_as_rational, dense))
         for order in (0, 1, 2, 3, 6, 40):
             assert t_series_of_measure(e, order) == t_series_by_moments(e, order)
     else:
@@ -633,13 +662,13 @@ def test_rational_sqrt3_combination_builds():
     # sqrt(3) on the orbit of 1 and -sqrt(3) on that of 5: every moment is
     # rational, and the weights derived from the sequence are those given
     e = _sqrt3_measure(1, 5)
-    assert (e.moments, e.den) == ((0, 12, 0, 0, 0, -12, 0, -12, 0, 0, 0, 12), 1)
-    derived = lincomb([(Fraction(1), e)])
+    assert (e.nums, e.den) == ((0, 12, 0, 0, 0, -12, 0, -12, 0, 0, 0, 12), 1)
+    derived = 1 * e
     assert derived.weights == e.weights == tuple(_sqrt3_weights(1, 5))
 
 
 def test_negative_limit_allows_no_columns():
-    zero = lincomb([(Fraction(0), basic_measure("d", 5))])
+    zero = 0 * basic_measure("d", 5)
     assert expand_over_level(zero, -1) == {} == expand_over_level_loop(zero, -1)
     for e in (basic_measure("d", 4), alpha(6)):
         assert expand_over_level(e, -1) is None
@@ -683,11 +712,6 @@ def test_level_matches_per_limit_loop_on_graph_measures():
             _assert_level_matches_loop(candidate_measure(GraphFamily(tag, m), "thm71"))
 
 
-def _fields(z):
-    # == lifts across orders, so the stored fields are compared one by one
-    return z.order, z.nums, z.den
-
-
 @settings(max_examples=25, deadline=None)
 @given(_atom_sums())
 def test_rational_moments_stored_as_the_public_constructor_stores_them(e):
@@ -709,10 +733,10 @@ def test_rational_moments_stored_as_the_public_constructor_stores_them(e):
                                                                ("alpha", 4), ("gamma", 6)])),
                 min_size=1, max_size=3))
 def test_lincomb_takes_int_scalars_as_they_are(terms):
-    by_int = lincomb([(c, _build_atom(a)) for c, a in terms])
-    by_fraction = lincomb([(Fraction(c), _build_atom(a)) for c, a in terms])
-    assert (by_int.order, by_int.moments, by_int.den) == \
-        (by_fraction.order, by_fraction.moments, by_fraction.den)
+    by_int = _operator_sum([(c, _build_atom(a)) for c, a in terms])
+    by_fraction = _operator_sum([(Fraction(c), _build_atom(a)) for c, a in terms])
+    assert _fields(by_int) == _fields(by_fraction) == \
+        _fields(lincomb([(c, _build_atom(a)) for c, a in terms]))
 
 
 _atoms = st.sampled_from([("d", 1), ("d", 2), ("d", 3), ("d", 4), ("d", 6),
@@ -732,7 +756,8 @@ def _build_atom(spec):
                           _atoms), min_size=1, max_size=3))
 def test_lincomb_properties(terms):
     built = [(s, _build_atom(a)) for s, a in terms]
-    combo = lincomb(built)  # raising would mean the symmetry invariant broke
+    combo = _operator_sum(built)  # raising would mean the symmetry invariant broke
+    assert _fields(combo) == _fields(lincomb(built))
     n = combo.order
     for j in range(n):
         assert combo.weights[j] == combo.weights[(-j) % n]
@@ -751,7 +776,7 @@ def test_lincomb_properties(terms):
 @given(st.lists(st.tuples(st.fractions(min_value=-2, max_value=2, max_denominator=3),
                           _atoms), min_size=1, max_size=3))
 def test_moment_matches_dense_sum(terms):
-    combo = lincomb([(s, _build_atom(a)) for s, a in terms])
+    combo = _operator_sum([(s, _build_atom(a)) for s, a in terms])
     n = combo.order
     weights = combo.weights
     for k in range(n):
@@ -770,7 +795,7 @@ def test_expansion_round_trip_random(scalars, n):
     for i, s in enumerate(scalars[1:]):
         poly = DENSITY_POLYS[["alpha", "beta", "gamma"][i % 3]]
         terms.append((s, density_measure(poly, "d", n)))
-    combo = lincomb(terms)
+    combo = _operator_sum(terms)
     res = cyclotomic_expansion(combo, n)
     assert res.residual_ok
     assert t_series_of_measure(reconstruct_expansion(res), 2 * n + 4) == \
@@ -781,7 +806,7 @@ def test_minimal_support_order():
     assert basic_measure("d", 6).minimal_support_order() == 12
     embedded = basic_measure("d", 3).embed(12)
     assert embedded.minimal_support_order() == 6
-    zero = lincomb([(Fraction(0), basic_measure("d", 3))])
+    zero = 0 * basic_measure("d", 3)
     assert zero.minimal_support_order() is None
 
 
@@ -805,7 +830,7 @@ def test_is_probability_matches_60_digit_signs(e):
     # rescaled to mass 1 where the mass is not 0; a draw is skipped only
     # where the oracle cannot tell a weight's sign
     if e.mass():
-        e = lincomb([(1 / e.mass(), e)])
+        e = e * (1 / e.mass())
     try:
         signs = _signs_at_60_digits(e)
     except ArithmeticError:
@@ -828,9 +853,8 @@ def _on_strata(n, f, point_mass):
     point masses at +-1, rescaled to mass 1.  The density Re(P(s)) of
     P = (f0 + 2 f2) + 2 f1 s + 2 f2 s^2 is F, as x^2 = s^2 + s^-2 + 2."""
     f0, f1, f2 = f
-    e = lincomb([(1, density_measure((f0 + 2 * f2, 2 * f1, 2 * f2), "d", n)),
-                 (point_mass, basic_measure("d", 1))])
-    return lincomb([(1 / e.mass(), e)])
+    e = density_measure((f0 + 2 * f2, 2 * f1, 2 * f2), "d", n) + point_mass * basic_measure("d", 1)
+    return e * (1 / e.mass())
 
 
 # the convergent p/q of 2 cos(2 pi / 7) = 1.2469..., which it exceeds by

@@ -11,9 +11,10 @@ from cyclade.exprs import (
     parse_xi_expr,
 )
 from cyclade.graphs import GraphFamily
-from cyclade.measures import basic_measure, lincomb, measure_equal
+from cyclade.measures import basic_measure
 from cyclade.transforms import XiExpression, XiFactor, theorem_2_5_lookup, xi_expand
 from cyclade.verify import candidate_measure
+from oracles import lincomb
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +70,15 @@ def test_xi_round_trip_corpus():
 
 def test_parse_measure_examples():
     e7 = parse_measure_expr("(2*beta''_3 + d'_1)/3")
-    assert measure_equal(e7, candidate_measure(GraphFamily("E7", 7), "thm87"))
-    assert measure_equal(parse_measure_expr("d_1"), basic_measure("d", 1))
-    assert measure_equal(parse_measure_expr("2*d_2 - d_1"),
-                         parse_measure_expr("gamma_2"))
+    assert e7 == candidate_measure(GraphFamily("E7", 7), "thm87")
+    assert parse_measure_expr("d_1") is basic_measure("d", 1)
+    assert parse_measure_expr("2*d_2 - d_1") == parse_measure_expr("gamma_2")
 
 
 def test_parse_measure_scalars():
     a = parse_measure_expr("3/2*d_2 - 1/2*d_1")
     b = parse_measure_expr("(3*d_2 - d_1)/2")
-    assert measure_equal(a, b)
+    assert a == b
 
 
 @pytest.mark.parametrize("text,terms", [
@@ -96,10 +96,10 @@ def test_parse_measure_scalars():
 ])
 def test_scalar_products_and_quotients(text, terms):
     # scalars stay ints until a division makes a Fraction; the measure is
-    # the one lincomb builds from Fraction coefficients
+    # the one the reference lincomb builds from Fraction coefficients
     got = parse_measure_expr(text)
     want = lincomb([(c, parse_measure_expr(atom)) for c, atom in terms])
-    assert (got.order, got.moments, got.den) == (want.order, want.moments, want.den)
+    assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
 
 
 def test_atom_support_limit_is_inclusive():
@@ -132,8 +132,8 @@ def test_parse_measure_errors():
         parse_measure_expr("(d_1")
     with pytest.raises(ParseError):
         parse_measure_expr("")
-    # the expression is evaluated as it is parsed, so of a syntax error and an
-    # evaluation error the one further left is reported
+    # the expression is evaluated as it is parsed, so an evaluation error
+    # left of a syntax error is reported first
     with pytest.raises(EvaluationError, match="must be positive"):
         parse_measure_expr("alpha_0 + )")
     with pytest.raises(EvaluationError, match="support order 1200"):
@@ -158,8 +158,11 @@ def test_parse_measure_errors():
     ("d_1 )", ParseError, "unexpected character ')' at position 4 (expected end of input)"),
     # the term d_1/2*d_2 is read to its end, so the product is refused
     ("d_1/2*d_2", EvaluationError, "cannot multiply two measures at position 5"),
+    # an operator's error is raised once its right operand is read, so the
+    # product inside the right operand of - is refused first
+    ("2 - d_1 * d_2", EvaluationError, "cannot multiply two measures at position 8"),
 ], ids=["zero-divisor", "non-ascii-divisor", "no-divisor", "name-divisor", "trailing",
-        "product-after-division"])
+        "product-after-division", "right-operand-first"])
 def test_refusal_messages(text, error, message):
     with pytest.raises(error) as err:
         parse_measure_expr(text)

@@ -280,7 +280,7 @@ def test_each_shared_series_is_computed_once(monkeypatch):
 
     def counting_t(e, order):
         # discrepancy/Etilde-constant reads T series at an order of its own
-        t_series[e.moments, e.den, order] += 1
+        t_series[e.nums, e.den, order] += 1
         return t_of(e, order)
 
     monkeypatch.setattr(exprs, "parse_xi_expr", counting_parse)
