@@ -55,12 +55,10 @@ from .exprs import (
 from .verify import (
     CheckResult,
     DEFAULT_SIZE_MATRIX,
-    UnknownCheckId,
     VerificationReport,
     all_check_ids,
     candidate_measure,
     run_all,
-    verify_identity,
 )
 
 __version__ = "0.1.0"

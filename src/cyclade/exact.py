@@ -251,20 +251,6 @@ class CyclotomicNumber(_IntegersOverDenominator):
         arithmetic inside this module builds through _normalized."""
         self._fill(order, coeffs, euler_phi(order))
 
-    @classmethod
-    def from_rational(cls, value, order: int = 1) -> "CyclotomicNumber":
-        if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
-        return _cyclo_rational(order, value.numerator, value.denominator)
-
-    @classmethod
-    def zero(cls, order: int = 1) -> "CyclotomicNumber":
-        return _cyclo_rational(order, 0)
-
-    @classmethod
-    def one(cls, order: int = 1) -> "CyclotomicNumber":
-        return _cyclo_rational(order, 1)
-
     def is_zero(self) -> bool:
         return not any(self.nums)
 
@@ -397,10 +383,6 @@ class PowerSeries(_IntegersOverDenominator):
         _check_order(order)
         return series_from_integers([0] * (order + 1))
 
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls.from_list([1], order)
-
     def __getitem__(self, i: int) -> Fraction:
         return Fraction(self.nums[i], self.den)
 
@@ -459,7 +441,7 @@ def series_invert(s: PowerSeries) -> PowerSeries:
 @lru_cache(maxsize=8)
 def _inner_powers(coeffs: tuple, order: int):
     g = PowerSeries(order, coeffs)
-    powers = [PowerSeries.one(order)]
+    powers = [series_from_integers([1] + [0] * order)]
     for _ in range(order):
         powers.append(powers[-1] * g)
     return tuple(powers)

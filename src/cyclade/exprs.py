@@ -1,7 +1,8 @@
 """Recursive-descent parsers for the xi and measure expression languages.
 
 Both parsers report syntax errors with the source position and the tokens they
-would have accepted there.  The measure parser builds no syntax tree: it
+would have accepted there.  The xi parser reads k prime marks as one more
+denominator factor (1 - q^k).  The measure parser builds no syntax tree: it
 evaluates the expression left to right as it parses it, with the operators
 of measures and scalars, and raises the first error it meets.  An operator's
 error is raised once its right operand is read, so an error inside that
@@ -106,7 +107,9 @@ class _Scanner:
 
 def parse_xi_expr(text: str) -> XiExpression:
     """Parse xi(...), xi'(...) or xi''(...); factors are integers with an
-    optional + suffix, numerator and denominator separated by a colon."""
+    optional + suffix, numerator and denominator separated by a colon.  k
+    prime marks append the factor (1 - q^k) to the denominator, so xi'(3+:3)
+    and xi(3+:3,1) are one value."""
     s = _Scanner(text)
     s.skip_ws()
     if s.name() != "xi":
@@ -121,7 +124,9 @@ def parse_xi_expr(text: str) -> XiExpression:
     s.expect(")")
     if not s.at_end():
         raise ParseError(f"unexpected {s.describe()}", s.pos, ("end of input",))
-    return XiExpression(tuple(num), tuple(den), marks)
+    if marks:
+        den.append(XiFactor(marks, False))
+    return XiExpression(tuple(num), tuple(den))
 
 
 def _xi_factor_list(s: _Scanner) -> List[XiFactor]:

@@ -79,9 +79,6 @@ class RootedBipartiteGraph(FrozenValue):
     def __init__(self, vertex_count: int, neighbours: Tuple[Tuple[int, ...], ...], root: int):
         self._freeze(vertex_count, neighbours, root)
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbours[v])
-
 
 def _distances(neighbours, root) -> Tuple[list, list]:
     """The distance of each vertex from the root, -1 if unreached, and the

@@ -88,9 +88,9 @@ class CyclotomicMeasure(_IntegersOverDenominator):
 
     def __init__(self, order: int, weights: Sequence):
         """Build from the full list of N weights, ints, Fractions or
-        cyclotomic numbers, checking that they are real and equal on each
-        orbit; NotRational for the first irrational moment, as
-        cyclo_as_rational reports it."""
+        cyclotomic numbers of an order dividing N, checking that they are
+        real and equal on each orbit; NotRational for the first irrational
+        moment, as cyclo_as_rational reports it."""
         if order < 2 or order % 2:
             raise ValueError("support order must be even and at least 2")
         if len(weights) != order:
@@ -99,6 +99,9 @@ class CyclotomicMeasure(_IntegersOverDenominator):
             if not isinstance(w, (int, Fraction, CyclotomicNumber)):
                 raise TypeError(f"weight at position {j} is a {type(w).__name__}, "
                                 "not an int, a Fraction or a CyclotomicNumber")
+            if isinstance(w, CyclotomicNumber) and order % w.order:
+                raise ValueError(f"weight at position {j} lies in the field of order "
+                                 f"{w.order}, which does not divide {order}")
         ws = [_cyclo_rational(order, w.numerator, w.denominator) if isinstance(w, (int, Fraction))
               else cyclo_embed(w, order) for w in weights]
         n = order // 2
@@ -133,11 +136,6 @@ class CyclotomicMeasure(_IntegersOverDenominator):
                                                    scale) for r in range(order // 4 + 1))
         return self._reps
 
-    @property
-    def weights(self) -> Tuple[CyclotomicNumber, ...]:
-        """All N weights, position j holding the atom at the j-th power."""
-        return tuple(self.weight(j) for j in range(self.order))
-
     def orbit(self, j: int) -> int:
         """The r with the weight at position j in reps[r]."""
         half = self.order // 2
@@ -153,9 +151,6 @@ class CyclotomicMeasure(_IntegersOverDenominator):
 
     def mass(self) -> Fraction:
         return Fraction(self.nums[0], self.den)
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
     def is_probability(self) -> bool:
         """Whether the mass is 1 and every weight is at least 0, the signs

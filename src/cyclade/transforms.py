@@ -1,5 +1,6 @@
 """The loop-count to theta to T pipeline, and the xi calculus of rational
-functions built from (1 - q^n) and (1 + q^n) factors."""
+functions built from (1 - q^n) and (1 + q^n) factors: a xi form is its
+numerator and denominator factor lists, and nothing else."""
 
 from __future__ import annotations
 
@@ -21,57 +22,46 @@ class XiFactor(NamedTuple):
     exponent: int
     plus: bool  # True for (1 + q^n), False for (1 - q^n)
 
-    def text(self) -> str:
-        return f"{self.exponent}+" if self.plus else str(self.exponent)
-
 
 class XiExpression(FrozenValue):
-    """A formal product of (1 +- q^n) factors over another, with an optional
-    extra (1 - q) or (1 - q^2) divisor: normalizer 1 or 2, the number of
-    prime marks on xi, and 0 for none.
+    """A formal product of (1 +- q^n) factors over another; each exponent is
+    an int n >= 1.  The prime marks of xi' and xi'' are no field: each is
+    one more (1 - q^k) factor, k the number of marks, in the denominator.
 
     Structural equality is intentional (expressions are table keys); equality
     as rational functions is `equivalent`, decided by series expansion.
     """
 
-    __slots__ = ("numerator", "denominator", "normalizer")
+    __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: Tuple[XiFactor, ...] = (),
-                 denominator: Tuple[XiFactor, ...] = (), normalizer: int = 0):
-        if type(normalizer) is not int or not 0 <= normalizer <= 2:
-            raise ValueError(f"bad normalizer {normalizer!r}")
+                 denominator: Tuple[XiFactor, ...] = ()):
         for f in numerator + denominator:
-            if f.exponent < 1:
-                raise ValueError("factor exponents must be positive")
-        self._freeze(numerator, denominator, normalizer)
-
-    def text(self) -> str:
-        mark = "'" * self.normalizer
-        num = ",".join(f.text() for f in self.numerator)
-        den = ",".join(f.text() for f in self.denominator)
-        return f"xi{mark}({num}:{den})"
+            if type(f.exponent) is not int or f.exponent < 1:
+                raise ValueError(f"factor exponent must be an int >= 1, got {f.exponent!r}")
+        self._freeze(numerator, denominator)
 
     def equivalent(self, other: "XiExpression") -> bool:
         """Equality as rational functions: N1/D1 = N2/D2 is the identity
         N1 D2 = N2 D1 of degree at most max(deg N1 + deg D2, deg N2 + deg D1),
         and each D has constant term 1, so the series to that order decide
-        it.  The normalizer adds itself to deg D."""
+        it."""
         (n1, d1), (n2, d2) = [(sum(f.exponent for f in x.numerator),
-                               sum(f.exponent for f in x.denominator) + x.normalizer)
+                               sum(f.exponent for f in x.denominator))
                               for x in (self, other)]
         order = max(n1 + d2, n2 + d1)
         return xi_expand(self, order) == xi_expand(other, order)
 
 
-def xi(num=(), den=(), *, normalizer: int = 0) -> XiExpression:
-    """Convenience constructor: xi([n1, (n2, True), ...], [m1, ...], normalizer=...)."""
-    return XiExpression(tuple(map(_factor, num)), tuple(map(_factor, den)), normalizer)
+def xi(num=(), den=()) -> XiExpression:
+    """Convenience constructor: xi([n1, (n2, True), ...], [m1, ...])."""
+    return XiExpression(tuple(map(_factor, num)), tuple(map(_factor, den)))
 
 
 def _factor(f) -> XiFactor:
     if isinstance(f, tuple):  # an XiFactor too
-        return XiFactor(int(f[0]), bool(f[1]))
-    return XiFactor(int(f), False)
+        return XiFactor(f[0], bool(f[1]))
+    return XiFactor(f, False)
 
 
 def xi_expand(expr: XiExpression, order: int) -> PowerSeries:
@@ -82,8 +72,6 @@ def xi_expand(expr: XiExpression, order: int) -> PowerSeries:
         _times_factor(out, n, plus)
     for n, plus in expr.denominator:
         _divide_factor(out, n, plus)
-    if expr.normalizer:  # a division by 1 - q^normalizer
-        _divide_factor(out, expr.normalizer, False)
     return series_from_integers(out)
 
 
@@ -222,8 +210,8 @@ def theorem_2_5_lookup(family: GraphFamily) -> XiExpression:
         return xi([(m - 2, True)], [(m - 1, True)])
     if tag == "Atilde":
         n = m // 2
-        return xi([(n, True)], [n], normalizer=1)
+        return xi([(n, True)], [n, 1])
     if tag == "Dtilde":
         n = m - 2
-        return xi([(n + 1, True)], [n], normalizer=2)
+        return xi([(n + 1, True)], [n, 2])
     return _EXCEPTIONAL_T[tag]

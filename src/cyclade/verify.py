@@ -47,10 +47,6 @@ from .measures import (
 from . import exprs
 
 
-class UnknownCheckId(KeyError):
-    pass
-
-
 DEFAULT_SIZE_MATRIX: Dict[str, Tuple[int, ...]] = {
     "A": tuple(range(2, 13)),
     "D": tuple(range(3, 14)),
@@ -690,10 +686,3 @@ def run_all(order: int = 64, size_matrix: Optional[Dict[str, Sequence[int]]] = N
         report.results.append(_run_one(check_id, runner, ctx))
     return report
 
-
-def verify_identity(check_id: str, order: int = 64) -> CheckResult:
-    """Run one registered check by its identifier at a nonnegative order."""
-    reg = registry()
-    if check_id not in reg:
-        raise UnknownCheckId(check_id)
-    return _run_one(check_id, reg[check_id], RunContext(order))

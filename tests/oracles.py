@@ -12,8 +12,8 @@ positive semidefiniteness by principal minors, a linear combination of
 measures summed in one pass over their moment sequences, and the graph
 measure table as rows of (coefficient, atom name, base kind, parameter);
 root_of_unity,
-which builds the powers of a root that tests start from,
-rational_by_constructor, a rational element through the public
+which builds the powers of a root that tests start from, weights_of, all N
+weights of a measure, rational_by_constructor, a rational element through the public
 constructor, and the series q^k and the truncation to a lower order.  Only
 tests use them.
 """
@@ -68,6 +68,12 @@ def truncate(s, order):
 def root_of_unity(order, exponent=1):
     """The exponent-th power of the primitive order-th root of unity."""
     return cyclo_make(order, {exponent: 1})
+
+
+def weights_of(e):
+    """All N weights of the measure e, position j holding the atom at the
+    j-th power."""
+    return [e.weight(j) for j in range(e.order)]
 
 
 def rational_by_constructor(value, order):
@@ -266,7 +272,7 @@ def moment_by_dense_sum(order, weights, k):
 def _doubled_moments(e, count):
     """Twice the moments 0, 2, ..., 2 (count - 1) of e as Fractions, each a
     dense sum over its weights."""
-    weights = e.weights
+    weights = weights_of(e)
     return [2 * cyclo_as_rational(moment_by_dense_sum(e.order, weights, 2 * k))
             for k in range(count)]
 
@@ -304,9 +310,9 @@ def pushforward_moments_by_powering(real, count):
     location powered and weighted in the cyclotomic field, at the order of
     its circular measure."""
     out = []
-    powers = [CyclotomicNumber.one(x.order) for x, _ in real.atoms]
+    powers = [cyclo_make(x.order, {0: 1}) for x, _ in real.atoms]
     for _ in range(count + 1):
-        total = CyclotomicNumber.zero(real.circular.order)
+        total = cyclo_make(real.circular.order, {0: 0})
         for i, (x, w) in enumerate(real.atoms):
             total = total + w * powers[i]
             powers[i] = powers[i] * x

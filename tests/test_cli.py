@@ -12,7 +12,7 @@ from cyclade import cli
 from cyclade.cli import MAX_ORDER, MAX_VERTICES
 from cyclade.exact import cyclo_as_rational, cyclo_make
 from cyclade.exprs import parse_measure_expr
-from oracles import moment_by_dense_sum
+from oracles import moment_by_dense_sum, weights_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,7 +55,7 @@ def test_measure_moments_match_moment_calls(capsys, expr, count):
     assert code == 0
     e = parse_measure_expr(expr)
     assert json.loads(out)["values"] == [
-        cli._fr(cyclo_as_rational(moment_by_dense_sum(e.order, e.weights, k)))
+        cli._fr(cyclo_as_rational(moment_by_dense_sum(e.order, weights_of(e), k)))
         for k in range(count + 1)]
 
 

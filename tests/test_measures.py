@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cyclade.exact import (
-    CyclotomicNumber,
     NotRational,
     cyclo_as_rational,
     cyclo_conj,
@@ -49,6 +48,7 @@ from oracles import (
     root_of_unity,
     sign_at_60_digits,
     t_series_by_moments,
+    weights_of,
 )
 
 
@@ -67,8 +67,8 @@ def gamma(n, kind="d"):
 def test_uniform_on_two_roots():
     d1 = basic_measure("d", 1)
     assert d1.order == 2
-    assert d1.weights[0] == Fraction(1, 2)
-    assert d1.weights[1] == Fraction(1, 2)
+    assert d1.weight(0) == Fraction(1, 2)
+    assert d1.weight(1) == Fraction(1, 2)
 
 
 def test_twelfth_root_quarter_weights():
@@ -76,7 +76,7 @@ def test_twelfth_root_quarter_weights():
     assert e.order == 12
     for j in range(12):
         expected = Fraction(1, 4) if j in (1, 5, 7, 11) else Fraction(0)
-        assert e.weights[j] == expected
+        assert e.weight(j) == expected
 
 
 def test_third_uniform_equals_degree_one_density():
@@ -97,17 +97,17 @@ def test_mass_and_probability():
 
 def test_density_non_allowed_cases():
     assert gamma(2) == parse_measure_expr("2*d_2 - d_1")
-    assert alpha(1).is_zero()
+    assert alpha(1).minimal_support_order() is None
 
 
 def test_density_alpha12_weight_table():
     sqrt3 = cyclo_make(24, {2: 1, 22: 1})
-    expected = [CyclotomicNumber.zero(24), (2 - sqrt3) * Fraction(1, 48),
+    expected = [cyclo_make(24, {0: 0}), (2 - sqrt3) * Fraction(1, 48),
                 Fraction(1, 48), Fraction(1, 24), Fraction(3, 48),
                 (2 + sqrt3) * Fraction(1, 48), Fraction(1, 12)]
     a12 = alpha(12)
     for j, value in enumerate(expected):
-        assert a12.weights[j] == value
+        assert a12.weight(j) == value
 
 
 def _operator_sum(terms):
@@ -127,8 +127,8 @@ def test_lincomb_examples():
     # of the orders
     combo = 2 * basic_measure("d", 2) - basic_measure("d", 1)
     assert combo.order == 4
-    assert combo.weights[0].is_zero()
-    assert combo.weights[1] == Fraction(1, 2)
+    assert combo.weight(0).is_zero()
+    assert combo.weight(1) == Fraction(1, 2)
     assert 1 * combo == combo
     assert combo * Fraction(1, 3) + combo * Fraction(2, 3) == combo
     assert -combo + combo == 0 * combo
@@ -153,7 +153,7 @@ def _density_by_horner(poly, kind, n):
     base weight, at every position."""
     base = basic_measure(kind, n)
     out = []
-    for j, w in enumerate(base.weights):
+    for j, w in enumerate(weights_of(base)):
         if w.is_zero():
             out.append(w)
             continue
@@ -204,12 +204,16 @@ def test_memoized_atoms_are_shared_and_unchanged():
      "weight at position 0 is a float, not an int, a Fraction or a CyclotomicNumber"),
     (lambda: CyclotomicMeasure(4, [Fraction(1, 2), 0, "1/2", 0]), TypeError,
      "weight at position 2 is a str, not an int, a Fraction or a CyclotomicNumber"),
+    (lambda: CyclotomicMeasure(4, [cyclo_make(3, {0: 1}), 0, cyclo_make(3, {0: 1}), 0]),
+     ValueError, "weight at position 0 lies in the field of order 3, which does not divide 4"),
+    (lambda: CyclotomicMeasure(4, [0, cyclo_make(8, {0: 1}), 0, cyclo_make(8, {0: 1})]),
+     ValueError, "weight at position 1 lies in the field of order 8, which does not divide 4"),
     (lambda: basic_measure("d", 0), ValueError, "parameter must be positive"),
     (lambda: basic_measure("dquad", 1), ValueError, "unknown base kind 'dquad'"),
     (lambda: cyclotomic_expansion(basic_measure("d", 1), 0), ValueError,
      "support parameter must be positive"),
-], ids=["odd-order", "weight-count", "float-weight", "str-weight", "parameter", "base-kind",
-        "expansion-support"])
+], ids=["odd-order", "weight-count", "float-weight", "str-weight", "order3-weight",
+        "order8-weight", "parameter", "base-kind", "expansion-support"])
 def test_bad_arguments_are_refused(call, error, message):
     with pytest.raises(error) as err:
         call()
@@ -301,7 +305,7 @@ def test_pushforward_moments_by_binomial_expansion():
         for k in range(7):
             via_moments = sum((comb(2 * k, m) * moment(e, 2 * k - 2 * m)
                                for m in range(2 * k + 1)),
-                              start=CyclotomicNumber.zero(e.order))
+                              start=cyclo_make(e.order, {0: 0}))
             assert mus[k] == via_moments
 
 
@@ -557,9 +561,10 @@ def test_support_order_and_constructor_round_trip(e):
     # twice the least period of the moments is the lcm of the atom orders,
     # and the public constructor, given the derived weights, recomputes the
     # stored sequence
-    atoms = [e.order // math.gcd(e.order, j) for j, w in enumerate(e.weights) if not w.is_zero()]
+    weights = weights_of(e)
+    atoms = [e.order // math.gcd(e.order, j) for j, w in enumerate(weights) if not w.is_zero()]
     assert e.minimal_support_order() == (math.lcm(*atoms) if atoms else None)
-    rebuilt = CyclotomicMeasure(e.order, e.weights)
+    rebuilt = CyclotomicMeasure(e.order, weights)
     assert (rebuilt.nums, rebuilt.den) == (e.nums, e.den)
 
 
@@ -606,7 +611,7 @@ def _sqrt3_weights(*orbits):
     """The real symmetric weights at N = 24 with sqrt(3) = z^2 + z^22 on the
     first orbit given and -sqrt(3) on the others."""
     sqrt3 = cyclo_make(24, {2: 1, 22: 1})
-    weights = [CyclotomicNumber.zero(24)] * 24
+    weights = [cyclo_make(24, {0: 0})] * 24
     for i, r in enumerate(orbits):
         for j in (r, -r, 12 + r, 12 - r):
             weights[j % 24] = sqrt3 if i == 0 else -sqrt3
@@ -664,7 +669,7 @@ def test_rational_sqrt3_combination_builds():
     e = _sqrt3_measure(1, 5)
     assert (e.nums, e.den) == ((0, 12, 0, 0, 0, -12, 0, -12, 0, 0, 0, 12), 1)
     derived = 1 * e
-    assert derived.weights == e.weights == tuple(_sqrt3_weights(1, 5))
+    assert weights_of(derived) == weights_of(e) == list(_sqrt3_weights(1, 5))
 
 
 def test_negative_limit_allows_no_columns():
@@ -718,7 +723,7 @@ def test_rational_moments_stored_as_the_public_constructor_stores_them(e):
     # moment and RealMeasure.moments build each value from the stored
     # integers; the oracle takes the value from the weights and builds it
     # through CyclotomicNumber(order, coeffs)
-    weights = e.weights
+    weights = weights_of(e)
     for k in range(-3, 2 * e.order + 2):
         want = cyclo_as_rational(moment_by_dense_sum(e.order, weights, k))
         assert _fields(moment(e, k)) == _fields(rational_by_constructor(want, e.order)), k
@@ -760,8 +765,8 @@ def test_lincomb_properties(terms):
     assert _fields(combo) == _fields(lincomb(built))
     n = combo.order
     for j in range(n):
-        assert combo.weights[j] == combo.weights[(-j) % n]
-        assert combo.weights[j] == combo.weights[(j + n // 2) % n]
+        assert combo.weight(j) == combo.weight((-j) % n)
+        assert combo.weight(j) == combo.weight((j + n // 2) % n)
         assert moment(combo, 2 * j + 1).is_zero()
     assert combo.mass() == sum(s for s, _ in terms)
     total = sum(s for s, _ in terms)
@@ -778,9 +783,9 @@ def test_lincomb_properties(terms):
 def test_moment_matches_dense_sum(terms):
     combo = _operator_sum([(s, _build_atom(a)) for s, a in terms])
     n = combo.order
-    weights = combo.weights
+    weights = weights_of(combo)
     for k in range(n):
-        dense = CyclotomicNumber.zero(n)
+        dense = cyclo_make(n, {0: 0})
         for j, w in enumerate(weights):
             dense = dense + w * root_of_unity(n, j * k)
         assert moment(combo, k) == dense

@@ -24,14 +24,16 @@ from oracles import lincomb
 def test_parse_xi_examples():
     e = parse_xi_expr("xi(5+,9+:15+)")
     assert e == XiExpression((XiFactor(5, True), XiFactor(9, True)),
-                             (XiFactor(15, True),), 0)
+                             (XiFactor(15, True),))
     assert e == theorem_2_5_lookup(GraphFamily("E8", 8))
-    assert parse_xi_expr("xi(3:)") == XiExpression((XiFactor(3, False),), (), 0)
-    assert parse_xi_expr("xi(:3)") == XiExpression((), (XiFactor(3, False),), 0)
-    assert parse_xi_expr("xi(:)") == XiExpression((), (), 0)
-    # the normalizer is the number of prime marks
-    for marks in range(3):
-        assert parse_xi_expr("xi" + "'" * marks + "(5+:4)").normalizer == marks
+    assert parse_xi_expr("xi(3:)") == XiExpression((XiFactor(3, False),), ())
+    assert parse_xi_expr("xi(:3)") == XiExpression((), (XiFactor(3, False),))
+    assert parse_xi_expr("xi(:)") == XiExpression((), ())
+    # k prime marks are one more denominator factor (1 - q^k)
+    assert parse_xi_expr("xi(5+:4)").denominator == (XiFactor(4, False),)
+    for marks in (1, 2):
+        assert parse_xi_expr("xi" + "'" * marks + "(5+:4)").denominator == (
+            XiFactor(4, False), XiFactor(marks, False))
 
 
 def test_parse_xi_series_equalities():
@@ -48,20 +50,51 @@ def test_parse_xi_errors():
         assert err.value.position >= 0
 
 
+def _without_marks(text):
+    """The spelling of a xi text with its k prime marks written as the
+    factor k appended to the denominator."""
+    head, body = text.split("(", 1)
+    marks = head.count("'")
+    num, den = body[:-1].split(":")
+    if marks:
+        den = f"{den},{marks}" if den else str(marks)
+    return f"xi({num}:{den})"
+
+
+def _xi_text(e):
+    """The mark-free text of a xi form, factors in their stored order."""
+    def factors(fs):
+        return ",".join(f"{n}+" if plus else str(n) for n, plus in fs)
+
+    return f"xi({factors(e.numerator)}:{factors(e.denominator)})"
+
+
 def test_xi_round_trip_corpus():
     corpus = [
         "xi(2:3)", "xi(1+:2+)", "xi'(3+:3)", "xi''(5+:4)",
         "xi(8:3,6+)", "xi(12:4,9+)", "xi(5+,9+:15+)",
         "xi(6+:3,4)", "xi(9+:4,6)", "xi(15+:6,10)",
-        "xi(3:)", "xi(:3)", "xi(:)", "xi'(1,4:5)", "xi'(2,4+:6+)",
+        "xi(3:)", "xi(:3)", "xi(:)", "xi'(1,4:5)", "xi'(2,4+:6+)", "xi''(3:)",
         # the series-table entries for the four density kinds
         "xi'(7+:7)", "xi(6:7)", "xi(1+,5:7)", "xi'(3,4:7)",
         "xi'(7:7+)", "xi(6+:7+)", "xi(1+,5+:7+)", "xi'(3,4+:7+)",
     ]
     for text in corpus:
         parsed = parse_xi_expr(text)
-        assert parsed.text() == text
-        assert parse_xi_expr(parsed.text()) == parsed
+        # k marks are the factor (1 - q^k) appended to the denominator, and
+        # nothing else: structurally one value with the mark-free spelling
+        assert parsed == parse_xi_expr(_without_marks(text)), text
+        assert _xi_text(parsed) == _without_marks(text)
+        assert parse_xi_expr(_xi_text(parsed)) == parsed
+
+
+def test_theorem_2_5_primes_are_denominator_factors():
+    atilde = theorem_2_5_lookup(GraphFamily("Atilde", 8))
+    assert atilde == parse_xi_expr("xi'(4+:4)") == parse_xi_expr("xi(4+:4,1)")
+    assert atilde == XiExpression((XiFactor(4, True),), (XiFactor(4, False), XiFactor(1, False)))
+    dtilde = theorem_2_5_lookup(GraphFamily("Dtilde", 6))
+    assert dtilde == parse_xi_expr("xi''(5+:4)") == parse_xi_expr("xi(5+:4,2)")
+    assert dtilde == XiExpression((XiFactor(5, True),), (XiFactor(4, False), XiFactor(2, False)))
 
 
 # ---------------------------------------------------------------------------

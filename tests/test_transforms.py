@@ -42,7 +42,7 @@ def test_xi_expand_examples():
     # (1 - q^2) * sum q^{3j}, multiplied out by hand
     assert expand("xi(2:3)", 8) == PowerSeries.from_list(
         [1, 0, -1, 1, 0, -1, 1, 0, -1], 8)
-    assert expand("xi(:)", 8) == PowerSeries.one(8)
+    assert expand("xi(:)", 8) == PowerSeries.from_list([1], 8)
     assert expand("xi'(1:1+)", 8) == PowerSeries.from_list(
         [(-1) ** k for k in range(9)], 8)
 
@@ -58,36 +58,42 @@ def test_xi_cancellation():
                          ("xi'(5+:7)", XiFactor(2, True)),
                          ("xi''(1:2,3+)", XiFactor(6, False))):
         e = parse_xi_expr(text)
-        padded = XiExpression(e.numerator + (factor,), e.denominator + (factor,),
-                              e.normalizer)
+        padded = XiExpression(e.numerator + (factor,), e.denominator + (factor,))
         assert xi_expand(e, 24) == xi_expand(padded, 24)
 
 
 def test_xi_constructor_validation():
-    with pytest.raises(ValueError, match="factor exponents must be positive"):
-        XiExpression((XiFactor(0, False),), (), 0)
-    # the normalizer is a prime count, an int 0, 1 or 2
-    for bad in (3, -1, 1.0, "", "prime", "doubleprime"):
-        with pytest.raises(ValueError, match=f"^bad normalizer {re.escape(repr(bad))}$"):
-            XiExpression((), (), bad)
+    # an exponent is an int >= 1, a bool refused, on either side; xi() passes
+    # it on as it is, so 2.5 is not read as 2
+    for bad in (0, -1, 2.5, "3", True):
+        message = f"^factor exponent must be an int >= 1, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            XiExpression((XiFactor(bad, False),), ())
+        with pytest.raises(ValueError, match=message):
+            XiExpression((), (XiFactor(2, True), XiFactor(bad, True)))
+    with pytest.raises(ValueError, match="^factor exponent must be an int >= 1, got 2.5$"):
+        xi([2.5])
+    with pytest.raises(ValueError, match="^factor exponent must be an int >= 1, got 2.5$"):
+        xi([], [(2.5, True)])
 
 
 def test_xi_expression_is_a_hashable_frozen_value():
     # structural equality and equal hashes make expressions table keys; the
-    # defaults are the empty factor lists and no normalizer
-    e = xi([2, (3, True)], [5], normalizer=1)
-    same = XiExpression((XiFactor(2, False), XiFactor(3, True)), (XiFactor(5, False),), 1)
-    assert e == same and hash(e) == hash(same)
-    assert XiExpression() == XiExpression((), (), 0) == parse_xi_expr("xi(:)")
-    assert e != xi([2, (3, True)], [5]) and e != xi([(3, True), 2], [5], normalizer=1)
+    # defaults are the empty factor lists, and the two lists are the fields
+    assert XiExpression.__slots__ == ("numerator", "denominator")
+    e = xi([2, (3, True)], [5, 1])
+    same = XiExpression((XiFactor(2, False), XiFactor(3, True)),
+                        (XiFactor(5, False), XiFactor(1, False)))
+    assert e == same == parse_xi_expr("xi'(2,3+:5)") and hash(e) == hash(same)
+    assert XiExpression() == XiExpression((), ()) == parse_xi_expr("xi(:)")
+    assert e != xi([2, (3, True)], [5]) and e != xi([(3, True), 2], [5, 1])
+    assert e != xi([2, (3, True)], [1, 5])
     assert {e: "E"}[same] == "E"
     assert repr(XiExpression((XiFactor(2, True),))) == (
-        "XiExpression(numerator=(XiFactor(exponent=2, plus=True),), denominator=(), "
-        "normalizer=0)")
-    for name in ("numerator", "normalizer"):
+        "XiExpression(numerator=(XiFactor(exponent=2, plus=True),), denominator=())")
+    for name in ("numerator", "denominator"):
         with pytest.raises(AttributeError):
             setattr(e, name, ())
-    assert e.normalizer == 1 and e.text() == "xi'(2,3+:5)"
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +253,7 @@ def test_theta_routes_give_the_table_at_order_160(tag):
 
 def test_t_from_theta_degenerate():
     assert t_from_theta(monomial(1, 8)) == PowerSeries.zero(8)
-    assert t_from_theta(PowerSeries.one(8)) == PowerSeries.one(8)
+    assert t_from_theta(PowerSeries.from_list([1], 8)) == PowerSeries.from_list([1], 8)
 
 
 def test_a2_pipeline_matches_table():

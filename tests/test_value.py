@@ -16,8 +16,8 @@ from cyclade.verify import CheckResult, VerificationReport
 _FIELDS = {
     GraphFamily: (["A", 3], ["D", 4]),
     RootedBipartiteGraph: ([2, ((1,), (0,)), 0], [3, ((1,), (0, 2), (1,)), 1]),
-    XiExpression: ([(XiFactor(2, False),), (XiFactor(3, False),), 0],
-                   [(XiFactor(5, True),), (), 1]),
+    XiExpression: ([(XiFactor(2, False),), (XiFactor(3, False),)],
+                   [(XiFactor(5, True),), ()]),
     RealMeasure: ([basic_measure("d", 2)], [basic_measure("d", 3)]),
     ExpansionResult: ([3, {0: Fraction(1)}, True], [4, {0: Fraction(2)}, False]),
     CheckResult: (["thm2.5/A", "pass", 8, 0.5, ""], ["thm2.5/D", "fail", 9, 0.25, "x"]),

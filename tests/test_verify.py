@@ -1,3 +1,4 @@
+import fnmatch
 import hashlib
 from collections import Counter
 from pathlib import Path
@@ -11,11 +12,9 @@ from cyclade.verify import (
     DEFAULT_SIZE_MATRIX,
     CheckResult,
     RunContext,
-    UnknownCheckId,
     VerificationReport,
     all_check_ids,
     run_all,
-    verify_identity,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -74,25 +73,39 @@ def test_empty_matrix_skips_graph_checks():
     assert not report.failures
 
 
-def test_verify_identity_examples():
-    assert verify_identity("prop5.6/gamma18", order=16).status == "pass"
-    assert verify_identity("prop8.5/beta3''", order=16).status == "pass"
-    assert verify_identity("prop5.4/n12-infeasible", order=16).status == "pass"
-    with pytest.raises(UnknownCheckId):
-        verify_identity("prop9.9/nothing")
+def one_check(check_id, order):
+    """The result of one check, run alone by its id as the --only glob."""
+    (result,) = run_all(order, only=check_id).results
+    return result
+
+
+def test_each_check_id_matches_only_itself():
+    # so that an id used as the glob of run_all or --only runs that one check
+    ids = all_check_ids()
+    for check_id in ids:
+        assert not set(check_id) & set("*?["), check_id
+        assert [i for i in ids if fnmatch.fnmatchcase(i, check_id)] == [check_id]
+
+
+def test_one_check_examples():
+    assert one_check("prop5.6/gamma18", order=16).status == "pass"
+    assert one_check("prop8.5/beta3''", order=16).status == "pass"
+    assert one_check("prop5.4/n12-infeasible", order=16).status == "pass"
+    with pytest.raises(ValueError, match="^no check id matches 'prop9.9/nothing'$"):
+        run_all(order=16, only="prop9.9/nothing")
 
 
 def test_adjudicated_corrections_report():
-    r4 = verify_identity("prop5.6/gamma4", order=16)
+    r4 = one_check("prop5.6/gamma4", order=16)
     assert r4.status == "pass"
     assert "2*d_4 + d_2 - d_1" in r4.details
-    r8 = verify_identity("prop5.6/gamma8", order=16)
+    r8 = one_check("prop5.6/gamma8", order=16)
     assert r8.status == "pass"
     assert "alpha_8" in r8.details
 
 
 def test_etilde_constant_adjudication():
-    result = verify_identity("discrepancy/Etilde-constant", order=24)
+    result = one_check("discrepancy/Etilde-constant", order=24)
     assert result.status == "pass"
     assert "constant=1/2" in result.details
 
@@ -168,7 +181,7 @@ def test_measure_case_reports_the_first_differing_atom(monkeypatch):
 def test_scalar_case_reports_both_values_and_stops(monkeypatch):
     calls = []
     monkeypatch.setattr(verify, "level", lambda e: calls.append(e) or 2)
-    result = verify_identity("level/basics", order=8)
+    result = one_check("level/basics", order=8)
     assert (result.status, result.details) == ("fail", "level of d_1: 2 != 0")
     assert len(calls) == 1  # the cases after the first failure are never computed
 
@@ -227,8 +240,8 @@ def test_bad_size_matrix_is_a_value_error(sizes, message):
 
 @pytest.mark.parametrize("run", [lambda: run_all(order=-1),
                                  lambda: run_all(order=-1, only="prop3.3/*"),
-                                 lambda: verify_identity("prop3.3/A", order=-1)],
-                         ids=["run_all", "run_all-only", "verify_identity"])
+                                 lambda: one_check("prop3.3/A", order=-1)],
+                         ids=["run_all", "run_all-only", "run_all-one-id"])
 def test_negative_order_is_refused_up_front(run):
     # refused before any check runs, not reported as a mix of passes and
     # failed checks
@@ -266,7 +279,7 @@ def test_a_check_alone_answers_as_in_a_full_run(order, full_report):
     # which checks ran before it
     report = full_report if order == 64 else run_all(order=order)
     for r in report.results:
-        alone = verify_identity(r.check_id, order)
+        alone = one_check(r.check_id, order)
         assert (alone.status, alone.details) == (r.status, r.details), r.check_id
 
 
