@@ -178,8 +178,7 @@ class CyclotomicMeasure(_IntegersOverDenominator):
         m = self.nums[:n]
         for d in (d for d in range(1, n + 1) if n % d == 0):
             a = [sum(m[r::d]) for r in range(d)]
-            pairs = _mobius_pairs(d)
-            c = [sum(mu * (d // q) for q, mu in pairs if k % (d // q) == 0) for k in range(d)]
+            c = _ramanujan_sums(d)
             h = max(1, c[0] // 2)
             t = [sum(x * c[(r + k) % d] for r, x in enumerate(a) if x) for k in range(2 * h - 1)]
             if not _is_psd([[t[i + j] + t[abs(i - j)] for j in range(h)] for i in range(h)]):
@@ -220,6 +219,14 @@ class CyclotomicMeasure(_IntegersOverDenominator):
     def __repr__(self):
         nz = sum(self.orbit_size(r) for r, w in enumerate(self.reps) if not w.is_zero())
         return f"CyclotomicMeasure(order={self.order}, atoms={nz})"
+
+
+@lru_cache(maxsize=None)
+def _ramanujan_sums(d: int) -> Tuple[int, ...]:
+    """c_d(k) for 0 <= k < d, the trace of zeta_d^k: the sum over the
+    squarefree q | d of mu(q) (d/q) [(d/q) | k]."""
+    pairs = _mobius_pairs(d)
+    return tuple(sum(mu * (d // q) for q, mu in pairs if k % (d // q) == 0) for k in range(d))
 
 
 class RealMeasure(FrozenValue):

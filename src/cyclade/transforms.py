@@ -25,8 +25,9 @@ class XiFactor(NamedTuple):
 
 class XiExpression(FrozenValue):
     """A formal product of (1 +- q^n) factors over another; each exponent is
-    an int n >= 1.  The prime marks of xi' and xi'' are no field: each is
-    one more (1 - q^k) factor, k the number of marks, in the denominator.
+    an int n >= 1 and each plus flag a bool.  The prime marks of xi' and
+    xi'' are no field: each is one more (1 - q^k) factor, k the number of
+    marks, in the denominator.
 
     Structural equality is intentional (expressions are table keys); equality
     as rational functions is `equivalent`, decided by series expansion.
@@ -39,6 +40,8 @@ class XiExpression(FrozenValue):
         for f in numerator + denominator:
             if type(f.exponent) is not int or f.exponent < 1:
                 raise ValueError(f"factor exponent must be an int >= 1, got {f.exponent!r}")
+            if type(f.plus) is not bool:
+                raise ValueError(f"factor plus flag must be a bool, got {f.plus!r}")
         self._freeze(numerator, denominator)
 
     def equivalent(self, other: "XiExpression") -> bool:
@@ -60,7 +63,7 @@ def xi(num=(), den=()) -> XiExpression:
 
 def _factor(f) -> XiFactor:
     if isinstance(f, tuple):  # an XiFactor too
-        return XiFactor(f[0], bool(f[1]))
+        return XiFactor(f[0], f[1])
     return XiFactor(f, False)
 
 

@@ -77,6 +77,22 @@ def test_xi_constructor_validation():
         xi([], [(2.5, True)])
 
 
+def test_xi_plus_flag_must_be_a_bool():
+    # a flag that is not a bool would expand by its truthiness and yet be
+    # structurally unequal to the bool form, one xi form as two table keys;
+    # xi() passes it on as it is
+    for bad in ("no", 1, 0, None):
+        message = f"^factor plus flag must be a bool, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            XiExpression((XiFactor(2, bad),))
+        with pytest.raises(ValueError, match=message):
+            XiExpression((), (XiFactor(3, False), XiFactor(2, bad)))
+        with pytest.raises(ValueError, match=message):
+            xi([(2, bad)])
+        with pytest.raises(ValueError, match=message):
+            xi([], [(2, bad)])
+
+
 def test_xi_expression_is_a_hashable_frozen_value():
     # structural equality and equal hashes make expressions table keys; the
     # defaults are the empty factor lists, and the two lists are the fields

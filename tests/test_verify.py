@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from cyclade import exprs, verify
+from cyclade.exact import PowerSeries
 from cyclade.graphs import GraphFamily
-from cyclade.measures import atom_measure, basic_measure
+from cyclade.measures import atom_measure, basic_measure, t_series_of_measure
 from cyclade.verify import (
     DEFAULT_SIZE_MATRIX,
     CheckResult,
@@ -151,20 +152,63 @@ def test_graph_checks_report_the_first_differing_coefficient(monkeypatch):
     assert result.details == "A param 3: T series: coefficient 3: 0 != -1"
 
 
-def test_pushforward_case_reports_both_moments_as_rationals(monkeypatch):
-    # pushforward moment 2 of A3's measure raised by one: 3 where the graph
-    # has 2 closed 4-walks at the root
-    real = verify._pushforward_moments
+def test_thm71_refutes_a_candidate_that_agrees_up_to_the_order(monkeypatch):
+    # Atilde20's measure is d_10; d_20 has the same T series up to
+    # coefficient 9 and the same pushforward moments up to k = 4, so only
+    # the measure read off the graph's T tells them apart at order 8
+    real = verify.candidate_measure
+    monkeypatch.setattr(verify, "candidate_measure", lambda fam, variant: (
+        basic_measure("d", 20) if fam.tag == "Atilde" else real(fam, variant)))
+    (result,) = run_all(order=8, size_matrix={"Atilde": (20,)}, only="thm7.1/Atilde").results
+    zeros = ", '0'" * 15
+    assert (result.status, result.details) == (
+        "fail", "Atilde param 20: measure read off the graph's T: atom 0: "
+                f"CyclotomicNumber(order=40, coeffs=['1/20'{zeros}]) != "
+                f"CyclotomicNumber(order=40, coeffs=['1/40'{zeros}])")
 
-    def shifted(e, count):
-        nums, den = real(e, count)
-        nums[2] += den
-        return nums, den
 
-    monkeypatch.setattr(verify, "_pushforward_moments", shifted)
+def test_thm71_reads_the_graph_measure_beyond_a_small_order():
+    # A40's measure has period P = 41, and the test m_(k+P) = m_k for
+    # k < 2n = 80 needs T to order 121, far above the run's order
+    (result,) = run_all(order=8, size_matrix={"A": (40,)}, only="thm7.1/A").results
+    assert (result.status, result.details) == ("pass", "1 instance(s)")
+    ctx = RunContext(8, {"A": (40,)})
+    assert ctx.graph_measure(GraphFamily("A", 40)) == atom_measure("alpha", "d", 41)
+
+
+def test_thm71_fails_when_no_period_fits(monkeypatch):
+    # T at the run's order is the graph's, but the T read at K = 36 is that
+    # of d_1000, whose doubled moments 2, 0, 0, ... show no period within K
+    real = RunContext.graph_t
+    monkeypatch.setattr(RunContext, "graph_t", lambda self, fam: (
+        real(self, fam) if self.order == 8
+        else t_series_of_measure(basic_measure("d", 1000), self.order)))
     (result,) = run_all(order=8, size_matrix={"A": (3,)}, only="thm7.1/A").results
     assert (result.status, result.details) == (
-        "fail", "A param 3: pushforward moment 2: Fraction(3, 1) != Fraction(2, 1)")
+        "fail", "A param 3: measure read off the graph's T: "
+                "no period P of the doubled moments with P + 6 <= 36")
+    with pytest.raises(ValueError, match="no period"):
+        RunContext(8).graph_measure(GraphFamily("A", 3))
+
+
+def test_thm71_period_test_reads_2n_terms(monkeypatch):
+    # the T read at K agrees with A3's measure alpha_4 (period 4) for the
+    # doubled moments m_0 .. m_8 and then stays flat, so m_k = 0 from k = 9
+    # on: m_(k+4) = m_k holds for k < 5 but not at k = 5 < 2n = 6, as
+    # m_5 = m_1 = -1, and no other P fits either
+    real = RunContext.graph_t
+
+    def graph_t(self, fam):
+        if self.order == 8:
+            return real(self, fam)
+        t = t_series_of_measure(atom_measure("alpha", "d", 4), self.order).coeffs
+        return PowerSeries.from_list([*t[:9]] + [t[8]] * (self.order - 8), self.order)
+
+    monkeypatch.setattr(RunContext, "graph_t", graph_t)
+    (result,) = run_all(order=8, size_matrix={"A": (3,)}, only="thm7.1/A").results
+    assert (result.status, result.details) == (
+        "fail", "A param 3: measure read off the graph's T: "
+                "no period P of the doubled moments with P + 6 <= 36")
 
 
 def test_measure_case_reports_the_first_differing_atom(monkeypatch):
