@@ -147,10 +147,11 @@ class VerificationReport(Value):
 
 class RunContext:
     """One run's order and graph families, and a memo of what its checks share:
-    per family the graph, loop counts, thetas, graph T series, graph measure
-    and candidates; each xi expansion, keyed by its text; each measure T series,
-    keyed by the moment sequence; the run's context at each other order it
-    reads.  A check is timed with the shared values it computes."""
+    per family the graph, loop counts, each theta route, graph T series,
+    graph measure and candidates, each read once at the family's certifying
+    order (graph_order); each xi expansion at the run's order, keyed by its
+    text; each measure T series, keyed by the moment sequence and the order.
+    A check is timed with the shared values it computes."""
 
     def __init__(self, order: int, sizes: Optional[Dict[str, Sequence[int]]] = None):
         _check_order(order)
@@ -171,26 +172,28 @@ class RunContext:
     def graph(self, fam: GraphFamily) -> RootedBipartiteGraph:
         return self._memo(("graph", fam), lambda: build_ade(fam))
 
+    def graph_order(self, fam: GraphFamily) -> int:
+        """K = max(order, 2n + max(2n, 30)), n the vertex count: the one order
+        of the family's pipeline, at which graph_measure certifies it."""
+        n2 = 2 * self.graph(fam).vertex_count
+        return max(self.order, n2 + max(n2, 30))
+
     def counts(self, fam: GraphFamily) -> PowerSeries:
         return self._memo(("counts", fam), lambda: series_from_integers(
-            loop_counts(self.graph(fam), self.order)))
+            loop_counts(self.graph(fam), self.graph_order(fam))))
 
     def thetas(self, fam: GraphFamily) -> Tuple[PowerSeries, PowerSeries]:
         return self._memo(("thetas", fam), lambda: (
-            theta_from_poincare_formula(self.counts(fam), self.order), self.theta_subst(fam)))
+            theta_from_poincare_formula(self.counts(fam), self.graph_order(fam)),
+            self.theta_subst(fam)))
 
     def theta_subst(self, fam: GraphFamily) -> PowerSeries:
         """The substitution theta alone, all that the graph T series reads."""
         return self._memo(("theta-subst", fam), lambda: theta_from_poincare_subst(
-            self.counts(fam), self.order))
+            self.counts(fam), self.graph_order(fam)))
 
     def graph_t(self, fam: GraphFamily) -> PowerSeries:
         return self._memo(("t", fam), lambda: t_from_theta(self.theta_subst(fam)))
-
-    def at(self, order: int) -> "RunContext":
-        """The run's context at another order, with no families, built once."""
-        return self if order == self.order else self._memo(
-            ("at", order), lambda: RunContext(order, {}))
 
     def graph_measure(self, fam: GraphFamily) -> CyclotomicMeasure:
         """The graph's circular measure, certified from the pipeline's own T.
@@ -201,14 +204,12 @@ class RunContext:
         such a sequence that vanishes for k < 2n vanishes for all k: the
         least P that passes this test with P + 2n <= K is the least period of
         the doubled moments, and the measure lives on the 2P-th roots.  T is
-        read at K = max(order, 2n + max(2n, 30)), as P <= 2n on the four
-        series and P <= 30, the Coxeter number of E8, on the exceptional
-        graphs.  A ValueError when no period fits within K; it is not
-        memoized."""
+        read at K = graph_order(fam), as P <= 2n on the four series and
+        P <= 30, the Coxeter number of E8, on the exceptional graphs.  A
+        ValueError when no period fits within K; it is not memoized."""
         def build():
-            n2 = 2 * self.graph(fam).vertex_count
-            k = max(self.order, n2 + max(n2, 30))
-            t = self.at(k).graph_t(fam)
+            n2, k = 2 * self.graph(fam).vertex_count, self.graph_order(fam)
+            t = self.graph_t(fam)
             m = [t.den + t.nums[0], *(b - a for a, b in zip(t.nums, t.nums[1:]))]
             p = next((p for p in range(1, k - n2 + 1) if m[p:p + n2] == m[:n2]), None)
             if p is None:
@@ -224,10 +225,10 @@ class RunContext:
         return self._memo(("xi", text), lambda: xi_expand(exprs.parse_xi_expr(text),
                                                           self.order))
 
-    def measure_t(self, e: CyclotomicMeasure) -> PowerSeries:
+    def measure_t(self, e: CyclotomicMeasure, order: int) -> PowerSeries:
         # the only fields t_series_of_measure reads, so equal measures share it
-        return self._memo(("measure-t", e.nums, e.den),
-                          lambda: t_series_of_measure(e, self.order))
+        return self._memo(("measure-t", e.nums, e.den, order),
+                          lambda: t_series_of_measure(e, order))
 
 
 # --- the runner: every check is a table of (label, got, expected) cases -----
@@ -281,9 +282,9 @@ def _graph_check(tag: str, cases) -> Callable:
 # --- graph cases ------------------------------------------------------------
 
 def _thm25_cases(ctx: RunContext, fam: GraphFamily):
-    expected = xi_expand(theorem_2_5_lookup(fam), ctx.order)
-    for route, theta in zip(("formula", "substitution"), ctx.thetas(fam)):
-        yield f"T from the {route} theta", t_from_theta(theta), expected
+    expected = xi_expand(theorem_2_5_lookup(fam), ctx.graph_order(fam))
+    yield "T from the formula theta", t_from_theta(ctx.thetas(fam)[0]), expected
+    yield "T from the substitution theta", ctx.graph_t(fam), expected
 
 
 def _theta_cases(ctx: RunContext, fam: GraphFamily):
@@ -317,12 +318,12 @@ def _prop34_cases(ctx: RunContext):
 def _prop36_cases(ctx: RunContext, fam: GraphFamily):
     uniform = basic_measure("d", fam.param // 2)
     yield "candidate vs uniform measure", ctx.candidate(fam, "thm71"), uniform
-    yield "uniform measure T", ctx.measure_t(uniform), ctx.graph_t(fam)
+    yield "uniform measure T", ctx.measure_t(uniform, ctx.graph_order(fam)), ctx.graph_t(fam)
 
 
 def _thm71_cases(ctx: RunContext, fam: GraphFamily):
     e = ctx.candidate(fam, "thm71")
-    yield "T series", ctx.measure_t(e), ctx.graph_t(fam)
+    yield "T series", ctx.measure_t(e, ctx.graph_order(fam)), ctx.graph_t(fam)
     yield "probability measure", e.is_probability(), True
     # equal measures have equal T series and pushforward moments at every order
     try:
@@ -333,8 +334,9 @@ def _thm71_cases(ctx: RunContext, fam: GraphFamily):
 
 
 def _thm87_cases(ctx: RunContext, fam: GraphFamily):
-    yield "ternary T series", ctx.measure_t(ctx.candidate(fam, "thm87")), ctx.graph_t(fam)
-    yield "ternary vs binary form", ctx.candidate(fam, "thm87"), ctx.candidate(fam, "thm71")
+    e = ctx.candidate(fam, "thm87")
+    yield "ternary T series", ctx.measure_t(e, ctx.graph_order(fam)), ctx.graph_t(fam)
+    yield "ternary vs binary form", e, ctx.candidate(fam, "thm71")
 
 
 # --- series tables ----------------------------------------------------------
@@ -349,7 +351,7 @@ def _closed_form_cases(instances):
     def cases(ctx: RunContext):
         for label, poly, n, variant in instances:
             e = density_measure(poly, "d" if variant == "unprimed" else "dprime", n)
-            yield label, t_closed_form(poly, n, variant, ctx.order), ctx.measure_t(e)
+            yield label, t_closed_form(poly, n, variant, ctx.order), ctx.measure_t(e, ctx.order)
     return cases
 
 
@@ -370,7 +372,7 @@ def _measure_xi_cases(instances):
     density P, base kind, n, xi text), P = 1 for the base measure itself."""
     def cases(ctx: RunContext):
         for label, poly, kind, n, text in instances:
-            yield label, ctx.measure_t(density_measure(poly, kind, n)), ctx.xi(text)
+            yield label, ctx.measure_t(density_measure(poly, kind, n), ctx.order), ctx.xi(text)
     return cases
 
 
@@ -480,15 +482,11 @@ def _support_cases(ctx: RunContext):
 
 
 def _check_etilde_constant(ctx: RunContext):
-    # forms on the N-th roots with equal doubled moments 0..N/4 are equal (the
-    # reflection identity), so from order N/4 on at most one constant matches
-    forms = {tag: [(Fraction(1, den), exprs.parse_measure_expr(_etilde_ternary(ell, den)))
-                   for den in (2, 3)] for tag, ell in _ETILDE_ELL.items()}
-    order = max(ctx.order, *[e.order // 4 for pair in forms.values() for _, e in pair])
-    at = ctx.at(order)
     winners = []
-    for tag, pair in forms.items():
-        matches = [c for c, e in pair if at.measure_t(e) == at.graph_t(GraphFamily(tag))]
+    for tag, ell in _ETILDE_ELL.items():
+        graph = ctx.graph_measure(GraphFamily(tag))
+        matches = [Fraction(1, den) for den in (2, 3)
+                   if exprs.parse_measure_expr(_etilde_ternary(ell, den)) == graph]
         if len(matches) != 1:
             return "fail", f"{tag}: {len(matches)} constants match"
         winners.append(matches[0])

@@ -47,8 +47,9 @@ def test_report_determinism():
 
 @pytest.mark.parametrize("order", range(9))
 def test_small_order_still_passes(order):
-    # below order 5 the two affine-E constants agree with the graph T series,
-    # so the discrepancy check compares at the order that tells them apart
+    # below order 5 both affine-E constants agree with the graph T series up
+    # to the order; the discrepancy check compares measures, which tells them
+    # apart at every order, and each graph check reads its family at its K
     report = run_all(order=order, size_matrix=SMALL_MATRIX)
     assert not report.failures
     assert all(r.order == order for r in report.results)
@@ -152,19 +153,33 @@ def test_graph_checks_report_the_first_differing_coefficient(monkeypatch):
     assert result.details == "A param 3: T series: coefficient 3: 0 != -1"
 
 
+def test_thm25_substitution_route_is_the_graph_t(monkeypatch):
+    # the graph T replaced by zero: the formula route still passes and the
+    # substitution route, read from the run's graph T, fails
+    monkeypatch.setattr(RunContext, "graph_t",
+                        lambda self, fam: PowerSeries.zero(self.graph_order(fam)))
+    (result,) = run_all(order=8, size_matrix={"A": (3,)}, only="thm2.5/A").results
+    assert (result.status, result.details) == (
+        "fail", "A param 3: T from the substitution theta: coefficient 0: 0 != 1")
+
+
 def test_thm71_refutes_a_candidate_that_agrees_up_to_the_order(monkeypatch):
     # Atilde20's measure is d_10; d_20 has the same T series up to
-    # coefficient 9 and the same pushforward moments up to k = 4, so only
-    # the measure read off the graph's T tells them apart at order 8
+    # coefficient 9, so at order 8 only the family's own order K = 80 tells
+    # them apart: its T series first, and the measure read off that T too
     real = verify.candidate_measure
     monkeypatch.setattr(verify, "candidate_measure", lambda fam, variant: (
         basic_measure("d", 20) if fam.tag == "Atilde" else real(fam, variant)))
     (result,) = run_all(order=8, size_matrix={"Atilde": (20,)}, only="thm7.1/Atilde").results
-    zeros = ", '0'" * 15
     assert (result.status, result.details) == (
-        "fail", "Atilde param 20: measure read off the graph's T: atom 0: "
-                f"CyclotomicNumber(order=40, coeffs=['1/20'{zeros}]) != "
-                f"CyclotomicNumber(order=40, coeffs=['1/40'{zeros}])")
+        "fail", "Atilde param 20: T series: coefficient 10: 1 != 3")
+    ctx = RunContext(8, {"Atilde": (20,)})
+    graph = ctx.graph_measure(GraphFamily("Atilde", 20))
+    assert graph != basic_measure("d", 20)
+    zeros = ", '0'" * 15
+    assert verify._difference(graph, basic_measure("d", 20)) == (
+        f"atom 0: CyclotomicNumber(order=40, coeffs=['1/20'{zeros}]) != "
+        f"CyclotomicNumber(order=40, coeffs=['1/40'{zeros}])")
 
 
 def test_thm71_reads_the_graph_measure_beyond_a_small_order():
@@ -177,12 +192,13 @@ def test_thm71_reads_the_graph_measure_beyond_a_small_order():
 
 
 def test_thm71_fails_when_no_period_fits(monkeypatch):
-    # T at the run's order is the graph's, but the T read at K = 36 is that
-    # of d_1000, whose doubled moments 2, 0, 0, ... show no period within K
-    real = RunContext.graph_t
+    # the T read at K = 36 and the candidate are those of d_1000, so the T
+    # series case passes, but the doubled moments 2, 0, 0, ... show no
+    # period within K
+    d1000 = basic_measure("d", 1000)
+    monkeypatch.setattr(verify, "candidate_measure", lambda fam, variant: d1000)
     monkeypatch.setattr(RunContext, "graph_t", lambda self, fam: (
-        real(self, fam) if self.order == 8
-        else t_series_of_measure(basic_measure("d", 1000), self.order)))
+        t_series_of_measure(d1000, self.graph_order(fam))))
     (result,) = run_all(order=8, size_matrix={"A": (3,)}, only="thm7.1/A").results
     assert (result.status, result.details) == (
         "fail", "A param 3: measure read off the graph's T: "
@@ -196,19 +212,15 @@ def test_thm71_period_test_reads_2n_terms(monkeypatch):
     # doubled moments m_0 .. m_8 and then stays flat, so m_k = 0 from k = 9
     # on: m_(k+4) = m_k holds for k < 5 but not at k = 5 < 2n = 6, as
     # m_5 = m_1 = -1, and no other P fits either
-    real = RunContext.graph_t
-
     def graph_t(self, fam):
-        if self.order == 8:
-            return real(self, fam)
-        t = t_series_of_measure(atom_measure("alpha", "d", 4), self.order).coeffs
-        return PowerSeries.from_list([*t[:9]] + [t[8]] * (self.order - 8), self.order)
+        k = self.graph_order(fam)
+        t = t_series_of_measure(atom_measure("alpha", "d", 4), k).coeffs
+        return PowerSeries.from_list([*t[:9]] + [t[8]] * (k - 8), k)
 
     monkeypatch.setattr(RunContext, "graph_t", graph_t)
-    (result,) = run_all(order=8, size_matrix={"A": (3,)}, only="thm7.1/A").results
-    assert (result.status, result.details) == (
-        "fail", "A param 3: measure read off the graph's T: "
-                "no period P of the doubled moments with P + 6 <= 36")
+    message = r"^no period P of the doubled moments with P \+ 6 <= 36$"
+    with pytest.raises(ValueError, match=message):
+        RunContext(8, {"A": (3,)}).graph_measure(GraphFamily("A", 3))
 
 
 def test_measure_case_reports_the_first_differing_atom(monkeypatch):
@@ -237,11 +249,22 @@ def test_level_check_reports_the_first_family_above_3(monkeypatch):
 
 
 def test_etilde_constant_check_needs_one_match_per_family(monkeypatch):
-    # every form given E6tilde's T series: both constants match E6tilde
-    monkeypatch.setattr(RunContext, "measure_t",
-                        lambda self, e: self.graph_t(GraphFamily("E6tilde")))
+    # both constants written with /2, so both match E6tilde's measure
+    real = verify._etilde_ternary
+    monkeypatch.setattr(verify, "_etilde_ternary", lambda ell, den: real(ell, 2))
     (result,) = run_all(order=8, only="discrepancy/Etilde-constant").results
     assert (result.status, result.details) == ("fail", "E6tilde: 2 constants match")
+
+
+def test_etilde_constant_check_reads_the_graph_not_the_table(monkeypatch):
+    # the table's affine-E measures replaced by the forms with /3: the check
+    # compares with the measure read off each graph, so 1/2 still wins
+    real = verify.candidate_measure
+    monkeypatch.setattr(verify, "candidate_measure", lambda fam, variant: (
+        exprs.parse_measure_expr(verify._etilde_ternary(verify._ETILDE_ELL[fam.tag], 3))
+        if fam.tag in verify._ETILDE_ELL else real(fam, variant)))
+    (result,) = run_all(order=8, only="discrepancy/Etilde-constant").results
+    assert (result.status, result.details) == ("pass", "constant=1/2")
 
 
 def test_etilde_constant_check_needs_one_winner(monkeypatch):
@@ -336,7 +359,8 @@ def test_each_shared_series_is_computed_once(monkeypatch):
         return parse(text)
 
     def counting_t(e, order):
-        # discrepancy/Etilde-constant reads T series at an order of its own
+        # a graph check reads measure T series at its family's order K, the
+        # series tables at the run's order
         t_series[e.nums, e.den, order] += 1
         return t_of(e, order)
 
@@ -345,3 +369,27 @@ def test_each_shared_series_is_computed_once(monkeypatch):
     assert not run_all(order=8, size_matrix=SMALL_MATRIX).failures
     assert parsed and max(parsed.values()) == 1
     assert t_series and max(t_series.values()) == 1
+
+
+def test_each_graph_is_read_once_at_its_order(monkeypatch):
+    # one order per family: each graph's loop counts are computed once in a
+    # run, and thm7.1, which reads only the graph T, computes no formula theta
+    counted, formula = Counter(), []
+    counts_of, formula_of = verify.loop_counts, verify.theta_from_poincare_formula
+
+    def counting_counts(graph, order):
+        counted[graph] += 1
+        return counts_of(graph, order)
+
+    def counting_formula(counts, order):
+        formula.append(order)
+        return formula_of(counts, order)
+
+    monkeypatch.setattr(verify, "loop_counts", counting_counts)
+    monkeypatch.setattr(verify, "theta_from_poincare_formula", counting_formula)
+    assert not run_all(order=8).failures
+    assert len(counted) == sum(map(len, DEFAULT_SIZE_MATRIX.values()))
+    assert set(counted.values()) == {1}
+    formula.clear()
+    assert not run_all(order=8, only="thm7.1/*").failures
+    assert formula == []
