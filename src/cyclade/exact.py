@@ -12,8 +12,9 @@ coefficients, constant term first (ints for a cyclotomic polynomial); all
 arithmetic, polynomial arithmetic included, runs on integer lists over one
 denominator.  The two classes, and the measures of the measures module,
 share one set of operators, and one in-place kernel multiplies or divides
-such a list by (1 +- q^d): the Mobius product of cyclotomic_poly and the xi
-forms and closed forms of transforms.
+such a list by (1 +- q^d): the Mobius product of cyclotomic_poly, and the
+xi forms, closed forms and series fractions of transforms, whose cross
+products it forms.
 """
 
 from __future__ import annotations

@@ -52,6 +52,7 @@ from .exact import (
     _over_lcm,
     _solve_columns,
 )
+from .transforms import SeriesFraction
 
 
 class SymmetryViolation(ValueError):
@@ -362,6 +363,15 @@ def t_series_of_measure(e: CyclotomicMeasure, order: int) -> PowerSeries:
     doubled = [2 * v for v in nums]
     doubled[0] -= den
     return series_from_integers(list(accumulate(doubled)), den)
+
+
+def t_fraction_of_measure(e: CyclotomicMeasure) -> SeriesFraction:
+    """The T series of the measure as a fraction: the moments 2k repeat with
+    period p = len(e.nums), so T = (2 sum_(k<p) nums_k q^k - den + den q^p)
+    / (den (1 - q)(1 - q^p))."""
+    nums = [2 * v for v in e.nums] + [e.den]
+    nums[0] -= e.den
+    return SeriesFraction(nums, ((1, False), (len(e.nums), False)), e.den)
 
 
 def pushforward_real(e: CyclotomicMeasure) -> RealMeasure:

@@ -1,12 +1,17 @@
 """The loop-count to theta to T pipeline, and the xi calculus of rational
 functions built from (1 - q^n) and (1 + q^n) factors: a xi form is its
-numerator and denominator factor lists, and nothing else."""
+numerator and denominator factor lists, and nothing else.  A SeriesFraction
+is an integer numerator over such a factor list; xi forms, closed forms and
+measures are compared as fractions, by cross-multiplication."""
 
 from __future__ import annotations
 
-from itertools import accumulate
+import math
+from collections import Counter
+from fractions import Fraction
+from itertools import accumulate, zip_longest
 from operator import add
-from typing import NamedTuple, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from ._value import FrozenValue
 from .exact import (PowerSeries, _check_order, _divide_factor, _over_lcm, _times_factor,
@@ -30,7 +35,8 @@ class XiExpression(FrozenValue):
     marks, in the denominator.
 
     Structural equality is intentional (expressions are table keys); equality
-    as rational functions is `equivalent`, decided by series expansion.
+    as rational functions is `equivalent`, decided on `fraction` by
+    cross-multiplication.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -44,16 +50,15 @@ class XiExpression(FrozenValue):
                 raise ValueError(f"factor plus flag must be a bool, got {f.plus!r}")
         self._freeze(numerator, denominator)
 
+    def fraction(self) -> SeriesFraction:
+        """The rational function: the product of the numerator factors over
+        the denominator factor list."""
+        return SeriesFraction(_times_factors((1,), self.numerator), self.denominator)
+
     def equivalent(self, other: "XiExpression") -> bool:
-        """Equality as rational functions: N1/D1 = N2/D2 is the identity
-        N1 D2 = N2 D1 of degree at most max(deg N1 + deg D2, deg N2 + deg D1),
-        and each D has constant term 1, so the series to that order decide
-        it."""
-        (n1, d1), (n2, d2) = [(sum(f.exponent for f in x.numerator),
-                               sum(f.exponent for f in x.denominator))
-                              for x in (self, other)]
-        order = max(n1 + d2, n2 + d1)
-        return xi_expand(self, order) == xi_expand(other, order)
+        """Equality as rational functions: N1/D1 = N2/D2 exactly when the
+        cross products N1 D2 and N2 D1 are equal."""
+        return self.fraction() == other.fraction()
 
 
 def xi(num=(), den=()) -> XiExpression:
@@ -67,15 +72,79 @@ def _factor(f) -> XiFactor:
     return XiFactor(f, False)
 
 
+class SeriesFraction:
+    """The power series nums(q) / (scale * prod (1 +- q^a)): nums an integer
+    tuple, constant term first, factors the (a, plus) pairs, a >= 1, as a xi
+    form holds them, and scale a positive int.  Each factor has constant
+    term 1, so two are equal exactly when their cross products are, each
+    formed by the factor kernel of exact: no polynomial product is needed."""
+
+    __slots__ = ("nums", "factors", "scale")
+
+    def __init__(self, nums: Iterable[int], factors: Iterable = (), scale: int = 1):
+        self.nums, self.factors, self.scale = tuple(nums), tuple(factors), scale
+
+    def cross(self, other: "SeriesFraction") -> Tuple[list, list]:
+        """Each numerator times the other's scale and the other's factors
+        that it lacks, the two padded to one length."""
+        mine, theirs = list(self.factors), list(other.factors)
+        for f in self.factors:
+            if f in theirs:
+                mine.remove(f)
+                theirs.remove(f)
+        a = _times_factors(self.nums, theirs, other.scale)
+        b = _times_factors(other.nums, mine, self.scale)
+        return a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SeriesFraction):
+            return NotImplemented
+        a, b = self.cross(other)
+        return a == b
+
+    def expand(self, order: int) -> PowerSeries:
+        """The series to the order: a running sum per factor."""
+        _check_order(order)
+        out = [*self.nums[: order + 1], *[0] * (order + 1 - len(self.nums))]
+        for a, plus in self.factors:
+            _divide_factor(out, a, plus)
+        return series_from_integers(out, self.scale)
+
+
+def _times_factors(nums: Sequence[int], factors: Sequence, scale: int = 1) -> list:
+    """scale * nums(q) * prod (1 +- q^a) over the (a, plus) factors, in full."""
+    out = [v * scale for v in nums] + [0] * sum(a for a, _ in factors)
+    for a, plus in factors:
+        _times_factor(out, a, plus)
+    return out
+
+
+def fraction_sum(terms: Iterable) -> SeriesFraction:
+    """The sum of coef * q^shift * f over the (coef, f, shift) terms, coef an
+    int or a Fraction, over the union of the denominators: each term's
+    shifted numerator times the factors of the union that it lacks."""
+    terms = [(Fraction(c), f, s) for c, f, s in terms]
+    union = Counter()
+    for _, f, _ in terms:
+        union |= Counter(f.factors)
+    scale = math.lcm(*[c.denominator * f.scale for c, f, _ in terms])
+    total = []
+    for c, f, shift in terms:
+        lacking = list((union - Counter(f.factors)).elements())
+        part = _times_factors((0,) * shift + f.nums, lacking,
+                              c.numerator * (scale // (c.denominator * f.scale)))
+        total = [x + y for x, y in zip_longest(total, part, fillvalue=0)]
+    return SeriesFraction(total, union.elements(), scale)
+
+
 def xi_expand(expr: XiExpression, order: int) -> PowerSeries:
-    """Exact series expansion of the rational function to the given order."""
+    """Exact series expansion of the rational function to the given order:
+    the numerator's product truncated there, over the denominator factors."""
     _check_order(order)
     out = [1] + [0] * order
     for n, plus in expr.numerator:
         _times_factor(out, n, plus)
-    for n, plus in expr.denominator:
-        _divide_factor(out, n, plus)
-    return series_from_integers(out)
+    return SeriesFraction(out, expr.denominator).expand(order)
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +226,17 @@ def graph_t_series(counts: PowerSeries, order: int) -> PowerSeries:
     return t_from_theta(theta_from_poincare_subst(counts, order))
 
 
-def t_closed_form(poly: Sequence, n: int, variant: str,
-                  order: int = 64) -> PowerSeries:
-    """Expansion of (P(q) +- q^n P(1/q)) / ((1-q)(1 -+ q^n)), P given by its
-    rational coefficients, constant term first.
+def closed_form_fraction(poly: Sequence, n: int, variant: str) -> SeriesFraction:
+    """(P(q) +- q^n P(1/q)) / ((1-q)(1 -+ q^n)), P given by its rational
+    coefficients, constant term first.
 
     The unprimed variant takes + and (1 - q^n); the primed variant takes -
     and (1 + q^n).  Requires deg P < n and P(0) = 1, which makes the
     numerator a genuine polynomial; deg P is the index of the last nonzero
     coefficient.  The numerator is written straight into an integer list
     over the common denominator of P, coefficient s of P at s and, with the
-    sign, at n - s; the two divisions are running sums.
+    sign, at n - s.
     """
-    _check_order(order)
     if variant not in ("unprimed", "primed"):
         raise ValueError(f"unknown variant {variant!r}")
     degree = max((s for s, v in enumerate(poly) if v), default=-1)
@@ -179,15 +246,18 @@ def t_closed_form(poly: Sequence, n: int, variant: str,
         raise ValueError("polynomial must have constant term 1")
     sign = 1 if variant == "unprimed" else -1
     nums, den = _over_lcm(poly[: degree + 1])
-    out = [0] * (order + 1)
+    out = [0] * (n + 1)
     for s, v in enumerate(nums):
-        if s <= order:
-            out[s] += v
-        if n - s <= order:
-            out[n - s] += sign * v
-    _divide_factor(out, 1, False)
-    _divide_factor(out, n, variant == "primed")
-    return series_from_integers(out, den)
+        out[s] += v
+        out[n - s] += sign * v
+    return SeriesFraction(out, ((1, False), (n, variant == "primed")), den)
+
+
+def t_closed_form(poly: Sequence, n: int, variant: str,
+                  order: int = 64) -> PowerSeries:
+    """The expansion of closed_form_fraction(poly, n, variant) to the order;
+    the two divisions are running sums."""
+    return closed_form_fraction(poly, n, variant).expand(order)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ Check identifiers are stable catalog labels ("thm2.5/E7", "prop5.4/alpha6",
 "xi-identity/Dtilde", ...).  All but two checks are tables of (label, got,
 expected) cases, computed lazily and compared exactly by one runner: the
 first unequal case fails the check with "<label>: <difference>", the first
-differing coefficient of two series, the first differing atom of two
-measures, else both values.  Graph checks draw their instances from a size
+differing coefficient of two series (of two fractions, once expanded to the
+degree of their cross products), the first differing atom of two measures,
+else both values.  Graph checks draw their instances from a size
 matrix mapping family tags to parameter lists, prefix each label with
 "<tag> param <m>: ", and skip the check when the list is empty.  The
 measure table that the graph checks read, candidate_measure, is here too.
@@ -24,7 +25,9 @@ from .exact import PowerSeries, _check_order, _normalized, cyclo_make, series_fr
 from .graphs import (EXCEPTIONAL_TAGS, FAMILY_TAGS, GraphFamily, RootedBipartiteGraph, build_ade,
                      loop_counts)
 from .transforms import (
-    t_closed_form,
+    SeriesFraction,
+    closed_form_fraction,
+    fraction_sum,
     t_from_theta,
     theorem_2_5_lookup,
     theta_from_poincare_formula,
@@ -41,6 +44,7 @@ from .measures import (
     level,
     one_minus_power,
     reconstruct_expansion,
+    t_fraction_of_measure,
     t_series_of_measure,
     _even_moments,
 )
@@ -149,8 +153,8 @@ class RunContext:
     """One run's order and graph families, and a memo of what its checks share:
     per family the graph, loop counts, each theta route, graph T series,
     graph measure and candidates, each read once at the family's certifying
-    order (graph_order); each xi expansion at the run's order, keyed by its
-    text; each measure T series, keyed by the moment sequence and the order.
+    order (graph_order); each xi text's fraction, keyed by the text; each
+    measure T series, keyed by the moment sequence and the order.
     A check is timed with the shared values it computes."""
 
     def __init__(self, order: int, sizes: Optional[Dict[str, Sequence[int]]] = None):
@@ -221,9 +225,8 @@ class RunContext:
         return self._memo(("measure", fam, variant),
                           lambda: candidate_measure(fam, variant))
 
-    def xi(self, text: str) -> PowerSeries:
-        return self._memo(("xi", text), lambda: xi_expand(exprs.parse_xi_expr(text),
-                                                          self.order))
+    def xi_fraction(self, text: str) -> SeriesFraction:
+        return self._memo(("xi", text), lambda: exprs.parse_xi_expr(text).fraction())
 
     def measure_t(self, e: CyclotomicMeasure, order: int) -> PowerSeries:
         # the only fields t_series_of_measure reads, so equal measures share it
@@ -238,6 +241,10 @@ def _difference(got, expected) -> str:
     a value that could not be computed is the ValueError that says why."""
     if isinstance(got, ValueError):
         return str(got)
+    if isinstance(got, SeriesFraction):
+        # both expanded to the degree of the cross products, which they decide
+        k = len(got.cross(expected)[0]) - 1
+        got, expected = got.expand(k), expected.expand(k)
     if isinstance(got, PowerSeries):
         i, x, y = next((i, x, y) for i, (x, y) in enumerate(zip(got.coeffs, expected.coeffs))
                        if x != y)
@@ -345,13 +352,13 @@ _SAMPLE_POLYS = ((1,), (1, -1), (1, Fraction(1, 2)), (1, -1, 1), (1, 0, 0, -1), 
 
 
 def _closed_form_cases(instances):
-    """The closed-form T lemma against the T series built from the atoms;
+    """The closed-form T lemma against the T of the measure built from the atoms;
     instances are (label, P, n, variant), the unprimed variant on d and the
     primed one on d'."""
     def cases(ctx: RunContext):
         for label, poly, n, variant in instances:
             e = density_measure(poly, "d" if variant == "unprimed" else "dprime", n)
-            yield label, t_closed_form(poly, n, variant, ctx.order), ctx.measure_t(e, ctx.order)
+            yield label, closed_form_fraction(poly, n, variant), t_fraction_of_measure(e)
     return cases
 
 
@@ -368,11 +375,12 @@ _SWEEP_CASES = _closed_form_cases([(f"{name} {variant} n={n}", poly, n, variant)
 
 
 def _measure_xi_cases(instances):
-    """The T series of a measure against its xi form; instances are (label,
+    """The T of a measure against its xi form; instances are (label,
     density P, base kind, n, xi text), P = 1 for the base measure itself."""
     def cases(ctx: RunContext):
         for label, poly, kind, n, text in instances:
-            yield label, ctx.measure_t(density_measure(poly, kind, n), ctx.order), ctx.xi(text)
+            e = density_measure(poly, kind, n)
+            yield label, t_fraction_of_measure(e), ctx.xi_fraction(text)
     return cases
 
 
@@ -588,19 +596,12 @@ def _corrected_identity(lhs: str, printed: str, corrected: str) -> Callable:
 
 # --- xi identity catalog ----------------------------------------------------
 
-def _xi_sum(ctx: RunContext, terms) -> PowerSeries:
-    total = PowerSeries.zero(ctx.order)
-    for coef, text, shift in terms:
-        series = ctx.xi(text)
-        total = total + (series.shift(shift) if shift else series) * Fraction(coef)
-    return total
-
-
 def _xi_cases(table):
     """table: list of (label, lhs_terms, rhs_terms); terms are
-    (coefficient, xi text, monomial shift)."""
-    return lambda ctx: ((label, _xi_sum(ctx, lhs), _xi_sum(ctx, rhs))
-                        for label, lhs, rhs in table)
+    (coefficient, xi text, monomial shift), and each side is one fraction."""
+    def side(ctx: RunContext, terms):
+        return fraction_sum([(c, ctx.xi_fraction(text), shift) for c, text, shift in terms])
+    return lambda ctx: ((label, side(ctx, lhs), side(ctx, rhs)) for label, lhs, rhs in table)
 
 
 def _xi_identity_tables():

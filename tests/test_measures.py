@@ -29,6 +29,7 @@ from cyclade.measures import (
     one_minus_power,
     pushforward_real,
     reconstruct_expansion,
+    t_fraction_of_measure,
     t_series_of_measure,
     _is_psd,
 )
@@ -948,3 +949,15 @@ def _symmetric_matrices(draw):
 @given(_symmetric_matrices())
 def test_is_psd_matches_principal_minors(rows):
     assert _is_psd([list(row) for row in rows]) == is_psd_by_minors(rows)
+
+
+@pytest.mark.parametrize("text", ["d_1", "d'_1", "alpha_12", "gamma''_5",
+                                  "alpha_12 + d''_3 - 2*gamma'_5/3", "0*d_1"])
+def test_t_fraction_of_measure_expands_to_its_t_series(text):
+    # the moments 2k repeat with period p = N/2, so T has the denominator
+    # (1 - q)(1 - q^p) and the scale of the moments
+    e = parse_measure_expr(text)
+    f = t_fraction_of_measure(e)
+    assert (f.factors, f.scale) == (((1, False), (e.order // 2, False)), e.den)
+    for order in (0, 5, 3 * e.order):
+        assert f.expand(order) == t_series_of_measure(e, order)

@@ -11,8 +11,11 @@ from cyclade.graphs import FAMILY_TAGS, GraphFamily, UnsupportedFamily, build_ad
 from cyclade.measures import basic_measure, pushforward_real, t_series_of_measure
 from cyclade.transforms import (
     DegreeTooLarge,
+    SeriesFraction,
     XiExpression,
     XiFactor,
+    closed_form_fraction,
+    fraction_sum,
     graph_t_series,
     t_closed_form,
     t_from_theta,
@@ -347,3 +350,59 @@ def test_xi_helper_equivalent():
     assert not a.equivalent(xi([2], [3]))
     # 1 - q^65 and 1 first differ at q^65, past any fixed sampling order
     assert not parse_xi_expr("xi(65:)").equivalent(parse_xi_expr("xi(:)"))
+
+
+@pytest.mark.parametrize("text", ["xi(:)", "xi(2+:3)", "xi''(5+:4)", "xi(5+,9+:15+)", "xi(65:)"])
+def test_xi_fraction_expands_to_the_xi_series(text):
+    e = parse_xi_expr(text)
+    for order in (0, 7, 80):
+        assert e.fraction().expand(order) == xi_expand(e, order)
+
+
+def test_closed_form_fraction_is_the_closed_form_t():
+    # the numerator P(q) +- q^n P(1/q) over (1 - q)(1 -+ q^n) and the lcm of
+    # the denominators of P
+    got = closed_form_fraction((1, Fraction(1, 2)), 3, "primed")
+    assert (got.nums, got.factors, got.scale) == ((2, 1, -1, -2), ((1, False), (3, True)), 2)
+    for poly, n in (((1,), 1), ((1, -1), 3), ((1, 0, 0, -1), 7)):
+        for variant in ("unprimed", "primed"):
+            assert closed_form_fraction(poly, n, variant).expand(40) == \
+                t_closed_form_by_fractions(poly, n, variant, 40)
+
+
+def test_series_fraction_equality_is_cross_multiplication():
+    # 1 + q = (1 - q^2)/(1 - q) = (2 + 2q)/2; 1 - q^65 and 1 first differ
+    # at q^65, past any fixed order of expansion
+    one_plus_q = SeriesFraction((1, 1))
+    assert one_plus_q == SeriesFraction((1, 0, -1), [(1, False)])
+    assert one_plus_q == SeriesFraction((2, 2), (), 2)
+    assert one_plus_q != SeriesFraction((1, 1), (), 2)
+    assert SeriesFraction((1,) + (0,) * 64 + (-1,)) != SeriesFraction((1,))
+    # the factors both sides share are cancelled, and the products padded
+    assert one_plus_q.cross(SeriesFraction((1,), [(1, True)])) == ([1, 2, 1], [1, 0, 0])
+    assert SeriesFraction((1,), [(2, False)]).cross(SeriesFraction((1, 0), [(2, False)])) == (
+        [1, 0], [1, 0])
+    assert one_plus_q != (1, 1) and one_plus_q.__eq__((1, 1)) is NotImplemented
+
+
+def test_series_fraction_expands_by_running_sums():
+    half_over_one_minus_q = SeriesFraction((1,), [(1, False)], 2)
+    assert half_over_one_minus_q.expand(3) == PowerSeries.from_list([Fraction(1, 2)] * 4)
+    assert SeriesFraction((1, 2, 3, 4)).expand(1) == PowerSeries.from_list([1, 2])
+    assert SeriesFraction((), [(1, True)]).expand(2) == PowerSeries.zero(2)
+    with pytest.raises(ValueError, match="^order must be nonnegative, got -1$"):
+        half_over_one_minus_q.expand(-1)
+
+
+def test_fraction_sum_is_the_sum_of_the_series():
+    a = SeriesFraction((1, 2), [(3, True)], 3)
+    b = SeriesFraction((1, -1, 4), [(1, False), (3, True)])
+    terms = [(Fraction(1, 2), a, 0), (-3, b, 2), (Fraction(-2, 5), a, 1), (1, b, 0)]
+    total = fraction_sum(terms)
+    # the union of the denominators, each factor as often as one term has it
+    assert sorted(total.factors) == [(1, False), (3, True)]
+    want = PowerSeries.zero(20)
+    for coef, f, shift in terms:
+        want = want + f.expand(20).shift(shift) * Fraction(coef)
+    assert total.expand(20) == want
+    assert fraction_sum([]) == SeriesFraction(())

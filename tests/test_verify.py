@@ -1,11 +1,12 @@
 import fnmatch
 import hashlib
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cyclade import exprs, verify
+from cyclade import exact, exprs, verify
 from cyclade.exact import PowerSeries
 from cyclade.graphs import GraphFamily
 from cyclade.measures import atom_measure, basic_measure, t_series_of_measure
@@ -359,8 +360,8 @@ def test_each_shared_series_is_computed_once(monkeypatch):
         return parse(text)
 
     def counting_t(e, order):
-        # a graph check reads measure T series at its family's order K, the
-        # series tables at the run's order
+        # a graph check reads measure T series at its family's order K; the
+        # series tables compare fractions and read none
         t_series[e.nums, e.den, order] += 1
         return t_of(e, order)
 
@@ -393,3 +394,73 @@ def test_each_graph_is_read_once_at_its_order(monkeypatch):
     formula.clear()
     assert not run_all(order=8, only="thm7.1/*").failures
     assert formula == []
+
+
+# the series tables: each case an identity of two rational functions
+_SERIES_TABLES = ("lemma4.4", "prop4.5", "prop5.3", "lemma6.2", "prop6.3", "prop6.4",
+                  "closed-form/sweep", "xi-identity/*")
+
+
+def test_series_tables_pass_without_a_series(monkeypatch):
+    # each table compares fractions by cross-multiplication, so a pass
+    # expands nothing and adds, scales or shifts no series
+    def refuse(*args):
+        raise AssertionError("a series was computed")
+
+    for name in ("xi_expand", "t_series_of_measure"):
+        monkeypatch.setattr(verify, name, refuse)
+    monkeypatch.setattr(exact, "series_from_integers", refuse)
+    monkeypatch.setattr(PowerSeries, "_plus", refuse)
+    for glob in _SERIES_TABLES:
+        report = run_all(order=64, only=glob)
+        assert report.results and [r.status for r in report.results] == ["pass"] * len(
+            report.results), glob
+
+
+def test_prop45_refutes_a_text_that_agrees_up_to_the_order(monkeypatch):
+    # xi'(1,13:14) agrees with the T series of 1 - u^2 on the 24th roots
+    # up to coefficient 10, so below order 11 only an exact comparison
+    # refutes it
+    real = verify._measure_xi_cases
+    monkeypatch.setattr(verify, "_measure_xi_cases", lambda instances: real(
+        [(label, poly, kind, n, "xi'(1,13:14)" if label == "l=1 n=12" else text)
+         for label, poly, kind, n, text in instances]))
+    monkeypatch.setitem(verify.registry(), "prop4.5", verify._equal_check(
+        verify._one_minus_power_cases("d", ""), "l < n <= 12"))
+    for order in (0, 8, 64):
+        result = one_check("prop4.5", order)
+        assert (result.status, result.details) == (
+            "fail", "l=1 n=12: coefficient 11: -1 != 0"), order
+
+
+_HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("check_id,table,details", [
+    # E6 with -xi'(4+:4)/2 written -xi'(5+:5)/2
+    ("xi-identity/E6",
+     [("decomposition", [(1, "xi(8:3,6+)", 0)],
+       [(1, "xi(11:12)", 0), (_HALF, "xi'(12+:12)", 0), (-_HALF, "xi'(6+:6)", 0),
+        (-_HALF, "xi'(5+:5)", 0), (_HALF, "xi'(3+:3)", 0)])],
+     "decomposition: coefficient 4: 0 != 1"),
+    # the l = 2 split with the monomial q^2 written q
+    ("xi-identity/Etilde-l2",
+     [("split", [(1, "xi(6+:3,4)", 0)], [(1, "xi(2:3)", 0), (1, "xi(:2,3)", 1)])],
+     "split: coefficient 1: 0 != 1"),
+    # E8 with a term 1/3 q^3 (1 - q^4) added on the right
+    ("xi-identity/E8",
+     [("decomposition", [(1, "xi(5+,9+:15+)", 0)],
+       [(1, "xi(14+:15+)", 0), (1, "xi'(3,12+:15+)", 0), (-_HALF, "xi'(5:5+)", 0),
+        (-_HALF, "xi'(3:3+)", 0), (Fraction(1, 3), "xi(4:)", 3)])],
+     "decomposition: coefficient 3: 0 != 1/3"),
+])
+def test_xi_identity_reports_the_first_differing_coefficient(monkeypatch, check_id, table,
+                                                              details):
+    # a difference below the order reads as when both sides were series
+    # expanded to the order and compared: the details are those of that
+    # comparison, whatever the order
+    monkeypatch.setitem(verify.registry(), check_id,
+                        verify._equal_check(verify._xi_cases(table), "1 case(s)"))
+    for order in (4, 8, 64):
+        result = one_check(check_id, order)
+        assert (result.status, result.details) == ("fail", details), order
