@@ -25,7 +25,6 @@ from .transforms import (
     XiExpression,
     XiFactor,
     graph_t_series,
-    t_closed_form,
     t_from_theta,
     theorem_2_5_lookup,
     theta_from_poincare_formula,

@@ -35,7 +35,7 @@ class XiExpression(FrozenValue):
     marks, in the denominator.
 
     Structural equality is intentional (expressions are table keys); equality
-    as rational functions is `equivalent`, decided on `fraction` by
+    as rational functions is that of their `fraction`s, decided by
     cross-multiplication.
     """
 
@@ -54,11 +54,6 @@ class XiExpression(FrozenValue):
         """The rational function: the product of the numerator factors over
         the denominator factor list."""
         return SeriesFraction(_times_factors((1,), self.numerator), self.denominator)
-
-    def equivalent(self, other: "XiExpression") -> bool:
-        """Equality as rational functions: N1/D1 = N2/D2 exactly when the
-        cross products N1 D2 and N2 D1 are equal."""
-        return self.fraction() == other.fraction()
 
 
 def xi(num=(), den=()) -> XiExpression:
@@ -251,13 +246,6 @@ def closed_form_fraction(poly: Sequence, n: int, variant: str) -> SeriesFraction
         out[s] += v
         out[n - s] += sign * v
     return SeriesFraction(out, ((1, False), (n, variant == "primed")), den)
-
-
-def t_closed_form(poly: Sequence, n: int, variant: str,
-                  order: int = 64) -> PowerSeries:
-    """The expansion of closed_form_fraction(poly, n, variant) to the order;
-    the two divisions are running sums."""
-    return closed_form_fraction(poly, n, variant).expand(order)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ expected) cases, computed lazily and compared exactly by one runner: the
 first unequal case fails the check with "<label>: <difference>", the first
 differing coefficient of two series (of two fractions, once expanded to the
 degree of their cross products), the first differing atom of two measures,
-else both values.  Graph checks draw their instances from a size
-matrix mapping family tags to parameter lists, prefix each label with
-"<tag> param <m>: ", and skip the check when the list is empty.  The
-measure table that the graph checks read, candidate_measure, is here too.
+the message of a ValueError, else both values.  A graph's T is the fraction
+of the measure certified from its own pipeline (RunContext.graph_fraction).
+Graph checks draw their instances from a size matrix mapping family tags to
+parameter lists, prefix each label with "<tag> param <m>: ", and skip the
+check when the list is empty.  The measure table that the graph checks
+read, candidate_measure, is here too.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .transforms import (
     theorem_2_5_lookup,
     theta_from_poincare_formula,
     theta_from_poincare_subst,
-    xi_expand,
 )
 from .measures import (
     DENSITY_POLYS,
@@ -45,7 +46,6 @@ from .measures import (
     one_minus_power,
     reconstruct_expansion,
     t_fraction_of_measure,
-    t_series_of_measure,
     _even_moments,
 )
 from . import exprs
@@ -153,8 +153,7 @@ class RunContext:
     """One run's order and graph families, and a memo of what its checks share:
     per family the graph, loop counts, each theta route, graph T series,
     graph measure and candidates, each read once at the family's certifying
-    order (graph_order); each xi text's fraction, keyed by the text; each
-    measure T series, keyed by the moment sequence and the order.
+    order (graph_order); each xi text's fraction, keyed by the text.
     A check is timed with the shared values it computes."""
 
     def __init__(self, order: int, sizes: Optional[Dict[str, Sequence[int]]] = None):
@@ -221,6 +220,14 @@ class RunContext:
             return _normalized(CyclotomicMeasure, 2 * p, m[:p], 2 * t.den)
         return self._memo(("graph-measure", fam), build)
 
+    def graph_fraction(self, fam: GraphFamily):
+        """The T of graph_measure(fam) as a fraction, or the ValueError that
+        says why no period fits, which a case then reports."""
+        try:
+            return t_fraction_of_measure(self.graph_measure(fam))
+        except ValueError as exc:
+            return exc
+
     def candidate(self, fam: GraphFamily, variant: str) -> CyclotomicMeasure:
         return self._memo(("measure", fam, variant),
                           lambda: candidate_measure(fam, variant))
@@ -228,19 +235,15 @@ class RunContext:
     def xi_fraction(self, text: str) -> SeriesFraction:
         return self._memo(("xi", text), lambda: exprs.parse_xi_expr(text).fraction())
 
-    def measure_t(self, e: CyclotomicMeasure, order: int) -> PowerSeries:
-        # the only fields t_series_of_measure reads, so equal measures share it
-        return self._memo(("measure-t", e.nums, e.den, order),
-                          lambda: t_series_of_measure(e, order))
-
 
 # --- the runner: every check is a table of (label, got, expected) cases -----
 
 def _difference(got, expected) -> str:
     """Where two unequal values differ (series, measures, or anything else);
     a value that could not be computed is the ValueError that says why."""
-    if isinstance(got, ValueError):
-        return str(got)
+    for value in (got, expected):
+        if isinstance(value, ValueError):
+            return str(value)
     if isinstance(got, SeriesFraction):
         # both expanded to the degree of the cross products, which they decide
         k = len(got.cross(expected)[0]) - 1
@@ -289,9 +292,10 @@ def _graph_check(tag: str, cases) -> Callable:
 # --- graph cases ------------------------------------------------------------
 
 def _thm25_cases(ctx: RunContext, fam: GraphFamily):
-    expected = xi_expand(theorem_2_5_lookup(fam), ctx.graph_order(fam))
-    yield "T from the formula theta", t_from_theta(ctx.thetas(fam)[0]), expected
-    yield "T from the substitution theta", ctx.graph_t(fam), expected
+    expected = theorem_2_5_lookup(fam).fraction()
+    yield ("T from the formula theta", t_from_theta(ctx.thetas(fam)[0]),
+           expected.expand(ctx.graph_order(fam)))
+    yield "T from the substitution theta", ctx.graph_fraction(fam), expected
 
 
 def _theta_cases(ctx: RunContext, fam: GraphFamily):
@@ -325,24 +329,20 @@ def _prop34_cases(ctx: RunContext):
 def _prop36_cases(ctx: RunContext, fam: GraphFamily):
     uniform = basic_measure("d", fam.param // 2)
     yield "candidate vs uniform measure", ctx.candidate(fam, "thm71"), uniform
-    yield "uniform measure T", ctx.measure_t(uniform, ctx.graph_order(fam)), ctx.graph_t(fam)
+    yield "uniform measure T", t_fraction_of_measure(uniform), ctx.graph_fraction(fam)
 
 
 def _thm71_cases(ctx: RunContext, fam: GraphFamily):
     e = ctx.candidate(fam, "thm71")
-    yield "T series", ctx.measure_t(e, ctx.graph_order(fam)), ctx.graph_t(fam)
+    yield "T series", t_fraction_of_measure(e), ctx.graph_fraction(fam)
     yield "probability measure", e.is_probability(), True
-    # equal measures have equal T series and pushforward moments at every order
-    try:
-        graph = ctx.graph_measure(fam)
-    except ValueError as exc:
-        graph = exc
-    yield "measure read off the graph's T", graph, e
+    # reached only once graph_fraction certified the graph's measure
+    yield "measure read off the graph's T", ctx.graph_measure(fam), e
 
 
 def _thm87_cases(ctx: RunContext, fam: GraphFamily):
     e = ctx.candidate(fam, "thm87")
-    yield "ternary T series", ctx.measure_t(e, ctx.graph_order(fam)), ctx.graph_t(fam)
+    yield "ternary T series", t_fraction_of_measure(e), ctx.graph_fraction(fam)
     yield "ternary vs binary form", e, ctx.candidate(fam, "thm71")
 
 

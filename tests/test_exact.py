@@ -32,7 +32,7 @@ from cyclade.exact import (
     euler_phi,
 )
 from cyclade.measures import atom_measure, density_measure
-from cyclade.transforms import t_closed_form
+from cyclade.transforms import closed_form_fraction
 from oracles import (
     cyclotomic_poly_by_division,
     divide_monic,
@@ -350,10 +350,11 @@ def test_trailing_zero_coefficients_change_no_answer():
         assert (a.order, a.nums, a.den) == (b.order, b.nums, b.den)
     for variant in ("unprimed", "primed"):
         for n, order in ((4, 0), (4, 16), (9, 30)):
-            got = t_closed_form(padded, n, variant, order)
-            want = t_closed_form(short, n, variant, order)
+            got = closed_form_fraction(padded, n, variant).expand(order)
+            want = closed_form_fraction(short, n, variant).expand(order)
             assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
-    assert t_closed_form((1, -1) + (0,) * 9, 2, "unprimed", 0) == PowerSeries.from_list([1], 0)
+    assert closed_form_fraction((1, -1) + (0,) * 9, 2, "unprimed").expand(0) == (
+        PowerSeries.from_list([1], 0))
 
 
 @st.composite

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from cyclade import exact, exprs, verify
+from cyclade import exact, exprs, measures, transforms, verify
 from cyclade.exact import PowerSeries
 from cyclade.graphs import GraphFamily
 from cyclade.measures import atom_measure, basic_measure, t_series_of_measure
+from cyclade.transforms import xi
 from cyclade.verify import (
     DEFAULT_SIZE_MATRIX,
     CheckResult,
@@ -156,12 +157,28 @@ def test_graph_checks_report_the_first_differing_coefficient(monkeypatch):
 
 def test_thm25_substitution_route_is_the_graph_t(monkeypatch):
     # the graph T replaced by zero: the formula route still passes and the
-    # substitution route, read from the run's graph T, fails
+    # substitution route, the fraction certified from the run's graph T,
+    # fails, as the doubled moments 1, 0, 0, ... show no period
     monkeypatch.setattr(RunContext, "graph_t",
                         lambda self, fam: PowerSeries.zero(self.graph_order(fam)))
     (result,) = run_all(order=8, size_matrix={"A": (3,)}, only="thm2.5/A").results
     assert (result.status, result.details) == (
-        "fail", "A param 3: T from the substitution theta: coefficient 0: 0 != 1")
+        "fail", "A param 3: T from the substitution theta: "
+                "no period P of the doubled moments with P + 6 <= 36")
+
+
+def test_thm25_refutes_a_table_form_that_agrees_up_to_k(monkeypatch):
+    # A3's form with the factor (1 - q^40) added agrees with the graph's T
+    # up to coefficient 39: below order 40 the formula route, sampled at
+    # K = max(order, 36), passes it, and the graph's certified fraction
+    # refutes it
+    real = verify.theorem_2_5_lookup
+    monkeypatch.setattr(verify, "theorem_2_5_lookup", lambda fam: (
+        xi([3, 40], [4]) if fam.tag == "A" else real(fam)))
+    for order, route in ((0, "substitution"), (8, "substitution"), (64, "formula")):
+        (result,) = run_all(order=order, size_matrix={"A": (3,)}, only="thm2.5/A").results
+        assert (result.status, result.details) == (
+            "fail", f"A param 3: T from the {route} theta: coefficient 40: 1 != 0"), order
 
 
 def test_thm71_refutes_a_candidate_that_agrees_up_to_the_order(monkeypatch):
@@ -193,17 +210,16 @@ def test_thm71_reads_the_graph_measure_beyond_a_small_order():
 
 
 def test_thm71_fails_when_no_period_fits(monkeypatch):
-    # the T read at K = 36 and the candidate are those of d_1000, so the T
-    # series case passes, but the doubled moments 2, 0, 0, ... show no
-    # period within K
+    # the T read at K = 36 and the candidate are those of d_1000, but the
+    # doubled moments 2, 0, 0, ... show no period within K, so the graph's
+    # T, the fraction of its certified measure, is that ValueError
     d1000 = basic_measure("d", 1000)
     monkeypatch.setattr(verify, "candidate_measure", lambda fam, variant: d1000)
     monkeypatch.setattr(RunContext, "graph_t", lambda self, fam: (
         t_series_of_measure(d1000, self.graph_order(fam))))
     (result,) = run_all(order=8, size_matrix={"A": (3,)}, only="thm7.1/A").results
     assert (result.status, result.details) == (
-        "fail", "A param 3: measure read off the graph's T: "
-                "no period P of the doubled moments with P + 6 <= 36")
+        "fail", "A param 3: T series: no period P of the doubled moments with P + 6 <= 36")
     with pytest.raises(ValueError, match="no period"):
         RunContext(8).graph_measure(GraphFamily("A", 3))
 
@@ -352,24 +368,17 @@ def test_a_check_alone_answers_as_in_a_full_run(order, full_report):
 
 
 def test_each_shared_series_is_computed_once(monkeypatch):
-    parsed, t_series = Counter(), Counter()
-    parse, t_of = exprs.parse_xi_expr, verify.t_series_of_measure
+    # each xi text is parsed once a run, its fraction shared by every case
+    parsed = Counter()
+    parse = exprs.parse_xi_expr
 
     def counting_parse(text):
         parsed[text] += 1
         return parse(text)
 
-    def counting_t(e, order):
-        # a graph check reads measure T series at its family's order K; the
-        # series tables compare fractions and read none
-        t_series[e.nums, e.den, order] += 1
-        return t_of(e, order)
-
     monkeypatch.setattr(exprs, "parse_xi_expr", counting_parse)
-    monkeypatch.setattr(verify, "t_series_of_measure", counting_t)
     assert not run_all(order=8, size_matrix=SMALL_MATRIX).failures
     assert parsed and max(parsed.values()) == 1
-    assert t_series and max(t_series.values()) == 1
 
 
 def test_each_graph_is_read_once_at_its_order(monkeypatch):
@@ -401,20 +410,50 @@ _SERIES_TABLES = ("lemma4.4", "prop4.5", "prop5.3", "lemma6.2", "prop6.3", "prop
                   "closed-form/sweep", "xi-identity/*")
 
 
+def _refuse(*args):
+    raise AssertionError("a series was computed")
+
+
+def _refuse_series_routes(monkeypatch):
+    # at their modules, and under any name that verify imports them by
+    for module, name in ((transforms, "xi_expand"), (measures, "t_series_of_measure")):
+        monkeypatch.setattr(module, name, _refuse)
+        monkeypatch.setattr(verify, name, _refuse, raising=False)
+
+
 def test_series_tables_pass_without_a_series(monkeypatch):
     # each table compares fractions by cross-multiplication, so a pass
     # expands nothing and adds, scales or shifts no series
-    def refuse(*args):
-        raise AssertionError("a series was computed")
-
-    for name in ("xi_expand", "t_series_of_measure"):
-        monkeypatch.setattr(verify, name, refuse)
-    monkeypatch.setattr(exact, "series_from_integers", refuse)
-    monkeypatch.setattr(PowerSeries, "_plus", refuse)
+    _refuse_series_routes(monkeypatch)
+    monkeypatch.setattr(exact, "series_from_integers", _refuse)
+    monkeypatch.setattr(PowerSeries, "_plus", _refuse)
     for glob in _SERIES_TABLES:
         report = run_all(order=64, only=glob)
         assert report.results and [r.status for r in report.results] == ["pass"] * len(
             report.results), glob
+
+
+def test_graph_t_cases_pass_without_a_series_route(monkeypatch):
+    # each graph's T is the fraction of its certified measure, so thm2.5,
+    # thm7.1, thm8.7 and prop3.6 expand no xi form and no measure T series
+    _refuse_series_routes(monkeypatch)
+    for glob in ("thm2.5/*", "thm7.1/*", "thm8.7/*", "prop3.6/*"):
+        report = run_all(order=64, only=glob)
+        assert report.results and [r.status for r in report.results] == ["pass"] * len(
+            report.results), glob
+
+
+def test_thm87_refutes_a_ternary_form_that_agrees_up_to_k(monkeypatch):
+    # d_90 and d_85 have the same T series up to coefficient 84, so the
+    # ternary form d_10 + d_90 - d_85 of Atilde20 agrees with the graph's T
+    # at K = 80, and only the fraction refutes it
+    real = verify.candidate_measure
+    form = basic_measure("d", 10) + basic_measure("d", 90) - basic_measure("d", 85)
+    monkeypatch.setattr(verify, "candidate_measure", lambda fam, variant: (
+        form if (fam.tag, variant) == ("Atilde", "thm87") else real(fam, variant)))
+    (result,) = run_all(order=8, size_matrix={"Atilde": (20,)}, only="thm8.7/Atilde").results
+    assert (result.status, result.details) == (
+        "fail", "Atilde param 20: ternary T series: coefficient 85: 15 != 17")
 
 
 def test_prop45_refutes_a_text_that_agrees_up_to_the_order(monkeypatch):
