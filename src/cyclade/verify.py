@@ -8,7 +8,7 @@ first unequal case fails the check with "<label>: <difference>", the first
 differing coefficient of two series (of two fractions, once expanded to the
 degree of their cross products), the first differing atom of two measures,
 the message of a ValueError, else both values.  A graph's T is the fraction
-of the measure certified from its own pipeline (RunContext.graph_fraction).
+of the measure certified from its own theta (RunContext.graph_fraction).
 Graph checks draw their instances from a size matrix mapping family tags to
 parameter lists, prefix each label with "<tag> param <m>: ", and skip the
 check when the list is empty.  The measure table that the graph checks
@@ -46,7 +46,6 @@ from .measures import (
     one_minus_power,
     reconstruct_expansion,
     t_fraction_of_measure,
-    _even_moments,
 )
 from . import exprs
 
@@ -151,9 +150,9 @@ class VerificationReport(Value):
 
 class RunContext:
     """One run's order and graph families, and a memo of what its checks share:
-    per family the graph, loop counts, each theta route, graph T series,
-    graph measure and candidates, each read once at the family's certifying
-    order (graph_order); each xi text's fraction, keyed by the text.
+    per family the graph, loop counts, each theta route, graph measure and
+    candidates, each read once at the family's certifying order
+    (graph_order); each xi text's fraction, keyed by the text.
     A check is timed with the shared values it computes."""
 
     def __init__(self, order: int, sizes: Optional[Dict[str, Sequence[int]]] = None):
@@ -185,48 +184,43 @@ class RunContext:
         return self._memo(("counts", fam), lambda: series_from_integers(
             loop_counts(self.graph(fam), self.graph_order(fam))))
 
-    def thetas(self, fam: GraphFamily) -> Tuple[PowerSeries, PowerSeries]:
-        return self._memo(("thetas", fam), lambda: (
-            theta_from_poincare_formula(self.counts(fam), self.graph_order(fam)),
-            self.theta_subst(fam)))
+    def theta_formula(self, fam: GraphFamily) -> PowerSeries:
+        return self._memo(("theta-formula", fam), lambda: theta_from_poincare_formula(
+            self.counts(fam), self.graph_order(fam)))
 
     def theta_subst(self, fam: GraphFamily) -> PowerSeries:
-        """The substitution theta alone, all that the graph T series reads."""
         return self._memo(("theta-subst", fam), lambda: theta_from_poincare_subst(
             self.counts(fam), self.graph_order(fam)))
 
-    def graph_t(self, fam: GraphFamily) -> PowerSeries:
-        return self._memo(("t", fam), lambda: t_from_theta(self.theta_subst(fam)))
+    def graph_measure(self, fam: GraphFamily):
+        """The graph's circular measure, certified from the pipeline's own
+        theta, or the ValueError that says why no period fits.
 
-    def graph_measure(self, fam: GraphFamily) -> CyclotomicMeasure:
-        """The graph's circular measure, certified from the pipeline's own T.
-
-        m_r, coefficient r of 1 + T(q)(1 - q), is twice the moment 2r, and
-        m_r = (C_2r(A))_vv, C_r(2cos t) = 2cos(rt), is a sum of at most 2n
-        geometric sequences, n the vertex count.  So is m_(k+P) - m_k, and
-        such a sequence that vanishes for k < 2n vanishes for all k: the
-        least P that passes this test with P + 2n <= K is the least period of
-        the doubled moments, and the measure lives on the 2P-th roots.  T is
-        read at K = graph_order(fam), as P <= 2n on the four series and
-        P <= 30, the Coxeter number of E8, on the exceptional graphs.  A
-        ValueError when no period fits within K; it is not memoized."""
+        m_r, coefficient r of 1 + T(q)(1 - q) = 1 + theta(q) - q, is twice the
+        moment 2r, and m_r = (C_2r(A))_vv, C_r(2cos t) = 2cos(rt), is a sum of
+        at most 2n geometric sequences, n the vertex count.  So is
+        m_(k+P) - m_k, and such a sequence that vanishes for k < 2n vanishes
+        for all k: the least P that passes this test with P + 2n <= K is the
+        least period of the doubled moments, and the measure lives on the
+        2P-th roots.  Theta is read at K = graph_order(fam), as P <= 2n on
+        the four series and P <= 30, the Coxeter number of E8, on the
+        exceptional graphs."""
         def build():
             n2, k = 2 * self.graph(fam).vertex_count, self.graph_order(fam)
-            t = self.graph_t(fam)
-            m = [t.den + t.nums[0], *(b - a for a, b in zip(t.nums, t.nums[1:]))]
+            theta = self.theta_subst(fam)
+            den, nums = theta.den, theta.nums
+            m = [nums[0] + den, nums[1] - den, *nums[2:]]
             p = next((p for p in range(1, k - n2 + 1) if m[p:p + n2] == m[:n2]), None)
             if p is None:
-                raise ValueError(f"no period P of the doubled moments with P + {n2} <= {k}")
-            return _normalized(CyclotomicMeasure, 2 * p, m[:p], 2 * t.den)
+                return ValueError(f"no period P of the doubled moments with P + {n2} <= {k}")
+            return _normalized(CyclotomicMeasure, 2 * p, m[:p], 2 * den)
         return self._memo(("graph-measure", fam), build)
 
     def graph_fraction(self, fam: GraphFamily):
         """The T of graph_measure(fam) as a fraction, or the ValueError that
         says why no period fits, which a case then reports."""
-        try:
-            return t_fraction_of_measure(self.graph_measure(fam))
-        except ValueError as exc:
-            return exc
+        e = self.graph_measure(fam)
+        return e if isinstance(e, ValueError) else t_fraction_of_measure(e)
 
     def candidate(self, fam: GraphFamily, variant: str) -> CyclotomicMeasure:
         return self._memo(("measure", fam, variant),
@@ -293,14 +287,14 @@ def _graph_check(tag: str, cases) -> Callable:
 
 def _thm25_cases(ctx: RunContext, fam: GraphFamily):
     expected = theorem_2_5_lookup(fam).fraction()
-    yield ("T from the formula theta", t_from_theta(ctx.thetas(fam)[0]),
+    yield ("T from the formula theta", t_from_theta(ctx.theta_formula(fam)),
            expected.expand(ctx.graph_order(fam)))
     yield "T from the substitution theta", ctx.graph_fraction(fam), expected
 
 
 def _theta_cases(ctx: RunContext, fam: GraphFamily):
-    theta_f, theta_s = ctx.thetas(fam)
-    yield "formula theta vs substitution theta", theta_f, theta_s
+    theta_s = ctx.theta_subst(fam)
+    yield "formula theta vs substitution theta", ctx.theta_formula(fam), theta_s
     # den is the least common denominator of the coefficients
     yield "theta denominator", theta_s.den, 1
 
@@ -318,12 +312,11 @@ _PROP34_FAMILIES = (GraphFamily("A", 4), GraphFamily("Dtilde", 6), GraphFamily("
 
 
 def _prop34_cases(ctx: RunContext):
+    # a measure is stored as its even moments over one period, so equal
+    # measures have equal moments at every order
     for fam in _PROP34_FAMILIES:
-        t = ctx.graph_t(fam).coeffs
-        nums, den = _even_moments(ctx.candidate(fam, "thm71"), ctx.order)
-        for k, v in enumerate(nums):
-            yield (f"{fam.label} moment {2 * k}", Fraction(2 * v, den),
-                   (t[k] - (t[k - 1] if k else 0)) + (1 if k == 0 else 0))
+        yield (f"{fam.label} measure read off the graph's T", ctx.graph_measure(fam),
+               ctx.candidate(fam, "thm71"))
 
 
 def _prop36_cases(ctx: RunContext, fam: GraphFamily):
@@ -336,8 +329,6 @@ def _thm71_cases(ctx: RunContext, fam: GraphFamily):
     e = ctx.candidate(fam, "thm71")
     yield "T series", t_fraction_of_measure(e), ctx.graph_fraction(fam)
     yield "probability measure", e.is_probability(), True
-    # reached only once graph_fraction certified the graph's measure
-    yield "measure read off the graph's T", ctx.graph_measure(fam), e
 
 
 def _thm87_cases(ctx: RunContext, fam: GraphFamily):

@@ -70,12 +70,12 @@ def test_criterion_5_identity_catalog(report_by_id):
 
 
 def test_criterion_6_measure_axioms(report_by_id):
-    # thm7.1 compares each candidate with the measure read off the graph's
-    # T, which fixes the pushforward moments at every order
-    ids = _family_ids("prop3.3") + _family_ids("thm7.1")
+    # prop3.4 compares each candidate with the measure certified from the
+    # graph's theta, which fixes the pushforward moments at every order
+    ids = _family_ids("prop3.3") + ["prop3.4"] + _family_ids("thm7.1")
     _criterion(report_by_id, 6,
                "symmetry, vanishing odd moments, half-integer even moments, "
-               "candidate equals the measure certified from the graph's T", ids)
+               "candidate equals the measure certified from the graph's theta", ids)
 
 
 def test_criterion_7_expansion_solver(report_by_id):

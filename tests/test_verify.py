@@ -156,11 +156,12 @@ def test_graph_checks_report_the_first_differing_coefficient(monkeypatch):
 
 
 def test_thm25_substitution_route_is_the_graph_t(monkeypatch):
-    # the graph T replaced by zero: the formula route still passes and the
-    # substitution route, the fraction certified from the run's graph T,
-    # fails, as the doubled moments 1, 0, 0, ... show no period
-    monkeypatch.setattr(RunContext, "graph_t",
-                        lambda self, fam: PowerSeries.zero(self.graph_order(fam)))
+    # the substitution theta replaced by q, the theta of a zero graph T: the
+    # formula route still passes and the substitution route, the fraction
+    # certified from the run's substitution theta, fails, as the doubled
+    # moments 1, 0, 0, ... show no period
+    monkeypatch.setattr(RunContext, "theta_subst",
+                        lambda self, fam: PowerSeries.from_list([0, 1], self.graph_order(fam)))
     (result,) = run_all(order=8, size_matrix={"A": (3,)}, only="thm2.5/A").results
     assert (result.status, result.details) == (
         "fail", "A param 3: T from the substitution theta: "
@@ -184,7 +185,7 @@ def test_thm25_refutes_a_table_form_that_agrees_up_to_k(monkeypatch):
 def test_thm71_refutes_a_candidate_that_agrees_up_to_the_order(monkeypatch):
     # Atilde20's measure is d_10; d_20 has the same T series up to
     # coefficient 9, so at order 8 only the family's own order K = 80 tells
-    # them apart: its T series first, and the measure read off that T too
+    # them apart: its T series, and the measure read off its theta too
     real = verify.candidate_measure
     monkeypatch.setattr(verify, "candidate_measure", lambda fam, variant: (
         basic_measure("d", 20) if fam.tag == "Atilde" else real(fam, variant)))
@@ -210,34 +211,53 @@ def test_thm71_reads_the_graph_measure_beyond_a_small_order():
 
 
 def test_thm71_fails_when_no_period_fits(monkeypatch):
-    # the T read at K = 36 and the candidate are those of d_1000, but the
-    # doubled moments 2, 0, 0, ... show no period within K, so the graph's
-    # T, the fraction of its certified measure, is that ValueError
+    # the theta read at K = 36 and the candidate are those of d_1000, whose
+    # T is 1/(1 - q) below moment 1000, so theta = 1 + q; but the doubled
+    # moments 2, 0, 0, ... show no period within K, so the graph's measure
+    # is that ValueError, and so is its T, the fraction of that measure
     d1000 = basic_measure("d", 1000)
     monkeypatch.setattr(verify, "candidate_measure", lambda fam, variant: d1000)
-    monkeypatch.setattr(RunContext, "graph_t", lambda self, fam: (
-        t_series_of_measure(d1000, self.graph_order(fam))))
+    monkeypatch.setattr(RunContext, "theta_subst", lambda self, fam: (
+        PowerSeries.from_list([1, 1], self.graph_order(fam))))
     (result,) = run_all(order=8, size_matrix={"A": (3,)}, only="thm7.1/A").results
     assert (result.status, result.details) == (
         "fail", "A param 3: T series: no period P of the doubled moments with P + 6 <= 36")
-    with pytest.raises(ValueError, match="no period"):
-        RunContext(8).graph_measure(GraphFamily("A", 3))
+    error = RunContext(8).graph_measure(GraphFamily("A", 3))
+    assert type(error) is ValueError
+    assert str(error) == "no period P of the doubled moments with P + 6 <= 36"
 
 
 def test_thm71_period_test_reads_2n_terms(monkeypatch):
-    # the T read at K agrees with A3's measure alpha_4 (period 4) for the
-    # doubled moments m_0 .. m_8 and then stays flat, so m_k = 0 from k = 9
-    # on: m_(k+4) = m_k holds for k < 5 but not at k = 5 < 2n = 6, as
+    # the theta read at K agrees with A3's measure alpha_4 (period 4) for
+    # the doubled moments m_0 .. m_8 and then vanishes, so m_k = 0 from
+    # k = 9 on: m_(k+4) = m_k holds for k < 5 but not at k = 5 < 2n = 6, as
     # m_5 = m_1 = -1, and no other P fits either
-    def graph_t(self, fam):
+    def theta_subst(self, fam):
         k = self.graph_order(fam)
         t = t_series_of_measure(atom_measure("alpha", "d", 4), k).coeffs
-        return PowerSeries.from_list([*t[:9]] + [t[8]] * (k - 8), k)
+        # m_r, coefficient r of 1 + T(q)(1 - q), and theta = m - 1 + q
+        m = [1 + t[0], *(b - a for a, b in zip(t[:8], t[1:9]))]
+        return PowerSeries.from_list([m[0] - 1, m[1] + 1, *m[2:]], k)
 
-    monkeypatch.setattr(RunContext, "graph_t", graph_t)
-    message = r"^no period P of the doubled moments with P \+ 6 <= 36$"
-    with pytest.raises(ValueError, match=message):
-        RunContext(8, {"A": (3,)}).graph_measure(GraphFamily("A", 3))
+    monkeypatch.setattr(RunContext, "theta_subst", theta_subst)
+    error = RunContext(8, {"A": (3,)}).graph_measure(GraphFamily("A", 3))
+    assert type(error) is ValueError
+    assert str(error) == "no period P of the doubled moments with P + 6 <= 36"
+
+
+def test_prop34_refutes_a_candidate_that_agrees_below_moment_20(monkeypatch):
+    # A4's measure is alpha_5; alpha_5 + d_10 - d_20 has its moments below
+    # moment 20, so comparing moments up to the run's order passed it at
+    # orders 0 and 8; the measure certified from A4's theta refutes it at
+    # every order
+    real = verify.candidate_measure
+    monkeypatch.setattr(verify, "candidate_measure", lambda fam, variant: (
+        exprs.parse_measure_expr("alpha_5 + d_10 - d_20") if fam.label == "A4"
+        else real(fam, variant)))
+    for order in (0, 8, 64):
+        (result,) = run_all(order=order, only="prop3.4").results
+        assert result.status == "fail", order
+        assert result.details.startswith("A4 measure read off the graph's T: atom 0: "), order
 
 
 def test_measure_case_reports_the_first_differing_atom(monkeypatch):
@@ -383,9 +403,11 @@ def test_each_shared_series_is_computed_once(monkeypatch):
 
 def test_each_graph_is_read_once_at_its_order(monkeypatch):
     # one order per family: each graph's loop counts are computed once in a
-    # run, and thm7.1, which reads only the graph T, computes no formula theta
-    counted, formula = Counter(), []
+    # run, thm7.1, which reads only the graph measure, computes no formula
+    # theta, and only thm2.5's formula case turns a theta into a T series
+    counted, formula, to_t = Counter(), [], []
     counts_of, formula_of = verify.loop_counts, verify.theta_from_poincare_formula
+    t_of = verify.t_from_theta
 
     def counting_counts(graph, order):
         counted[graph] += 1
@@ -397,12 +419,19 @@ def test_each_graph_is_read_once_at_its_order(monkeypatch):
 
     monkeypatch.setattr(verify, "loop_counts", counting_counts)
     monkeypatch.setattr(verify, "theta_from_poincare_formula", counting_formula)
+    monkeypatch.setattr(verify, "t_from_theta", lambda theta: to_t.append(theta) or t_of(theta))
+    families = sum(map(len, DEFAULT_SIZE_MATRIX.values()))
     assert not run_all(order=8).failures
-    assert len(counted) == sum(map(len, DEFAULT_SIZE_MATRIX.values()))
+    assert len(counted) == families
     assert set(counted.values()) == {1}
     formula.clear()
     assert not run_all(order=8, only="thm7.1/*").failures
     assert formula == []
+    for glob, calls in (("thm7.1/*", 0), ("thm8.7/*", 0), ("prop3.6/*", 0), ("prop3.4", 0),
+                        ("thm2.5/*", families)):
+        to_t.clear()
+        assert not run_all(order=8, only=glob).failures
+        assert len(to_t) == calls, glob
 
 
 # the series tables: each case an identity of two rational functions
