@@ -92,9 +92,14 @@ def _family(args, parser) -> GraphFamily:
 
 
 def _int_in_range(low, high: int):
-    """argparse type for an integer from low (None: unbounded) to high."""
+    """argparse type for an integer from low (None: unbounded) to high,
+    written in ASCII digits with an optional leading -: int() would also
+    read a sign +, spaces, underscores and other scripts' digits."""
     def parse(text: str) -> int:
+        digits = text[1:] if text[:1] == "-" else text
         try:
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None

@@ -117,8 +117,11 @@ def _times_factors(nums: Sequence[int], factors: Sequence, scale: int = 1) -> li
 def fraction_sum(terms: Iterable) -> SeriesFraction:
     """The sum of coef * q^shift * f over the (coef, f, shift) terms, coef an
     int or a Fraction, over the union of the denominators: each term's
-    shifted numerator times the factors of the union that it lacks."""
+    shifted numerator times the factors of the union that it lacks; one
+    term with coefficient 1 and shift 0 is its own fraction."""
     terms = [(Fraction(c), f, s) for c, f, s in terms]
+    if len(terms) == 1 and terms[0][0] == 1 and terms[0][2] == 0:
+        return terms[0][1]
     union = Counter()
     for _, f, _ in terms:
         union |= Counter(f.factors)

@@ -8,7 +8,10 @@ first unequal case fails the check with "<label>: <difference>", the first
 differing coefficient of two series (of two fractions, once expanded to the
 degree of their cross products), the first differing atom of two measures,
 the message of a ValueError, else both values.  A graph's T is the fraction
-of the measure certified from its own theta (RunContext.graph_fraction).
+of the measure certified from its own theta (RunContext.graph_fraction),
+computed once per family.  A run parses only the paper's printed texts: the
+xi identities, EXCEPTIONAL_MEASURES and the measure identities; the series
+tables build each xi form from its numbers.
 Graph checks draw their instances from a size matrix mapping family tags to
 parameter lists, prefix each label with "<tag> param <m>: ", and skip the
 check when the list is empty.  The measure table that the graph checks
@@ -34,6 +37,7 @@ from .transforms import (
     theorem_2_5_lookup,
     theta_from_poincare_formula,
     theta_from_poincare_subst,
+    xi,
 )
 from .measures import (
     DENSITY_POLYS,
@@ -150,10 +154,13 @@ class VerificationReport(Value):
 
 class RunContext:
     """One run's order and graph families, and a memo of what its checks share:
-    per family the graph, loop counts, each theta route, graph measure and
-    candidates, each read once at the family's certifying order
-    (graph_order); each xi text's fraction, keyed by the text.
-    A check is timed with the shared values it computes."""
+    per family the graph, loop counts, each theta route, graph measure, its
+    T fraction and candidates, each read once at the family's certifying
+    order (graph_order); the fraction of each printed xi text of the xi
+    identities, keyed by the text.  Those texts, EXCEPTIONAL_MEASURES and
+    the measure identities are all a run parses: the series tables build
+    their xi forms from numbers.  A check is timed with the shared values
+    it computes."""
 
     def __init__(self, order: int, sizes: Optional[Dict[str, Sequence[int]]] = None):
         _check_order(order)
@@ -219,8 +226,10 @@ class RunContext:
     def graph_fraction(self, fam: GraphFamily):
         """The T of graph_measure(fam) as a fraction, or the ValueError that
         says why no period fits, which a case then reports."""
-        e = self.graph_measure(fam)
-        return e if isinstance(e, ValueError) else t_fraction_of_measure(e)
+        def build():
+            e = self.graph_measure(fam)
+            return e if isinstance(e, ValueError) else t_fraction_of_measure(e)
+        return self._memo(("graph-fraction", fam), build)
 
     def candidate(self, fam: GraphFamily, variant: str) -> CyclotomicMeasure:
         return self._memo(("measure", fam, variant),
@@ -367,34 +376,35 @@ _SWEEP_CASES = _closed_form_cases([(f"{name} {variant} n={n}", poly, n, variant)
 
 def _measure_xi_cases(instances):
     """The T of a measure against its xi form; instances are (label,
-    density P, base kind, n, xi text), P = 1 for the base measure itself."""
-    def cases(ctx: RunContext):
-        for label, poly, kind, n, text in instances:
-            e = density_measure(poly, kind, n)
-            yield label, t_fraction_of_measure(e), ctx.xi_fraction(text)
-    return cases
+    density P, base kind, n, xi form), P = 1 for the base measure itself."""
+    for label, poly, kind, n, form in instances:
+        yield label, t_fraction_of_measure(density_measure(poly, kind, n)), form.fraction()
 
 
-def _one_minus_power_cases(kind: str, plus: str):
-    return _measure_xi_cases([(f"l={l} n={n}", one_minus_power(l), kind, n,
-                               f"xi'({l},{n - l}{plus}:{n}{plus})")
-                              for n in range(2, 13) for l in range(1, n)])
+def _one_minus_power_cases(kind: str):
+    # the printed xi'(l,n-l:n) on d and xi'(l,n-l+:n+) on d'
+    plus = kind == "dprime"
+    return lambda ctx: _measure_xi_cases(
+        (f"l={l} n={n}", one_minus_power(l), kind, n, xi([l, (n - l, plus)], [(n, plus), 1]))
+        for n in range(2, 13) for l in range(1, n))
 
 
-# (atom, least n, xi form on d, xi form on d'), with m_k standing for n - k
+# (atom, least n, its xi form at n, plus on d'): the paper prints xi'(n+:n),
+# xi(n-1:n), xi(1+,n-2:n) and xi'(3,n-3:n) on d, and xi'(n:n+), xi(n-1+:n+),
+# xi(1+,n-2+:n+) and xi'(3,n-3+:n+) on d'
 _DENSITY_XI_ROWS = (
-    ("d", 1, "xi'({n}+:{n})", "xi'({n}:{n}+)"),
-    ("alpha", 2, "xi({m1}:{n})", "xi({m1}+:{n}+)"),
-    ("beta", 3, "xi(1+,{m2}:{n})", "xi(1+,{m2}+:{n}+)"),
-    ("gamma", 4, "xi'(3,{m3}:{n})", "xi'(3,{m3}+:{n}+)"),
+    ("d", 1, lambda n, plus: xi([(n, not plus)], [(n, plus), 1])),
+    ("alpha", 2, lambda n, plus: xi([(n - 1, plus)], [(n, plus)])),
+    ("beta", 3, lambda n, plus: xi([(1, True), (n - 2, plus)], [(n, plus)])),
+    ("gamma", 4, lambda n, plus: xi([3, (n - 3, plus)], [(n, plus), 1])),
 )
 
 
 def _density_table_cases(kind: str):
-    return _measure_xi_cases([
-        (f"{name} n={n}", DENSITY_POLYS.get(name, (1,)), kind, n,
-         (on_d if kind == "d" else on_dprime).format(n=n, m1=n - 1, m2=n - 2, m3=n - 3))
-        for name, start, on_d, on_dprime in _DENSITY_XI_ROWS for n in range(start, 21)])
+    plus = kind == "dprime"
+    return lambda ctx: _measure_xi_cases(
+        (f"{name} n={n}", DENSITY_POLYS.get(name, (1,)), kind, n, form(n, plus))
+        for name, start, form in _DENSITY_XI_ROWS for n in range(start, 21))
 
 
 # --- expansion, weight and level cases --------------------------------------
@@ -647,7 +657,7 @@ def build_registry() -> Dict[str, Callable]:
     registry["prop3.6/Atilde"] = _graph_check("Atilde", _prop36_cases)
     registry["lemma4.4"] = _equal_check(_lemma_cases("unprimed"),
                                         f"{len(_SAMPLE_POLYS)} polynomials")
-    registry["prop4.5"] = _equal_check(_one_minus_power_cases("d", ""), "l < n <= 12")
+    registry["prop4.5"] = _equal_check(_one_minus_power_cases("d"), "l < n <= 12")
     registry["thm4.6"] = _check_thm46
     registry["prop5.3"] = _equal_check(_density_table_cases("d"), "n <= 20")
     registry["prop5.4/common-weights"] = _equal_check(_common_weight_cases, "n in 2, 3, 4, 6")
@@ -656,7 +666,7 @@ def build_registry() -> Dict[str, Callable]:
                                                       "uniform-only system is inconsistent")
     registry["lemma6.2"] = _equal_check(_lemma_cases("primed"),
                                         f"{len(_SAMPLE_POLYS)} polynomials")
-    registry["prop6.3"] = _equal_check(_one_minus_power_cases("dprime", "+"), "l < n <= 12")
+    registry["prop6.3"] = _equal_check(_one_minus_power_cases("dprime"), "l < n <= 12")
     registry["prop6.4"] = _equal_check(_density_table_cases("dprime"), "n <= 20")
     for check_id, lhs, rhs in MEASURE_IDENTITIES:
         registry[check_id] = _measure_identity(lhs, rhs)

@@ -163,6 +163,26 @@ def test_out_of_range_arguments(capsys, argv):
     assert f"argument {argv[-2]}: must be at least" in errors[0]
 
 
+# int() reads each of these; an integer option takes ASCII digits only
+@pytest.mark.parametrize("argv", [
+    ["verify", "--order", "1_0"],
+    ["xi-expand", "--expr", "xi(2:3)", "--order", " 5"],
+    ["measure-tseries", "--expr", "d_1", "--order", "+4"],
+    ["graph-loops", "--family", "A", "--param", "\u0663"],
+    ["measure-moments", "--expr", "d_1", "--count", "x"],
+    ["expand", "--expr", "alpha_5", "--support", "-"],
+])
+def test_malformed_int_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"cyclade {argv[0]}: error: argument {argv[-2]}: "
+                      f"invalid int value: {argv[-1]!r}"]
+
+
 @pytest.mark.parametrize("argv", [
     ["graph-loops", "--family", "A", "--param", str(MAX_VERTICES + 1)],
     ["graph-tseries", "--family", "Dtilde", "--param", str(MAX_VERTICES + 1)],

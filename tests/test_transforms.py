@@ -407,3 +407,28 @@ def test_fraction_sum_is_the_sum_of_the_series():
         want = want + f.expand(20).shift(shift) * Fraction(coef)
     assert total.expand(20) == want
     assert fraction_sum([]) == SeriesFraction(())
+
+
+# a xi form's fraction from small factor lists, and a term of a sum: a
+# nonzero coefficient, the fraction, a monomial shift
+_FORMS = st.builds(lambda num, den: xi(num, den).fraction(),
+                   *[st.lists(st.tuples(st.integers(1, 6), st.booleans()), max_size=3)] * 2)
+_TERMS = st.tuples(st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+                   _FORMS, st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_TERMS, min_size=1, max_size=4), st.integers(0, 24))
+def test_fraction_sum_expands_to_the_sum_of_its_terms(terms, order):
+    want = PowerSeries.zero(order)
+    for coef, f, shift in terms:
+        want = want + f.expand(order).shift(shift) * coef
+    assert fraction_sum(terms).expand(order) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, Fraction(1)]), _FORMS, st.integers(0, 24))
+def test_one_plain_term_is_its_own_fraction(one, f, order):
+    total = fraction_sum([(one, f, 0)])
+    assert total == f
+    assert total.expand(order) == f.expand(order)

@@ -388,17 +388,39 @@ def test_a_check_alone_answers_as_in_a_full_run(order, full_report):
 
 
 def test_each_shared_series_is_computed_once(monkeypatch):
-    # each xi text is parsed once a run, its fraction shared by every case
+    # a run parses each printed text of the xi identities once, its fraction
+    # shared by every case, and no other xi text: the series tables build
+    # their xi forms from numbers
     parsed = Counter()
     parse = exprs.parse_xi_expr
+    monkeypatch.setattr(exprs, "parse_xi_expr", lambda text: parsed.update([text]) or parse(text))
+    printed = {text for _, table in verify._xi_identity_tables() for _, lhs, rhs in table
+               for _, text, _ in lhs + rhs}
+    assert not run_all(order=64).failures
+    assert parsed == Counter(printed)
+    for glob in ("prop4.5", "prop5.3", "prop6.3", "prop6.4"):
+        parsed.clear()
+        assert not run_all(order=64, only=glob).failures
+        assert not parsed, glob
 
-    def counting_parse(text):
-        parsed[text] += 1
-        return parse(text)
 
-    monkeypatch.setattr(exprs, "parse_xi_expr", counting_parse)
-    assert not run_all(order=8, size_matrix=SMALL_MATRIX).failures
-    assert parsed and max(parsed.values()) == 1
+def test_each_graph_fraction_is_computed_once(monkeypatch):
+    # thm2.5, thm7.1, thm8.7 and prop3.6 share one T fraction per family
+    measures, fractions = {}, Counter()
+    graph_measure, t_fraction = RunContext.graph_measure, verify.t_fraction_of_measure
+
+    def spy_measure(self, fam):
+        e = graph_measure(self, fam)
+        measures[id(e)] = e
+        return e
+
+    monkeypatch.setattr(RunContext, "graph_measure", spy_measure)
+    monkeypatch.setattr(verify, "t_fraction_of_measure",
+                        lambda e: fractions.update([id(e)]) or t_fraction(e))
+    families = sum(map(len, DEFAULT_SIZE_MATRIX.values()))
+    assert not run_all(order=64).failures
+    assert len(measures) == families
+    assert [fractions[key] for key in measures] == [1] * families
 
 
 def test_each_graph_is_read_once_at_its_order(monkeypatch):
@@ -491,10 +513,10 @@ def test_prop45_refutes_a_text_that_agrees_up_to_the_order(monkeypatch):
     # refutes it
     real = verify._measure_xi_cases
     monkeypatch.setattr(verify, "_measure_xi_cases", lambda instances: real(
-        [(label, poly, kind, n, "xi'(1,13:14)" if label == "l=1 n=12" else text)
-         for label, poly, kind, n, text in instances]))
+        (label, poly, kind, n, xi([1, 13], [14, 1]) if label == "l=1 n=12" else form)
+        for label, poly, kind, n, form in instances))
     monkeypatch.setitem(verify.registry(), "prop4.5", verify._equal_check(
-        verify._one_minus_power_cases("d", ""), "l < n <= 12"))
+        verify._one_minus_power_cases("d"), "l < n <= 12"))
     for order in (0, 8, 64):
         result = one_check("prop4.5", order)
         assert (result.status, result.details) == (
