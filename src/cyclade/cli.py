@@ -51,32 +51,28 @@ def format_decimal(z: CyclotomicNumber) -> str:
         return mpmath.nstr(mpmath.re(v) if z.is_real() else v, 15)
 
 
-def _emit_series(values, fmt: str, out) -> None:
+def _emit_series(values, fmt: str) -> str:
     if fmt == "json":
         import json  # only --format json needs it
-        out.write(json.dumps({"values": [_fr(v) for v in values]}, indent=2) + "\n")
-    elif fmt == "csv":
-        out.write(",".join(str(_fr(v)) for v in values) + "\n")
-    else:
-        out.write(", ".join(str(_fr(v)) for v in values) + "\n")
+        return json.dumps({"values": [_fr(v) for v in values]}, indent=2) + "\n"
+    sep = "," if fmt == "csv" else ", "
+    return sep.join(str(_fr(v)) for v in values) + "\n"
 
 
-def _emit_table(columns, rows, fmt: str, out) -> None:
+def _emit_table(columns, rows, fmt: str) -> str:
     if fmt == "json":
         import json  # only --format json needs it
-        out.write(json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n")
-    elif fmt == "csv":
+        return json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
-        out.write(buf.getvalue())
-    else:
-        widths = [max(len(str(c)), *(len(str(r[i])) for r in rows)) if rows else len(str(c))
-                  for i, c in enumerate(columns)]
-        out.write("  ".join(str(c).ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
-        for row in rows:
-            out.write("  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
+        return buf.getvalue()
+    widths = [max(len(str(c)), *(len(str(r[i])) for r in rows)) if rows else len(str(c))
+              for i, c in enumerate(columns)]
+    return "".join("  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip() + "\n"
+                   for row in [columns, *rows])
 
 
 def _family(args, parser) -> GraphFamily:
@@ -176,51 +172,51 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(args, parser) -> int:
-    if not args.out:
-        return _dispatch(args, parser, sys.stdout)
-    with open(args.out, "w", encoding="utf-8", newline="") as sink:
-        return _dispatch(args, parser, sink)
+    """Run the command, then write its text once, to stdout or to --out, so
+    a command that fails leaves an --out file as it was."""
+    code, text = _dispatch(args, parser)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as sink:
+            sink.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
-def _dispatch(args, parser, out) -> int:
+def _dispatch(args, parser) -> tuple:
+    """(exit code, output text) of the command."""
     cmd = args.command
     if cmd == "graph-loops":
         fam = _family(args, parser)
-        _emit_series(loop_counts(build_ade(fam), args.order), args.format, out)
-        return 0
+        return 0, _emit_series(loop_counts(build_ade(fam), args.order), args.format)
     if cmd == "graph-tseries":
         fam = _family(args, parser)
         counts = series_from_integers(loop_counts(build_ade(fam), args.order))
-        _emit_series(graph_t_series(counts, args.order).coeffs, args.format, out)
-        return 0
+        return 0, _emit_series(graph_t_series(counts, args.order).coeffs, args.format)
     if cmd == "xi-expand":
         series = xi_expand(parse_xi_expr(args.expr), args.order)
-        _emit_series(series.coeffs, args.format, out)
-        return 0
+        return 0, _emit_series(series.coeffs, args.format)
     if cmd == "measure-show":
         e = parse_measure_expr(args.expr)
         # each orbit's weight formatted once, for all its positions
         shown = [None if w.is_zero() else [format_cyclo(w), format_decimal(w)] for w in e.reps]
         rows = [[j, e.order, *text] for j in range(e.order) if (text := shown[e.orbit(j)])]
-        _emit_table(["position", "order", "weight", "weight_decimal"], rows, args.format, out)
-        return 0
+        return 0, _emit_table(["position", "order", "weight", "weight_decimal"], rows,
+                              args.format)
     if cmd == "measure-moments":
         # odd moments vanish, as each orbit holds u and -u
         nums, den = _even_moments(parse_measure_expr(args.expr), args.count // 2)
         values = [0 if k % 2 else Fraction(nums[k // 2], den) for k in range(args.count + 1)]
-        _emit_series(values, args.format, out)
-        return 0
+        return 0, _emit_series(values, args.format)
     if cmd == "measure-tseries":
         series = t_series_of_measure(parse_measure_expr(args.expr), args.order)
-        _emit_series(series.coeffs, args.format, out)
-        return 0
+        return 0, _emit_series(series.coeffs, args.format)
     if cmd == "measure-pushforward":
         real = pushforward_real(parse_measure_expr(args.expr))
         rows = [[format_cyclo(x), format_decimal(x), format_cyclo(w), format_decimal(w)]
                 for x, w in real.atoms]
-        _emit_table(["location", "location_decimal", "weight", "weight_decimal"],
-                    rows, args.format, out)
-        return 0
+        return 0, _emit_table(["location", "location_decimal", "weight", "weight_decimal"],
+                              rows, args.format)
     if cmd == "expand":
         e = parse_measure_expr(args.expr)
         n = args.support
@@ -230,21 +226,18 @@ def _dispatch(args, parser, out) -> int:
         result = cyclotomic_expansion(e, n)
         rows = [[l, str(_fr(c))] for l, c in sorted(result.coefficients.items())]
         rows.append(["residual_ok", str(result.residual_ok).lower()])
-        _emit_table(["index", "coefficient"], rows, args.format, out)
-        return 0
+        return 0, _emit_table(["index", "coefficient"], rows, args.format)
     if cmd == "level":
-        value = level(parse_measure_expr(args.expr))
-        _emit_series([value], args.format, out)
-        return 0
+        return 0, _emit_series([level(parse_measure_expr(args.expr))], args.format)
     report = verify_mod.run_all(order=args.order, only=args.only)
     if args.format == "json":
-        out.write(report.to_json())
+        text = report.to_json()
     elif args.format == "csv":
-        rows = [[r.check_id, r.status, r.details] for r in report.results]
-        _emit_table(["id", "status", "details"], rows, "csv", out)
+        text = _emit_table(["id", "status", "details"],
+                           [[r.check_id, r.status, r.details] for r in report.results], "csv")
     else:
-        out.write(report.to_markdown())
-    return 1 if report.failures else 0
+        text = report.to_markdown()
+    return (1 if report.failures else 0), text
 
 
 def main(argv=None) -> int:

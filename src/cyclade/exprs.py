@@ -111,7 +111,6 @@ def parse_xi_expr(text: str) -> XiExpression:
     prime marks append the factor (1 - q^k) to the denominator, so xi'(3+:3)
     and xi(3+:3,1) are one value."""
     s = _Scanner(text)
-    s.skip_ws()
     if s.name() != "xi":
         raise ParseError(f"unexpected {s.describe()}", s.pos, ("'xi'",))
     marks = s.primes()
@@ -134,6 +133,7 @@ def _xi_factor_list(s: _Scanner) -> List[XiFactor]:
     if s.peek() in (":", ")"):
         return factors
     while True:
+        s.skip_ws()
         pos = s.pos
         n = s.integer()
         if n < 1:

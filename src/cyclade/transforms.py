@@ -149,16 +149,16 @@ def xi_expand(expr: XiExpression, order: int) -> PowerSeries:
 # Poincare series -> theta series -> T series
 # ---------------------------------------------------------------------------
 
-def _scaled_counts(counts: PowerSeries, order: int) -> Tuple[tuple, int]:
-    """Validate the loop counts and return (c, D): the counts up to the order
-    as the integers c_i = D * counts_i over their denominator D, which is 1
-    for genuine loop counts."""
+def _integer_counts(counts: PowerSeries, order: int) -> tuple:
+    """Validate the loop counts and return them up to the order as ints."""
     _check_order(order)
     if counts.order < order:
         raise ValueError("need loop counts up to the requested order")
-    if counts.nums[0] != counts.den:
+    if counts.den != 1:
+        raise ValueError("loop counts must be integers")
+    if counts.nums[0] != 1:
         raise ValueError("loop count sequence must start at 1")
-    return counts.nums[: order + 1], counts.den
+    return counts.nums[: order + 1]
 
 
 def theta_from_poincare_formula(counts: PowerSeries, order: int) -> PowerSeries:
@@ -174,9 +174,8 @@ def theta_from_poincare_formula(counts: PowerSeries, order: int) -> PowerSeries:
     The variable change behind theta contributes a standalone linear term on
     top of the sum, and the sum's r = 0 term is indeterminate; both boundary
     values are fixed so that this path agrees with the substitution path.
-    The sums run in integers over the common denominator of the counts.
     """
-    c, d = _scaled_counts(counts, order)
+    c = _integer_counts(counts, order)
     prev = [x + x for x in c]
     row = [y - x - x for x, y in zip(c, c[1:])]
     out = [c[0]]
@@ -184,8 +183,8 @@ def theta_from_poincare_formula(counts: PowerSeries, order: int) -> PowerSeries:
         out.append(row[0])
         row, prev = [y - x - x - z for x, y, z in zip(row, row[1:], prev)], row
     if order >= 1:
-        out[1] += d
-    return series_from_integers(out, d)
+        out[1] += 1
+    return series_from_integers(out)
 
 
 def theta_from_poincare_subst(counts: PowerSeries, order: int) -> PowerSeries:
@@ -198,18 +197,17 @@ def theta_from_poincare_subst(counts: PowerSeries, order: int) -> PowerSeries:
     form w_n = (-1)^(n+i) h_n, in which dividing by (1+q) is a plain running
     sum, so one step is w <- [(-1)^i c_i] + accumulate(accumulate(w)).  In
     the same form the prefactor is multiplication by (1+q) and one running
-    sum.  All of it runs in integers over the common denominator of the
-    counts, in O(order^2) additions.
+    sum.  All of it runs in integers, in O(order^2) additions.
     """
-    c, d = _scaled_counts(counts, order)
+    c = _integer_counts(counts, order)
     w = []
     for i in range(order, -1, -1):
         w = [c[i] if i % 2 == 0 else -c[i]] + list(accumulate(accumulate(w)))
     out = [x if n % 2 == 0 else -x
            for n, x in enumerate(accumulate(map(add, w, [0] + w)))]
     if order >= 1:
-        out[1] += d
-    return series_from_integers(out, d)
+        out[1] += 1
+    return series_from_integers(out)
 
 
 def t_from_theta(theta: PowerSeries) -> PowerSeries:

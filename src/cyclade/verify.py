@@ -214,13 +214,12 @@ class RunContext:
         exceptional graphs."""
         def build():
             n2, k = 2 * self.graph(fam).vertex_count, self.graph_order(fam)
-            theta = self.theta_subst(fam)
-            den, nums = theta.den, theta.nums
-            m = [nums[0] + den, nums[1] - den, *nums[2:]]
+            nums = self.theta_subst(fam).nums
+            m = [nums[0] + 1, nums[1] - 1, *nums[2:]]
             p = next((p for p in range(1, k - n2 + 1) if m[p:p + n2] == m[:n2]), None)
             if p is None:
                 return ValueError(f"no period P of the doubled moments with P + {n2} <= {k}")
-            return _normalized(CyclotomicMeasure, 2 * p, m[:p], 2 * den)
+            return _normalized(CyclotomicMeasure, 2 * p, m[:p], 2)
         return self._memo(("graph-measure", fam), build)
 
     def graph_fraction(self, fam: GraphFamily):
@@ -302,10 +301,7 @@ def _thm25_cases(ctx: RunContext, fam: GraphFamily):
 
 
 def _theta_cases(ctx: RunContext, fam: GraphFamily):
-    theta_s = ctx.theta_subst(fam)
-    yield "formula theta vs substitution theta", ctx.theta_formula(fam), theta_s
-    # den is the least common denominator of the coefficients
-    yield "theta denominator", theta_s.den, 1
+    yield "formula theta vs substitution theta", ctx.theta_formula(fam), ctx.theta_subst(fam)
 
 
 def _prop33_cases(ctx: RunContext, fam: GraphFamily):

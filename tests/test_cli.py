@@ -104,6 +104,30 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == "1,4,16,64\n"
 
 
+def test_failing_command_leaves_out_file(tmp_path, capsys, monkeypatch):
+    # the output is written once the command has returned, so an error
+    # leaves a pre-filled --out file as it was; a success replaces it
+    target = tmp_path / "out.txt"
+    target.write_text("old content\n", encoding="utf-8")
+    for argv, message in ((["level", "--expr", "d_1 +"], "error: unexpected end of input"),
+                          (["verify", "--only", "nomatch*"],
+                           "error: no check id matches 'nomatch*'")):
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
+        assert target.read_text(encoding="utf-8") == "old content\n"
+    code, out, _ = run_cli(capsys, "level", "--expr", "alpha_12", "--out", str(target))
+    assert (code, out) == (0, "")
+    assert target.read_text(encoding="utf-8") == "1\n"
+    # a failing verify run still writes its report
+    import cyclade.verify as verify_mod
+    monkeypatch.setattr(verify_mod, "registry",
+                        lambda: {"demo/failing": lambda ctx: ("fail", "intentional")})
+    code, out, _ = run_cli(capsys, "verify", "--order", "8", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert "demo/failing" in target.read_text(encoding="utf-8")
+
+
 def test_verify_subset_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--order", "8",
                            "--only", "xi-identity/*", "--format", "json")

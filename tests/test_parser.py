@@ -202,6 +202,20 @@ def test_refusal_messages(text, error, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text,position", [
+    ("xi(1, 0:2)", 6),
+    ("xi(1,0:2)", 5),
+    ("xi( 0:1)", 4),
+], ids=["blank-after-comma", "no-blank", "blank-after-paren"])
+def test_xi_exponent_error_points_at_the_exponent(text, position):
+    # blanks before a factor are skipped before its position is taken
+    with pytest.raises(ParseError) as err:
+        parse_xi_expr(text)
+    assert str(err.value) == (
+        f"factor exponent must be positive at position {position} (expected positive integer)")
+    assert text[err.value.position] == "0"
+
+
 @pytest.mark.parametrize("parse,text,position", [
     (parse_measure_expr, "d_\u00b2", 2),  # superscript two
     (parse_measure_expr, "d_\u0663", 2),  # Arabic-Indic three, once read as 3
