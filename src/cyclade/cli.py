@@ -109,9 +109,11 @@ def _int_in_range(low, high: int):
 
 # Largest graph parameter (the vertex count; one less for Dtilde) and the
 # largest series order or moment count the CLI accepts.  At the caps
-# verify --order 512 takes about 2 s (1.6-2.6 s, python -m cyclade) and
-# graph-tseries at both caps about 0.25 s (2-vCPU VM, Python 3.11); a graph is
-# stored as neighbour lists, so graph-tseries peaks at about 23 MB RSS at the caps.
+# verify --order 512 takes about 1.2 s (1.0-1.5 s, python -m cyclade) and
+# peaks at about 32 MB RSS, 13 MB of it the formula theta's binomial table,
+# which transforms keeps up to this order; graph-tseries at both caps takes
+# about 0.25 s (2-vCPU VM, Python 3.11); a graph is stored as neighbour
+# lists, so graph-tseries peaks at about 23 MB RSS at the caps.
 MAX_VERTICES = 4000
 MAX_ORDER = 512
 

@@ -4,8 +4,9 @@ They are the earlier, simpler forms of library routines: a reduced row
 echelon solve, the level solver that rebuilds and re-solves its whole basis
 for each degree limit, cyclotomic polynomials by polynomial division, the
 two-product loop counts, both theta routes as an integer binomial sum and
-as Horner's rule with running alternating sums, the closed-form T series in
-Fraction lists, the T series and the expansion from one moment per
+as Horner's rule with running alternating sums, the formula route as an
+additions-only recurrence over the rows of its weights, the closed-form T
+series in Fraction lists, the T series and the expansion from one moment per
 coefficient, each a dense sum over the weights, pushforward moments by
 cyclotomic powering, the sign of a real cyclotomic number at 60 digits,
 positive semidefiniteness by principal minors, a linear combination of
@@ -222,6 +223,24 @@ def theta_formula_binomials(counts, order):
             acc += 2 * r * binom // (r + k) * signed[k]
             binom = binom * (r + k + 1) * (r - k) // ((2 * k + 1) * (2 * k + 2))
         out.append(acc if r % 2 == 0 else -acc)
+    if order >= 1:
+        out[1] += d
+    return series_from_integers(out, d)
+
+
+def theta_formula_row_recurrence(counts, order):
+    """The alternating binomial sum by rows: row r of its weights is the
+    coefficient list of V_r(y) = C_r(y - 2), C_r(2cos t) = 2cos(rt), and
+    V_(r+1) = (y - 2) V_r - V_(r-1), so the row sums a_j = sum_k [y^k]V_r
+    c_(k+j) obey a'_j = a_(j+1) - 2 a_j - a''_j, a'' the row before, and
+    theta_r = a_0, in additions only; c_0 at r = 0 and D added at r = 1."""
+    c, d = counts.nums[: order + 1], counts.den
+    prev = [x + x for x in c]
+    row = [y - x - x for x, y in zip(c, c[1:])]
+    out = [c[0]]
+    for _ in range(order):
+        out.append(row[0])
+        row, prev = [y - x - x - z for x, y, z in zip(row, row[1:], prev)], row
     if order >= 1:
         out[1] += d
     return series_from_integers(out, d)

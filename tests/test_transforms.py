@@ -5,6 +5,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclade import transforms
+from cyclade.cli import MAX_ORDER
 from cyclade.exact import PowerSeries, series_compose, series_invert
 from cyclade.exprs import parse_xi_expr
 from cyclade.graphs import FAMILY_TAGS, GraphFamily, UnsupportedFamily, build_ade, loop_counts
@@ -24,10 +26,12 @@ from cyclade.transforms import (
     xi,
     xi_expand,
 )
+from cyclade.verify import DEFAULT_SIZE_MATRIX
 from oracles import (
     monomial,
     t_closed_form_by_fractions,
     theta_formula_binomials,
+    theta_formula_row_recurrence,
     theta_subst_alternating_sums,
 )
 
@@ -264,6 +268,90 @@ def test_theta_routes_give_the_table_at_order_160(tag):
         theta = route(counts, 160)
         assert all(c.denominator == 1 for c in theta.coeffs)
         assert t_from_theta(theta) == expected
+
+
+# the formula route's forward substitution, its kept binomial table and its
+# branches (m_r = 0, 1, -1 and any other value)
+
+def _signed_moments(theta):
+    """m_0..m_order of a theta: theta_1 = m_1 + 1, theta_r = m_r otherwise."""
+    m = list(theta.nums)
+    if len(m) > 1:
+        m[1] -= 1
+    return m
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """An empty kept table for the test, the module's own restored after it."""
+    monkeypatch.setattr(transforms, "_COLUMNS", [])
+
+
+def test_formula_theta_matches_the_oracles_on_every_family():
+    seen = set()
+    for tag, params in DEFAULT_SIZE_MATRIX.items():
+        for param in params:
+            counts = PowerSeries.from_list(loop_counts(build_ade(GraphFamily(tag, param)), 160))
+            got = theta_from_poincare_formula(counts, 160)
+            assert got == theta_formula_row_recurrence(counts, 160)
+            assert got == theta_formula_binomials(counts, 160)
+            seen.update(_signed_moments(got)[1:])
+    # the graphs' m_r take every branch of the substitution
+    assert seen == {-2, -1, 0, 1, 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-10**40, 10**40)), max_size=60))
+def test_formula_theta_inverts_the_binomial_moment_identity(tail):
+    # c_k = C(2k, k) m_0 + sum_(r=1..k) C(2k, k - r) m_r with m_0 = 1
+    m = [1] + tail
+    order = len(tail)
+    counts = [sum(comb(2 * k, k - r) * m[r] for r in range(k + 1)) for k in range(order + 1)]
+    theta = theta_from_poincare_formula(PowerSeries.from_list(counts), order)
+    assert (theta.den, _signed_moments(theta)) == (1, m)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 64, 200])
+def test_kept_columns_are_the_binomials(fresh_table, order):
+    theta_from_poincare_formula(PowerSeries.from_list([1] * (order + 1)), order)
+    assert len(transforms._COLUMNS) == order
+    for r, col in enumerate(transforms._COLUMNS):
+        assert col == [comb(2 * k, k - r) for k in range(r + 1, order + 1)]
+
+
+@pytest.fixture
+def column_builds(monkeypatch):
+    """The orders at which the formula route makes its binomial columns."""
+    orders, make = [], transforms._binomial_columns
+    monkeypatch.setattr(transforms, "_binomial_columns", lambda n: orders.append(n) or make(n))
+    return orders
+
+
+def test_kept_table_grows_and_is_reused(fresh_table, column_builds):
+    counts = PowerSeries.from_list(loop_counts(build_ade(GraphFamily("D", 9)), 200))
+    for order, kept in ((160, 160), (20, 160), (200, 200), (64, 200)):
+        assert theta_from_poincare_formula(counts, order) == theta_formula_row_recurrence(counts, order)
+        assert len(transforms._COLUMNS) == kept
+    # columns are made only when the kept table grows
+    assert column_builds == [160, 200]
+
+
+def test_calls_above_the_bound_keep_no_columns(fresh_table, column_builds, monkeypatch):
+    monkeypatch.setattr(transforms, "_KEPT_ORDER", 16)
+    counts = PowerSeries.from_list(loop_counts(build_ade(GraphFamily("Atilde", 10)), 60))
+    theta_from_poincare_formula(counts, 10)
+    assert len(transforms._COLUMNS) == 10
+    for order in [16, *range(17, 61)]:
+        assert theta_from_poincare_formula(counts, order) == theta_formula_row_recurrence(counts, order)
+        assert len(transforms._COLUMNS) == 16
+    # each call above the bound makes its own columns
+    assert column_builds == [10, 16, *range(17, 61)]
+
+
+def test_kept_order_is_the_cli_order_cap():
+    # a raised CLI cap without a matching table bound would leave the largest
+    # CLI orders to columns made per call
+    assert transforms._KEPT_ORDER == MAX_ORDER
 
 
 def test_t_from_theta_degenerate():
