@@ -384,9 +384,6 @@ class PowerSeries(_IntegersOverDenominator):
         _check_order(order)
         return series_from_integers([0] * (order + 1))
 
-    def __getitem__(self, i: int) -> Fraction:
-        return Fraction(self.nums[i], self.den)
-
     def _align(self, other):
         """A rational is read as the constant series of the order of self;
         None for an operand of another type."""

@@ -18,18 +18,20 @@ _SERIES = {
     "Dtilde": (4, False, "Dtilde needs parameter >= 4"),
 }
 
-# branch arms (vertex counts beyond the branch vertex), longest first;
-# the root sits at the far end of the first arm
-_ARMS = {
-    "E6": (2, 2, 1),
-    "E7": (3, 2, 1),
-    "E8": (4, 2, 1),
-    "E6tilde": (2, 2, 2),
-    "E7tilde": (3, 3, 1),
-    "E8tilde": (5, 2, 1),
+# tree family at parameter m -> (spine length, ((spine vertex, path length), ...))
+_TREES = {
+    "A": lambda m: (m, ()),
+    "D": lambda m: (m - 1, ((m - 3, 1),)),
+    "Dtilde": lambda m: (m - 1, ((1, 1), (m - 3, 1))),
+    "E6": lambda m: (5, ((2, 1),)),
+    "E7": lambda m: (6, ((3, 1),)),
+    "E8": lambda m: (7, ((4, 1),)),
+    "E6tilde": lambda m: (5, ((2, 2),)),
+    "E7tilde": lambda m: (7, ((3, 1),)),
+    "E8tilde": lambda m: (8, ((5, 1),)),
 }
 
-EXCEPTIONAL_TAGS = tuple(_ARMS)
+EXCEPTIONAL_TAGS = tuple(tag for tag in _TREES if tag not in _SERIES)
 FAMILY_TAGS = tuple(_SERIES) + EXCEPTIONAL_TAGS
 
 
@@ -112,38 +114,19 @@ def _finish(edges, n, root) -> RootedBipartiteGraph:
 
 
 def build_ade(family: GraphFamily) -> RootedBipartiteGraph:
-    """Construct the rooted graph for the family, root at the marked vertex."""
+    """Construct the rooted graph for the family, the root at vertex 0: the
+    even cycle for Atilde (Atilde2 a double edge), else a tree of _TREES, its
+    spine numbered 0..s-1 from the root, so spine vertex i is i steps from
+    it, and its hanging paths numbered on from s in table order."""
     tag, m = family.tag, family.param
-    if tag == "A":
-        edges = [(i, i + 1, 1) for i in range(m - 1)]
-        return _finish(edges, m, 0)
     if tag == "Atilde":
-        if m == 2:
-            return _finish([(0, 1, 2)], 2, 0)
-        edges = [(i, (i + 1) % m, 1) for i in range(m)]
-        return _finish(edges, m, 0)
-    if tag == "D":
-        # path of m-2 vertices with two tips on its far end, root at the near end
-        edges = [(i, i + 1, 1) for i in range(m - 3)]
-        edges += [(m - 3, m - 2, 1), (m - 3, m - 1, 1)]
-        return _finish(edges, m, 0)
-    if tag == "Dtilde":
-        # central path of m-3 vertices, a two-tip fork at each end, m+1 vertices
-        c = m - 3
-        edges = [(i, i + 1, 1) for i in range(c - 1)]
-        edges += [(0, c, 1), (0, c + 1, 1), (c - 1, c + 2, 1), (c - 1, c + 3, 1)]
-        return _finish(edges, m + 1, c)
-    edges = []
-    nxt = 1
-    arm_ends = []
-    for length in _ARMS[tag]:
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, nxt, 1))
-            prev = nxt
-            nxt += 1
-        arm_ends.append(prev)
-    return _finish(edges, nxt, arm_ends[0])
+        return _finish([(i, (i + 1) % m, 1) for i in range(m)], m, 0)
+    spine, paths = _TREES[tag](m)
+    edges = [(i, i + 1, 1) for i in range(spine - 1)]
+    for at, length in paths:
+        n = len(edges) + 1  # a tree has one vertex more than it has edges
+        edges += [(at, n, 1)] + [(v, v + 1, 1) for v in range(n, n + length - 1)]
+    return _finish(edges, len(edges) + 1, 0)
 
 
 def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:

@@ -10,8 +10,10 @@ series in Fraction lists, the T series and the expansion from one moment per
 coefficient, each a dense sum over the weights, pushforward moments by
 cyclotomic powering, the sign of a real cyclotomic number at 60 digits,
 positive semidefiniteness by principal minors, a linear combination of
-measures summed in one pass over their moment sequences, and the graph
-measure table as rows of (coefficient, atom name, base kind, parameter);
+measures summed in one pass over their moment sequences, the graph measure
+table as rows of (coefficient, atom name, base kind, parameter), and the
+rooted graphs built family by family, each root where its own
+construction put it;
 root_of_unity,
 which builds the powers of a root that tests start from, weights_of, all N
 weights of a measure, rational_by_constructor, a rational element through the public
@@ -39,6 +41,7 @@ from cyclade.exact import (
     _check_order,
     _normalized,
 )
+from cyclade.graphs import _finish
 from cyclade.measures import (
     CyclotomicMeasure,
     ExpansionResult,
@@ -194,6 +197,54 @@ def cyclotomic_poly_by_division(order):
     """x**order - 1 divided by the cyclotomic polynomials of the lower
     divisors, each a monic integer list, by integer long division."""
     return tuple(_cyclotomic_ints_by_division(order))
+
+
+# branch arms (vertex counts beyond the branch vertex), longest first;
+# the root sits at the far end of the first arm
+_ARMS = {
+    "E6": (2, 2, 1),
+    "E7": (3, 2, 1),
+    "E8": (4, 2, 1),
+    "E6tilde": (2, 2, 2),
+    "E7tilde": (3, 3, 1),
+    "E8tilde": (5, 2, 1),
+}
+
+
+def build_ade_by_cases(family):
+    """The rooted graph for the family, one construction per series and one
+    for the exceptional graphs, the root at the marked vertex."""
+    tag, m = family.tag, family.param
+    if tag == "A":
+        edges = [(i, i + 1, 1) for i in range(m - 1)]
+        return _finish(edges, m, 0)
+    if tag == "Atilde":
+        if m == 2:
+            return _finish([(0, 1, 2)], 2, 0)
+        edges = [(i, (i + 1) % m, 1) for i in range(m)]
+        return _finish(edges, m, 0)
+    if tag == "D":
+        # path of m-2 vertices with two tips on its far end, root at the near end
+        edges = [(i, i + 1, 1) for i in range(m - 3)]
+        edges += [(m - 3, m - 2, 1), (m - 3, m - 1, 1)]
+        return _finish(edges, m, 0)
+    if tag == "Dtilde":
+        # central path of m-3 vertices, a two-tip fork at each end, m+1 vertices
+        c = m - 3
+        edges = [(i, i + 1, 1) for i in range(c - 1)]
+        edges += [(0, c, 1), (0, c + 1, 1), (c - 1, c + 2, 1), (c - 1, c + 3, 1)]
+        return _finish(edges, m + 1, c)
+    edges = []
+    nxt = 1
+    arm_ends = []
+    for length in _ARMS[tag]:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt, 1))
+            prev = nxt
+            nxt += 1
+        arm_ends.append(prev)
+    return _finish(edges, nxt, arm_ends[0])
 
 
 def loop_counts_two_products(graph, count):

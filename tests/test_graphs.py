@@ -9,11 +9,25 @@ from cyclade.graphs import (
     GraphFamily,
     ParameterOutOfRange,
     UnsupportedFamily,
+    _TREES,
     _finish,
     build_ade,
     loop_counts,
 )
-from oracles import loop_counts_two_products
+from cyclade.verify import DEFAULT_SIZE_MATRIX
+from oracles import build_ade_by_cases, loop_counts_two_products
+
+
+def distances(graph):
+    """The distance of each vertex from the root, by breadth-first search."""
+    dist = {graph.root: 0}
+    queue = [graph.root]
+    for v in queue:
+        for u in graph.neighbours[v]:
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return [dist[v] for v in range(graph.vertex_count)]
 
 
 def walks_by_enumeration(graph, length):
@@ -66,6 +80,59 @@ def test_loop_counts_at_the_cap(tag, param, order):
     # exceptional graphs fill theirs within a few steps
     g = build_ade(GraphFamily(tag, param))
     assert loop_counts(g, order) == loop_counts_two_products(g, order)
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_builder_matches_the_builder_by_cases(tag):
+    # every parameter up to 30: the same rooted graph up to relabelling, as
+    # far as vertex counts, loop counts and the degrees at each distance from
+    # the root tell; A, D and Atilde keep the very same neighbour lists
+    families = set()
+    for param in range(31):
+        try:
+            families.add(GraphFamily(tag, param))
+        except ParameterOutOfRange:
+            pass
+    assert families
+    for fam in families:
+        g, ref = build_ade(fam), build_ade_by_cases(fam)
+        assert g.vertex_count == ref.vertex_count
+        assert loop_counts(g, 80) == loop_counts(ref, 80)
+        assert (sorted(zip(distances(g), map(len, g.neighbours)))
+                == sorted(zip(distances(ref), map(len, ref.neighbours))))
+        if tag in ("A", "D", "Atilde"):
+            assert g.neighbours == ref.neighbours
+
+
+def test_root_is_vertex_0_and_spine_vertex_i_is_i_steps_out():
+    # the spine of a tree reaches as far from the root as any vertex does
+    for tag, params in DEFAULT_SIZE_MATRIX.items():
+        for param in params:
+            g = build_ade(GraphFamily(tag, param))
+            assert g.root == 0
+            dist = distances(g)
+            if tag == "Atilde":
+                assert dist == [min(i, param - i) for i in range(param)]
+            else:
+                spine = _TREES[tag](param)[0]
+                assert dist[:spine] == list(range(spine))
+                assert max(dist) == spine - 1
+
+
+@pytest.mark.parametrize("tag,param,neighbours", [
+    ("Dtilde", 4, ((1,), (0, 2, 3, 4), (1,), (1,), (1,))),
+    ("Dtilde", 5, ((1,), (0, 2, 4), (1, 3, 5), (2,), (1,), (2,))),
+    ("E6", 0, ((1,), (0, 2), (1, 3, 5), (2, 4), (3,), (2,))),
+    ("E7", 0, ((1,), (0, 2), (1, 3), (2, 4, 6), (3, 5), (4,), (3,))),
+    ("E8", 0, ((1,), (0, 2), (1, 3), (2, 4), (3, 5, 7), (4, 6), (5,), (4,))),
+    ("E6tilde", 0, ((1,), (0, 2), (1, 3, 5), (2, 4), (3,), (2, 6), (5,))),
+    ("E7tilde", 0, ((1,), (0, 2), (1, 3), (2, 4, 7), (3, 5), (4, 6), (5,), (3,))),
+    ("E8tilde", 0, ((1,), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6, 8), (5, 7), (6,), (5,))),
+])
+def test_tree_layout(tag, param, neighbours):
+    # the spine from the root first, then each hanging path in table order
+    g = build_ade(GraphFamily(tag, param))
+    assert (g.vertex_count, g.neighbours, g.root) == (len(neighbours), neighbours, 0)
 
 
 def test_finish_rejects_bad_edge_lists():

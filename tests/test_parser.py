@@ -42,12 +42,19 @@ def test_parse_xi_series_equalities():
 
 
 def test_parse_xi_errors():
-    for text, pos_at_least in (("xi(5++:3)", 5), ("xi(", 3), ("xj(1:2)", 0),
-                               ("xi(1:2", 6), ("xi'''(1:2)", 2), ("xi(1,:2)", 5),
-                               ("xi(0:2)", 3), ("xi(1:2)x", 7)):
+    for text, position, message in (
+            ("xi(5++:3)", 5, "unexpected character '+' at position 5 (expected ':')"),
+            ("xi(", 3, "unexpected end of input at position 3 (expected integer)"),
+            ("xj(1:2)", 2, "unexpected character '(' at position 2 (expected 'xi')"),
+            ("xi(1:2", 6, "unexpected end of input at position 6 (expected ')')"),
+            ("xi'''(1:2)", 5, "too many prime marks at position 5 (expected at most '')"),
+            ("xi(1,:2)", 5, "unexpected character ':' at position 5 (expected integer)"),
+            ("xi(0:2)", 3,
+             "factor exponent must be positive at position 3 (expected positive integer)"),
+            ("xi(1:2)x", 7, "unexpected character 'x' at position 7 (expected end of input)")):
         with pytest.raises(ParseError) as err:
             parse_xi_expr(text)
-        assert err.value.position >= 0
+        assert (str(err.value), err.value.position) == (message, position)
 
 
 def _without_marks(text):
