@@ -96,37 +96,27 @@ def _distances(neighbours, root) -> Tuple[list, list]:
     return dist, order
 
 
-def _finish(edges, n, root) -> RootedBipartiteGraph:
-    neighbours = [[] for _ in range(n)]
-    for u, v, mult in edges:
-        neighbours[u] += [v] * mult
-        neighbours[v] += [u] * mult
-    # two-coloring by the parity of the distance; also certifies connectivity
-    dist = _distances(neighbours, root)[0]
-    if -1 in dist:
-        raise ValueError("graph is not connected")
-    for u, v, _ in edges:
-        if u == v:
-            raise ValueError("self-loop in adjacency")
-        if (dist[u] - dist[v]) % 2 == 0:
-            raise ValueError("edge inside one parity class")
-    return RootedBipartiteGraph(n, tuple(map(tuple, neighbours)), root)
-
-
 def build_ade(family: GraphFamily) -> RootedBipartiteGraph:
-    """Construct the rooted graph for the family, the root at vertex 0: the
-    even cycle for Atilde (Atilde2 a double edge), else a tree of _TREES, its
-    spine numbered 0..s-1 from the root, so spine vertex i is i steps from
-    it, and its hanging paths numbered on from s in table order."""
+    """Construct the rooted graph for the family, the root at vertex 0, from
+    plain edge pairs: the even cycle for Atilde (Atilde2 the 2-cycle, whose two
+    edges list each vertex twice among the other's neighbours), else a tree of
+    _TREES, its spine numbered 0..s-1 from the root, so spine vertex i is i
+    steps from it, and its hanging paths numbered on from s in table order."""
     tag, m = family.tag, family.param
     if tag == "Atilde":
-        return _finish([(i, (i + 1) % m, 1) for i in range(m)], m, 0)
-    spine, paths = _TREES[tag](m)
-    edges = [(i, i + 1, 1) for i in range(spine - 1)]
-    for at, length in paths:
-        n = len(edges) + 1  # a tree has one vertex more than it has edges
-        edges += [(at, n, 1)] + [(v, v + 1, 1) for v in range(n, n + length - 1)]
-    return _finish(edges, len(edges) + 1, 0)
+        edges = [(i, (i + 1) % m) for i in range(m)]
+    else:
+        spine, paths = _TREES[tag](m)
+        edges = [(i, i + 1) for i in range(spine - 1)]
+        for at, length in paths:
+            n = len(edges) + 1  # a tree has one vertex more than it has edges
+            edges += [(at, n)] + [(v, v + 1) for v in range(n, n + length - 1)]
+        m = len(edges) + 1
+    neighbours = [[] for _ in range(m)]
+    for u, v in edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    return RootedBipartiteGraph(m, tuple(map(tuple, neighbours)), 0)
 
 
 def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:

@@ -711,8 +711,8 @@ def run_all(order: int = 64, size_matrix: Optional[Dict[str, Sequence[int]]] = N
     an unknown tag or a parameter out of range (each family of it is built)
     are ValueErrors raised before any check runs, not an empty report."""
     checks = [(check_id, runner) for check_id, runner in registry().items()
-              if not only or fnmatch.fnmatchcase(check_id, only)]
-    if only and not checks:
+              if only is None or fnmatch.fnmatchcase(check_id, only)]
+    if only is not None and not checks:
         raise ValueError(f"no check id matches {only!r}")
     ctx = RunContext(order, size_matrix)
     report = VerificationReport(order)

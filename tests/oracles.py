@@ -13,7 +13,8 @@ positive semidefiniteness by principal minors, a linear combination of
 measures summed in one pass over their moment sequences, the graph measure
 table as rows of (coefficient, atom name, base kind, parameter), and the
 rooted graphs built family by family, each root where its own
-construction put it;
+construction put it, from (u, v, multiplicity) edges by a two-colouring
+that refuses a disconnected graph, a self-loop or an edge inside one colour;
 root_of_unity,
 which builds the powers of a root that tests start from, weights_of, all N
 weights of a measure, rational_by_constructor, a rational element through the public
@@ -41,7 +42,7 @@ from cyclade.exact import (
     _check_order,
     _normalized,
 )
-from cyclade.graphs import _finish
+from cyclade.graphs import RootedBipartiteGraph, _distances
 from cyclade.measures import (
     CyclotomicMeasure,
     ExpansionResult,
@@ -197,6 +198,23 @@ def cyclotomic_poly_by_division(order):
     """x**order - 1 divided by the cyclotomic polynomials of the lower
     divisors, each a monic integer list, by integer long division."""
     return tuple(_cyclotomic_ints_by_division(order))
+
+
+def _finish(edges, n, root) -> RootedBipartiteGraph:
+    neighbours = [[] for _ in range(n)]
+    for u, v, mult in edges:
+        neighbours[u] += [v] * mult
+        neighbours[v] += [u] * mult
+    # two-coloring by the parity of the distance; also certifies connectivity
+    dist = _distances(neighbours, root)[0]
+    if -1 in dist:
+        raise ValueError("graph is not connected")
+    for u, v, _ in edges:
+        if u == v:
+            raise ValueError("self-loop in adjacency")
+        if (dist[u] - dist[v]) % 2 == 0:
+            raise ValueError("edge inside one parity class")
+    return RootedBipartiteGraph(n, tuple(map(tuple, neighbours)), root)
 
 
 # branch arms (vertex counts beyond the branch vertex), longest first;

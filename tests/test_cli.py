@@ -111,7 +111,8 @@ def test_failing_command_leaves_out_file(tmp_path, capsys, monkeypatch):
     target.write_text("old content\n", encoding="utf-8")
     for argv, message in ((["level", "--expr", "d_1 +"], "error: unexpected end of input"),
                           (["verify", "--only", "nomatch*"],
-                           "error: no check id matches 'nomatch*'")):
+                           "error: no check id matches 'nomatch*'"),
+                          (["verify", "--only", ""], "error: no check id matches ''")):
         code, out, err = run_cli(capsys, *argv, "--out", str(target))
         assert (code, out) == (2, "")
         assert err.startswith(message)

@@ -10,16 +10,16 @@ from cyclade.graphs import (
     ParameterOutOfRange,
     UnsupportedFamily,
     _TREES,
-    _finish,
     build_ade,
     loop_counts,
 )
 from cyclade.verify import DEFAULT_SIZE_MATRIX
-from oracles import build_ade_by_cases, loop_counts_two_products
+from oracles import _finish, build_ade_by_cases, loop_counts_two_products
 
 
 def distances(graph):
-    """The distance of each vertex from the root, by breadth-first search."""
+    """The distance of each vertex from the root, by breadth-first search,
+    -1 if unreached."""
     dist = {graph.root: 0}
     queue = [graph.root]
     for v in queue:
@@ -27,7 +27,19 @@ def distances(graph):
             if u not in dist:
                 dist[u] = dist[v] + 1
                 queue.append(u)
-    return [dist[v] for v in range(graph.vertex_count)]
+    return [dist.get(v, -1) for v in range(graph.vertex_count)]
+
+
+def families_up_to(tag, top):
+    """The families of the tag at every valid parameter up to top."""
+    families = set()
+    for param in range(top + 1):
+        try:
+            families.add(GraphFamily(tag, param))
+        except ParameterOutOfRange:
+            pass
+    assert families
+    return families
 
 
 def walks_by_enumeration(graph, length):
@@ -87,14 +99,7 @@ def test_builder_matches_the_builder_by_cases(tag):
     # every parameter up to 30: the same rooted graph up to relabelling, as
     # far as vertex counts, loop counts and the degrees at each distance from
     # the root tell; A, D and Atilde keep the very same neighbour lists
-    families = set()
-    for param in range(31):
-        try:
-            families.add(GraphFamily(tag, param))
-        except ParameterOutOfRange:
-            pass
-    assert families
-    for fam in families:
+    for fam in families_up_to(tag, 30):
         g, ref = build_ade(fam), build_ade_by_cases(fam)
         assert g.vertex_count == ref.vertex_count
         assert loop_counts(g, 80) == loop_counts(ref, 80)
@@ -102,6 +107,25 @@ def test_builder_matches_the_builder_by_cases(tag):
                 == sorted(zip(distances(ref), map(len, ref.neighbours))))
         if tag in ("A", "D", "Atilde"):
             assert g.neighbours == ref.neighbours
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_built_graph_is_rooted_connected_and_bipartite(tag):
+    # the builder refuses nothing, so every family up to parameter 40 (and
+    # the six exceptional graphs) must come out connected from vertex 0, with
+    # no self-loop, every edge joining the two parity classes of the distance
+    # from the root, and each edge listed at both of its ends
+    for fam in families_up_to(tag, 40):
+        g = build_ade(fam)
+        assert g.root == 0
+        assert g.vertex_count == len(g.neighbours)
+        dist = distances(g)
+        assert -1 not in dist
+        for u, nbrs in enumerate(g.neighbours):
+            assert u not in nbrs
+            for v in nbrs:
+                assert (dist[u] - dist[v]) % 2 == 1
+                assert nbrs.count(v) == g.neighbours[v].count(u)
 
 
 def test_root_is_vertex_0_and_spine_vertex_i_is_i_steps_out():

@@ -99,6 +99,12 @@ def test_one_check_examples():
         run_all(order=16, only="prop9.9/nothing")
 
 
+def test_empty_glob_matches_no_check():
+    # an empty glob is a glob, not the absence of one
+    with pytest.raises(ValueError, match="^no check id matches ''$"):
+        run_all(order=8, only="")
+
+
 def test_adjudicated_corrections_report():
     r4 = one_check("prop5.6/gamma4", order=16)
     assert r4.status == "pass"
