@@ -112,8 +112,8 @@ def _int_in_range(low, high: int):
 # verify --order 512 takes about 1.2 s (1.0-1.5 s, python -m cyclade) and
 # peaks at about 32 MB RSS, 13 MB of it the formula theta's binomial table,
 # which transforms keeps up to this order; graph-tseries at both caps takes
-# about 0.25 s (2-vCPU VM, Python 3.11); a graph is stored as neighbour
-# lists, so graph-tseries peaks at about 23 MB RSS at the caps.
+# 0.11-0.14 s and, a graph being neighbour lists, peaks at about 18 MB RSS
+# (python -m cyclade, median of 5, 2-vCPU Xeon VM, Python 3.11).
 MAX_VERTICES = 4000
 MAX_ORDER = 512
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import islice
 from operator import add, itemgetter, mul
 from typing import Tuple
 
@@ -126,49 +124,40 @@ def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:
     so that is |A^k e_r|^2: one exact product of A with the vector per entry
     and a sum of squares.
 
-    A^k e_r lives on the parity class k mod 2 and within distance k of the
-    root.  One BFS lists each class by distance, so step k recomputes only
-    a prefix of class k mod 2, reading the other class, whose entries
-    beyond its own ball are still zero; once the ball holds the whole
-    class, every step takes all of it.  A step adds two gathers in C, the
-    first and the second neighbours (map over islice on a prefix, a prebuilt
-    itemgetter on a whole class); a missing one reads the zero that each
-    class keeps in a last row with no neighbours, and a branch vertex adds
-    its further neighbours one by one.
+    A^k e_r lives on the parity class k mod 2 and, for k <= count, within
+    the ball of radius count around the root, so one BFS keeps of each
+    class only the vertices of that ball.  A step adds two gathers in C,
+    a prebuilt itemgetter each, of the first and the second neighbours of
+    the whole class; a missing neighbour, or one outside the ball, reads
+    the zero that each class keeps in a last row with no neighbours, and
+    a branch vertex adds its further neighbours one by one.  A graph with
+    an edge inside one parity class of the BFS distance is refused.
     """
     _check_order(count)
     nbrs = graph.neighbours
     dist, bfs = _distances(nbrs, graph.root)
-    classes = [[v for v in bfs if dist[v] % 2 == c] for c in (0, 1)]
-    pos = [0] * graph.vertex_count
+    if any((dist[u] - dist[v]) % 2 == 0 for u in bfs for v in nbrs[u]):
+        raise ValueError("edge inside one parity class of the distance from the root")
+    classes = [[v for v in bfs if dist[v] <= count and dist[v] % 2 == c] for c in (0, 1)]
+    ends = [len(cls) for cls in classes]
+    pos = [ends[d % 2] for d in dist]  # past the ball: the zero ending its class
     for cls in classes:
         for i, v in enumerate(cls):
             pos[v] = i
-    slots, extra = [], []
-    for cls, pad in zip(classes, (len(classes[1]), len(classes[0]))):
+    gets, extra = [], []
+    for cls, pad in zip(classes, ends[::-1]):
         rows = [[pos[u] for u in nbrs[v]] + [pad] for v in cls] + [[pad, pad]]
-        slots.append(tuple(zip(*rows)))  # the shortest rows have two entries
+        gets.append([itemgetter(*slot) for slot in zip(*rows)])  # no row has under two entries
         extra.append([(i, p) for i, r in enumerate(rows) for p in r[2:-1]])
-    gets = [[itemgetter(*slot) for slot in pair] for pair in slots]
-    radii = [[dist[v] for v in cls] for cls in classes]
-    vals = [[0] * (len(cls) + 1) for cls in classes]
+    vals = [[0] * (end + 1) for end in ends]
     vals[0][0] = 1
-    depth = dist[bfs[-1]]
     out = [1]
     for k in range(1, count + 1):
         c = k % 2
         old = vals[1 - c]
-        if k < depth:
-            cut = bisect_right(radii[c], k)
-            first, second = (map(old.__getitem__, islice(slot, cut)) for slot in slots[c])
-            new = list(map(add, first, second))
-        else:
-            first, second = gets[c]
-            vals[c] = new = list(map(add, first(old), second(old)))
+        first, second = gets[c]
+        vals[c] = new = list(map(add, first(old), second(old)))
         for i, p in extra[c]:
-            if i < len(new):
-                new[i] += old[p]
-        if k < depth:  # the prefix is a copy, written back once complete
-            vals[c][:cut] = new
+            new[i] += old[p]
         out.append(sum(map(mul, new, new)))
     return out

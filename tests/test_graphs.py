@@ -5,9 +5,11 @@ import pytest
 from cyclade import cli
 from cyclade.cli import MAX_VERTICES
 from cyclade.graphs import (
+    EXCEPTIONAL_TAGS,
     FAMILY_TAGS,
     GraphFamily,
     ParameterOutOfRange,
+    RootedBipartiteGraph,
     UnsupportedFamily,
     _TREES,
     build_ade,
@@ -92,6 +94,29 @@ def test_loop_counts_at_the_cap(tag, param, order):
     # exceptional graphs fill theirs within a few steps
     g = build_ade(GraphFamily(tag, param))
     assert loop_counts(g, order) == loop_counts_two_products(g, order)
+
+
+@pytest.mark.parametrize("tag,param", [
+    ("A", 9), ("D", 9), ("Atilde", 10), ("Dtilde", 8),
+] + [(tag, 0) for tag in EXCEPTIONAL_TAGS])
+def test_loop_counts_at_every_root(tag, param):
+    # re-rooted, the ball around the root grows both ways along the spine;
+    # counts just short of, at and past the root's eccentricity
+    g = build_ade(GraphFamily(tag, param))
+    for root in range(g.vertex_count):
+        h = RootedBipartiteGraph(g.vertex_count, g.neighbours, root)
+        ecc = max(distances(h))
+        for count in (0, 1, 2, ecc - 1, ecc, 40):
+            assert loop_counts(h, count) == loop_counts_two_products(h, count)
+
+
+def test_loop_counts_refuse_an_edge_inside_one_parity_class():
+    # read as bipartite, the triangle would give [1, 5, 9, 45] and the
+    # self-loop [1, 1, 4, 4] at count 3, for [1, 2, 6, 22] and [1, 2, 5, 13]
+    for g in (RootedBipartiteGraph(3, ((1, 2), (0, 2), (0, 1)), 0),
+              RootedBipartiteGraph(2, ((0, 1), (0,)), 0)):
+        with pytest.raises(ValueError, match="edge inside one parity class"):
+            loop_counts(g, 3)
 
 
 @pytest.mark.parametrize("tag", FAMILY_TAGS)
