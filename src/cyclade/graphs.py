@@ -135,6 +135,8 @@ def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:
     """
     _check_order(count)
     nbrs = graph.neighbours
+    if not nbrs[graph.root]:
+        return [1] + [0] * count  # no walk leaves a lone root
     dist, bfs = _distances(nbrs, graph.root)
     if any((dist[u] - dist[v]) % 2 == 0 for u in bfs for v in nbrs[u]):
         raise ValueError("edge inside one parity class of the distance from the root")
@@ -147,7 +149,8 @@ def loop_counts(graph: RootedBipartiteGraph, count: int) -> list:
     gets, extra = [], []
     for cls, pad in zip(classes, ends[::-1]):
         rows = [[pos[u] for u in nbrs[v]] + [pad] for v in cls] + [[pad, pad]]
-        gets.append([itemgetter(*slot) for slot in zip(*rows)])  # no row has under two entries
+        # each row holds a neighbour (the root has one) and the pad: two slots
+        gets.append([itemgetter(*slot) for slot in zip(*rows)])
         extra.append([(i, p) for i, r in enumerate(rows) for p in r[2:-1]])
     vals = [[0] * (end + 1) for end in ends]
     vals[0][0] = 1

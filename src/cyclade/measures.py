@@ -8,16 +8,16 @@ order have equal fields.  Odd moments vanish, as each orbit holds u and -u.
 Every atom has u^N = 1 and the measure is symmetric under u -> 1/u, so the
 even moments satisfy the reflection identity moment 2(k + n) = moment 2k
 and moment 2(n - k) = moment -2k = moment 2k: the stored period gives them
-all.  The weights are derived on read by the inverse transform, one orbit
-weight for the atoms u, 1/u, -u and -1/u.
+all.  The weights are derived on each read by the inverse transform, one
+orbit weight for the atoms u, 1/u, -u and -1/u.
 
-Only display reads the weights; all else runs on the sequences: the
-uniform measures have closed forms, a density convolves the base sequence
-with its coefficients, is_probability reads the signs.  A measure is a
-value of the operator set that exact gives cyclotomic numbers and series:
-== and + - lift two measures to a common period by repeating their
-sequences, and an int or a Fraction scales one; a product of two measures,
-or a sum with a scalar, is refused.
+Only display and the weight checks read the weights; all else runs on the
+sequences: the uniform measures have closed forms, a density convolves the
+base sequence with its coefficients, is_probability reads the signs.  A
+measure is a value of the operator set that exact gives cyclotomic numbers
+and series: == and + - lift two measures to a common period by repeating
+their sequences, and an int or a Fraction scales one; a product of two
+measures, or a sum with a scalar, is refused.
 The one place that validates symmetry and realness is the public
 constructor CyclotomicMeasure(N, weights), which takes the full list of N
 weights and raises NotRational for a measure with an irrational moment.
@@ -80,12 +80,11 @@ ATOM_CACHE_SIZE = 512
 class CyclotomicMeasure(_IntegersOverDenominator):
     """Finitely supported measure on the N-th roots of unity, N = order.
 
-    nums[k] / den is the moment 2k for 0 <= k < N/2, in lowest terms.
-    Instances are immutable; _reps caches the orbit weights that reps
-    derives on first read, and is unset on a measure that arithmetic built.
+    nums[k] / den is the moment 2k for 0 <= k < N/2, in lowest terms; that
+    is the whole state, and reps and weight derive the weights on each read.
     """
 
-    __slots__ = ("_reps",)
+    __slots__ = ()
 
     def __init__(self, order: int, weights: Sequence):
         """Build from the full list of N weights, ints, Fractions or
@@ -121,21 +120,20 @@ class CyclotomicMeasure(_IntegersOverDenominator):
             for k in range(n // 2 + 1)]
         nums, den = _over_lcm(block[min(k, n - k)] for k in range(n))
         self.order, self.nums, self.den = order, tuple(nums), den
-        self._reps = tuple(ws[: order // 4 + 1])
+
+    def _orbit_weights(self, orbits) -> Tuple[CyclotomicNumber, ...]:
+        """w(z^r) = (1/N) sum_k M_k z^(-2rk) for each orbit r, M_k the moment
+        2k, one cyclo_from_integers per orbit over the nonzero moments."""
+        terms = [(k, v) for k, v in enumerate(self.nums) if v]
+        return tuple(cyclo_from_integers(self.order, [(-2 * r * k, v) for k, v in terms],
+                                         self.order * self.den) for r in orbits)
 
     @property
     def reps(self) -> Tuple[CyclotomicNumber, ...]:
         """reps[r] is the weight shared by the atoms at the powers r, -r,
         r + N/2 and N/2 - r of the primitive N-th root z, for 0 <= r <= N/4,
-        a real element of the N-th cyclotomic field.  Derived on first read
-        by the inverse transform w(z^r) = (1/N) sum_k M_k z^(-2rk), M_k the
-        moment 2k, one cyclo_from_integers per orbit."""
-        if getattr(self, "_reps", None) is None:
-            order, scale = self.order, self.order * self.den
-            terms = [(k, v) for k, v in enumerate(self.nums) if v]
-            self._reps = tuple(cyclo_from_integers(order, [(-2 * r * k, v) for k, v in terms],
-                                                   scale) for r in range(order // 4 + 1))
-        return self._reps
+        a real element of the N-th cyclotomic field, derived on each read."""
+        return self._orbit_weights(range(self.order // 4 + 1))
 
     def orbit(self, j: int) -> int:
         """The r with the weight at position j in reps[r]."""
@@ -144,7 +142,8 @@ class CyclotomicMeasure(_IntegersOverDenominator):
         return min(r, half - r)
 
     def weight(self, j: int) -> CyclotomicNumber:
-        return self.reps[self.orbit(j)]
+        """The weight at position j, derived for its orbit alone."""
+        return self._orbit_weights((self.orbit(j),))[0]
 
     def orbit_size(self, r: int) -> int:
         """Number of atoms sharing the weight reps[r]."""

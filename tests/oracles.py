@@ -77,8 +77,9 @@ def root_of_unity(order, exponent=1):
 
 def weights_of(e):
     """All N weights of the measure e, position j holding the atom at the
-    j-th power."""
-    return [e.weight(j) for j in range(e.order)]
+    j-th power; reps is read once, as it derives every orbit weight."""
+    reps = e.reps
+    return [reps[e.orbit(j)] for j in range(e.order)]
 
 
 def rational_by_constructor(value, order):
@@ -142,10 +143,12 @@ def expand_over_level_loop(e, limit):
             basis.append(density_measure(poly, "d", m).embed(order))
     positions = [t * (order // support) for t in range(support // 4 + 1)]
     phi = euler_phi(order)
+    # reps derives every orbit weight on each read, so each measure's once
+    basis_reps, target_reps = [b.reps for b in basis], e.reps
     rows, rhs = [], []
     for j in positions:
-        coords = [b.reps[j].coeffs for b in basis]
-        target = e.reps[j].coeffs
+        coords = [reps[j].coeffs for reps in basis_reps]
+        target = target_reps[j].coeffs
         for i in range(phi):
             row = [c[i] for c in coords]
             value = target[i]

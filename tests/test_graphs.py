@@ -15,6 +15,9 @@ from cyclade.graphs import (
     build_ade,
     loop_counts,
 )
+from cyclade.exact import series_from_integers
+from cyclade.measures import _even_moments, basic_measure
+from cyclade.transforms import theta_from_poincare_formula, theta_from_poincare_subst
 from cyclade.verify import DEFAULT_SIZE_MATRIX
 from oracles import _finish, build_ade_by_cases, loop_counts_two_products
 
@@ -117,6 +120,27 @@ def test_loop_counts_refuse_an_edge_inside_one_parity_class():
               RootedBipartiteGraph(2, ((0, 1), (0,)), 0)):
         with pytest.raises(ValueError, match="edge inside one parity class"):
             loop_counts(g, 3)
+
+
+LONE_ROOT = RootedBipartiteGraph(1, ((),), 0)  # A_1: one vertex, no edge
+
+
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_loop_counts_of_a_lone_root(count):
+    # the root has no neighbour, so its gather row would hold the pad alone
+    assert loop_counts(LONE_ROOT, count) == loop_counts_two_products(LONE_ROOT, count)
+    assert loop_counts(LONE_ROOT, count) == [1] + [0] * count
+
+
+def test_lone_root_thetas_give_the_doubled_moments_of_dprime_1():
+    # theta with 1 added at q^0 and taken off at q^1 gives the doubled even
+    # moments, as RunContext.graph_measure reads them; d'_1 has (-1)^r
+    counts = series_from_integers(loop_counts(LONE_ROOT, 12))
+    moments, den = _even_moments(basic_measure("dprime", 1), 12)
+    assert den == 1 and moments == [1, -1] * 6 + [1]
+    for route in (theta_from_poincare_formula, theta_from_poincare_subst):
+        theta = route(counts, 12).nums
+        assert [theta[0] + 1, theta[1] - 1, *theta[2:]] == [2 * v for v in moments]
 
 
 @pytest.mark.parametrize("tag", FAMILY_TAGS)

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +19,7 @@ from cyclade.measures import (
     BASE_KINDS,
     DENSITY_POLYS,
     CyclotomicMeasure,
+    RealMeasure,
     SupportTooLarge,
     SymmetryViolation,
     atom_measure,
@@ -195,6 +198,73 @@ def test_memoized_atoms_are_shared_and_unchanged():
     parse_measure_expr("2*alpha_6 - d'_3 + alpha_6/5")
     moment(a, 4)
     assert [(m.order, m.nums, m.den, [w.coeffs for w in m.reps]) for m in (a, d)] == before
+
+
+# the three descriptions of def8.1/support, n = 1..4: (order, the weight,
+# the positions that carry it)
+_SUPPORT_DESCRIPTIONS = [
+    (order, weight, on) for n in range(1, 5) for order, weight, on in (
+        (4 * n, Fraction(1, 2 * n), lambda j: j % 2),
+        (12 * n, Fraction(1, 4 * n), lambda j: j % 6 in (1, 5)),
+        (6 * n, Fraction(1, 4 * n), lambda j: j % 3))]
+
+
+def test_constructor_weights_read_back():
+    # the weights are derived from the moments by the inverse transform on
+    # every measure, one that the public constructor built from them too
+    for order, weight, on in _SUPPORT_DESCRIPTIONS:
+        weights = [weight if on(j) else Fraction(0) for j in range(order)]
+        e = CyclotomicMeasure(order, weights)
+        assert list(e.reps) == weights[: order // 4 + 1]
+        assert [e.weight(j) for j in range(order)] == weights
+    # cyclotomic weights: alpha_12's, spread over all 24 positions
+    a12 = alpha(12)
+    e = CyclotomicMeasure(24, [a12.reps[a12.orbit(j)] for j in range(24)])
+    assert _fields(e) == _fields(a12)
+    assert [_fields(w) for w in e.reps] == [_fields(w) for w in a12.reps]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CyclotomicMeasure(24, weights_of(alpha(12))),
+    lambda: Fraction(1, 5) * (alpha(12) - 2 * basic_measure("dprime", 3)),
+    lambda: parse_measure_expr("(alpha_12 - 2*d'_3)/5 + 3/4*gamma''_2"),
+    lambda: gamma(5, "dprime").embed(60),
+], ids=["constructor", "arithmetic", "parsed", "embedded"])
+def test_weight_is_the_weight_of_its_orbit(build):
+    e = build()
+    reps = e.reps
+    assert len(reps) == e.order // 4 + 1
+    for j in range(e.order):
+        assert _fields(e.weight(j)) == _fields(reps[e.orbit(j)])
+
+
+@pytest.mark.parametrize("text", ["gamma''_21", "alpha'_63"])
+def test_reading_the_weights_keeps_nothing_in_a_memoized_atom(text):
+    # two atoms on the 252nd roots that no other test reads; a cache of
+    # their weights in the shared atom would keep about 43 kB each (0.68 and
+    # 0.83 MB for the atoms at the support caps, gamma''_83 and alpha'_250)
+    e = parse_measure_expr(text)
+    assert parse_measure_expr(text) is e
+
+    def read(m):
+        return m.reps, m.weight(1), RealMeasure(m).atoms, repr(m)
+
+    # a full collection empties the interpreter's free lists, which a
+    # traced read would then refill with up to 20 kB of traced blocks
+    gc.disable()
+    try:
+        read(e * 1)  # warms the field tables and the free lists, on a copy
+        referents = [id(x) for x in gc.get_referents(e)]
+        tracemalloc.start()
+        read(e)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    # the free lists may still keep a few blocks of the discarded results
+    assert kept < 4096
+    assert [id(x) for x in gc.get_referents(e)] == referents
+    assert CyclotomicMeasure.__slots__ == ()
 
 
 @pytest.mark.parametrize("call,error,message", [
