@@ -111,8 +111,10 @@ def parse_xi_expr(text: str) -> XiExpression:
     prime marks append the factor (1 - q^k) to the denominator, so xi'(3+:3)
     and xi(3+:3,1) are one value."""
     s = _Scanner(text)
-    if s.name() != "xi":
-        raise ParseError(f"unexpected {s.describe()}", s.pos, ("'xi'",))
+    name = s.name()
+    if name != "xi":
+        message = f"unknown form name {name!r}" if name else f"unexpected {s.describe()}"
+        raise ParseError(message, s.pos - len(name), ("'xi'",))
     marks = s.primes()
     if marks > 2:
         raise ParseError("too many prime marks", s.pos, ("at most ''",))

@@ -12,8 +12,8 @@ all.  The weights are derived on each read by the inverse transform, one
 orbit weight for the atoms u, 1/u, -u and -1/u.
 
 Only display and the weight checks read the weights; all else runs on the
-sequences: the uniform measures have closed forms, a density convolves the
-base sequence with its coefficients, is_probability reads the signs.  A
+sequences: the uniform measures have closed forms, a density scatters each
+nonzero base moment over its coefficients, is_probability reads the signs.  A
 measure is a value of the operator set that exact gives cyclotomic numbers
 and series: == and + - lift two measures to a common period by repeating
 their sequences, and an int or a Fraction scales one; a product of two
@@ -170,7 +170,9 @@ class CyclotomicMeasure(_IntegersOverDenominator):
         t(m) = sum_r a_r c_d(r + m) is the trace of f z^m over Q(z), twice
         that over K for d >= 3 and even in m as f is real, and c_d(k), the
         trace of z^k, is the Ramanujan sum over the squarefree q | d of
-        mu(q) (d/q) [(d/q) | k]; c_d(0) = phi(d).  _is_psd decides each.
+        mu(q) (d/q) [(d/q) | k]; c_d(0) = phi(d).  _is_psd decides each
+        stratum but those where every a_r is 0: no d-th root carries an
+        atom then, so the weights there are 0, which passes.
         """
         if self.mass() != 1:
             return False
@@ -178,6 +180,8 @@ class CyclotomicMeasure(_IntegersOverDenominator):
         m = self.nums[:n]
         for d in (d for d in range(1, n + 1) if n % d == 0):
             a = [sum(m[r::d]) for r in range(d)]
+            if not any(a):
+                continue
             c = _ramanujan_sums(d)
             h = max(1, c[0] // 2)
             t = [sum(x * c[(r + k) % d] for r, x in enumerate(a) if x) for k in range(2 * h - 1)]
@@ -186,12 +190,18 @@ class CyclotomicMeasure(_IntegersOverDenominator):
         return True
 
     def embed(self, order: int) -> "CyclotomicMeasure":
-        """The same measure at a multiple of its order: the period repeated."""
+        """The same measure at a multiple of its order: the period repeated.
+
+        Repeating nums leaves gcd(den, *nums) = 1, so the result is in
+        lowest terms as built and no gcd is taken; ==, + and - reach this
+        through _align on every call."""
         if order <= 0 or order % self.order:
             raise ValueError(f"{order} is not a positive multiple of {self.order}")
         if order == self.order:
             return self
-        return _normalized(CyclotomicMeasure, order, self.nums * (order // self.order), self.den)
+        z = object.__new__(CyclotomicMeasure)
+        z.order, z.nums, z.den = order, self.nums * (order // self.order), self.den
+        return z
 
     def minimal_support_order(self) -> Optional[int]:
         """Smallest even N such that every atom is an N-th root; None if zero.
@@ -300,18 +310,26 @@ def density_measure(poly: Tuple, kind: str, n: int) -> CyclotomicMeasure:
     and the density is the sum of c_i (u^(2i) + u^(-2i)) / 2, so moment 2k
     becomes the sum of c_i (M_(k+i) + M_(k-i)) / 2, M_j the moment 2j of
     the base measure, in integers over the denominators of P and of the
-    base moments.  Signed, null and sub-probability results are allowed
+    base moments.  The sum is scattered: each nonzero M_j adds c_i M_j / 2
+    to the moments 2(j - i) and 2(j + i), so the work is one pass over the
+    coefficients per nonzero base moment, of which d_n has one per period
+    and d'_n two.  Signed, null and sub-probability results are allowed
     (these arise for n <= deg P, where the density vanishes or folds onto
     smaller supports).
     Memoized: the result is shared and must not be mutated.
     """
     base = basic_measure(kind, n)
     pnums, pden = _over_lcm(poly)
-    m, period = base.nums, len(base.nums)
+    period = len(base.nums)
     terms = [(i, c) for i, c in enumerate(pnums) if c]
-    return _normalized(CyclotomicMeasure, base.order,
-                       [sum(c * (m[(k + i) % period] + m[(k - i) % period]) for i, c in terms)
-                        for k in range(period)], 2 * pden * base.den)
+    out = [0] * period
+    for j, v in enumerate(base.nums):
+        if v:
+            for i, c in terms:
+                x = c * v
+                out[(j - i) % period] += x
+                out[(j + i) % period] += x
+    return _normalized(CyclotomicMeasure, base.order, out, 2 * pden * base.den)
 
 
 def atom_measure(name: str, kind: str, n: int) -> CyclotomicMeasure:
@@ -426,20 +444,29 @@ def cyclotomic_expansion(e: CyclotomicMeasure, n: int) -> ExpansionResult:
 
 def reconstruct_expansion(result: ExpansionResult) -> CyclotomicMeasure:
     """Rebuild the measure of an expansion result: the doubled moment
-    columns of its nonzero terms, summed over one common denominator."""
+    columns of its nonzero terms, summed over one common denominator.
+
+    For k < n the column of label l, 2[n | k] - [n | k + l] - [n | k - l],
+    is nonzero only at k = 0 and k = +-l mod n, so a term x adds 2x at 0
+    and, for l != 0, -x at l mod n and at -l mod n."""
     n = result.n
     labels = [l for l, c in result.coefficients.items() if c]
     xs, den = _over_lcm(result.coefficients[l] for l in labels)
     acc = [0] * n
     for l, x in zip(labels, xs):
-        acc = [a + x * v for a, v in zip(acc, _moment_column(l, n, n - 1))]
+        acc[0] += 2 * x
+        if l:
+            acc[l % n] -= x
+            acc[-l % n] -= x
     return _normalized(CyclotomicMeasure, 2 * n, acc, 2 * den)
 
 
 def _moment_column(l: int, m: int, count: int) -> List[int]:
     """Twice the moments 0, 2, ..., 2 count of the uniform measure on the
     2m-th roots, [m | k] at moment 2k, times the density 1 - u^(2l) if l > 0:
-    2[m | k] - [m | k + l] - [m | k - l]."""
+    2[m | k] - [m | k + l] - [m | k - l].  These are the columns of
+    expand_over_level, its one caller; reconstruct_expansion adds the at
+    most three nonzero entries of each column directly."""
     return [2 * (k % m == 0) - ((((k + l) % m == 0) + ((k - l) % m == 0)) if l else 0)
             for k in range(count + 1)]
 

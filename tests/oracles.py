@@ -10,7 +10,10 @@ series in Fraction lists, the T series and the expansion from one moment per
 coefficient, each a dense sum over the weights, pushforward moments by
 cyclotomic powering, the sign of a real cyclotomic number at 60 digits,
 positive semidefiniteness by principal minors, a linear combination of
-measures summed in one pass over their moment sequences, the graph measure
+measures summed in one pass over their moment sequences, a density measure
+as one sum over every moment and every coefficient, an expansion rebuilt
+by summing whole moment columns, embed as a repeated period reduced again
+to lowest terms, the graph measure
 table as rows of (coefficient, atom name, base kind, parameter), and the
 rooted graphs built family by family, each root where its own
 construction put it, from (u, v, multiplicity) edges by a two-colouring
@@ -41,6 +44,7 @@ from cyclade.exact import (
     series_from_integers,
     _check_order,
     _normalized,
+    _over_lcm,
 )
 from cyclade.graphs import RootedBipartiteGraph, _distances
 from cyclade.measures import (
@@ -49,6 +53,7 @@ from cyclade.measures import (
     atom_measure,
     basic_measure,
     density_measure,
+    _moment_column,
 )
 
 
@@ -394,6 +399,38 @@ def expansion_by_moments(e, n):
         rows.append(row)
     sol = rref_solve(rows, _doubled_moments(e, n))
     return ExpansionResult(n, {} if sol is None else dict(zip(labels, sol)), sol is not None)
+
+
+def density_by_per_moment_sum(poly, kind, n):
+    """The density measure of P over the base kind, moment 2k the sum of
+    c_i (M_(k+i) + M_(k-i)) / 2 over every term of P, for every k of the
+    period, M_j the moment 2j of the base measure."""
+    base = basic_measure(kind, n)
+    pnums, pden = _over_lcm(poly)
+    m, period = base.nums, len(base.nums)
+    terms = [(i, c) for i, c in enumerate(pnums) if c]
+    return _normalized(CyclotomicMeasure, base.order,
+                       [sum(c * (m[(k + i) % period] + m[(k - i) % period]) for i, c in terms)
+                        for k in range(period)], 2 * pden * base.den)
+
+
+def reconstruct_by_columns(result):
+    """The measure of an expansion result: the whole doubled moment column
+    of each nonzero term, k < n, scaled and summed over one common
+    denominator."""
+    n = result.n
+    labels = [l for l, c in result.coefficients.items() if c]
+    xs, den = _over_lcm(result.coefficients[l] for l in labels)
+    acc = [0] * n
+    for l, x in zip(labels, xs):
+        acc = [a + x * v for a, v in zip(acc, _moment_column(l, n, n - 1))]
+    return _normalized(CyclotomicMeasure, 2 * n, acc, 2 * den)
+
+
+def embed_renormalized(e, order):
+    """e at a multiple of its order: the period repeated, then divided by
+    the gcd of the denominator and the repeated sequence."""
+    return _normalized(CyclotomicMeasure, order, e.nums * (order // e.order), e.den)
 
 
 def pushforward_moments_by_powering(real, count):

@@ -19,6 +19,7 @@ from cyclade.measures import (
     BASE_KINDS,
     DENSITY_POLYS,
     CyclotomicMeasure,
+    ExpansionResult,
     RealMeasure,
     SupportTooLarge,
     SymmetryViolation,
@@ -40,6 +41,8 @@ from cyclade.transforms import xi_expand
 from cyclade.verify import DEFAULT_SIZE_MATRIX, candidate_measure
 from oracles import (
     candidate_measure_by_rows,
+    density_by_per_moment_sum,
+    embed_renormalized,
     expand_over_level_loop,
     expansion_by_moments,
     is_psd_by_minors,
@@ -49,6 +52,7 @@ from oracles import (
     moment_by_dense_sum,
     pushforward_moments_by_powering,
     rational_by_constructor,
+    reconstruct_by_columns,
     root_of_unity,
     sign_at_60_digits,
     t_series_by_moments,
@@ -182,6 +186,23 @@ def test_density_matches_horner_oracle(kind):
             assert len(expected) == e.order
             for j, value in enumerate(expected):
                 assert e.weight(j) == value, (poly, kind, n, j)
+
+
+def _fields(e):
+    return e.order, e.nums, e.den
+
+
+@pytest.mark.parametrize("kind", BASE_KINDS)
+def test_density_scatter_matches_per_moment_sum(kind):
+    # a Fraction polynomial, and one of degree 50, at least the period of
+    # every d_n and of d'_n for n <= 25, so that its terms fold
+    polys = [*DENSITY_POLYS.values(), *map(one_minus_power, range(1, 13)),
+             (Fraction(1, 2), Fraction(-1, 3), 0, Fraction(5, 6)),
+             (1,) + (0,) * 33 + (Fraction(-3, 4), 2) + (0,) * 14 + (-1,)]
+    for poly in polys:
+        for n in range(1, 41):
+            assert _fields(density_measure(poly, kind, n)) == \
+                _fields(density_by_per_moment_sum(poly, kind, n)), (poly, kind, n)
 
 
 def test_memoized_atoms_are_shared_and_unchanged():
@@ -529,6 +550,29 @@ def test_expansion_round_trip_uniform():
     assert res.residual_ok
     assert res.coefficients[0] == 1
     assert reconstruct_expansion(res) == basic_measure("d", 6)
+
+
+def test_reconstruct_expansion_matches_column_sums():
+    # the expansion of every atom with support <= 120, at its own order
+    for name in ("d", *DENSITY_POLYS):
+        for kind, factor in zip(BASE_KINDS, _SUPPORT_FACTOR):
+            for m in range(1, 120 // factor + 1):
+                res = cyclotomic_expansion(atom_measure(name, kind, m), factor * m // 2)
+                assert _fields(reconstruct_expansion(res)) == \
+                    _fields(reconstruct_by_columns(res)), (name, kind, m)
+
+
+@pytest.mark.parametrize("n,coefficients", [
+    (6, {0: Fraction(1, 3), 2: 0, 3: Fraction(-1, 2), 6: Fraction(5, 7), 8: 2, 13: 1}),
+    (4, {2: Fraction(3, 2), 4: -1, 9: Fraction(1, 6)}),
+    (1, {0: 1, 1: Fraction(1, 2), 3: -2}),
+    (5, {}),
+], ids=["n6", "n4", "n1", "empty"])
+def test_reconstruct_expansion_hand_built(n, coefficients):
+    # labels with 2l = n, l = n and l > n, whose columns put two or three
+    # entries on one moment, and zero coefficients
+    res = ExpansionResult(n, coefficients, True)
+    assert _fields(reconstruct_expansion(res)) == _fields(reconstruct_by_columns(res))
 
 
 def test_expansion_support_error():
@@ -892,6 +936,15 @@ def test_embed_needs_a_positive_multiple(order):
         basic_measure("d", 2).embed(order)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_atom_sums(), st.sampled_from([1, 2, 3, 5]))
+def test_embed_keeps_lowest_terms(e, k):
+    # the repeated period is in lowest terms as built
+    lifted = e.embed(k * e.order)
+    assert _fields(lifted) == _fields(embed_renormalized(e, k * e.order))
+    assert math.gcd(lifted.den, *lifted.nums) == 1
+
+
 # ---------------------------------------------------------------------------
 # is_probability, decided from the moments
 # ---------------------------------------------------------------------------
@@ -1002,6 +1055,34 @@ def test_is_probability_on_a_large_prime_stratum(c, expected):
     e = _on_strata(83, (c, -1, 0), 1)
     assert e.is_probability() is expected
     assert [r for r, w in enumerate(e.reps) if sign_at_60_digits(w) < 0] == ([] if expected else [1])
+
+
+def _on_strata_2_and_6(w2, w6):
+    """The measure on the 12th roots with W(s) = w2 at s = -1 and w6 at
+    each primitive sixth root s, W(s) the weight at u and -u, s = u^2; it
+    is 0 on the cube roots of 1, so the strata d = 1 and 3 are empty."""
+    weights = [0] * 12
+    for j in (3, 9):
+        weights[j] = Fraction(w2, 2)
+    for j in (1, 5, 7, 11):
+        weights[j] = Fraction(w6, 2)
+    return CyclotomicMeasure(12, weights)
+
+
+@pytest.mark.parametrize("w2,w6,expected", [
+    (Fraction(1, 2), Fraction(1, 4), True),
+    # the one negative weight is on d = 6, the last stratum
+    (Fraction(3, 2), Fraction(-1, 4), False),
+], ids=["nonnegative", "negative-last"])
+def test_is_probability_skips_empty_strata(w2, w6, expected):
+    e = _on_strata_2_and_6(w2, w6)
+    assert e.mass() == 1 and e.minimal_support_order() == 12
+    # the per-divisor sums vanish on d = 1 and 3 only, so the empty
+    # stratum d = 3 lies between the strata d = 2 and 6
+    empty = [d for d in (1, 2, 3, 6) if not any(sum(e.nums[r::d]) for r in range(d))]
+    assert empty == [1, 3]
+    assert e.is_probability() is expected
+    assert (min(_signs_at_60_digits(e)) >= 0) is expected
 
 
 @st.composite

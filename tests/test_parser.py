@@ -45,7 +45,11 @@ def test_parse_xi_errors():
     for text, position, message in (
             ("xi(5++:3)", 5, "unexpected character '+' at position 5 (expected ':')"),
             ("xi(", 3, "unexpected end of input at position 3 (expected integer)"),
-            ("xj(1:2)", 2, "unexpected character '(' at position 2 (expected 'xi')"),
+            ("xj(1:2)", 0, "unknown form name 'xj' at position 0 (expected 'xi')"),
+            ("yi(1:2)", 0, "unknown form name 'yi' at position 0 (expected 'xi')"),
+            ("xis(1:2)", 0, "unknown form name 'xis' at position 0 (expected 'xi')"),
+            ("  xj(1:2)", 2, "unknown form name 'xj' at position 2 (expected 'xi')"),
+            ("(1:2)", 0, "unexpected character '(' at position 0 (expected 'xi')"),
             ("xi(1:2", 6, "unexpected end of input at position 6 (expected ')')"),
             ("xi'''(1:2)", 5, "too many prime marks at position 5 (expected at most '')"),
             ("xi(1,:2)", 5, "unexpected character ':' at position 5 (expected integer)"),
