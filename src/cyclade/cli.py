@@ -19,7 +19,7 @@ from .measures import (
     t_series_of_measure,
     _even_moments,
 )
-from .transforms import graph_t_series, xi_expand
+from .transforms import _KEPT_ORDER as MAX_ORDER, graph_t_series, xi_expand
 from . import verify as verify_mod
 
 
@@ -107,15 +107,15 @@ def _int_in_range(low, high: int):
     return parse
 
 
-# Largest graph parameter (the vertex count; one less for Dtilde) and the
-# largest series order or moment count the CLI accepts.  At the caps
-# verify --order 512 takes about 1.2 s (1.0-1.5 s, python -m cyclade) and
-# peaks at about 32 MB RSS, 13 MB of it the formula theta's binomial table,
-# which transforms keeps up to this order; graph-tseries at both caps takes
-# 0.11-0.14 s and, a graph being neighbour lists, peaks at about 18 MB RSS
-# (python -m cyclade, median of 5, 2-vCPU Xeon VM, Python 3.11).
+# Largest graph parameter (the vertex count; one less for Dtilde) and, as
+# MAX_ORDER, imported from transforms, the largest series order or moment
+# count the CLI accepts.  At the caps verify --order 512 takes about 1.2 s
+# (1.0-1.5 s, python -m cyclade) and peaks at about 32 MB RSS, 13 MB of it
+# the formula theta's binomial table, which transforms keeps up to this
+# order; graph-tseries at both caps takes 0.11-0.14 s and, a graph being
+# neighbour lists, peaks at about 18 MB RSS (python -m cyclade, median of 5,
+# 2-vCPU Xeon VM, Python 3.11).
 MAX_VERTICES = 4000
-MAX_ORDER = 512
 
 _ORDER = _int_in_range(0, MAX_ORDER)
 _PARAM = _int_in_range(None, MAX_VERTICES)

@@ -13,7 +13,8 @@ orbit weight for the atoms u, 1/u, -u and -1/u.
 
 Only display and the weight checks read the weights; all else runs on the
 sequences: the uniform measures have closed forms, a density scatters each
-nonzero base moment over its coefficients, is_probability reads the signs.  A
+nonzero base moment over its coefficients, the T series is the expansion of
+one fraction over (1 - q)(1 - q^n), is_probability reads the signs.  A
 measure is a value of the operator set that exact gives cyclotomic numbers
 and series: == and + - lift two measures to a common period by repeating
 their sequences, and an int or a Fraction scales one; a product of two
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,7 +44,6 @@ from .exact import (
     cyclo_from_integers,
     cyclotomic_poly,
     euler_phi,
-    series_from_integers,
     _check_order,
     _cyclo_rational,
     _mobius_pairs,
@@ -170,22 +169,21 @@ class CyclotomicMeasure(_IntegersOverDenominator):
         t(m) = sum_r a_r c_d(r + m) is the trace of f z^m over Q(z), twice
         that over K for d >= 3 and even in m as f is real, and c_d(k), the
         trace of z^k, is the Ramanujan sum over the squarefree q | d of
-        mu(q) (d/q) [(d/q) | k]; c_d(0) = phi(d).  _is_psd decides each
-        stratum but those where every a_r is 0: no d-th root carries an
-        atom then, so the weights there are 0, which passes.
+        mu(q) (d/q) [(d/q) | k]; c_d(0) = phi(d).  The traces decide that a
+        stratum is empty, its weights all 0: the trace form is nondegenerate,
+        so that is every t(m) = 0, m < h.  _is_psd decides the others.
         """
         if self.mass() != 1:
             return False
         n = self.minimal_support_order() // 2
         m = self.nums[:n]
         for d in (d for d in range(1, n + 1) if n % d == 0):
-            a = [sum(m[r::d]) for r in range(d)]
-            if not any(a):
-                continue
+            a = [(r, x) for r in range(d) if (x := sum(m[r::d]))]
             c = _ramanujan_sums(d)
             h = max(1, c[0] // 2)
-            t = [sum(x * c[(r + k) % d] for r, x in enumerate(a) if x) for k in range(2 * h - 1)]
-            if not _is_psd([[t[i + j] + t[abs(i - j)] for j in range(h)] for i in range(h)]):
+            t = [sum(x * c[(r + k) % d] for r, x in a) for k in range(2 * h - 1)]
+            if any(t) and not _is_psd([[t[i + j] + t[abs(i - j)] for j in range(h)]
+                                       for i in range(h)]):
                 return False
         return True
 
@@ -261,9 +259,16 @@ class RealMeasure(FrozenValue):
                      for r, w in reversed(list(enumerate(e.reps))) if not w.is_zero())
 
     def moments(self, count: int) -> List[CyclotomicNumber]:
-        """Moments 0..count at the circular measure's order."""
-        nums, den = _pushforward_moments(self.circular, count)
-        return [_cyclo_rational(self.circular.order, v, den) for v in nums]
+        """Moments 0..count at the circular measure's order: with M_i =
+        moment 2i = M_-i, 2 + u^2 + u^-2 maps M_i to (M_(i-1) + M_i) +
+        (M_i + M_(i+1)), and moment k is M_0 after k steps."""
+        m, den = _even_moments(self.circular, count)
+        out = [m[0]]
+        for _ in range(count):
+            pairs = list(map(add, m, m[1:]))
+            m = [2 * pairs[0], *map(add, pairs, pairs[1:])]
+            out.append(m[0])
+        return [_cyclo_rational(self.circular.order, v, den) for v in out]
 
 
 class ExpansionResult(FrozenValue):
@@ -360,26 +365,10 @@ def _even_moments(e: CyclotomicMeasure, count: int) -> Tuple[List[int], int]:
     return list((m * (count // len(m) + 1))[: count + 1]), e.den
 
 
-def _pushforward_moments(e: CyclotomicMeasure, count: int) -> Tuple[List[int], int]:
-    """(nums, den) with moment k of RealMeasure(e) = nums[k] / den, k <= count.
-    With M_i = moment 2i = M_-i of e, multiplying by 2 + u^2 + u^-2 maps M_i
-    to (M_(i-1) + M_i) + (M_i + M_(i+1)); moment k is M_0 after k steps."""
-    m, den = _even_moments(e, count)
-    out = [m[0]]
-    for _ in range(count):
-        pairs = list(map(add, m, m[1:]))
-        m = [2 * pairs[0], *map(add, pairs, pairs[1:])]
-        out.append(m[0])
-    return out, den
-
-
 def t_series_of_measure(e: CyclotomicMeasure, order: int) -> PowerSeries:
-    """The T series of the measure from its even moments: coefficient r of
-    1 + T(q)(1-q) is twice the 2r-th moment."""
-    nums, den = _even_moments(e, order)
-    doubled = [2 * v for v in nums]
-    doubled[0] -= den
-    return series_from_integers(list(accumulate(doubled)), den)
+    """The T series of the measure: the expansion of its fraction, as
+    coefficient r of 1 + T(q)(1-q) is twice the 2r-th moment."""
+    return t_fraction_of_measure(e).expand(order)
 
 
 def t_fraction_of_measure(e: CyclotomicMeasure) -> SeriesFraction:

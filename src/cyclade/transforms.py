@@ -161,8 +161,8 @@ def _integer_counts(counts: PowerSeries, order: int) -> tuple:
     return counts.nums[: order + 1]
 
 
-# The columns of the binomial table are kept up to this order, which is
-# cli.MAX_ORDER; a call above it makes its own columns and drops them.
+# The binomial table's columns are kept up to this order, the CLI's order cap
+# (cli.MAX_ORDER); a call above it makes its own columns and drops them.
 _KEPT_ORDER = 512
 _COLUMNS = []
 

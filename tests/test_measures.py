@@ -7,6 +7,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cyclade import measures
 from cyclade.exact import (
     NotRational,
     cyclo_as_rational,
@@ -714,11 +715,13 @@ def test_even_moment_block_at_small_supports(text):
             assert cyclotomic_expansion(e, n) == expansion_by_moments(e, n)
 
 
-@pytest.mark.parametrize("text", ["gamma'_15", "alpha''_5 + d_3", "beta_20"])
+@pytest.mark.parametrize("text", ["gamma'_15", "alpha''_5 + d_3", "beta_20", "d_5", "alpha_1"])
 def test_even_moment_block_below_half_period(text):
-    # orders below floor(n/2) read only a prefix of the block
+    # orders below floor(n/2) read only a prefix of the block, and orders
+    # below the period n only a prefix of the fraction's numerator: order 0,
+    # d_5 at order 3, and alpha_1, a zero measure, at order 0
     e = parse_measure_expr(text)
-    for order in range(e.order // 4):
+    for order in range(e.order // 2):
         _assert_series_matches_oracle(e, order)
 
 
@@ -1042,7 +1045,7 @@ def test_is_probability_below_the_60_digit_error(f, expected):
 ], ids=["sqrt2-negative", "sqrt2-nonnegative", "sqrt5-trace-zero"])
 def test_is_probability_on_a_quadratic_stratum(n, f, negative):
     e = _on_strata(n, f, 0)
-    assert e.is_probability() is not negative
+    assert e.is_probability() is (not negative)
     assert [r for r, w in enumerate(e.reps) if sign_at_60_digits(w) < 0] == negative
 
 
@@ -1083,6 +1086,45 @@ def test_is_probability_skips_empty_strata(w2, w6, expected):
     assert empty == [1, 3]
     assert e.is_probability() is expected
     assert (min(_signs_at_60_digits(e)) >= 0) is expected
+
+
+@pytest.fixture
+def psd_calls(monkeypatch):
+    """The matrices is_probability hands to _is_psd, copied before the
+    elimination consumes them."""
+    calls = []
+
+    def spy(rows):
+        calls.append([list(row) for row in rows])
+        return _is_psd(rows)
+
+    monkeypatch.setattr(measures, "_is_psd", spy)
+    return calls
+
+
+def test_is_probability_skips_strata_with_zero_traces(psd_calls):
+    # weight 1/4 at u = +-1 and 1/8 at u = z, z^5, z^7, z^11 on the 12th
+    # roots: W(s) is nonzero at s = 1 and the primitive sixth roots only, so
+    # the strata d = 2 and 3 are empty, yet their per-divisor sums are not 0
+    weights = [0] * 12
+    weights[0] = weights[6] = Fraction(1, 4)
+    for j in (1, 5, 7, 11):
+        weights[j] = Fraction(1, 8)
+    e = CyclotomicMeasure(12, weights)
+    assert e.mass() == 1 and e.minimal_support_order() == 12
+    assert all(any(sum(e.nums[r::d]) for r in range(d)) for d in (2, 3))
+    assert e.is_probability()
+    # only the strata d = 1 and 6 reach the elimination
+    assert len(psd_calls) == 2
+    assert all(any(map(any, rows)) for rows in psd_calls)
+
+
+def test_default_candidates_send_no_zero_matrix(psd_calls):
+    for tag, params in DEFAULT_SIZE_MATRIX.items():
+        for m in params:
+            assert candidate_measure(GraphFamily(tag, m), "thm71").is_probability(), (tag, m)
+    assert psd_calls
+    assert [rows for rows in psd_calls if not any(map(any, rows))] == []
 
 
 @st.composite
